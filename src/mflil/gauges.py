@@ -35,14 +35,13 @@ cylinder diameter.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
-from .lil import _engine_tables, _single_path, lil_convention, path_budget
+from .errors import ValidationError
+from .lil import _walk_ensemble, lil_convention
 from .models import MeasureModel, SelfSimilarMeasure
 from .spectrum import ChiProfile, sigma2_scale_free
 
@@ -289,37 +288,19 @@ def gauge_test(
 ) -> GaugeTestResult:
     """Monte Carlo fractions of m(I_n(x)) <= gauge(|I_n(x)|) at each checkpoint.
 
-    Comparison happens in the natural log domain; each path uses its own
-    counter-based stream keyed by (seed, index), so the result is identical
-    for every thread count.
+    Comparison happens in the natural log domain. The paths come from the
+    ensemble walk of run_ensemble, under the same path and chain-step budgets;
+    each path uses its own counter-based stream keyed by (seed, index), so the
+    result is identical for every thread count.
     """
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     cks = _gauge_checkpoints(checkpoints)
-    if N * cks[-1] > path_budget():
-        raise BudgetError(
-            f"N*n_max = {N * cks[-1]} exceeds the path budget {path_budget()}; "
-            "raise MFLIL_PATH_BUDGET to allow it"
-        )
     conv = lil_convention(model, "natural")
-    lw_conv, lr_nat, lb = _engine_tables(model, conv)
+    S, T, _, _ = _walk_ensemble(model, conv, cks, N, seed, threads)
     m = len(cks)
-    S = np.empty((N, m))
-    T = np.empty((N, m))
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            S[i], T[i] = _single_path(model, cks, conv, seed, i, lw_conv, lr_nat, lb)
-
-    if threads == 1:
-        fill(0, N)
-    else:
-        chunk = max(1, (N + threads - 1) // threads)
-        bounds = [(lo, min(lo + chunk, N)) for lo in range(0, N, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
 
     # m(I) <= gauge(diam)  <=>  -S_natural <= log gauge  <=>  S_natural >= -log gauge
     if isinstance(model, SelfSimilarMeasure):

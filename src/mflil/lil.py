@@ -20,6 +20,13 @@ normalization (S - d t)/sqrt(sigma2_clt t) instead uses the per-unit-t
 variance of S, which does depend on the convention. Both constants ride on
 the convention object so they cannot be mixed up.
 
+Ensemble paths each draw from their own stream path_rng(seed, i). Product
+paths are walked one at a time; Markov paths in blocks, every path of a block
+drawing its own uniforms and all stepping together, one numpy step per level,
+with the per-path state rule and increment order. A block holds at most
+_CHAIN_BLOCK_DRAWS uniforms. Threads each walk one contiguous range of paths,
+so results are identical for every thread count.
+
 Exact small-n machinery (exact_distribution, running_max_tail) does rational
 arithmetic on digit-count classes and is the oracle layer for the Monte Carlo
 engines.
@@ -191,14 +198,6 @@ def per_symbol_moments(model: MeasureModel, base: Optional[LogBase] = None) -> t
     return mean, var
 
 
-def _base_of_convention(model: MeasureModel, convention: LilConvention) -> LogBase:
-    if convention.name == "natural":
-        return LogBase.NATURAL
-    if convention.name == "base-2":
-        return LogBase.BASE_2
-    return LogBase.BASE_ELL
-
-
 def s_process(model: MeasureModel, w: Word, base: Union[LogBase, str] = LogBase.NATURAL) -> np.ndarray:
     """S_1..S_n along the word: S_j = -log(mass of the j-prefix), incrementally."""
     if isinstance(base, str):
@@ -252,17 +251,13 @@ class PathStats:
         return tuple(lil_ratio(s, t, conv.d, conv) for s, t in zip(self.S, self.t))
 
 
-def _checkpoint_walk_product(model, checkpoints, rng, lw_conv, lr_nat):
+def _checkpoint_walk_product(weights, checkpoints, rng, lw_conv, lr_nat):
     """Block count draws between checkpoints; exact per-symbol distribution.
 
     Returns (S in convention units, t natural-or-level) at each checkpoint.
     lr_nat is None on grids (t is the level); for self-similar it holds the
     natural log contraction of each symbol.
     """
-    if isinstance(model, BernoulliProduct):
-        weights = np.asarray(model.weights, dtype=float)
-    else:
-        weights = np.asarray(model.probs if isinstance(model, SelfSimilarMeasure) else model.weights, dtype=float)
     active = np.flatnonzero(weights > 0)
     wa = weights[active]
     wa = wa / wa.sum()
@@ -289,35 +284,6 @@ def _checkpoint_walk_product(model, checkpoints, rng, lw_conv, lr_nat):
     return S, t
 
 
-def _checkpoint_walk_markov(model, checkpoints, rng, lb):
-    pi = np.asarray(model.pi, dtype=float)
-    P = np.asarray(model.P, dtype=float)
-    cum_pi = np.cumsum(pi)
-    cum_P = np.cumsum(P, axis=1)
-    n = checkpoints[-1]
-    u = rng.random(n)
-    state = int(np.searchsorted(cum_pi, u[0] * cum_pi[-1], side="right"))
-    state = min(state, pi.size - 1)
-    s_acc = -math.log(pi[state]) / lb
-    S = np.empty(len(checkpoints))
-    pos = 0
-    placed = 1
-    while pos < len(checkpoints) and checkpoints[pos] == placed:
-        S[pos] = s_acc
-        pos += 1
-    for step in range(1, n):
-        row = cum_P[state]
-        nxt = int(np.searchsorted(row, u[step] * row[-1], side="right"))
-        nxt = min(nxt, pi.size - 1)
-        s_acc += -math.log(P[state, nxt]) / lb
-        state = nxt
-        placed += 1
-        while pos < len(checkpoints) and checkpoints[pos] == placed:
-            S[pos] = s_acc
-            pos += 1
-    return S, np.asarray(checkpoints, dtype=float)
-
-
 _WINDOW_BLOCK = 1 << 16
 
 
@@ -330,7 +296,7 @@ def _loglog_array(conv, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_walk_product(model, checkpoints, rng, lw_conv, lr_nat, conv, w_lo, w_hi):
+def _window_walk_product(weights, checkpoints, rng, lw_conv, lr_nat, conv, w_lo, w_hi):
     """Per-level scan: one symbol draw per level, ratio tracked inside the window.
 
     Returns (S, t, run_sup, run_inf) at the checkpoints, where run_sup/run_inf
@@ -338,13 +304,6 @@ def _window_walk_product(model, checkpoints, rng, lw_conv, lr_nat, conv, w_lo, w
     far (not only the checkpoints). Falls back to -inf/+inf carry values until
     the window opens.
     """
-    if isinstance(model, BernoulliProduct):
-        weights = np.asarray(model.weights, dtype=float)
-    else:
-        weights = np.asarray(
-            model.probs if isinstance(model, SelfSimilarMeasure) else model.weights,
-            dtype=float,
-        )
     active = np.flatnonzero(weights > 0)
     wa = weights[active] / weights[active].sum()
     cw = np.cumsum(wa)
@@ -395,66 +354,123 @@ def _window_walk_product(model, checkpoints, rng, lw_conv, lr_nat, conv, w_lo, w
     return S, T, SUP, INF
 
 
-def _window_walk_markov(model, checkpoints, rng, lb, conv, w_lo, w_hi):
-    """Stepwise chain walk with the per-level window ratio tracked alongside."""
+# uniforms one block of chain paths holds at once: memory stays bounded for
+# any N while each level's numpy step covers many paths
+_CHAIN_BLOCK_DRAWS = 1 << 20
+
+
+def _chain_tables(model, lb):
+    """Columns of the cumulative pi and P rows, and the increments -ln(p)/lb
+    (+inf at p = 0); P's are flattened so that (i, j) sits at i * k + j."""
     pi = np.asarray(model.pi, dtype=float)
     P = np.asarray(model.P, dtype=float)
-    cum_pi = np.cumsum(pi)
+
+    def increments(p):
+        return np.asarray([-math.log(x) / lb if x > 0 else math.inf for x in p.ravel()])
+
     cum_P = np.cumsum(P, axis=1)
-    n = checkpoints[-1]
-    m = len(checkpoints)
-    u = rng.random(n)
-    state = min(int(np.searchsorted(cum_pi, u[0] * cum_pi[-1], side="right")), pi.size - 1)
-    s_acc = -math.log(pi[state]) / lb
-    sup_carry = -math.inf
-    inf_carry = math.inf
-    S = np.empty(m)
-    SUP = np.empty(m)
-    INF = np.empty(m)
+    return list(np.cumsum(pi)), [cum_P[:, j].copy() for j in range(pi.size)], increments(pi), increments(P)
+
+
+def _ratio_denominators(conv, n, w_lo, w_hi):
+    """sqrt(2 t LL(t)) at each level t = 1..n whose ratio the window tracks, else nan."""
+    den = np.full(n, np.nan)
+    for level in range(max(w_lo, math.ceil(conv.t_min)), w_hi + 1):
+        try:
+            den[level - 1] = math.sqrt(2.0 * level * conv.loglog(float(level)))
+        except ValidationError:
+            continue  # LL(t) <= 0: the ratio is undefined at this level
+    return den
+
+
+def _chain_walk(tables, checkpoints, seed, lo, hi, d, den):
+    """Walk chain paths lo..hi-1 together, one numpy step per level.
+
+    Path i draws its uniforms from path_rng(seed, i). Its next state is
+    searchsorted(row, u * row[-1], side='right') clamped to k - 1, row being
+    the cumulative row of its state; as rows are non-decreasing, that is the
+    count of row[:-1] entries at most u * row[-1]. S adds -ln P / lb in level
+    order. All steps are elementwise, so no path depends on its block. A den
+    from _ratio_denominators turns on the running ratio extremes.
+
+    Returns (S, SUP, INF), one row per path and one column per checkpoint.
+    """
+    pi_cols, P_cols, inc_pi, inc_P = tables
+    n, B = checkpoints[-1], hi - lo
+    U = np.empty((n, B))  # level-major: each step reads one contiguous row
+    for b in range(B):
+        U[:, b] = path_rng(seed, lo + b).random(n)
+
+    def draw(u, row):
+        x = u * row[-1]
+        nxt = (row[0] <= x).astype(np.intp)
+        for col in row[1:-1]:
+            nxt += col <= x
+        return nxt
+
+    state = draw(U[0], pi_cols)
+    s = inc_pi[state]
+    S = np.empty((B, len(checkpoints)))
+    SUP, INF = (None, None) if den is None else (np.empty_like(S), np.empty_like(S))
+    sup, inf = np.full(B, -np.inf), np.full(B, np.inf)
     pos = 0
-    placed = 1
-
-    def track(level: int, s_val: float):
-        nonlocal sup_carry, inf_carry
-        if w_lo <= level <= w_hi and level >= conv.t_min:
-            try:
-                r = lil_ratio(s_val, float(level), conv.d, conv)
-            except ValidationError:
-                return
-            if r > sup_carry:
-                sup_carry = r
-            if r < inf_carry:
-                inf_carry = r
-
-    track(placed, s_acc)
-    while pos < m and checkpoints[pos] == placed:
-        S[pos], SUP[pos], INF[pos] = s_acc, sup_carry, inf_carry
-        pos += 1
-    for step in range(1, n):
-        row = cum_P[state]
-        nxt = min(int(np.searchsorted(row, u[step] * row[-1], side="right")), pi.size - 1)
-        s_acc += -math.log(P[state, nxt]) / lb
-        state = nxt
-        placed += 1
-        track(placed, s_acc)
-        while pos < m and checkpoints[pos] == placed:
-            S[pos], SUP[pos], INF[pos] = s_acc, sup_carry, inf_carry
+    for level in range(1, n + 1):
+        if level > 1:
+            nxt = draw(U[level - 1], [col.take(state) for col in P_cols])
+            s += inc_P.take(state * len(pi_cols) + nxt)
+            state = nxt
+        if den is not None and not math.isnan(den[level - 1]):
+            r = (s - d * level) / den[level - 1]
+            np.copyto(sup, r, where=r > sup)
+            np.copyto(inf, r, where=r < inf)
+        if level == checkpoints[pos]:
+            S[:, pos] = s
+            if den is not None:
+                SUP[:, pos], INF[:, pos] = sup, inf
             pos += 1
-    return S, np.asarray(checkpoints, dtype=float), SUP, INF
+    return S, SUP, INF
 
 
-def _single_path(model, checkpoints, conv, seed, path_index, lw_conv, lr_nat, lb):
-    rng = path_rng(seed, path_index)
+def _path_walker(model, conv, cks, seed, window=None):
+    """walk(lo, hi) -> (S, T, SUP, INF) for paths lo..hi-1 of one run.
+
+    One row per path, one column per checkpoint. With a window (w_lo, w_hi)
+    every level is walked and SUP/INF hold the running ratio extremes over
+    the window levels; otherwise both are None.
+    """
+    m = len(cks)
     if isinstance(model, MarkovMeasure):
-        return _checkpoint_walk_markov(model, checkpoints, rng, lb)
-    return _checkpoint_walk_product(model, checkpoints, rng, lw_conv, lr_nat)
+        tables = _chain_tables(model, math.log(conv.log_base))
+        den = None if window is None else _ratio_denominators(conv, cks[-1], *window)
+        t_row = np.asarray(cks, dtype=float)
 
+        def walk(lo, hi):
+            S, SUP, INF = _chain_walk(tables, cks, seed, lo, hi, conv.d, den)
+            return S, np.tile(t_row, (hi - lo, 1)), SUP, INF
 
-def _single_path_window(model, checkpoints, conv, seed, path_index, lw_conv, lr_nat, lb, w_lo, w_hi):
-    rng = path_rng(seed, path_index)
-    if isinstance(model, MarkovMeasure):
-        return _window_walk_markov(model, checkpoints, rng, lb, conv, w_lo, w_hi)
-    return _window_walk_product(model, checkpoints, rng, lw_conv, lr_nat, conv, w_lo, w_hi)
+        return walk
+
+    if isinstance(model, SelfSimilarMeasure):
+        weights, lr_nat = model.probs, np.log(np.asarray(model.ratios, dtype=float))
+    else:
+        weights, lr_nat = model.weights, None
+    weights = np.asarray(weights, dtype=float)
+    lw_conv = _log_weights_in_base(model, LogBase(conv.name))  # convention names are LogBase values
+
+    def walk(lo, hi):
+        S, T = np.empty((hi - lo, m)), np.empty((hi - lo, m))
+        SUP, INF = (None, None) if window is None else (np.empty_like(S), np.empty_like(S))
+        for b in range(hi - lo):
+            rng = path_rng(seed, lo + b)
+            if window is None:
+                S[b], T[b] = _checkpoint_walk_product(weights, cks, rng, lw_conv, lr_nat)
+            else:
+                S[b], T[b], SUP[b], INF[b] = _window_walk_product(
+                    weights, cks, rng, lw_conv, lr_nat, conv, *window
+                )
+        return S, T, SUP, INF
+
+    return walk
 
 
 def path_stats(
@@ -466,9 +482,8 @@ def path_stats(
 ) -> PathStats:
     conv = lil_convention(model, convention)
     cks = _validated_checkpoints(model, checkpoints, conv)
-    lw_conv, lr_nat, lb = _engine_tables(model, conv)
-    S, t = _single_path(model, cks, conv, seed, path_index, lw_conv, lr_nat, lb)
-    return PathStats(seed, path_index, conv.name, tuple(cks), tuple(map(float, S)), tuple(map(float, t)))
+    S, T, _, _ = _path_walker(model, conv, cks, seed)(path_index, path_index + 1)
+    return PathStats(seed, path_index, conv.name, tuple(cks), tuple(map(float, S[0])), tuple(map(float, T[0])))
 
 
 def _validated_checkpoints(model, checkpoints, conv) -> tuple[int, ...]:
@@ -483,20 +498,6 @@ def _validated_checkpoints(model, checkpoints, conv) -> tuple[int, ...]:
         t0 = cks[0] * (-math.log(max(model.ratios)))
     conv.check_time(t0)
     return cks
-
-
-def _engine_tables(model, conv):
-    lb = 1.0
-    lw_conv = None
-    lr_nat = None
-    if isinstance(model, MarkovMeasure):
-        lb = 1.0 if conv.name == "natural" else math.log(2.0 if conv.name == "base-2" else model.alphabet.ell)
-    else:
-        base = _base_of_convention(model, conv)
-        lw_conv = _log_weights_in_base(model, base)
-        if isinstance(model, SelfSimilarMeasure):
-            lr_nat = np.log(np.asarray(model.ratios, dtype=float))
-    return lw_conv, lr_nat, lb
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +549,45 @@ class EnsembleSummary:
         )
 
 
+def _walk_ensemble(model, conv, cks, N, seed, threads, window=None):
+    """(S, T, SUP, INF) for paths 0..N-1 of a run, as _path_walker returns them.
+
+    Refuses the run before any walking past the path budget or, for chains,
+    the chain-step budget. Paths go in blocks of at most _CHAIN_BLOCK_DRAWS
+    uniforms; with threads > 1 each worker walks a contiguous range of paths.
+    """
+    n_max = cks[-1]
+    if N * n_max > path_budget():
+        raise BudgetError(
+            f"N*n_max = {N * n_max} exceeds the path budget {path_budget()}; "
+            "raise MFLIL_PATH_BUDGET to allow it"
+        )
+    if isinstance(model, MarkovMeasure) and N * n_max > _MARKOV_STEP_BUDGET:
+        raise BudgetError(
+            f"stepwise chain simulation capped at N*n_max <= {_MARKOV_STEP_BUDGET}"
+        )
+    walk = _path_walker(model, conv, cks, seed, window)
+    S, T = np.empty((N, len(cks))), np.empty((N, len(cks)))
+    SUP, INF = (None, None) if window is None else (np.empty_like(S), np.empty_like(S))
+    block = max(1, _CHAIN_BLOCK_DRAWS // n_max)
+
+    def fill(lo: int, hi: int) -> None:
+        for b_lo in range(lo, hi, block):
+            b_hi = min(b_lo + block, hi)
+            for out, part in zip((S, T, SUP, INF), walk(b_lo, b_hi)):
+                if out is not None:
+                    out[b_lo:b_hi] = part
+
+    if threads == 1:
+        fill(0, N)
+    else:
+        chunk = max(1, (N + threads - 1) // threads)
+        bounds = [(lo, min(lo + chunk, N)) for lo in range(0, N, chunk)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(lambda b: fill(*b), bounds))
+    return S, T, SUP, INF
+
+
 def _ks_normal(z: np.ndarray) -> float:
     return float(_scipy_stats.kstest(z, "norm").statistic)
 
@@ -564,15 +604,19 @@ def run_ensemble(
     """Simulate N paths at the checkpoints and reduce, bit-stably.
 
     Each path i draws from its own counter-based stream keyed by (seed, i),
-    so results are identical for every thread count; threads only partition
-    the fill of per-path arrays. Reductions run single-threaded in path order.
+    so results are identical for every thread count. Chain paths are walked
+    in blocks, all paths of a block stepping together one numpy step per
+    level; product paths are walked one by one. Threads only partition the
+    paths into contiguous ranges for the walk. Reductions run single-threaded
+    in path order.
 
     Passing an explicit window switches the walk to one draw per level so the
     running sup/inf of the ratio cover every level of [n_lo, n_hi]; without a
     window the walk jumps between checkpoints with exact block draws and the
     extremes are over the checkpoint grid. Both modes are deterministic in
-    (seed, mode), but they consume the per-path stream differently, so S at a
-    checkpoint differs between modes for the same seed.
+    (seed, mode), but product walks consume the per-path stream differently,
+    so S at a checkpoint differs between modes for the same seed. The chain
+    draws one uniform per level in both modes, so its S does not.
     """
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
@@ -580,16 +624,6 @@ def run_ensemble(
         raise ValidationError(f"threads must be >= 1, got {threads}")
     conv = lil_convention(model, convention)
     cks = _validated_checkpoints(model, checkpoints, conv)
-    n_max = cks[-1]
-    if N * n_max > path_budget():
-        raise BudgetError(
-            f"N*n_max = {N * n_max} exceeds the path budget {path_budget()}; "
-            "raise MFLIL_PATH_BUDGET to allow it"
-        )
-    if isinstance(model, MarkovMeasure) and N * n_max > _MARKOV_STEP_BUDGET:
-        raise BudgetError(
-            f"stepwise chain simulation capped at N*n_max <= {_MARKOV_STEP_BUDGET}"
-        )
     per_level = window is not None
     if window is None:
         window = (cks[0], cks[-1])
@@ -597,31 +631,11 @@ def run_ensemble(
     if w_lo > w_hi or w_lo < cks[0] or w_hi > cks[-1]:
         raise ValidationError(f"window {window!r} must sit inside the checkpoint range")
     m = len(cks)
-    lw_conv, lr_nat, lb = _engine_tables(model, conv)
-
-    S = np.empty((N, m))
-    T = np.empty((N, m))
     # with an explicit window the walk visits every level inside it and keeps
     # running ratio extremes; otherwise extremes are over the checkpoint grid
-    SUP = np.empty((N, m)) if per_level else None
-    INF = np.empty((N, m)) if per_level else None
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            if per_level:
-                S[i], T[i], SUP[i], INF[i] = _single_path_window(
-                    model, cks, conv, seed, i, lw_conv, lr_nat, lb, w_lo, w_hi
-                )
-            else:
-                S[i], T[i] = _single_path(model, cks, conv, seed, i, lw_conv, lr_nat, lb)
-
-    if threads == 1:
-        fill(0, N)
-    else:
-        chunk = max(1, (N + threads - 1) // threads)
-        bounds = [(lo, min(lo + chunk, N)) for lo in range(0, N, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
+    S, T, SUP, INF = _walk_ensemble(
+        model, conv, cks, N, seed, threads, (w_lo, w_hi) if per_level else None
+    )
 
     # loglog depends on the per-path t for self-similar models
     LL = np.empty_like(T)

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from mflil import lil as lil_module
 from mflil.cli import main
 
 
@@ -103,6 +104,19 @@ def test_gauge_checkpoint_floor_exit_code(zoo_dir, tmp_path, capsys):
                 "--checkpoints", "4,64", "--N", "10"])
     assert code == 2
     assert "n_min" in capsys.readouterr().err
+
+
+def test_chain_step_budget_exit_code(zoo_dir, tmp_path, capsys, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a path was keyed before the budget check")
+
+    monkeypatch.setattr(lil_module, "path_rng", no_walk)
+    for cmd in (["lil-sim"], ["gauge-test", "--family", "power"]):
+        code = run(cmd + ["--model", str(zoo_dir / "markov_chain.json"),
+                          "--out", str(tmp_path / cmd[0]),
+                          "--N", "20000", "--checkpoints", "16,4096"])
+        assert code == 4
+        assert "chain simulation capped" in capsys.readouterr().err
 
 
 def test_qb_check_outputs(zoo_dir, tmp_path):

@@ -169,6 +169,14 @@ def test_gauge_test_deterministic_and_cumulative():
     assert a.family == "lil_hausdorff"
 
 
+def test_markov_gauge_test_thread_invariance():
+    mk = load_zoo_model("markov_chain")
+    spec = GaugeSpec(family="sqrt", d=dimension(mk), a=0.5, ell=2)
+    a = gauge_test(mk, spec, [16, 50, 128], N=31, seed=9, threads=1)
+    b = gauge_test(mk, spec, [16, 50, 128], N=31, seed=9, threads=3)
+    assert a == b
+
+
 def test_mass_gauge_fraction_wrapper():
     spec = GaugeSpec(family="power", d=1.0)
     f = mass_gauge_fraction(BernoulliProduct(0.5), spec, 32, N=10, seed=0)

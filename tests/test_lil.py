@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 from mflil import (
     BernoulliProduct,
     BudgetError,
+    GaugeSpec,
     LogBase,
     SelfSimilarMeasure,
     ValidationError,
     dimension,
     exact_distribution,
     exact_moments,
+    gauge_test,
     lil_convention,
     lil_ratio,
     log_cylinder_mass,
@@ -26,9 +28,44 @@ from mflil import (
     sigma2,
     sigma2_scale_free,
 )
+from mflil import lil as lil_module
+from mflil.models import path_rng
 from mflil.zoo import load_zoo_model
 
 QUARTER = BernoulliProduct(0.25)
+MARKOV = load_zoo_model("markov_chain")
+
+
+def reference_chain_walk(model, checkpoints, seed, path_index, conv, window=None):
+    """One chain path stepped level by level: S at the checkpoints, and the
+    running sup/inf of the ratio over the window levels up to the last one."""
+    lb = 1.0 if conv.name == "natural" else math.log(conv.log_base)
+    pi = np.asarray(model.pi, dtype=float)
+    P = np.asarray(model.P, dtype=float)
+    cum_pi = np.cumsum(pi)
+    cum_P = np.cumsum(P, axis=1)
+    n = checkpoints[-1]
+    u = path_rng(seed, path_index).random(n)
+    state = min(int(np.searchsorted(cum_pi, u[0] * cum_pi[-1], side="right")), pi.size - 1)
+    s_acc = -math.log(pi[state]) / lb
+    sup, inf = -math.inf, math.inf
+    S = []
+    for level in range(1, n + 1):
+        if level > 1:
+            row = cum_P[state]
+            nxt = min(int(np.searchsorted(row, u[level - 1] * row[-1], side="right")), pi.size - 1)
+            s_acc += -math.log(P[state, nxt]) / lb
+            state = nxt
+        if window is not None and window[0] <= level <= window[1] and level >= conv.t_min:
+            try:
+                r = lil_ratio(s_acc, float(level), conv.d, conv)
+            except ValidationError:
+                r = math.nan  # LL(level) <= 0: no ratio, and nan never wins below
+            sup = r if r > sup else sup
+            inf = r if r < inf else inf
+        if level in checkpoints:
+            S.append(s_acc)
+    return np.array(S), sup, inf
 
 
 def test_convention_selection():
@@ -184,6 +221,73 @@ def test_run_ensemble_markov_window_mode():
     b = run_ensemble(mk, N=16, checkpoints=[16, 64], seed=3, window=(16, 64), threads=1)
     assert a == b
     assert np.all(np.asarray(a.path_window_sup) >= np.asarray(a.path_window_inf))
+
+
+@pytest.mark.parametrize("convention", ["auto", "natural"])
+def test_chain_path_stats_match_reference_walk(convention):
+    cks = [17, 50, 203]
+    conv = lil_convention(MARKOV, convention)
+    for seed, index in ((0, 0), (3, 5), (11, 2 ** 40), (2 ** 63, 7)):
+        ps = path_stats(MARKOV, cks, convention=convention, seed=seed, path_index=index)
+        ref, _, _ = reference_chain_walk(MARKOV, cks, seed, index, conv)
+        assert np.array_equal(np.asarray(ps.S), ref)
+        assert ps.t == (17.0, 50.0, 203.0)
+
+
+@pytest.mark.parametrize("threads, block_draws", [(1, 1 << 20), (3, 1 << 20), (1, 3 * 203), (2, 2 * 203)])
+def test_chain_window_ensemble_matches_reference_walk(monkeypatch, threads, block_draws):
+    # N = 7 is no multiple of the thread count; small block budgets split
+    # the paths into blocks of 3 or 2 inside each thread's range
+    monkeypatch.setattr(lil_module, "_CHAIN_BLOCK_DRAWS", block_draws)
+    cks, window, N, seed = [17, 50, 203], (40, 150), 7, 4
+    conv = lil_convention(MARKOV)
+    s = run_ensemble(MARKOV, N=N, checkpoints=cks, seed=seed, window=window, threads=threads)
+    refs = [reference_chain_walk(MARKOV, cks, seed, i, conv, window) for i in range(N)]
+    assert np.array_equal(s.path_window_sup, np.array([r[1] for r in refs]))
+    assert np.array_equal(s.path_window_inf, np.array([r[2] for r in refs]))
+    # the window opens after the first checkpoint, so that ratio is no extreme
+    assert np.all(s.path_window_sup >= s.path_window_inf)
+    # checkpoint mode draws the same uniforms, so its S follows the same walk
+    ckpt = run_ensemble(MARKOV, N=N, checkpoints=cks, seed=seed, threads=threads)
+    S_last = np.array([r[0][-1] for r in refs])
+    ratio = (S_last - conv.d * 203) / math.sqrt(2.0 * 203 * conv.loglog(203.0))
+    assert ckpt.ratio_mean[-1] == math.fsum(ratio.tolist()) / N
+
+
+def test_chain_thread_invariance():
+    kw = dict(N=31, checkpoints=[16, 50, 128], seed=8)
+    assert run_ensemble(MARKOV, threads=1, **kw) == run_ensemble(MARKOV, threads=3, **kw)
+
+
+def test_chain_ensemble_moments_match_exact_law():
+    # mean and variance of S_n at n = 16 and 32 within 4 exact standard errors;
+    # the band was fixed before the first run
+    N, seed, band = 10000, 16, 4.0
+    s = run_ensemble(MARKOV, N=N, checkpoints=[16, 32], seed=seed)
+    conv = lil_convention(MARKOV)
+    for j, n in enumerate((16, 32)):
+        dist = exact_distribution(MARKOV, n)
+        mean = math.fsum(v * float(p) for v, p in dist)
+        var = math.fsum((v - mean) ** 2 * float(p) for v, p in dist)
+        mu4 = math.fsum((v - mean) ** 4 * float(p) for v, p in dist)
+        # on grids t = n, so ratio = (S - d n) / sqrt(2 n LL(n))
+        scale = math.sqrt(2.0 * n * conv.loglog(float(n)))
+        mean_hat = s.ratio_mean[j] * scale + conv.d * n
+        var_hat = s.ratio_var[j] * scale ** 2
+        assert abs(mean_hat - mean) <= band * math.sqrt(var / N)
+        assert abs(var_hat - var) <= band * math.sqrt((mu4 - var ** 2) / N)
+
+
+def test_chain_step_budget_refuses_before_walking(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a path was keyed before the budget check")
+
+    monkeypatch.setattr(lil_module, "path_rng", no_walk)
+    with pytest.raises(BudgetError):
+        run_ensemble(MARKOV, N=20000, checkpoints=[16, 4096], seed=0)
+    spec = GaugeSpec(family="power", d=dimension(MARKOV))
+    with pytest.raises(BudgetError):
+        gauge_test(MARKOV, spec, [16, 4096], N=20000, seed=0)
 
 
 def test_run_ensemble_validation():
