@@ -46,12 +46,14 @@ from scipy import stats as _scipy_stats
 
 from .errors import BudgetError, ValidationError
 from .models import (
-    BernoulliProduct,
     MarkovMeasure,
     MeasureModel,
-    MultinomialMeasure,
     SelfSimilarMeasure,
     Word,
+    canonical_base,
+    draw_symbols,
+    ln_base,
+    log_symbol_weights,
     path_rng,
 )
 from .spectrum import LogBase, dimension, sigma2_scale_free
@@ -118,7 +120,7 @@ _CONVENTION_NAMES = ("base-2", "base-ell", "natural")
 def lil_convention(model: MeasureModel, name: str = "auto") -> LilConvention:
     """Build the unit system for a model; 'auto' picks base-ell for grids."""
     if name == "auto":
-        name = "natural" if isinstance(model, SelfSimilarMeasure) else "base-ell"
+        name = canonical_base(model).value
     if name not in _CONVENTION_NAMES:
         raise ValidationError(
             f"unknown convention {name!r}; expected one of {_CONVENTION_NAMES} or 'auto'"
@@ -151,31 +153,6 @@ def lil_ratio(S: float, t: float, d: float, convention: LilConvention) -> float:
 # per-symbol increments and path processes
 
 
-def _log_weights_in_base(model: MeasureModel, base: LogBase) -> np.ndarray:
-    """Per-symbol log weights in the requested base (np.log2 kept exact for bits)."""
-    if isinstance(model, SelfSimilarMeasure):
-        if base is not LogBase.NATURAL:
-            raise ValidationError("self-similar masses carry natural units only")
-        return np.log(np.asarray(model.probs, dtype=float))
-    if isinstance(model, BernoulliProduct):
-        w = np.asarray(model.weights, dtype=float)
-    elif isinstance(model, MultinomialMeasure):
-        w = np.asarray(model.weights, dtype=float)
-    else:
-        raise ValidationError("per-symbol weights are not defined for Markov chains")
-    out = np.full(w.shape, -np.inf)
-    pos = w > 0
-    if base is LogBase.BASE_2:
-        if model.alphabet.ell != 2:
-            raise ValidationError("base-2 weight logs need a binary grid")
-        out[pos] = np.log2(w[pos])
-    elif base is LogBase.BASE_ELL:
-        out[pos] = np.log(w[pos]) / math.log(model.alphabet.ell)
-    else:
-        out[pos] = np.log(w[pos])
-    return out
-
-
 def per_symbol_moments(model: MeasureModel, base: Optional[LogBase] = None) -> tuple[float, float]:
     """(mean, variance) of the one-symbol increment X = -log_b(weight).
 
@@ -184,13 +161,8 @@ def per_symbol_moments(model: MeasureModel, base: Optional[LogBase] = None) -> t
     """
     if isinstance(model, MarkovMeasure):
         raise ValidationError("per-symbol moments require independent increments")
-    if base is None:
-        base = LogBase.NATURAL if isinstance(model, SelfSimilarMeasure) else LogBase.BASE_ELL
-    if isinstance(model, SelfSimilarMeasure):
-        w = np.asarray(model.probs, dtype=float)
-    else:
-        w = np.asarray(model.weights, dtype=float)
-    lw = _log_weights_in_base(model, base)
+    lw = log_symbol_weights(model, base or canonical_base(model))
+    w = model.core.weights
     keep = w > 0
     w, lw = w[keep], lw[keep]
     mean = float(w @ (-lw))
@@ -206,22 +178,9 @@ def s_process(model: MeasureModel, w: Word, base: Union[LogBase, str] = LogBase.
     if syms.size == 0:
         return np.zeros(0)
     if isinstance(model, MarkovMeasure):
-        if base is LogBase.BASE_2 and model.alphabet.ell != 2:
-            raise ValidationError("base-2 process needs a binary grid")
-        lb = 1.0 if base is LogBase.NATURAL else math.log(2.0 if base is LogBase.BASE_2 else model.alphabet.ell)
-        pi = np.asarray(model.pi, dtype=float)
-        P = np.asarray(model.P, dtype=float)
-        inc = np.empty(syms.size)
-        if pi[syms[0]] <= 0:
-            raise ValidationError("word starts in a null state")
-        inc[0] = -math.log(pi[syms[0]]) / lb
-        trans = P[syms[:-1], syms[1:]]
-        if np.any(trans <= 0):
-            raise ValidationError("word crosses a null transition")
-        inc[1:] = -np.log(trans) / lb
-        return np.cumsum(inc)
-    lw = _log_weights_in_base(model, base)
-    inc = -lw[syms]
+        inc = -model.core.log_factors(syms) / ln_base(model, base)
+    else:
+        inc = -log_symbol_weights(model, base)[syms]
     if not np.all(np.isfinite(inc)):
         raise ValidationError("word enters a null cylinder")
     return np.cumsum(inc)
@@ -229,11 +188,10 @@ def s_process(model: MeasureModel, w: Word, base: Union[LogBase, str] = LogBase.
 
 def log_inverse_diameter_process(model: MeasureModel, w: Word) -> np.ndarray:
     """ln(1/diameter) of each prefix: j ln(ell) on grids, -sum ln r_i self-similar."""
-    n = w.level
-    if isinstance(model, SelfSimilarMeasure):
-        lr = np.log(np.asarray(model.ratios, dtype=float))
+    lr = model.core.log_ratios
+    if lr is not None:
         return np.cumsum(-lr[np.asarray(w.symbols, dtype=np.intp)])
-    return np.arange(1, n + 1, dtype=float) * math.log(model.alphabet.ell)
+    return np.arange(1, w.level + 1, dtype=float) * math.log(model.alphabet.ell)
 
 
 @dataclass(frozen=True)
@@ -296,19 +254,17 @@ def _loglog_array(conv, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_walk_product(weights, checkpoints, rng, lw_conv, lr_nat, conv, w_lo, w_hi):
+def _window_walk_product(cum, checkpoints, rng, lw_conv, lr_nat, conv, w_lo, w_hi):
     """Per-level scan: one symbol draw per level, ratio tracked inside the window.
 
     Returns (S, t, run_sup, run_inf) at the checkpoints, where run_sup/run_inf
     are the running extremes of the lil ratio over every window level seen so
     far (not only the checkpoints). Falls back to -inf/+inf carry values until
-    the window opens.
+    the window opens. draw_symbols never picks a zero-weight symbol, so the
+    infinite increments of those symbols are never read.
     """
-    active = np.flatnonzero(weights > 0)
-    wa = weights[active] / weights[active].sum()
-    cw = np.cumsum(wa)
-    neg_lw = -lw_conv[active]
-    neg_lr = -lr_nat[active] if lr_nat is not None else None
+    neg_lw = -lw_conv
+    neg_lr = -lr_nat if lr_nat is not None else None
 
     m = len(checkpoints)
     n = checkpoints[-1]
@@ -324,8 +280,7 @@ def _window_walk_product(weights, checkpoints, rng, lw_conv, lr_nat, conv, w_lo,
     base = 0
     while base < n:
         b = min(_WINDOW_BLOCK, n - base)
-        u = rng.random(b)
-        idx = np.minimum(np.searchsorted(cw, u * cw[-1], side="right"), wa.size - 1)
+        idx = draw_symbols(cum, rng.random(b))
         S_lev = s_acc + np.cumsum(neg_lw[idx])
         levels = np.arange(base + 1, base + b + 1, dtype=float)
         T_lev = t_acc + np.cumsum(neg_lr[idx]) if neg_lr is not None else levels
@@ -359,19 +314,6 @@ def _window_walk_product(weights, checkpoints, rng, lw_conv, lr_nat, conv, w_lo,
 _CHAIN_BLOCK_DRAWS = 1 << 20
 
 
-def _chain_tables(model, lb):
-    """Columns of the cumulative pi and P rows, and the increments -ln(p)/lb
-    (+inf at p = 0); P's are flattened so that (i, j) sits at i * k + j."""
-    pi = np.asarray(model.pi, dtype=float)
-    P = np.asarray(model.P, dtype=float)
-
-    def increments(p):
-        return np.asarray([-math.log(x) / lb if x > 0 else math.inf for x in p.ravel()])
-
-    cum_P = np.cumsum(P, axis=1)
-    return list(np.cumsum(pi)), [cum_P[:, j].copy() for j in range(pi.size)], increments(pi), increments(P)
-
-
 def _ratio_denominators(conv, n, w_lo, w_hi):
     """sqrt(2 t LL(t)) at each level t = 1..n whose ratio the window tracks, else nan."""
     den = np.full(n, np.nan)
@@ -386,12 +328,14 @@ def _ratio_denominators(conv, n, w_lo, w_hi):
 def _chain_walk(tables, checkpoints, seed, lo, hi, d, den):
     """Walk chain paths lo..hi-1 together, one numpy step per level.
 
-    Path i draws its uniforms from path_rng(seed, i). Its next state is
-    searchsorted(row, u * row[-1], side='right') clamped to k - 1, row being
-    the cumulative row of its state; as rows are non-decreasing, that is the
-    count of row[:-1] entries at most u * row[-1]. S adds -ln P / lb in level
-    order. All steps are elementwise, so no path depends on its block. A den
-    from _ratio_denominators turns on the running ratio extremes.
+    tables holds the columns of the cumulative pi and P rows, and the
+    increments -ln(p)/lb (+inf at p = 0), P's flattened so that (i, j) sits
+    at i * k + j. Path i draws its uniforms from path_rng(seed, i). Its next
+    state follows draw_symbols on the cumulative row of its state, in
+    vectorised form: as rows are non-decreasing, the clamped searchsorted is
+    the count of row[:-1] entries at most u * row[-1]. S adds -ln P / lb in
+    level order. All steps are elementwise, so no path depends on its block.
+    A den from _ratio_denominators turns on the running ratio extremes.
 
     Returns (S, SUP, INF), one row per path and one column per checkpoint.
     """
@@ -439,8 +383,11 @@ def _path_walker(model, conv, cks, seed, window=None):
     the window levels; otherwise both are None.
     """
     m = len(cks)
+    core = model.core
     if isinstance(model, MarkovMeasure):
-        tables = _chain_tables(model, math.log(conv.log_base))
+        lb = math.log(conv.log_base)
+        cols = [core.cum_P[:, j].copy() for j in range(core.k)]
+        tables = list(core.cum_pi), cols, -core.log_pi / lb, -core.log_P.ravel() / lb
         den = None if window is None else _ratio_denominators(conv, cks[-1], *window)
         t_row = np.asarray(cks, dtype=float)
 
@@ -450,12 +397,7 @@ def _path_walker(model, conv, cks, seed, window=None):
 
         return walk
 
-    if isinstance(model, SelfSimilarMeasure):
-        weights, lr_nat = model.probs, np.log(np.asarray(model.ratios, dtype=float))
-    else:
-        weights, lr_nat = model.weights, None
-    weights = np.asarray(weights, dtype=float)
-    lw_conv = _log_weights_in_base(model, LogBase(conv.name))  # convention names are LogBase values
+    lw_conv = log_symbol_weights(model, LogBase(conv.name))  # convention names are LogBase values
 
     def walk(lo, hi):
         S, T = np.empty((hi - lo, m)), np.empty((hi - lo, m))
@@ -463,10 +405,10 @@ def _path_walker(model, conv, cks, seed, window=None):
         for b in range(hi - lo):
             rng = path_rng(seed, lo + b)
             if window is None:
-                S[b], T[b] = _checkpoint_walk_product(weights, cks, rng, lw_conv, lr_nat)
+                S[b], T[b] = _checkpoint_walk_product(core.weights, cks, rng, lw_conv, core.log_ratios)
             else:
                 S[b], T[b], SUP[b], INF[b] = _window_walk_product(
-                    weights, cks, rng, lw_conv, lr_nat, conv, *window
+                    core.cum_weights, cks, rng, lw_conv, core.log_ratios, conv, *window
                 )
         return S, T, SUP, INF
 
@@ -698,19 +640,15 @@ def run_ensemble(
 # exact small-n oracles (rational arithmetic on digit-count classes)
 
 
-def _iid_weight_table(model) -> tuple[np.ndarray, list[Fraction]]:
-    if isinstance(model, SelfSimilarMeasure):
-        w = np.asarray(model.probs, dtype=float)
-    elif isinstance(model, (BernoulliProduct, MultinomialMeasure)):
-        w = np.asarray(model.weights, dtype=float)
-    else:
-        raise ValidationError("exact class enumeration needs independent increments")
-    active = np.flatnonzero(w > 0)
-    fw = [Fraction(float(w[a])) for a in active]
+def _class_tables(model, base: LogBase) -> tuple[np.ndarray, list[Fraction]]:
+    """Log weights in `base` units and exact weights of the active symbols."""
+    lw = log_symbol_weights(model, base)
+    active = list(model.core.active)
+    fw = [Fraction(float(x)) for x in model.core.weights[active]]
     # float weights summing to 1.0 need not sum to 1 as exact rationals;
     # renormalize in Q so the enumerated law has total mass exactly 1
     total = sum(fw)
-    return active, [f / total for f in fw]
+    return lw[active], [f / total for f in fw]
 
 
 def _compositions(n: int, g: int):
@@ -739,17 +677,14 @@ def exact_distribution(
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    if base is None:
-        base = LogBase.NATURAL if isinstance(model, SelfSimilarMeasure) else LogBase.BASE_ELL
+    base = base or canonical_base(model)
     if isinstance(model, MarkovMeasure):
-        if base is LogBase.BASE_2 and model.alphabet.ell != 2:
-            raise ValidationError("base-2 values need a binary grid")
-        lb = 1.0 if base is LogBase.NATURAL else math.log(2.0 if base is LogBase.BASE_2 else model.alphabet.ell)
-        pi = [Fraction(float(x)) for x in np.asarray(model.pi, dtype=float)]
+        lb = ln_base(model, base)
+        pi = [Fraction(float(x)) for x in model.core.pi]
         pi_total = sum(pi)
         pi = [x / pi_total for x in pi]
         P = []
-        for row in np.asarray(model.P, dtype=float):
+        for row in model.core.P:
             fr = [Fraction(float(x)) for x in row]
             row_total = sum(fr)
             P.append([x / row_total for x in fr] if row_total > 0 else fr)
@@ -775,11 +710,10 @@ def exact_distribution(
         out = [(-math.log(float(mass)) / lb, prob) for mass, prob in agg.items()]
         out.sort(key=lambda vp: vp[0])
         return out
-    active, fw = _iid_weight_table(model)
-    g = active.size
+    lw, fw = _class_tables(model, base)
+    g = len(fw)
     if math.comb(n + g - 1, g - 1) > _COMPOSITION_BUDGET:
         raise BudgetError(f"class count at n={n}, {g} symbols exceeds the budget")
-    lw = _log_weights_in_base(model, base)[active]
     out = []
     for counts in _compositions(n, g):
         coeff = math.factorial(n)
@@ -826,11 +760,10 @@ def running_max_tail(model: MeasureModel, n0: int, n1: int, a: float) -> Fractio
         raise ValidationError(f"need 1 <= n0 <= n1, got ({n0}, {n1})")
     if n1 > _TAIL_LEVEL_BUDGET:
         raise BudgetError(f"n1={n1} above the exact-tail level budget {_TAIL_LEVEL_BUDGET}")
-    active, fw = _iid_weight_table(model)
-    base = LogBase.NATURAL if isinstance(model, SelfSimilarMeasure) else LogBase.BASE_ELL
-    lw = _log_weights_in_base(model, base)[active]
+    base = canonical_base(model)
+    lw, fw = _class_tables(model, base)
     drift, _ = per_symbol_moments(model, base)
-    g = active.size
+    g = len(fw)
     alive: dict[tuple[int, ...], Fraction] = {tuple([0] * g): Fraction(1)}
     hit = Fraction(0)
     for k in range(1, n1 + 1):

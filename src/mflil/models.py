@@ -16,6 +16,15 @@ Four families:
 All mass computation is done in the log domain: the mass of a cylinder is
 exp of the sum of per-symbol log factors, never the log of a float product.
 
+Family core. Each model builds its per-symbol tables once, on first use of
+`model.core`: one read-only FamilyCore of kind 'product' (Bernoulli,
+multinomial and self-similar: weights, their natural logs, self-similar log
+ratios) or 'chain' (Markov: pi, P, their cumulative rows and logs taken
+entry by entry with math.log). Masses, samplers, spectra, ensembles and the
+quasi-Bernoulli checks read these tables instead of re-deriving them. Every
+sampler draws through one inverse-CDF rule (draw_symbols), and every chain
+enumeration comes from one enumerator (chain_log_masses).
+
 Sampling uses a counter-based generator (Philox) keyed by
 (run_seed, path_index): every path owns a substream, so ensembles are
 reproducible bit for bit regardless of scheduling or thread count.
@@ -23,10 +32,12 @@ reproducible bit for bit regardless of scheduling or thread count.
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import Optional, Union
 
 import numpy as np
 
@@ -61,6 +72,102 @@ def _check_probability_vector(name: str, v, allow_zero: bool) -> np.ndarray:
     return arr
 
 
+class LogBase(enum.Enum):
+    NATURAL = "natural"
+    BASE_ELL = "base-ell"
+    BASE_2 = "base-2"
+
+    @classmethod
+    def parse(cls, text: str) -> "LogBase":
+        for m in cls:
+            if m.value == text:
+                return m
+        raise ValidationError(
+            f"unknown base {text!r}; expected one of "
+            + ", ".join(m.value for m in cls)
+        )
+
+
+def _read_only(a) -> np.ndarray:
+    # the tables are shared by every caller of one model's core
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class FamilyCore:
+    """The per-symbol tables of one model, built once and read-only.
+
+    kind 'product' (independent symbols) carries weights, their cumulative
+    sums and natural logs (np.log, -inf at weight 0), and for self-similar
+    measures the natural log contraction ratios. kind 'chain' carries pi, P,
+    their cumulative rows, and logs taken entry by entry with math.log (-inf
+    at 0). ell is the grid base, None for self-similar measures. active lists
+    the symbols that positive-mass words use: the positive weights, or the
+    chain states reachable from the support of pi.
+    """
+
+    kind: str
+    k: int
+    ell: Optional[int]
+    active: tuple[int, ...]
+    weights: Optional[np.ndarray] = None
+    cum_weights: Optional[np.ndarray] = None
+    log_weights: Optional[np.ndarray] = None
+    log_ratios: Optional[np.ndarray] = None
+    pi: Optional[np.ndarray] = None
+    P: Optional[np.ndarray] = None
+    cum_pi: Optional[np.ndarray] = None
+    cum_P: Optional[np.ndarray] = None
+    log_pi: Optional[np.ndarray] = None
+    log_P: Optional[np.ndarray] = None
+
+    @classmethod
+    def product(cls, ell: Optional[int], weights, ratios=None) -> "FamilyCore":
+        w = np.array(weights, dtype=float)
+        pos = w > 0
+        lw = np.full(w.shape, -np.inf)
+        lw[pos] = np.log(w[pos])
+        return cls(
+            "product", w.size, ell, tuple(np.flatnonzero(pos).tolist()),
+            weights=_read_only(w),
+            cum_weights=_read_only(np.cumsum(w)),
+            log_weights=_read_only(lw),
+            log_ratios=None if ratios is None else _read_only(np.log(np.asarray(ratios, dtype=float))),
+        )
+
+    @classmethod
+    def chain(cls, ell: int, pi, P) -> "FamilyCore":
+        pi, P = np.array(pi, dtype=float), np.array(P, dtype=float)
+        active = pi > 0
+        while True:
+            grown = active | (P[active] > 0).any(axis=0)
+            if (grown == active).all():
+                break
+            active = grown
+
+        def log(a):
+            return [math.log(x) if x > 0 else -math.inf for x in a.ravel().tolist()]
+
+        return cls(
+            "chain", pi.size, ell, tuple(np.flatnonzero(active).tolist()),
+            pi=_read_only(pi),
+            P=_read_only(P),
+            cum_pi=_read_only(np.cumsum(pi)),
+            cum_P=_read_only(np.cumsum(P, axis=1)),
+            log_pi=_read_only(log(pi)),
+            log_P=_read_only(np.reshape(log(P), P.shape)),
+        )
+
+    def log_factors(self, syms: np.ndarray) -> np.ndarray:
+        """Natural log of each mass factor along a non-empty word: the symbol
+        weights, or pi of the first symbol and then the transitions."""
+        if self.kind == "product":
+            return self.log_weights[syms]
+        return np.concatenate((self.log_pi[syms[:1]], self.log_P[syms[:-1], syms[1:]]))
+
+
 @dataclass(frozen=True)
 class BernoulliProduct:
     """Binary product measure; digit 1 has weight p, digit 0 has weight 1-p."""
@@ -78,6 +185,10 @@ class BernoulliProduct:
     @property
     def weights(self) -> np.ndarray:
         return np.array([1.0 - self.p, self.p])
+
+    @cached_property
+    def core(self) -> FamilyCore:
+        return FamilyCore.product(2, self.weights)
 
 
 @dataclass(frozen=True)
@@ -102,6 +213,10 @@ class MultinomialMeasure:
     @property
     def alphabet(self) -> Alphabet:
         return Alphabet(self.ell, self.dim)
+
+    @cached_property
+    def core(self) -> FamilyCore:
+        return FamilyCore.product(self.ell, self.weights)
 
 
 @dataclass(frozen=True)
@@ -128,6 +243,10 @@ class SelfSimilarMeasure:
     @property
     def k(self) -> int:
         return len(self.probs)
+
+    @cached_property
+    def core(self) -> FamilyCore:
+        return FamilyCore.product(None, self.probs, self.ratios)
 
 
 @dataclass(frozen=True)
@@ -171,6 +290,10 @@ class MarkovMeasure:
     def alphabet(self) -> Alphabet:
         return Alphabet(self.ell, self.dim)
 
+    @cached_property
+    def core(self) -> FamilyCore:
+        return FamilyCore.chain(self.ell, self.pi, self.P)
+
 
 MeasureModel = Union[BernoulliProduct, MultinomialMeasure, SelfSimilarMeasure, MarkovMeasure]
 
@@ -190,30 +313,50 @@ def stationary_distribution(P, tol: float = 1e-14, max_iter: int = 100000) -> np
 
 
 # ---------------------------------------------------------------------------
-# per-symbol tables shared by mass computation and sampling
+# per-symbol tables, read from the family core
 
 
-def _is_product(model: MeasureModel) -> bool:
-    return isinstance(model, (BernoulliProduct, MultinomialMeasure, SelfSimilarMeasure))
+def canonical_base(model: MeasureModel) -> LogBase:
+    return LogBase.NATURAL if isinstance(model, SelfSimilarMeasure) else LogBase.BASE_ELL
+
+
+def ln_base(model: MeasureModel, base: LogBase) -> float:
+    """ln b for base-b units: 1 natural, ln ell base-ell, ln 2 base-2.
+
+    Self-similar measures carry natural units only; base-2 needs a binary grid.
+    """
+    if base is LogBase.NATURAL:
+        return 1.0
+    ell = model.core.ell
+    if ell is None:
+        raise ValidationError("self-similar masses carry natural units only")
+    if base is LogBase.BASE_2 and ell != 2:
+        raise ValidationError("base-2 units need a binary grid")
+    return math.log(2.0 if base is LogBase.BASE_2 else ell)
 
 
 def symbol_weights(model: MeasureModel) -> np.ndarray:
     """Per-symbol weights for product families (error for Markov)."""
-    if isinstance(model, BernoulliProduct):
-        return model.weights
-    if isinstance(model, MultinomialMeasure):
-        return np.asarray(model.weights, dtype=float)
-    if isinstance(model, SelfSimilarMeasure):
-        return np.asarray(model.probs, dtype=float)
-    raise ValidationError("Markov measures have no per-symbol weight vector")
+    w = model.core.weights
+    if w is None:
+        raise ValidationError("Markov measures have no per-symbol weight vector")
+    return w
 
 
-def log_symbol_weights(model: MeasureModel) -> np.ndarray:
+def log_symbol_weights(model: MeasureModel, base: LogBase = LogBase.NATURAL) -> np.ndarray:
+    """Per-symbol log weights in the requested base, -inf at zero weights.
+
+    Natural logs are the core's; base-2 uses np.log2 so bits stay exact.
+    """
     w = symbol_weights(model)
-    out = np.full(w.shape, -np.inf)
-    pos = w > 0
-    out[pos] = np.log(w[pos])
-    return out
+    lb = ln_base(model, base)
+    if base is LogBase.BASE_2:
+        out = np.full(w.shape, -np.inf)
+        pos = w > 0
+        out[pos] = np.log2(w[pos])
+        return out
+    lw = model.core.log_weights
+    return lw if base is LogBase.NATURAL else lw / lb
 
 
 def _validate_word(model: MeasureModel, w: Word) -> None:
@@ -235,23 +378,10 @@ def log_cylinder_mass(model: MeasureModel, w: Word) -> float:
     syms = np.asarray(w.symbols, dtype=np.intp)
     if syms.size == 0:
         return 0.0
-    if _is_product(model):
-        lw = log_symbol_weights(model)
-        vals = lw[syms]
-        if np.any(np.isneginf(vals)):
-            return float("-inf")
-        return float(math.fsum(vals.tolist()))
-    # Markov: initial factor then transitions
-    pi = np.asarray(model.pi, dtype=float)
-    P = np.asarray(model.P, dtype=float)
-    first = pi[syms[0]]
-    if first == 0.0:
+    vals = model.core.log_factors(syms)
+    if np.any(np.isneginf(vals)):
         return float("-inf")
-    trans = P[syms[:-1], syms[1:]] if syms.size > 1 else np.array([])
-    if trans.size and np.any(trans == 0.0):
-        return float("-inf")
-    terms = [math.log(first)] + [math.log(t) for t in trans.tolist()]
-    return float(math.fsum(terms))
+    return float(math.fsum(vals.tolist()))
 
 
 def cylinder_mass(model: MeasureModel, w: Word) -> float:
@@ -263,8 +393,8 @@ def cylinder_mass(model: MeasureModel, w: Word) -> float:
 def log_cylinder_diameter(model: MeasureModel, w: Word) -> float:
     """Natural log of the cylinder diameter (side length for cubes)."""
     _validate_word(model, w)
-    if isinstance(model, SelfSimilarMeasure):
-        lr = np.log(np.asarray(model.ratios, dtype=float))
+    lr = model.core.log_ratios
+    if lr is not None:
         syms = np.asarray(w.symbols, dtype=np.intp)
         return float(math.fsum(lr[syms].tolist())) if syms.size else 0.0
     return -w.level * math.log(model.alphabet.ell)
@@ -276,6 +406,22 @@ def cylinder_diameter(model: MeasureModel, w: Word) -> float:
         _validate_word(model, w)
         return float(model.alphabet.ell) ** (-w.level)
     return math.exp(log_cylinder_diameter(model, w))
+
+
+def chain_log_masses(model: MeasureModel, n: int) -> np.ndarray:
+    """Natural log masses of all k^n level-n words (n >= 1) of a chain, -inf
+    for null words, in lexicographic order: word s_1..s_n sits at sum s_i k^(n-i).
+
+    Log masses add left to right, log pi first. Refused past the enumeration
+    budget.
+    """
+    core = model.core
+    check_enumeration_budget(model, n)
+    L = core.log_pi
+    for _ in range(n - 1):
+        # rows of the reshape are prefixes, columns their last state
+        L = (L.reshape(-1, core.k)[:, :, None] + core.log_P).ravel()
+    return L
 
 
 # ---------------------------------------------------------------------------
@@ -293,37 +439,11 @@ class SupportInfo:
 
 
 def support_info(model: MeasureModel) -> SupportInfo:
-    if isinstance(model, MarkovMeasure):
-        pi = np.asarray(model.pi, dtype=float)
-        P = np.asarray(model.P, dtype=float)
-        # states reachable from the initial support through positive transitions
-        active = set(np.where(pi > 0)[0].tolist())
-        frontier = list(active)
-        while frontier:
-            i = frontier.pop()
-            for j in np.where(P[i] > 0)[0]:
-                if j not in active:
-                    active.add(int(j))
-                    frontier.append(int(j))
-        act = tuple(sorted(active))
-        k = model.alphabet.k
-        ell = model.alphabet.ell
-    elif isinstance(model, SelfSimilarMeasure):
-        act = tuple(range(model.k))
-        k = model.k
-        ell = None
-    else:
-        w = symbol_weights(model)
-        act = tuple(int(i) for i in np.where(w > 0)[0])
-        k = w.size
-        ell = model.alphabet.ell
-    g = len(act)
-    if ell is None:
-        # no grid base; report the branch count, dimension handled elsewhere
-        delta = float("nan")
-    else:
-        delta = math.log(g) / math.log(ell)
-    return SupportInfo(active=act, g=g, delta=delta, full=(g == k))
+    core = model.core
+    g = len(core.active)
+    # no grid base for self-similar measures; their dimension is handled elsewhere
+    delta = float("nan") if core.ell is None else math.log(g) / math.log(core.ell)
+    return SupportInfo(active=core.active, g=g, delta=delta, full=(g == core.k))
 
 
 def homogeneous_measure(model: MeasureModel) -> MultinomialMeasure:
@@ -341,42 +461,28 @@ def homogeneous_measure(model: MeasureModel) -> MultinomialMeasure:
 # sampling
 
 
-def _sampling_tables(model: MeasureModel):
-    """(cumulative weights over symbols, symbol ids) for inverse-CDF draws."""
-    w = symbol_weights(model)
-    cum = np.cumsum(w)
-    cum[-1] = 1.0  # guard the top end against rounding
-    return cum
+def draw_symbols(cum: np.ndarray, u):
+    """The inverse-CDF rule of every sampler: symbol i where
+    cum[i-1] <= u * cum[-1] < cum[i], clamped to len(cum) - 1.
+
+    cum is a cumulative weight row and u uniform on [0, 1). Scaling u by the
+    row total, rather than setting the total to 1, keeps zero-weight symbols
+    out of reach when the weights sum to slightly less than 1.
+    """
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)
 
 
 def sample_symbols(model: MeasureModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """n symbols of one path as an integer array, consuming `rng`."""
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
-    if _is_product(model):
-        cum = _sampling_tables(model)
-        u = rng.random(n)
-        return np.searchsorted(cum, u, side="right").astype(np.intp)
-    # Markov
-    pi = np.asarray(model.pi, dtype=float)
-    P = np.asarray(model.P, dtype=float)
-    if n == 0:
-        return np.zeros(0, dtype=np.intp)
-    info = support_info(model)
-    rows = P[list(info.active)]
-    if np.any(rows.sum(axis=1) <= 0):
-        raise ValidationError("an active state has no successor; sampling would trap")
-    cum_pi = np.cumsum(pi)
-    cum_pi[-1] = 1.0
-    cum_P = np.cumsum(P, axis=1)
-    cum_P[:, -1] = 1.0
+    core = model.core
     u = rng.random(n)
+    if core.kind == "product":
+        return draw_symbols(core.cum_weights, u)
     out = np.empty(n, dtype=np.intp)
-    s = int(np.searchsorted(cum_pi, u[0], side="right"))
-    out[0] = s
-    for t in range(1, n):
-        s = int(np.searchsorted(cum_P[s], u[t], side="right"))
-        out[t] = s
+    for t in range(n):
+        out[t] = draw_symbols(core.cum_P[out[t - 1]] if t else core.cum_pi, u[t])
     return out
 
 
@@ -514,7 +620,7 @@ def enumeration_budget(default: int = 2 ** 24) -> int:
 
 
 def check_enumeration_budget(model: MeasureModel, n: int) -> None:
-    k = model.k if isinstance(model, SelfSimilarMeasure) else model.alphabet.k
+    k = model.core.k
     budget = enumeration_budget()
     if k ** n > budget:
         raise BudgetError(

@@ -41,7 +41,10 @@ from .models import (
     MeasureModel,
     MultinomialMeasure,
     SelfSimilarMeasure,
+    Word,
+    chain_log_masses,
     homogeneous_measure,
+    log_cylinder_mass,
     log_symbol_weights,
     path_rng,
     sample_symbols,
@@ -72,62 +75,17 @@ class QBReport:
 
 
 def _markov_closed_C(model: MarkovMeasure) -> float:
-    pi = np.asarray(model.pi, dtype=float)
-    P = np.asarray(model.P, dtype=float)
-    k = pi.size
-    # states that can end a positive-mass word: reachable closure of supp(pi)
-    ends = pi > 0
-    for _ in range(k):
-        grown = ends | ((P[ends] > 0).any(axis=0))
-        if (grown == ends).all():
-            break
-        ends = grown
-    best = 1.0
-    found = False
-    for i in range(k):
-        if not ends[i]:
-            continue
-        for j in range(k):
-            if pi[j] <= 0 or P[i, j] <= 0:
-                continue
-            r = P[i, j] / pi[j]
-            best = max(best, r, 1.0 / r)
-            found = True
-    if not found:
+    core = model.core
+    # a positive-mass word ends in an active state: P(i, j)/pi(j) over those i
+    P = core.P[list(core.active)]
+    pi = np.broadcast_to(core.pi, P.shape)
+    pos = (P > 0) & (pi > 0)
+    if not pos.any():
         raise ValidationError(
             "no positive-mass concatenation exists; the constant is undefined"
         )
-    return best
-
-
-def _markov_word_table(model: MarkovMeasure, level: int):
-    """(first, last, log mass) for every positive-mass word of the level."""
-    pi = np.asarray(model.pi, dtype=float)
-    P = np.asarray(model.P, dtype=float)
-    words = [(i, i, math.log(pi[i])) for i in range(pi.size) if pi[i] > 0]
-    for _ in range(level - 1):
-        nxt = []
-        for first, last, lm in words:
-            for j in range(pi.size):
-                if P[last, j] > 0:
-                    nxt.append((first, j, lm + math.log(P[last, j])))
-        words = nxt
-        if len(words) > _PAIR_BUDGET:
-            raise BudgetError(f"word table exceeded {_PAIR_BUDGET} entries")
-    return words
-
-
-def _markov_log_mass_of(model: MarkovMeasure, symbols) -> float:
-    pi = np.asarray(model.pi, dtype=float)
-    P = np.asarray(model.P, dtype=float)
-    if pi[symbols[0]] <= 0:
-        return float("-inf")
-    lm = math.log(pi[symbols[0]])
-    for a, b in zip(symbols[:-1], symbols[1:]):
-        if P[a, b] <= 0:
-            return float("-inf")
-        lm += math.log(P[a, b])
-    return lm
+    r = P[pos] / pi[pos]
+    return float(max(1.0, r.max(), (1.0 / r).max()))
 
 
 def qb_constant(
@@ -140,45 +98,44 @@ def qb_constant(
     """Estimate (or read off) the concatenation-ratio constant.
 
     Product families short-circuit to C = 1: masses factor symbol by symbol,
-    so every ratio is exactly one. Chains get the closed-form scan plus an
-    exhaustive pair enumeration up to max_level total symbols and a seeded
-    random-pair sweep at longer words; the enumerated sup must reproduce the
-    closed form from below.
+    so every ratio is exactly one. Chains get the closed-form scan plus the
+    ratios m(uv)/(m(u)m(v)) of every positive-mass pair with
+    |u| + |v| <= max_level, read off the enumerated word masses, and of a
+    seeded random-pair sweep at longer words; their sup must not exceed the
+    closed form.
     """
     if max_level < 2:
         raise ValidationError(f"max_level must be >= 2, got {max_level}")
     if isinstance(model, (BernoulliProduct, MultinomialMeasure, SelfSimilarMeasure)):
         return QBReport(1.0, True, 1.0, max_level, 0)
     closed = _markov_closed_C(model)
-    k = model.alphabet.k
+    k = model.core.k
     if k ** max_level > _PAIR_BUDGET:
         raise BudgetError(
             f"k^max_level = {k ** max_level} exceeds the pair budget {_PAIR_BUDGET}"
         )
-    pi = np.asarray(model.pi, dtype=float)
-    P = np.asarray(model.P, dtype=float)
-    tables = {lvl: _markov_word_table(model, lvl) for lvl in range(1, max_level)}
+    L = {lvl: chain_log_masses(model, lvl) for lvl in range(1, max_level + 1)}
     sup = 1.0
     pairs = 0
     for a in range(1, max_level):
         for b in range(1, max_level - a + 1):
-            for _, last_u, lm_u in tables[a]:
-                for first_v, _, lm_v in tables[b]:
-                    if P[last_u, first_v] <= 0:
-                        continue  # null concatenation, excluded from the sup
-                    log_ratio = math.log(P[last_u, first_v]) - math.log(pi[first_v])
-                    sup = max(sup, math.exp(abs(log_ratio)))
-                    pairs += 1
+            # row u, column v: word uv sits at index u * k^b + v
+            with np.errstate(invalid="ignore"):
+                log_ratio = L[a + b].reshape(k ** a, k ** b) - L[a][:, None] - L[b][None, :]
+            # finite exactly when m(u), m(v) and m(uv) are all positive
+            log_ratio = log_ratio[np.isfinite(log_ratio)]
+            if log_ratio.size:
+                sup = max(sup, math.exp(float(np.abs(log_ratio).max())))
+                pairs += log_ratio.size
     # seeded long-word sweep: sampled words have positive mass by construction
     rng = path_rng(seed, 0)
+    alphabet = model.alphabet
     for _ in range(random_pairs):
         la = int(rng.integers(1, random_max_level + 1))
         lb = int(rng.integers(1, random_max_level + 1))
-        u = sample_symbols(model, la, rng)
-        v = sample_symbols(model, lb, rng)
-        lm_u = _markov_log_mass_of(model, u)
-        lm_v = _markov_log_mass_of(model, v)
-        lm_uv = _markov_log_mass_of(model, list(u) + list(v))
+        u = tuple(sample_symbols(model, la, rng).tolist())
+        v = tuple(sample_symbols(model, lb, rng).tolist())
+        lm_u, lm_v, lm_uv = (log_cylinder_mass(model, Word(alphabet, w)) for w in (u, v, u + v))
         if not (math.isfinite(lm_u) and math.isfinite(lm_v) and math.isfinite(lm_uv)):
             continue
         sup = max(sup, math.exp(abs(lm_uv - lm_u - lm_v)))
@@ -308,11 +265,9 @@ def _homogeneous_ratio_bounds(model: MeasureModel, levels: int = 6) -> tuple[flo
     m0 = homogeneous_measure(model)
     lw0 = log_symbol_weights(m0)
     if isinstance(model, MarkovMeasure):
-        lo, hi = math.inf, -math.inf
-        for _, _, lm in _markov_word_table(model, levels):
-            ratio = lm - levels * lw0[np.isfinite(lw0)][0]
-            lo, hi = min(lo, ratio), max(hi, ratio)
-        return math.exp(lo), math.exp(hi)
+        lm = chain_log_masses(model, levels)
+        ratio = lm[np.isfinite(lm)] - levels * lw0[np.isfinite(lw0)][0]
+        return math.exp(float(ratio.min())), math.exp(float(ratio.max()))
     lw = log_symbol_weights(model)
     keep = np.isfinite(lw)
     diff = lw[keep] - lw0[keep]

@@ -29,7 +29,7 @@ from .gauges import theta_correction
 from .lil import exact_moments, running_max_tail
 from .qb import qb_constant
 from .spectrum import LogBase, chi, dimension, sigma2, sigma2_scale_free, tau
-from .zoo import load_zoo_model, zoo_models
+from .zoo import zoo_models
 
 
 @dataclass(frozen=True)

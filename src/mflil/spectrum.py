@@ -24,7 +24,6 @@ them and conversion requests to other bases raise.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -35,12 +34,16 @@ from scipy.special import logsumexp
 from .errors import FlatSpectrumError, NumericalError, ValidationError
 from .models import (
     BernoulliProduct,
+    LogBase,
     MarkovMeasure,
     MeasureModel,
     MultinomialMeasure,
     SelfSimilarMeasure,
+    canonical_base,
+    chain_log_masses,
     check_enumeration_budget,
     log_symbol_weights,
+    stationary_distribution,
     support_info,
     symbol_weights,
 )
@@ -51,26 +54,6 @@ _DERIV_H = 1e-4
 _DIM_XCHECK_TOL = 1e-8
 _SIGMA2_FLAG_TOL = 1e-4
 _FLAT_TOL = 1e-12
-
-
-class LogBase(enum.Enum):
-    NATURAL = "natural"
-    BASE_ELL = "base-ell"
-    BASE_2 = "base-2"
-
-    @classmethod
-    def parse(cls, text: str) -> "LogBase":
-        for m in cls:
-            if m.value == text:
-                return m
-        raise ValidationError(
-            f"unknown base {text!r}; expected one of "
-            + ", ".join(m.value for m in cls)
-        )
-
-
-def canonical_base(model: MeasureModel) -> LogBase:
-    return LogBase.NATURAL if isinstance(model, SelfSimilarMeasure) else LogBase.BASE_ELL
 
 
 def _grid_ell(model: MeasureModel) -> int:
@@ -188,14 +171,6 @@ def tau_implicit_selfsimilar(
     )
 
 
-def _active_markov(model: MarkovMeasure):
-    info = support_info(model)
-    idx = np.asarray(info.active, dtype=np.intp)
-    P = np.asarray(model.P, dtype=float)[np.ix_(idx, idx)]
-    pi = np.asarray(model.pi, dtype=float)[idx]
-    return idx, pi, P
-
-
 def _check_irreducible(P: np.ndarray, labels: Sequence[int]) -> None:
     adj = P > 0
     k = adj.shape[0]
@@ -281,8 +256,9 @@ def perron_root(M: np.ndarray, tol: float = _PERRON_TOL, max_iter: int = 200000)
 
 def tau_perron_markov(model: MarkovMeasure, q: float) -> float:
     """Scale-free tau(q) = log_ell of the Perron root of the q-th entry power."""
-    idx, _, P = _active_markov(model)
-    _check_irreducible(P, idx.tolist())
+    active = model.core.active
+    P = model.core.P[np.ix_(active, active)]
+    _check_irreducible(P, active)
     Mq = np.zeros_like(P)
     pos = P > 0
     Mq[pos] = P[pos] ** q  # 0^q := 0 by convention, also for q <= 0
@@ -353,22 +329,13 @@ def log_partition_sum(model: MeasureModel, q: float, n: int, method: str = "auto
         lw = lw[np.isfinite(lw)]
         return float(n * logsumexp(q * lw))
     # Markov
-    idx, pi_a, P_a = _active_markov(model)
-    if method == "enumerate" or (method == "auto" and model.alphabet.k ** n <= 2 ** 14):
-        check_enumeration_budget(model, n)
-        lpi = np.where(pi_a > 0, np.log(np.where(pi_a > 0, pi_a, 1.0)), -np.inf)
-        lP = np.where(P_a > 0, np.log(np.where(P_a > 0, P_a, 1.0)), -np.inf)
-        logmass = lpi.copy()
-        last = np.arange(pi_a.size)
-        keep = np.isfinite(logmass)
-        logmass, last = logmass[keep], last[keep]
-        for _ in range(n - 1):
-            logmass = (logmass[:, None] + lP[last, :]).ravel()
-            last = np.tile(np.arange(pi_a.size), last.size)
-            keep = np.isfinite(logmass)
-            logmass, last = logmass[keep], last[keep]
-        return float(logsumexp(q * logmass))
-    # scaled matrix powers in the log domain
+    core = model.core
+    if method == "enumerate" or (method == "auto" and core.k ** n <= 2 ** 14):
+        logmass = chain_log_masses(model, n)
+        return float(logsumexp(q * logmass[np.isfinite(logmass)]))
+    # scaled matrix powers in the log domain, over the active states
+    pi_a = core.pi[list(core.active)]
+    P_a = core.P[np.ix_(core.active, core.active)]
     Mq = np.zeros_like(P_a)
     pos = P_a > 0
     Mq[pos] = P_a[pos] ** q
@@ -405,8 +372,7 @@ def tau_empirical(
 def tau_empirical_selfsimilar(model: SelfSimilarMeasure, q: float, n: int) -> float:
     """Root tau of the enumerated level-n identity sum m(w)^q diam(w)^tau = 1."""
     check_enumeration_budget(model, n)
-    lp = np.log(np.asarray(model.probs, dtype=float))
-    lr = np.log(np.asarray(model.ratios, dtype=float))
+    lp, lr = model.core.log_weights, model.core.log_ratios
     lm = np.zeros(1)
     ld = np.zeros(1)
     for _ in range(n):
@@ -464,16 +430,13 @@ def _dimension_closed(model: MeasureModel) -> float:
         w = w[w > 0]
         return float(-(w @ np.log(w)) / math.log(model.alphabet.ell))
     if isinstance(model, SelfSimilarMeasure):
-        p = np.asarray(model.probs, dtype=float)
-        r = np.asarray(model.ratios, dtype=float)
-        return float((p @ np.log(p)) / (p @ np.log(r)))
-    idx, pi_a, P_a = _active_markov(model)
+        p, lp, lr = model.core.weights, model.core.log_weights, model.core.log_ratios
+        return float((p @ lp) / (p @ lr))
+    core = model.core
+    pi_a = core.pi[list(core.active)]
+    P_a = core.P[np.ix_(core.active, core.active)]
     if np.any(pi_a <= 0):
         # stationarity waived with mass off the active core: recompute
-        pi_a = None
-    if pi_a is None:
-        from .models import stationary_distribution
-
         pi_a = stationary_distribution(P_a)
     pi_a = pi_a / pi_a.sum()
     pos = P_a > 0
@@ -526,11 +489,10 @@ def sigma2_scale_free(model: MeasureModel) -> Sigma2Result:
         var = float(w @ (lw - mean) ** 2)
         return Sigma2Result(var / math.log(model.alphabet.ell), 0.0, "closed", False, LogBase.NATURAL)
     if isinstance(model, SelfSimilarMeasure):
-        p = np.asarray(model.probs, dtype=float)
-        r = np.asarray(model.ratios, dtype=float)
-        d = float((p @ np.log(p)) / (p @ np.log(r)))
-        num = float(p @ (np.log(p) - d * np.log(r)) ** 2)
-        return Sigma2Result(num / float(-(p @ np.log(r))), 0.0, "closed", False, LogBase.NATURAL)
+        p, lp, lr = model.core.weights, model.core.log_weights, model.core.log_ratios
+        d = float((p @ lp) / (p @ lr))
+        num = float(p @ (lp - d * lr) ** 2)
+        return Sigma2Result(num / float(-(p @ lr)), 0.0, "closed", False, LogBase.NATURAL)
     # Markov: numerical second difference with a Richardson error estimate.
     val, err = _richardson_second(lambda qq: tau_scale_free(model, qq))
     flagged = err > _SIGMA2_FLAG_TOL * max(abs(val), 1e-30)

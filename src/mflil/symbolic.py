@@ -134,7 +134,10 @@ def cube_of_point(point, n: int, alphabet: Alphabet) -> Word:
     # integer digit streams per coordinate, most significant first
     digit_rows = []
     for c in coords:
-        m = int(c * ell ** n)  # index of the level-n interval along this axis
+        # index of the level-n interval along this axis, in exact integers:
+        # a float product c * ell**n rounds once ell**n passes 2**53
+        num, den = c.as_integer_ratio()
+        m = num * ell ** n // den
         digs = []
         for _ in range(n):
             digs.append(m % ell)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -25,7 +26,7 @@ from mflil import (
     support_info,
     symbol_weights,
 )
-from mflil.models import check_enumeration_budget
+from mflil.models import chain_log_masses, check_enumeration_budget
 from mflil.symbolic import word
 from mflil.zoo import load_zoo_model, zoo_models
 
@@ -180,3 +181,45 @@ def test_enumeration_budget():
     with pytest.raises(BudgetError):
         check_enumeration_budget(BernoulliProduct(0.25), 64)
     check_enumeration_budget(BernoulliProduct(0.25), 16)
+
+
+class _TopUniforms:
+    """Generator stand-in whose every uniform is the largest double below 1."""
+
+    def random(self, n):
+        return np.full(n, 1.0 - 2.0 ** -53)
+
+
+def test_sampling_never_draws_a_null_symbol_at_the_top_uniform():
+    # weights summing to 1 - 1e-13 pass validation; the last one is zero
+    w = (0.5, 0.5 - 1e-13, 0.0)
+    product = MultinomialMeasure(3, 1, w)
+    syms = sample_symbols(product, 4, _TopUniforms())
+    assert np.all(symbol_weights(product)[syms] > 0)
+    chain = MarkovMeasure(3, 1, w, (w, w, w))
+    syms = sample_symbols(chain, 4, _TopUniforms())
+    assert log_cylinder_mass(chain, word(syms.tolist(), ell=3)) > -math.inf
+
+
+# a chain with a null transition (1 -> 1) and a state (2) outside the support
+GAPPY_CHAIN = MarkovMeasure(
+    3, 1, (0.6, 0.4, 0.0),
+    ((0.5, 0.5, 0.0), (1.0, 0.0, 0.0), (0.2, 0.3, 0.5)),
+    stationary_required=False,
+)
+
+
+@pytest.mark.parametrize("model", [load_zoo_model("markov_chain"), GAPPY_CHAIN])
+def test_chain_enumerator_matches_log_cylinder_mass(model):
+    k = model.alphabet.k
+    for n in range(1, 7):
+        table = chain_log_masses(model, n)
+        assert table.shape == (k ** n,)
+        ref = np.array([
+            log_cylinder_mass(model, word(w, ell=model.alphabet.ell))
+            for w in itertools.product(range(k), repeat=n)
+        ])
+        assert np.array_equal(np.isneginf(table), np.isneginf(ref))
+        assert np.all(np.isfinite(table) | np.isneginf(table))
+        live = np.isfinite(ref)
+        assert np.allclose(table[live], ref[live], rtol=0, atol=1e-12)

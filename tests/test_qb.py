@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from mflil import (
     partition_bound_check,
     qb_constant,
 )
+from mflil import qb as qb_module
 from mflil.symbolic import word, word_concat
 from mflil.zoo import load_zoo_model
 
@@ -123,3 +125,44 @@ def test_markov_enumeration_matches_closed_form_at_every_level():
     for lvl in (2, 4):
         rep = qb_constant(mk, max_level=lvl, random_pairs=16)
         assert rep.C_hat == pytest.approx(rep.closed_form, abs=1e-12)
+
+
+def test_qb_constant_returns_python_floats():
+    for model in (load_zoo_model("markov_chain"), BernoulliProduct(0.25)):
+        rep = qb_constant(model)
+        assert type(rep.C_hat) is float
+        assert type(rep.closed_form) is float
+
+
+def test_qb_pairs_tested_on_the_zoo_chain():
+    # 3,076 word pairs with |u| + |v| <= 8 plus 256 random pairs
+    assert qb_constant(load_zoo_model("markov_chain")).pairs_tested == 3332
+
+
+def test_qb_pairs_tested_matches_brute_force_with_a_zero_transition():
+    # null transition 1 -> 1; state 2 lies outside the support
+    model = MarkovMeasure(
+        3, 1, (0.6, 0.4, 0.0),
+        ((0.5, 0.5, 0.0), (1.0, 0.0, 0.0), (0.2, 0.3, 0.5)),
+        stationary_required=False,
+    )
+    max_level = 5
+
+    def lm(symbols):
+        return log_cylinder_mass(model, word(symbols, ell=3))
+
+    expected = 0
+    for a in range(1, max_level):
+        for b in range(1, max_level - a + 1):
+            for u in itertools.product(range(3), repeat=a):
+                for v in itertools.product(range(3), repeat=b):
+                    if all(math.isfinite(x) for x in (lm(u), lm(v), lm(u + v))):
+                        expected += 1
+    rep = qb_constant(model, max_level=max_level, random_pairs=0)
+    assert rep.pairs_tested == expected
+
+
+def test_qb_constant_rejects_a_closed_form_below_the_enumerated_sup(monkeypatch):
+    monkeypatch.setattr(qb_module, "_markov_closed_C", lambda model: 2.0)
+    with pytest.raises(NumericalError):
+        qb_constant(load_zoo_model("markov_chain"), random_pairs=0)

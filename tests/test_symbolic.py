@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -97,6 +99,22 @@ def test_cube_nesting(x, m, n):
         m, n = n, m
     a = Alphabet(2, 1)
     assert cube_of_point(x, n, a).prefix(m) == cube_of_point(x, m, a)
+
+
+@given(
+    st.sampled_from([2, 3, 10]),
+    st.integers(1, 2),
+    st.integers(0, 80),
+    st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=2, max_size=2),
+)
+def test_cube_of_point_exact_at_depth(ell, dim, n, xs):
+    a = Alphabet(ell, dim)
+    coords = xs[:dim]
+    # digit i of x is floor(x * ell**i) mod ell, in exact rational arithmetic
+    digits = [[int(Fraction(x) * ell ** i) % ell for i in range(1, n + 1)] for x in coords]
+    expected = tuple(a.symbol_from_digits([d[i] for d in digits]) for i in range(n))
+    point = coords[0] if dim == 1 else coords
+    assert cube_of_point(point, n, a).symbols == expected
 
 
 def test_cube_length():
