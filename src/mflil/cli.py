@@ -178,7 +178,7 @@ def cmd_spectrum(args) -> None:
     json_path = os.path.join(outdir, "summary.json")
     _write_json(json_path, summary)
     _write_manifest(
-        outdir, "spectrum", vars(args) | {"func": None}, args.model, args.seed,
+        outdir, "spectrum", vars(args) | {"func": None}, args.model, None,
         [csv_path, json_path],
     )
 
@@ -379,14 +379,16 @@ def cmd_zoo(args) -> None:
 # parser
 
 
-def _add_common(sp, model_required=True):
-    sp.add_argument("--model", default=None, metavar="FILE",
-                    help="model file (JSON)" + ("" if model_required else " (unused)"))
+def _add_common(sp, seed=False, threads=False):
+    """--model and --out, plus --seed and --threads where the subcommand reads them."""
+    sp.add_argument("--model", default=None, metavar="FILE", help="model file (JSON)")
     sp.add_argument("--out", required=True, metavar="DIR", help="output directory")
-    sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads for path ensembles; results are "
-                         "identical for every value (default 1)")
+    if seed:
+        sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    if threads:
+        sp.add_argument("--threads", type=int, default=1,
+                        help="worker threads for path ensembles; results are "
+                             "identical for every value (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("lil-sim", help="Monte Carlo ensemble of normalized log-mass ratios")
-    _add_common(sp)
+    _add_common(sp, seed=True, threads=True)
     sp.add_argument("--N", type=int, required=True, help="number of paths")
     sp.add_argument("--checkpoints", required=True,
                     help="comma-separated levels, or pow2:LO:HI")
@@ -425,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_lil_sim)
 
     sp = sub.add_parser("gauge-test", help="mass-vs-gauge fractions over sampled paths")
-    _add_common(sp)
+    _add_common(sp, seed=True, threads=True)
     sp.add_argument("--family", required=True,
                     choices=["power", "lil_hausdorff", "lil_packing", "sqrt", "theta"])
     sp.add_argument("--epsilon", type=float, default=0.3)
@@ -440,12 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_gauge_test)
 
     sp = sub.add_parser("qb-check", help="concatenation constant and dichotomy verdict")
-    _add_common(sp)
+    _add_common(sp, seed=True)
     sp.add_argument("--max-level", type=int, default=8)
     sp.set_defaults(func=cmd_qb_check)
 
     sp = sub.add_parser("oracles", help=argparse.SUPPRESS)
-    _add_common(sp, model_required=False)
+    sp.add_argument("--out", required=True, metavar="DIR", help="output directory")
     sp.set_defaults(func=cmd_oracles)
 
     sp = sub.add_parser("zoo", help="export the bundled model files")

@@ -41,8 +41,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lil import _walk_ensemble, lil_convention
-from .models import MeasureModel, SelfSimilarMeasure
+from .lil import _checked_levels, _once_per_value, _walk_ensemble, lil_convention
+from .models import MeasureModel
 from .spectrum import ChiProfile, sigma2_scale_free
 
 _THETA_CONVENTIONS = ("base-2", "natural", "base-ell")
@@ -66,14 +66,13 @@ class ThetaCorrection:
     u_min is the infimum of admissible u = ln(1/t) (iterated logs positive);
     t_max = exp(-u_min) is the matching supremum of admissible t. The factor
     is strictly increasing in u on the whole domain, verified once on a scan
-    grid at construction, so t_monotone equals t_max.
+    grid at construction.
     """
 
     convention: str
     ell: int
     u_min: float
     t_max: float
-    t_monotone: float
 
     def _scaled(self, u):
         u = np.asarray(u, dtype=float)
@@ -124,7 +123,7 @@ def theta_correction(convention: str, ell: int = 2) -> ThetaCorrection:
         u_min = math.e
     else:
         u_min = ell * math.log(ell)
-    tc = ThetaCorrection(convention, ell, u_min, math.exp(-u_min), math.exp(-u_min))
+    tc = ThetaCorrection(convention, ell, u_min, math.exp(-u_min))
     # monotonicity scan: strictly increasing in u across fifteen orders
     us = u_min * np.exp(np.linspace(1e-6, math.log(1e15), 400))
     vals = tc._scaled(us)
@@ -228,7 +227,7 @@ def log_gauge_from_u(spec: GaugeSpec, u):
     else:
         lb = math.log(spec.ell)
         targs = u_arr / lb
-        th = np.vectorize(spec.chi_profile.theta, otypes=[float])(targs)
+        th = _once_per_value(spec.chi_profile.theta, targs)  # one chi inversion per distinct u
         out = base - spec.a * lb * th
     return float(out) if np.ndim(u) == 0 else out
 
@@ -265,19 +264,6 @@ class GaugeTestResult:
     family: str
 
 
-def _gauge_checkpoints(checkpoints: Sequence[int]):
-    cks = tuple(int(c) for c in checkpoints)
-    if not cks or any(c <= 0 for c in cks):
-        raise ValidationError("checkpoints must be positive levels")
-    if list(cks) != sorted(set(cks)):
-        raise ValidationError("checkpoints must be strictly increasing")
-    if cks[0] < _GAUGE_N_MIN:
-        raise ValidationError(
-            f"checkpoint {cks[0]} below n_min={_GAUGE_N_MIN} for gauge tests"
-        )
-    return cks
-
-
 def gauge_test(
     model: MeasureModel,
     spec: GaugeSpec,
@@ -288,26 +274,23 @@ def gauge_test(
 ) -> GaugeTestResult:
     """Monte Carlo fractions of m(I_n(x)) <= gauge(|I_n(x)|) at each checkpoint.
 
-    Comparison happens in the natural log domain. The paths come from the
-    ensemble walk of run_ensemble, under the same path and chain-step budgets;
-    each path uses its own counter-based stream keyed by (seed, index), so the
-    result is identical for every thread count.
+    Comparison happens in the natural log domain, where the walk's T is
+    u = ln(1/diameter). The paths come from the ensemble walk of
+    run_ensemble, under the same path and chain-step budgets; each path uses
+    its own counter-based stream keyed by (seed, index), so the result is
+    identical for every thread count.
     """
-    if N < 1:
-        raise ValidationError(f"N must be >= 1, got {N}")
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
-    cks = _gauge_checkpoints(checkpoints)
+    cks = _checked_levels(checkpoints)
+    if cks[0] < _GAUGE_N_MIN:
+        raise ValidationError(
+            f"checkpoint {cks[0]} below n_min={_GAUGE_N_MIN} for gauge tests"
+        )
     conv = lil_convention(model, "natural")
-    S, T, _, _ = _walk_ensemble(model, conv, cks, N, seed, threads)
+    S, T, _, _ = _walk_ensemble(model, conv, cks, seed, range(N), threads)
     m = len(cks)
 
     # m(I) <= gauge(diam)  <=>  -S_natural <= log gauge  <=>  S_natural >= -log gauge
-    if isinstance(model, SelfSimilarMeasure):
-        hits = S >= -log_gauge_from_u(spec, T)  # per-path ln(1/diameter)
-    else:
-        u_row = np.asarray(cks, dtype=float) * math.log(model.alphabet.ell)
-        hits = S >= -log_gauge_from_u(spec, u_row)[None, :]
+    hits = S >= -log_gauge_from_u(spec, T)
     fractions = tuple(float(np.count_nonzero(hits[:, j])) / N for j in range(m))
     ever = np.zeros(N, dtype=bool)
     hit_by = []

@@ -9,9 +9,13 @@ logarithm LL, and the matching variance constants:
 
   'base-2'   S in bits, t = n symbols, LL = log2 log2.  Binary grids only.
   'base-ell' S in base-ell units, t = n, LL = log_ell log_ell.  Grid models.
-  'natural'  S in nats, t = ln(1/diam), LL = ln ln.  Any model, and the only
-             convention for self-similar measures (t = ln(1/R_n) varies by
-             path there).
+  'natural'  S in nats, t = ln(1/diam), LL = ln ln.  Any model: t = n ln(ell)
+             on grids, and the path's running sum of -ln r_i on self-similar
+             measures, the only convention there.
+
+The convention owns t: on grids it adds t_per_level = ln(ell) / ln(base) per
+level, and every walk returns S and t in the convention's units, so the
+consumers never re-derive t from the level.
 
 With an all-one-base normalizer the limiting constant of the ratio
 (S_n - d t)/sqrt(2 t LL t) is sqrt(sigma2) with sigma2 the natural curvature
@@ -24,8 +28,10 @@ Ensemble paths each draw from their own stream path_rng(seed, i). Product
 paths are walked one at a time; Markov paths in blocks, every path of a block
 drawing its own uniforms and all stepping together, one numpy step per level,
 with the per-path state rule and increment order. A block holds at most
-_CHAIN_BLOCK_DRAWS uniforms. Threads each walk one contiguous range of paths,
-so results are identical for every thread count.
+_CHAIN_BLOCK_DRAWS uniforms, drawn in chunks of levels when the paths are
+long. Threads each walk one contiguous range of paths, so results are
+identical for every thread count. One entry point, _walk_ensemble, checks the
+budgets and walks the paths of run_ensemble, gauge_test and path_stats.
 
 Exact small-n machinery (exact_distribution, running_max_tail) does rational
 arithmetic on digit-count classes and is the oracle layer for the Monte Carlo
@@ -48,7 +54,6 @@ from .errors import BudgetError, ValidationError
 from .models import (
     MarkovMeasure,
     MeasureModel,
-    SelfSimilarMeasure,
     Word,
     canonical_base,
     draw_symbols,
@@ -89,6 +94,7 @@ class LilConvention:
     d: float  # drift of S per unit t (the scale-free dimension)
     sigma2: float  # variance constant of the normalized ratio, = tau''(1) natural
     sigma2_clt: float  # variance of S per unit t, in S units squared
+    t_per_level: Optional[float]  # ln(ell)/ln(base) on grids; None: t = -sum ln r_i
 
     @property
     def sigma(self) -> float:
@@ -125,22 +131,15 @@ def lil_convention(model: MeasureModel, name: str = "auto") -> LilConvention:
         raise ValidationError(
             f"unknown convention {name!r}; expected one of {_CONVENTION_NAMES} or 'auto'"
         )
-    d = dimension(model)
+    # refuses grid units on self-similar measures and base-2 off binary grids
+    lb = ln_base(model, LogBase(name))
+    ell = model.core.ell
+    log_base = math.e if name == "natural" else 2.0 if name == "base-2" else float(ell)
     s2_nat = sigma2_scale_free(model).value
-    if name == "natural":
-        return LilConvention("natural", math.e, 3.0, d, s2_nat, s2_nat)
-    if isinstance(model, SelfSimilarMeasure):
-        raise ValidationError(
-            "self-similar measures have no grid level; use the 'natural' convention"
-        )
-    ell = model.alphabet.ell
-    if name == "base-2":
-        if ell != 2:
-            raise ValidationError(
-                f"'base-2' convention requires a binary grid, model has ell={ell}"
-            )
-        return LilConvention("base-2", 2.0, 16.0, d, s2_nat, s2_nat / math.log(2.0))
-    return LilConvention("base-ell", float(ell), 16.0, d, s2_nat, s2_nat / math.log(ell))
+    return LilConvention(
+        name, log_base, 3.0 if name == "natural" else 16.0, dimension(model), s2_nat,
+        s2_nat / lb, None if ell is None else math.log(ell) / lb,
+    )
 
 
 def lil_ratio(S: float, t: float, d: float, convention: LilConvention) -> float:
@@ -203,18 +202,18 @@ class PathStats:
     convention: str
     checkpoints: tuple[int, ...]
     S: tuple[float, ...]
-    t: tuple[float, ...]  # = checkpoints on grids; ln(1/R_n) for self-similar
+    t: tuple[float, ...]  # convention units: n * t_per_level on grids, ln(1/R_n) self-similar
 
     def ratios(self, conv: LilConvention) -> tuple[float, ...]:
         return tuple(lil_ratio(s, t, conv.d, conv) for s, t in zip(self.S, self.t))
 
 
-def _checkpoint_walk_product(weights, checkpoints, rng, lw_conv, lr_nat):
+def _checkpoint_walk_product(weights, checkpoints, rng, lw_conv, neg_lr, conv):
     """Block count draws between checkpoints; exact per-symbol distribution.
 
-    Returns (S in convention units, t natural-or-level) at each checkpoint.
-    lr_nat is None on grids (t is the level); for self-similar it holds the
-    natural log contraction of each symbol.
+    Returns (S, t) at each checkpoint in the convention's units: t is the
+    level times conv.t_per_level on grids (neg_lr None) and, on self-similar
+    measures, the running sum of the per-symbol -ln r held in neg_lr.
     """
     active = np.flatnonzero(weights > 0)
     wa = weights[active]
@@ -234,10 +233,10 @@ def _checkpoint_walk_product(weights, checkpoints, rng, lw_conv, lr_nat):
             else:
                 counts = rng.multinomial(gap, wa)
             s_acc += float(counts @ (-lw_conv[active]))
-            if lr_nat is not None:
-                t_acc += float(counts @ (-lr_nat[active]))
+            if neg_lr is not None:
+                t_acc += float(counts @ neg_lr[active])
         S[j] = s_acc
-        t[j] = t_acc if lr_nat is not None else float(ck)
+        t[j] = t_acc if neg_lr is not None else ck * conv.t_per_level
         prev = ck
     return S, t
 
@@ -254,17 +253,17 @@ def _loglog_array(conv, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_walk_product(cum, checkpoints, rng, lw_conv, lr_nat, conv, w_lo, w_hi):
+def _window_walk_product(cum, checkpoints, rng, lw_conv, neg_lr, conv, w_lo, w_hi):
     """Per-level scan: one symbol draw per level, ratio tracked inside the window.
 
-    Returns (S, t, run_sup, run_inf) at the checkpoints, where run_sup/run_inf
-    are the running extremes of the lil ratio over every window level seen so
-    far (not only the checkpoints). Falls back to -inf/+inf carry values until
-    the window opens. draw_symbols never picks a zero-weight symbol, so the
-    infinite increments of those symbols are never read.
+    Returns (S, t, run_sup, run_inf) at the checkpoints, with S and t as
+    _checkpoint_walk_product gives them and run_sup/run_inf the running
+    extremes of the lil ratio over every window level seen so far (not only
+    the checkpoints). Falls back to -inf/+inf carry values until the window
+    opens. draw_symbols never picks a zero-weight symbol, so the infinite
+    increments of those symbols are never read.
     """
     neg_lw = -lw_conv
-    neg_lr = -lr_nat if lr_nat is not None else None
 
     m = len(checkpoints)
     n = checkpoints[-1]
@@ -283,7 +282,7 @@ def _window_walk_product(cum, checkpoints, rng, lw_conv, lr_nat, conv, w_lo, w_h
         idx = draw_symbols(cum, rng.random(b))
         S_lev = s_acc + np.cumsum(neg_lw[idx])
         levels = np.arange(base + 1, base + b + 1, dtype=float)
-        T_lev = t_acc + np.cumsum(neg_lr[idx]) if neg_lr is not None else levels
+        T_lev = t_acc + np.cumsum(neg_lr[idx]) if neg_lr is not None else levels * conv.t_per_level
         LL = _loglog_array(conv, T_lev)
         valid = (levels >= w_lo) & (levels <= w_hi) & (T_lev >= conv.t_min) & (LL > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -310,40 +309,52 @@ def _window_walk_product(cum, checkpoints, rng, lw_conv, lr_nat, conv, w_lo, w_h
 
 
 # uniforms one block of chain paths holds at once: memory stays bounded for
-# any N while each level's numpy step covers many paths
+# any N and any depth while each level's numpy step covers many paths
 _CHAIN_BLOCK_DRAWS = 1 << 20
 
 
 def _ratio_denominators(conv, n, w_lo, w_hi):
-    """sqrt(2 t LL(t)) at each level t = 1..n whose ratio the window tracks, else nan."""
+    """sqrt(2 t LL(t)) at each level 1..n whose ratio the window tracks, else nan."""
     den = np.full(n, np.nan)
-    for level in range(max(w_lo, math.ceil(conv.t_min)), w_hi + 1):
+    for level in range(w_lo, w_hi + 1):
+        t = level * conv.t_per_level
+        if t < conv.t_min:
+            continue
         try:
-            den[level - 1] = math.sqrt(2.0 * level * conv.loglog(float(level)))
+            den[level - 1] = math.sqrt(2.0 * t * conv.loglog(t))
         except ValidationError:
             continue  # LL(t) <= 0: the ratio is undefined at this level
     return den
 
 
-def _chain_walk(tables, checkpoints, seed, lo, hi, d, den):
+def _chain_walk(tables, checkpoints, seed, lo, hi, conv, den):
     """Walk chain paths lo..hi-1 together, one numpy step per level.
 
     tables holds the columns of the cumulative pi and P rows, and the
     increments -ln(p)/lb (+inf at p = 0), P's flattened so that (i, j) sits
-    at i * k + j. Path i draws its uniforms from path_rng(seed, i). Its next
+    at i * k + j. Path i draws its uniforms from path_rng(seed, i), in chunks
+    of at most _CHAIN_BLOCK_DRAWS // B levels that continue its generator, so
+    the block holds at most _CHAIN_BLOCK_DRAWS uniforms at any depth. Its next
     state follows draw_symbols on the cumulative row of its state, in
     vectorised form: as rows are non-decreasing, the clamped searchsorted is
     the count of row[:-1] entries at most u * row[-1]. S adds -ln P / lb in
     level order. All steps are elementwise, so no path depends on its block.
     A den from _ratio_denominators turns on the running ratio extremes.
 
-    Returns (S, SUP, INF), one row per path and one column per checkpoint.
+    Returns (S, T, SUP, INF), one row per path and one column per checkpoint,
+    T = level * conv.t_per_level.
     """
     pi_cols, P_cols, inc_pi, inc_P = tables
-    n, B = checkpoints[-1], hi - lo
-    U = np.empty((n, B))  # level-major: each step reads one contiguous row
-    for b in range(B):
-        U[:, b] = path_rng(seed, lo + b).random(n)
+    n, B, k = checkpoints[-1], hi - lo, len(pi_cols)
+    rows = max(1, _CHAIN_BLOCK_DRAWS // B)
+    U = np.empty((min(n, rows), B))  # level-major: each step reads one contiguous row
+    # 2^16 live generators cost tens of MB: keep them only for a second chunk
+    rngs = [path_rng(seed, i) for i in range(lo, hi)] if n > rows else None
+
+    def fill(start):
+        c = min(rows, n - start)
+        for b in range(B):
+            U[:c, b] = (path_rng(seed, lo + b) if rngs is None else rngs[b]).random(c)
 
     def draw(u, row):
         x = u * row[-1]
@@ -352,19 +363,24 @@ def _chain_walk(tables, checkpoints, seed, lo, hi, d, den):
             nxt += col <= x
         return nxt
 
-    state = draw(U[0], pi_cols)
-    s = inc_pi[state]
     S = np.empty((B, len(checkpoints)))
     SUP, INF = (None, None) if den is None else (np.empty_like(S), np.empty_like(S))
     sup, inf = np.full(B, -np.inf), np.full(B, np.inf)
+    d, t_step = conv.d, conv.t_per_level
     pos = 0
     for level in range(1, n + 1):
-        if level > 1:
-            nxt = draw(U[level - 1], [col.take(state) for col in P_cols])
-            s += inc_P.take(state * len(pi_cols) + nxt)
+        i = (level - 1) % rows
+        if i == 0:
+            fill(level - 1)
+        if level == 1:
+            state = draw(U[0], pi_cols)
+            s = inc_pi[state]
+        else:
+            nxt = draw(U[i], [col.take(state) for col in P_cols])
+            s += inc_P.take(state * k + nxt)
             state = nxt
         if den is not None and not math.isnan(den[level - 1]):
-            r = (s - d * level) / den[level - 1]
+            r = (s - d * (level * t_step)) / den[level - 1]
             np.copyto(sup, r, where=r > sup)
             np.copyto(inf, r, where=r < inf)
         if level == checkpoints[pos]:
@@ -372,47 +388,8 @@ def _chain_walk(tables, checkpoints, seed, lo, hi, d, den):
             if den is not None:
                 SUP[:, pos], INF[:, pos] = sup, inf
             pos += 1
-    return S, SUP, INF
-
-
-def _path_walker(model, conv, cks, seed, window=None):
-    """walk(lo, hi) -> (S, T, SUP, INF) for paths lo..hi-1 of one run.
-
-    One row per path, one column per checkpoint. With a window (w_lo, w_hi)
-    every level is walked and SUP/INF hold the running ratio extremes over
-    the window levels; otherwise both are None.
-    """
-    m = len(cks)
-    core = model.core
-    if isinstance(model, MarkovMeasure):
-        lb = math.log(conv.log_base)
-        cols = [core.cum_P[:, j].copy() for j in range(core.k)]
-        tables = list(core.cum_pi), cols, -core.log_pi / lb, -core.log_P.ravel() / lb
-        den = None if window is None else _ratio_denominators(conv, cks[-1], *window)
-        t_row = np.asarray(cks, dtype=float)
-
-        def walk(lo, hi):
-            S, SUP, INF = _chain_walk(tables, cks, seed, lo, hi, conv.d, den)
-            return S, np.tile(t_row, (hi - lo, 1)), SUP, INF
-
-        return walk
-
-    lw_conv = log_symbol_weights(model, LogBase(conv.name))  # convention names are LogBase values
-
-    def walk(lo, hi):
-        S, T = np.empty((hi - lo, m)), np.empty((hi - lo, m))
-        SUP, INF = (None, None) if window is None else (np.empty_like(S), np.empty_like(S))
-        for b in range(hi - lo):
-            rng = path_rng(seed, lo + b)
-            if window is None:
-                S[b], T[b] = _checkpoint_walk_product(core.weights, cks, rng, lw_conv, core.log_ratios)
-            else:
-                S[b], T[b], SUP[b], INF[b] = _window_walk_product(
-                    core.cum_weights, cks, rng, lw_conv, core.log_ratios, conv, *window
-                )
-        return S, T, SUP, INF
-
-    return walk
+    T = np.tile(np.asarray(checkpoints, dtype=float) * t_step, (B, 1))
+    return S, T, SUP, INF
 
 
 def path_stats(
@@ -424,21 +401,28 @@ def path_stats(
 ) -> PathStats:
     conv = lil_convention(model, convention)
     cks = _validated_checkpoints(model, checkpoints, conv)
-    S, T, _, _ = _path_walker(model, conv, cks, seed)(path_index, path_index + 1)
+    S, T, _, _ = _walk_ensemble(model, conv, cks, seed, range(path_index, path_index + 1))
     return PathStats(seed, path_index, conv.name, tuple(cks), tuple(map(float, S[0])), tuple(map(float, T[0])))
 
 
-def _validated_checkpoints(model, checkpoints, conv) -> tuple[int, ...]:
+def _checked_levels(checkpoints: Sequence[int]) -> tuple[int, ...]:
+    """The checkpoints as ints, refused unless positive and strictly increasing."""
     cks = tuple(int(c) for c in checkpoints)
     if not cks or any(c <= 0 for c in cks):
         raise ValidationError("checkpoints must be positive levels")
     if list(cks) != sorted(set(cks)):
         raise ValidationError("checkpoints must be strictly increasing")
-    t0 = float(cks[0])
-    if isinstance(model, SelfSimilarMeasure):
-        # the slowest contraction gives the smallest t at a given level
-        t0 = cks[0] * (-math.log(max(model.ratios)))
-    conv.check_time(t0)
+    return cks
+
+
+def _validated_checkpoints(model, checkpoints, conv) -> tuple[int, ...]:
+    cks = _checked_levels(checkpoints)
+    # t grows by t_per_level per grid level and, on self-similar measures, by
+    # at least the slowest contraction's -ln r
+    step = conv.t_per_level
+    if step is None:
+        step = -float(np.max(model.core.log_ratios))
+    conv.check_time(cks[0] * step)
     return cks
 
 
@@ -491,25 +475,58 @@ class EnsembleSummary:
         )
 
 
-def _walk_ensemble(model, conv, cks, N, seed, threads, window=None):
-    """(S, T, SUP, INF) for paths 0..N-1 of a run, as _path_walker returns them.
+def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
+    """(S, T, SUP, INF) for the paths (a range of indexes) of one run.
 
-    Refuses the run before any walking past the path budget or, for chains,
-    the chain-step budget. Paths go in blocks of at most _CHAIN_BLOCK_DRAWS
-    uniforms; with threads > 1 each worker walks a contiguous range of paths.
+    One row per path and one column per checkpoint, S and T in conv's units.
+    With a window (w_lo, w_hi) every level is walked and SUP/INF hold the
+    running ratio extremes over the window levels; otherwise both are None.
+    Refuses the run before any path is keyed past the path budget or, for
+    chains, the chain-step budget. Paths go in blocks of at most
+    _CHAIN_BLOCK_DRAWS uniforms; with threads > 1 each worker walks a
+    contiguous range of paths.
     """
-    n_max = cks[-1]
+    N, n_max, m = paths.stop - paths.start, cks[-1], len(cks)
+    if N < 1:
+        raise ValidationError(f"N must be >= 1, got {N}")
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
     if N * n_max > path_budget():
         raise BudgetError(
             f"N*n_max = {N * n_max} exceeds the path budget {path_budget()}; "
             "raise MFLIL_PATH_BUDGET to allow it"
         )
-    if isinstance(model, MarkovMeasure) and N * n_max > _MARKOV_STEP_BUDGET:
-        raise BudgetError(
-            f"stepwise chain simulation capped at N*n_max <= {_MARKOV_STEP_BUDGET}"
-        )
-    walk = _path_walker(model, conv, cks, seed, window)
-    S, T = np.empty((N, len(cks))), np.empty((N, len(cks)))
+    core = model.core
+    if isinstance(model, MarkovMeasure):
+        if N * n_max > _MARKOV_STEP_BUDGET:
+            raise BudgetError(
+                f"stepwise chain simulation capped at N*n_max <= {_MARKOV_STEP_BUDGET}"
+            )
+        lb = math.log(conv.log_base)
+        cols = [core.cum_P[:, j].copy() for j in range(core.k)]
+        tables = list(core.cum_pi), cols, -core.log_pi / lb, -core.log_P.ravel() / lb
+        den = None if window is None else _ratio_denominators(conv, n_max, *window)
+
+        def walk(lo, hi):
+            return _chain_walk(tables, cks, seed, lo, hi, conv, den)
+    else:
+        lw_conv = log_symbol_weights(model, LogBase(conv.name))  # convention names are LogBase values
+        neg_lr = None if conv.t_per_level is not None else -core.log_ratios
+
+        def walk(lo, hi):
+            S, T = np.empty((hi - lo, m)), np.empty((hi - lo, m))
+            SUP, INF = (None, None) if window is None else (np.empty_like(S), np.empty_like(S))
+            for b in range(hi - lo):
+                rng = path_rng(seed, lo + b)
+                if window is None:
+                    S[b], T[b] = _checkpoint_walk_product(core.weights, cks, rng, lw_conv, neg_lr, conv)
+                else:
+                    S[b], T[b], SUP[b], INF[b] = _window_walk_product(
+                        core.cum_weights, cks, rng, lw_conv, neg_lr, conv, *window
+                    )
+            return S, T, SUP, INF
+
+    S, T = np.empty((N, m)), np.empty((N, m))
     SUP, INF = (None, None) if window is None else (np.empty_like(S), np.empty_like(S))
     block = max(1, _CHAIN_BLOCK_DRAWS // n_max)
 
@@ -518,16 +535,22 @@ def _walk_ensemble(model, conv, cks, N, seed, threads, window=None):
             b_hi = min(b_lo + block, hi)
             for out, part in zip((S, T, SUP, INF), walk(b_lo, b_hi)):
                 if out is not None:
-                    out[b_lo:b_hi] = part
+                    out[b_lo - paths.start:b_hi - paths.start] = part
 
     if threads == 1:
-        fill(0, N)
+        fill(paths.start, paths.stop)
     else:
         chunk = max(1, (N + threads - 1) // threads)
-        bounds = [(lo, min(lo + chunk, N)) for lo in range(0, N, chunk)]
+        bounds = [(lo, min(lo + chunk, paths.stop)) for lo in range(paths.start, paths.stop, chunk)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda b: fill(*b), bounds))
     return S, T, SUP, INF
+
+
+def _once_per_value(f, a: np.ndarray) -> np.ndarray:
+    """f(x) for every entry x of the array a, calling f once per distinct value."""
+    values, inverse = np.unique(a, return_inverse=True)
+    return np.array([f(float(v)) for v in values])[inverse].reshape(a.shape)
 
 
 def _ks_normal(z: np.ndarray) -> float:
@@ -560,10 +583,6 @@ def run_ensemble(
     so S at a checkpoint differs between modes for the same seed. The chain
     draws one uniform per level in both modes, so its S does not.
     """
-    if N < 1:
-        raise ValidationError(f"N must be >= 1, got {N}")
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
     conv = lil_convention(model, convention)
     cks = _validated_checkpoints(model, checkpoints, conv)
     per_level = window is not None
@@ -576,17 +595,9 @@ def run_ensemble(
     # with an explicit window the walk visits every level inside it and keeps
     # running ratio extremes; otherwise extremes are over the checkpoint grid
     S, T, SUP, INF = _walk_ensemble(
-        model, conv, cks, N, seed, threads, (w_lo, w_hi) if per_level else None
+        model, conv, cks, seed, range(N), threads, (w_lo, w_hi) if per_level else None
     )
-
-    # loglog depends on the per-path t for self-similar models
-    LL = np.empty_like(T)
-    for j in range(m):
-        col = T[:, j]
-        if np.all(col == col[0]):
-            LL[:, j] = conv.loglog(float(col[0]))
-        else:
-            LL[:, j] = [conv.loglog(float(t)) for t in col]
+    LL = _once_per_value(conv.loglog, T)  # t, and so LL, varies by path on self-similar sets
     centered = S - conv.d * T
     ratio = centered / np.sqrt(2.0 * T * LL)
     z = centered / np.sqrt(conv.sigma2_clt * T) if conv.sigma2_clt > 0 else np.zeros_like(centered)

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from mflil import lil as lil_module
-from mflil.cli import main
+from mflil.cli import build_parser, main
 
 
 def run(args):
@@ -185,3 +185,28 @@ def test_oracles_subcommand(tmp_path):
     assert cache["version"] == 1
     checks = read_json(out / "oracle_checks.json")
     assert all(c["ok"] for c in checks)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("spectrum", "--seed"), ("spectrum", "--threads"), ("qb-check", "--threads"),
+    ("oracles", "--model"), ("oracles", "--seed"), ("oracles", "--threads"),
+])
+def test_parser_refuses_flags_a_subcommand_does_not_read(command, flag, capsys):
+    parser = build_parser()
+    argv = [command, "--out", "d"] + (["--model", "m.json"] if command != "oracles" else [])
+    parser.parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv + [flag, "1"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_parser_keeps_the_flags_subcommands_read():
+    parser = build_parser()
+    args = parser.parse_args(["lil-sim", "--model", "m", "--out", "d", "--N", "3",
+                              "--checkpoints", "16", "--seed", "4", "--threads", "2"])
+    assert (args.seed, args.threads) == (4, 2)
+    args = parser.parse_args(["gauge-test", "--model", "m", "--out", "d", "--N", "3",
+                              "--checkpoints", "16", "--family", "power", "--seed", "4", "--threads", "2"])
+    assert (args.seed, args.threads) == (4, 2)
+    assert parser.parse_args(["qb-check", "--model", "m", "--out", "d", "--seed", "5"]).seed == 5

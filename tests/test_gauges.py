@@ -192,3 +192,22 @@ def test_selfsimilar_gauge_test():
     res = gauge_test(cb, spec, [64, 256], N=200, seed=3)
     assert 0.0 <= res.fractions[0] <= 1.0
     assert res.hit_by[-1] >= res.fractions[-1] - 1e-12
+
+
+def test_theta_gauge_inverts_chi_once_per_checkpoint(monkeypatch):
+    # the walk returns one u per path and checkpoint; on a grid the N x 3
+    # values hold 3 distinct ones, and each costs one chi inversion
+    calls = []
+    theta = ChiProfile.theta
+
+    def counting(self, x):
+        calls.append(x)
+        return theta(self, x)
+
+    monkeypatch.setattr(ChiProfile, "theta", counting)
+    spec = GaugeSpec(family="theta", d=dimension(QUARTER), a=0.5, ell=2,
+                     chi_profile=ChiProfile(QUARTER, side=1, q_max=1.0))
+    res = gauge_test(QUARTER, spec, [16, 50, 203], N=60, seed=1)
+    assert len(calls) == 3
+    assert sorted(calls) == [n * math.log(2.0) / math.log(2) for n in (16, 50, 203)]
+    assert res.N == 60

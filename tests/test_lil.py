@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -231,13 +232,19 @@ def test_chain_path_stats_match_reference_walk(convention):
         ps = path_stats(MARKOV, cks, convention=convention, seed=seed, path_index=index)
         ref, _, _ = reference_chain_walk(MARKOV, cks, seed, index, conv)
         assert np.array_equal(np.asarray(ps.S), ref)
-        assert ps.t == (17.0, 50.0, 203.0)
+        if convention == "auto":
+            assert ps.t == (17.0, 50.0, 203.0)
+        else:
+            assert ps.t == tuple(n * math.log(2.0) for n in cks)
 
 
-@pytest.mark.parametrize("threads, block_draws", [(1, 1 << 20), (3, 1 << 20), (1, 3 * 203), (2, 2 * 203)])
+@pytest.mark.parametrize(
+    "threads, block_draws", [(1, 1 << 20), (3, 1 << 20), (1, 3 * 203), (2, 2 * 203), (2, 64)]
+)
 def test_chain_window_ensemble_matches_reference_walk(monkeypatch, threads, block_draws):
     # N = 7 is no multiple of the thread count; small block budgets split
-    # the paths into blocks of 3 or 2 inside each thread's range
+    # the paths into blocks of 3 or 2 inside each thread's range, and a
+    # budget below the depth draws each path's levels in chunks of 64
     monkeypatch.setattr(lil_module, "_CHAIN_BLOCK_DRAWS", block_draws)
     cks, window, N, seed = [17, 50, 203], (40, 150), 7, 4
     conv = lil_convention(MARKOV)
@@ -252,6 +259,23 @@ def test_chain_window_ensemble_matches_reference_walk(monkeypatch, threads, bloc
     S_last = np.array([r[0][-1] for r in refs])
     ratio = (S_last - conv.d * 203) / math.sqrt(2.0 * 203 * conv.loglog(203.0))
     assert ckpt.ratio_mean[-1] == math.fsum(ratio.tolist()) / N
+
+
+def test_chain_block_bounded_in_levels(monkeypatch):
+    # one path deeper than the block budget draws its levels in chunks that
+    # continue its generator, so the block never holds all n_max uniforms
+    draws, cks = 1 << 10, [16, 50, 1 << 13]
+    want = path_stats(MARKOV, cks, seed=3, path_index=1)
+    monkeypatch.setattr(lil_module, "_CHAIN_BLOCK_DRAWS", draws)
+    tracemalloc.start()
+    try:
+        got = path_stats(MARKOV, cks, seed=3, path_index=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # the block's uniforms, one column temporary and small per-level arrays
+    assert peak < 4 * 8 * draws
 
 
 def test_chain_thread_invariance():
@@ -288,6 +312,36 @@ def test_chain_step_budget_refuses_before_walking(monkeypatch):
     spec = GaugeSpec(family="power", d=dimension(MARKOV))
     with pytest.raises(BudgetError):
         gauge_test(MARKOV, spec, [16, 4096], N=20000, seed=0)
+
+
+@pytest.mark.parametrize("name, window", [("bernoulli_quarter", None), ("markov_chain", (64, 1024))])
+def test_natural_convention_on_grids_is_centred(name, window):
+    # natural t on a grid is n ln(ell): the same centring as base-ell, so the
+    # mean gap and the z-scores, hence the KS distance, agree with base-ell
+    model = load_zoo_model(name)
+    kw = dict(N=2000, checkpoints=[64, 256, 1024], seed=1, window=window)
+    nat = run_ensemble(model, convention="natural", **kw)
+    ell = run_ensemble(model, convention="base-ell", **kw)
+    assert all(g < 0.01 for g in nat.mean_gap)
+    assert nat.mean_gap == pytest.approx(ell.mean_gap, abs=1e-12)
+    assert nat.ks_distance == pytest.approx(ell.ks_distance, abs=1e-9)
+    assert all(abs(r) < 0.05 for r in nat.ratio_mean)
+
+
+@pytest.mark.parametrize("name", ["bernoulli_half", "bernoulli_quarter"])
+def test_path_stats_natural_time_on_grids(name):
+    # the chain's natural t is checked against the reference walk above
+    cks = [16, 50, 203]
+    ps = path_stats(load_zoo_model(name), cks, convention="natural", seed=2, path_index=4)
+    assert ps.t == tuple(n * math.log(2.0) for n in cks)
+
+
+@pytest.mark.parametrize("model", [QUARTER, MARKOV], ids=["product", "chain"])
+def test_path_stats_budget(monkeypatch, model):
+    monkeypatch.setenv("MFLIL_PATH_BUDGET", "1000")
+    with pytest.raises(BudgetError):
+        path_stats(model, [16, 2048])
+    assert len(path_stats(model, [16, 512]).S) == 2
 
 
 def test_run_ensemble_validation():
