@@ -68,7 +68,6 @@ from .spectrum import (
     tau_empirical,
     tau_scale_free,
     tau_to_base,
-    theta_gauge,
 )
 from .lil import (
     EnsembleSummary,
@@ -78,7 +77,6 @@ from .lil import (
     exact_moments,
     lil_convention,
     lil_ratio,
-    log_inverse_diameter_process,
     path_stats,
     per_symbol_moments,
     run_ensemble,
@@ -163,7 +161,6 @@ __all__ = [
     "load_zoo_model",
     "log_cylinder_diameter",
     "log_cylinder_mass",
-    "log_inverse_diameter_process",
     "log_partition_sum",
     "log_symbol_weights",
     "mass_gauge_fraction",
@@ -193,7 +190,6 @@ __all__ = [
     "tau_scale_free",
     "tau_to_base",
     "theta_correction",
-    "theta_gauge",
     "word",
     "word_concat",
     "zoo_models",

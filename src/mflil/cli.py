@@ -156,7 +156,6 @@ def cmd_spectrum(args) -> None:
         q_max=args.q_max,
         q_step=args.q_step,
         base=base,
-        method=args.method,
         empirical_n=args.empirical_n,
     )
     csv_path = os.path.join(outdir, "spectrum.csv")
@@ -410,8 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q-step", type=float, default=0.05)
     sp.add_argument("--base", default="auto",
                     choices=["auto", "natural", "base-ell", "base-2"])
-    sp.add_argument("--method", default="auto",
-                    choices=["auto", "closed", "implicit", "perron"])
     sp.add_argument("--empirical-n", type=int, default=None,
                     help="tabulate the finite-level exponent at this level instead")
     sp.set_defaults(func=cmd_spectrum)

@@ -57,6 +57,7 @@ from .models import (
     Word,
     canonical_base,
     draw_symbols,
+    enumeration_budget,
     ln_base,
     log_symbol_weights,
     path_rng,
@@ -183,14 +184,6 @@ def s_process(model: MeasureModel, w: Word, base: Union[LogBase, str] = LogBase.
     if not np.all(np.isfinite(inc)):
         raise ValidationError("word enters a null cylinder")
     return np.cumsum(inc)
-
-
-def log_inverse_diameter_process(model: MeasureModel, w: Word) -> np.ndarray:
-    """ln(1/diameter) of each prefix: j ln(ell) on grids, -sum ln r_i self-similar."""
-    lr = model.core.log_ratios
-    if lr is not None:
-        return np.cumsum(-lr[np.asarray(w.symbols, dtype=np.intp)])
-    return np.arange(1, w.level + 1, dtype=float) * math.log(model.alphabet.ell)
 
 
 @dataclass(frozen=True)
@@ -766,11 +759,21 @@ def running_max_tail(model: MeasureModel, n0: int, n1: int, a: float) -> Fractio
     First-passage dynamic program over digit-count classes with rational
     weights; S and d are in the model's own per-symbol units (base-ell on
     grids, nats for self-similar). Restricted to independent increments.
+    The live classes at level k number C(k+g-1, g-1) for g active symbols,
+    so the run is refused up front when that count at n1 exceeds the
+    enumeration budget.
     """
     if not 1 <= n0 <= n1:
         raise ValidationError(f"need 1 <= n0 <= n1, got ({n0}, {n1})")
     if n1 > _TAIL_LEVEL_BUDGET:
         raise BudgetError(f"n1={n1} above the exact-tail level budget {_TAIL_LEVEL_BUDGET}")
+    g = len(model.core.active)
+    classes, budget = math.comb(n1 + g - 1, g - 1), enumeration_budget()
+    if classes > budget:
+        raise BudgetError(
+            f"{classes} digit-count classes at n1={n1}, {g} symbols exceed the budget "
+            f"{budget} (set MFLIL_ENUM_BUDGET to raise it)"
+        )
     base = canonical_base(model)
     lw, fw = _class_tables(model, base)
     drift, _ = per_symbol_moments(model, base)

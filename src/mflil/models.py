@@ -162,10 +162,13 @@ class FamilyCore:
 
     def log_factors(self, syms: np.ndarray) -> np.ndarray:
         """Natural log of each mass factor along a non-empty word: the symbol
-        weights, or pi of the first symbol and then the transitions."""
+        weights, or pi of the first symbol and then the transitions. A 2-d
+        syms holds one word per row."""
         if self.kind == "product":
             return self.log_weights[syms]
-        return np.concatenate((self.log_pi[syms[:1]], self.log_P[syms[:-1], syms[1:]]))
+        return np.concatenate(
+            (self.log_pi[syms[..., :1]], self.log_P[syms[..., :-1], syms[..., 1:]]), axis=-1
+        )
 
 
 @dataclass(frozen=True)
@@ -467,8 +470,13 @@ def draw_symbols(cum: np.ndarray, u):
 
     cum is a cumulative weight row and u uniform on [0, 1). Scaling u by the
     row total, rather than setting the total to 1, keeps zero-weight symbols
-    out of reach when the weights sum to slightly less than 1.
+    out of reach when the weights sum to slightly less than 1. A 2-d cum
+    holds one row per uniform (a chain's rows cum_P[state]); as rows are
+    non-decreasing, the clamped count is that of row[:-1] entries at most
+    u * row[-1].
     """
+    if cum.ndim == 2:
+        return np.count_nonzero(cum[:, :-1] <= (u * cum[:, -1])[:, None], axis=1)
     return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)
 
 

@@ -36,19 +36,13 @@ import numpy as np
 
 from .errors import BudgetError, NumericalError, ValidationError
 from .models import (
-    BernoulliProduct,
     MarkovMeasure,
     MeasureModel,
-    MultinomialMeasure,
-    SelfSimilarMeasure,
-    Word,
     chain_log_masses,
+    draw_symbols,
     homogeneous_measure,
-    log_cylinder_mass,
     log_symbol_weights,
     path_rng,
-    sample_symbols,
-    support_info,
 )
 from .spectrum import (
     chi,
@@ -57,6 +51,7 @@ from .spectrum import (
     log_partition_sum,
     not_flat_check,
     sigma2_scale_free,
+    support_dimension,
     tau_scale_free,
 )
 
@@ -88,6 +83,30 @@ def _markov_closed_C(model: MarkovMeasure) -> float:
     return float(max(1.0, r.max(), (1.0 / r).max()))
 
 
+def _sampled_chain_words(core, pairs: int, max_len: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Symbols and lengths of 2 * pairs chain words u_1, v_1, u_2, ...
+
+    Each pair draws the lengths |u|, |v| in [1, max_len] and then the
+    uniforms of u and of v from rng, in that order. The words then step
+    together, one draw per level; row w of the symbol matrix holds word w,
+    padded with zeros past its length.
+    """
+    lengths, draws = [], []
+    for _ in range(pairs):
+        lengths += [int(rng.integers(1, max_len + 1)) for _ in range(2)]
+        draws += [rng.random(n) for n in lengths[-2:]]
+    U = np.zeros((len(draws), max_len))
+    for w, u in enumerate(draws):
+        U[w, : u.size] = u
+    lengths = np.asarray(lengths, dtype=np.intp)
+    syms = np.zeros(U.shape, dtype=np.intp)
+    for level in range(max_len):
+        live = np.flatnonzero(lengths > level)
+        rows = core.cum_pi if level == 0 else core.cum_P[syms[live, level - 1]]
+        syms[live, level] = draw_symbols(rows, U[live, level])
+    return syms, lengths
+
+
 def qb_constant(
     model: MeasureModel,
     max_level: int = 8,
@@ -106,7 +125,7 @@ def qb_constant(
     """
     if max_level < 2:
         raise ValidationError(f"max_level must be >= 2, got {max_level}")
-    if isinstance(model, (BernoulliProduct, MultinomialMeasure, SelfSimilarMeasure)):
+    if model.core.kind == "product":
         return QBReport(1.0, True, 1.0, max_level, 0)
     closed = _markov_closed_C(model)
     k = model.core.k
@@ -128,14 +147,16 @@ def qb_constant(
                 sup = max(sup, math.exp(float(np.abs(log_ratio).max())))
                 pairs += log_ratio.size
     # seeded long-word sweep: sampled words have positive mass by construction
-    rng = path_rng(seed, 0)
-    alphabet = model.alphabet
-    for _ in range(random_pairs):
-        la = int(rng.integers(1, random_max_level + 1))
-        lb = int(rng.integers(1, random_max_level + 1))
-        u = tuple(sample_symbols(model, la, rng).tolist())
-        v = tuple(sample_symbols(model, lb, rng).tolist())
-        lm_u, lm_v, lm_uv = (log_cylinder_mass(model, Word(alphabet, w)) for w in (u, v, u + v))
+    core = model.core
+    syms, lengths = _sampled_chain_words(core, random_pairs, random_max_level, path_rng(seed, 0))
+    factors = core.log_factors(syms).tolist()
+    # uv has the factors of u, the transition from u's last to v's first
+    # symbol, and v's transitions; fsum rounds the exact sum, in any order
+    la, lb = lengths[0::2], lengths[1::2]
+    joins = core.log_P[syms[0::2][np.arange(la.size), la - 1], syms[1::2, 0]].tolist()
+    for fu, fv, na, nb, join in zip(factors[0::2], factors[1::2], la.tolist(), lb.tolist(), joins):
+        fu, fv = fu[:na], fv[:nb]
+        lm_u, lm_v, lm_uv = math.fsum(fu), math.fsum(fv), math.fsum(fu + [join] + fv[1:])
         if not (math.isfinite(lm_u) and math.isfinite(lm_v) and math.isfinite(lm_uv)):
             continue
         sup = max(sup, math.exp(abs(lm_uv - lm_u - lm_v)))
@@ -190,7 +211,7 @@ def partition_bound_check(
     a correct tau leaves the defect level-stationary while an exponent error
     eps tilts it by eps per level.
     """
-    if isinstance(model, SelfSimilarMeasure):
+    if model.core.ell is None:
         raise ValidationError("partition bounds need a common grid level")
     ns = sorted(set(int(n) for n in n_list))
     if not ns or ns[0] < 1:
@@ -255,16 +276,16 @@ def _homogeneous_ratio_bounds(model: MeasureModel, levels: int = 6) -> tuple[flo
     the per-level range is the per-symbol range to the level-th power; chains
     are enumerated directly.
     """
-    if isinstance(model, SelfSimilarMeasure):
+    if model.core.ell is None:
         # compare against diameter^delta: per-symbol factors p_i / r_i^delta
-        delta = tau_scale_free(model, 0.0)
+        delta = support_dimension(model)
         p = np.asarray(model.probs, dtype=float)
         r = np.asarray(model.ratios, dtype=float)
         f = p / r ** delta
         return float(f.min()) ** levels, float(f.max()) ** levels
     m0 = homogeneous_measure(model)
     lw0 = log_symbol_weights(m0)
-    if isinstance(model, MarkovMeasure):
+    if model.core.kind == "chain":
         lm = chain_log_masses(model, levels)
         ratio = lm[np.isfinite(lm)] - levels * lw0[np.isfinite(lw0)][0]
         return math.exp(float(ratio.min())), math.exp(float(ratio.max()))
@@ -283,11 +304,8 @@ def dichotomy_classify(model: MeasureModel) -> DichotomyResult:
     both sign branches) holds; 'inconclusive' otherwise, never a guess.
     """
     d = dimension(model)
-    if isinstance(model, SelfSimilarMeasure):
-        delta = tau_scale_free(model, 0.0)
-    else:
-        delta = support_info(model).delta
-    tol_eq = 1e-5 if isinstance(model, MarkovMeasure) else 1e-9
+    delta = support_dimension(model)
+    tol_eq = 1e-5 if model.core.kind == "chain" else 1e-9
     evidence: dict = {"tol_eq": tol_eq}
     if abs(d - delta) <= tol_eq:
         lo, hi = _homogeneous_ratio_bounds(model)

@@ -4,8 +4,28 @@ The canonical internal object is the scale-free spectrum tau(q): the exponent
 such that the level-n partition sum of q-th mass powers behaves like
 (scale)^(-tau(q)). For grid families this is the base-ell spectrum
 tau_n(q) = log_ell(sum m(I)^q)/n; for self-similar measures it is the root of
-sum_i p_i^q r_i^tau = 1. Everything else (dimension d = -tau'(1), curvature
-sigma2 = tau''(1), chi(q) = tau(1-q) - q d) derives from it.
+sum_i p_i^q r_i^tau = 1.
+
+One kernel per family kind. spectral_kernel(model, q) returns tau(q), tau'(q)
+and tau''(q) in scale-free units, read from the model's FamilyCore:
+
+  * kind 'product' (Bernoulli, multinomial, self-similar): tau is the root of
+    sum_i p_i^q r_i^tau = 1 over the active symbols, with r_i = 1/ell on
+    grids. Equal ratios (every grid) give the closed form
+    tau = ln(sum p_i^q) / ln(1/r); otherwise tau_implicit_selfsimilar finds
+    the root. Implicit differentiation under the tilted weights
+    w_i = p_i^q r_i^tau gives tau' = -E_w ln p / E_w ln r and
+    tau'' = Var_w(ln p + tau' ln r) / (-E_w ln r).
+  * kind 'chain' (Markov): tau = log_ell rho(q), with rho the Perron root of
+    the entrywise power M_q = (P_ij^q) on the active core, from one
+    eigen-solve (perron_root). With the right and left Perron vectors u, v,
+    rho' = v M' u / v u and rho'' = (v M'' u + 2 v M' (rho I - M_q)^# M' u) / v u,
+    where ^# is the group inverse (Deutsch & Neumann, J. Math. Anal. Appl.
+    102, 1984). At q = 1 this is the Markov-CLT variance of the fundamental
+    matrix (Kemeny & Snell, Finite Markov Chains, 1960).
+
+Everything else reads the kernel: dimension d = -tau'(1), curvature
+sigma2 = tau''(1), chi(q) = tau(1-q) - q d and its Newton inverse.
 
 Base conventions. Reported values can be converted between natural, base-2 and
 base-ell units:
@@ -18,61 +38,54 @@ bit-valued mass increment, while sigma2_natural is the variance per unit of
 natural log scale (which is also the self-similar closed form). Dimension is
 scale-free and carries no base.
 
-Self-similar measures have no grid base; only natural units are defined for
-them and conversion requests to other bases raise.
+Self-similar measures have no grid base (core.ell is None); only natural
+units are defined for them and conversion requests to other bases raise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 from scipy.special import logsumexp
 
 from .errors import FlatSpectrumError, NumericalError, ValidationError
 from .models import (
-    BernoulliProduct,
     LogBase,
-    MarkovMeasure,
     MeasureModel,
-    MultinomialMeasure,
     SelfSimilarMeasure,
     canonical_base,
     chain_log_masses,
     check_enumeration_budget,
     log_symbol_weights,
-    stationary_distribution,
     support_info,
-    symbol_weights,
 )
 
 _IMPLICIT_TOL = 1e-13
-_PERRON_TOL = 1e-13
-_DERIV_H = 1e-4
 _DIM_XCHECK_TOL = 1e-8
-_SIGMA2_FLAG_TOL = 1e-4
 _FLAT_TOL = 1e-12
 
 
-def _grid_ell(model: MeasureModel) -> int:
-    if isinstance(model, SelfSimilarMeasure):
+def _grid_ell(model: MeasureModel, base: LogBase) -> Optional[int]:
+    """The grid base ell; None for self-similar measures, which refuse any
+    base but natural."""
+    ell = model.core.ell
+    if ell is None and base is not LogBase.NATURAL:
         raise ValidationError(
             "self-similar spectra are natural-scale; base-ell/base-2 units are undefined"
         )
-    return model.alphabet.ell
+    return ell
 
 
 def tau_to_base(model: MeasureModel, tau_star: float, base: LogBase) -> float:
     """Convert a scale-free tau value to the requested units."""
-    if isinstance(model, SelfSimilarMeasure):
-        if base is not LogBase.NATURAL:
-            _grid_ell(model)
+    ell = _grid_ell(model, base)
+    if ell is None or base is LogBase.BASE_ELL:
         return tau_star
-    ln_ell = math.log(model.alphabet.ell)
-    if base is LogBase.BASE_ELL:
-        return tau_star
+    ln_ell = math.log(ell)
     if base is LogBase.NATURAL:
         return tau_star * ln_ell
     return tau_star * ln_ell / math.log(2.0)
@@ -80,48 +93,29 @@ def tau_to_base(model: MeasureModel, tau_star: float, base: LogBase) -> float:
 
 def sigma2_to_base(model: MeasureModel, sigma2_natural: float, base: LogBase) -> float:
     """Convert the natural curvature constant to the requested units."""
-    if isinstance(model, SelfSimilarMeasure):
-        if base is not LogBase.NATURAL:
-            _grid_ell(model)
+    ell = _grid_ell(model, base)
+    if ell is None or base is LogBase.NATURAL:
         return sigma2_natural
-    if base is LogBase.NATURAL:
-        return sigma2_natural
-    if base is LogBase.BASE_ELL:
-        return sigma2_natural / math.log(model.alphabet.ell)
-    return sigma2_natural / math.log(2.0)
+    return sigma2_natural / math.log(ell if base is LogBase.BASE_ELL else 2.0)
 
 
 # ---------------------------------------------------------------------------
-# closed-form and root-based tau evaluators (scale-free units)
-
-
-def tau_closed_bernoulli(p: float, q: float) -> float:
-    """log2(p^q + (1-p)^q)."""
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"p must lie in (0,1), got {p!r}")
-    return float(logsumexp([q * math.log(p), q * math.log1p(-p)]) / math.log(2.0))
-
-
-def _tau_closed_multinomial(model: MultinomialMeasure, q: float) -> float:
-    lw = log_symbol_weights(model)
-    lw = lw[np.isfinite(lw)]
-    return float(logsumexp(q * lw) / math.log(model.alphabet.ell))
+# the product kernel
 
 
 def tau_implicit_selfsimilar(
-    probs: Sequence[float],
-    ratios: Sequence[float],
+    lp: np.ndarray,
+    lr: np.ndarray,
     q: float,
     tol: float = _IMPLICIT_TOL,
 ) -> float:
     """Root tau of sum_i p_i^q r_i^tau = 1, by bracketing plus safeguarded Newton.
 
+    lp and lr are the natural logs of the probabilities and of the ratios.
     The map tau -> sum p_i^q r_i^tau is strictly decreasing (all r_i < 1), so
     the root is unique. Work happens on G(tau) = log(sum ...); the returned
     root satisfies |sum p_i^q r_i^tau - 1| <= tol.
     """
-    lp = np.log(np.asarray(probs, dtype=float))
-    lr = np.log(np.asarray(ratios, dtype=float))
 
     def g_and_slope(t: float) -> tuple[float, float]:
         z = q * lp + t * lr
@@ -132,28 +126,15 @@ def tau_implicit_selfsimilar(
         slope = float((w @ lr) / s)  # dG/dtau, always negative
         return float(g), slope
 
-    # bracket by geometric expansion around the equal-ratio initial guess
-    t0 = float(logsumexp(q * lp) / (-lr.max()))
-    g0, _ = g_and_slope(t0)
+    # bracket by geometric expansion around the equal-ratio root
+    lo = hi = float(logsumexp(q * lp) / (-lr.max()))
     step = 1.0
-    if g0 > 0:  # root lies above t0 (G decreasing)
-        lo, glo = t0, g0
-        hi = t0 + step
-        ghi, _ = g_and_slope(hi)
-        while ghi > 0:
-            lo, glo = hi, ghi
-            step *= 2.0
-            hi += step
-            ghi, _ = g_and_slope(hi)
+    if g_and_slope(lo)[0] > 0:  # G decreases: the root lies above
+        while g_and_slope(hi)[0] > 0:
+            lo, hi, step = hi, hi + step, 2.0 * step
     else:
-        hi, ghi = t0, g0
-        lo = t0 - step
-        glo, _ = g_and_slope(lo)
-        while glo < 0:
-            hi, ghi = lo, glo
-            step *= 2.0
-            lo -= step
-            glo, _ = g_and_slope(lo)
+        while g_and_slope(lo)[0] < 0:
+            lo, hi, step = lo - step, lo, 2.0 * step
     # safeguarded Newton: fall back to bisection when the step leaves [lo, hi]
     t = 0.5 * (lo + hi)
     for _ in range(200):
@@ -171,122 +152,119 @@ def tau_implicit_selfsimilar(
     )
 
 
+def _product_logs(core) -> tuple[np.ndarray, np.ndarray]:
+    """ln p_i and ln r_i over the active symbols; r_i = 1/ell on grids."""
+    act = list(core.active)
+    lp = core.log_weights[act]
+    if core.log_ratios is None:
+        return lp, np.full(lp.size, -math.log(core.ell))
+    return lp, core.log_ratios[act]
+
+
+def _product_kernel(core, q: float) -> tuple[float, float, float]:
+    lp, lr = _product_logs(core)
+    if np.all(lr == lr[0]):
+        t = float(logsumexp(q * lp) / -lr[0])
+    else:
+        t = tau_implicit_selfsimilar(lp, lr, q)
+    z = q * lp + t * lr
+    w = np.exp(z - z.max())
+    w /= w.sum()
+    mean_lr = float(w @ lr)
+    t1 = -float(w @ lp) / mean_lr
+    a = lp + t1 * lr  # centred under w: E_w a = 0 defines t1
+    return t, t1, float(w @ (a * a)) / -mean_lr
+
+
+# ---------------------------------------------------------------------------
+# the chain kernel
+
+
 def _check_irreducible(P: np.ndarray, labels: Sequence[int]) -> None:
     adj = P > 0
-    k = adj.shape[0]
-    reach = adj | np.eye(k, dtype=bool)
-    for _ in range(k):
-        new = reach | (reach @ adj)
-        if (new == reach).all():
-            break
-        reach = new
+    reach = adj | np.eye(len(P), dtype=bool)
+    for _ in range(len(P).bit_length()):  # path lengths double each round
+        reach = reach @ reach
     if reach.all():
         return
-    # name the absorbing classes to make the error actionable
+    # name the absorbing classes to make the error actionable: a class is
+    # absorbing when everything reachable from it lies inside it
     mutual = reach & reach.T
-    seen: set[int] = set()
-    absorbing = []
-    for i in range(k):
-        if i in seen:
-            continue
-        cls = [j for j in range(k) if mutual[i, j]]
-        seen.update(cls)
-        outside = [j for j in range(k) if j not in cls]
-        if not any(adj[c, j] for c in cls for j in outside):
-            absorbing.append([int(labels[c]) for c in cls])
+    absorbing = sorted({
+        tuple(int(labels[j]) for j in np.flatnonzero(mutual[i]))
+        for i in range(len(P)) if not (reach[i] & ~mutual[i]).any()
+    })
     raise ValidationError(
-        f"active-state graph is reducible; absorbing class(es): {absorbing}"
+        f"active-state graph is reducible; absorbing class(es): {[list(c) for c in absorbing]}"
     )
 
 
-def perron_root(M: np.ndarray, tol: float = _PERRON_TOL, max_iter: int = 200000) -> float:
-    """Spectral radius of a nonnegative matrix by shifted power iteration.
+def perron_root(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Perron root rho of a nonnegative matrix with its right and left
+    eigenvectors (u, v), from one eigen-solve.
 
-    The shift M + sI (s = max row sum) makes the iteration converge for
-    periodic sparsity patterns as well. Iterates until the estimate stalls at
-    float resolution; tol is the acceptance ceiling, not the target.
+    rho is the eigenvalue of largest real part: every other eigenvalue mu has
+    |mu| <= rho, and on a periodic pattern the others of modulus rho are rho
+    times nontrivial roots of unity, with smaller real part. On an
+    irreducible M, u and v are positive up to a common sign.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError("perron_root expects a square matrix")
     if np.any(M < 0):
         raise ValidationError("perron_root expects a nonnegative matrix")
-    k = M.shape[0]
-    if k == 1:
-        return float(M[0, 0])
-    s = float(M.sum(axis=1).max())
-    if s == 0.0:
-        return 0.0
-    B = M + s * np.eye(k)
-    v = np.full(k, 1.0 / math.sqrt(k))
-    lam = 0.0
-    stall = 0
-    for _ in range(max_iter):
-        w = B @ v
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        w /= nrm
-        lam_new = float(w @ (B @ w))
-        # stall means "moving by at most a couple ulp"; anything tighter than
-        # machine eps can never trigger and the loop runs to max_iter
-        if abs(lam_new - lam) <= 4.0 * np.finfo(float).eps * max(1.0, abs(lam_new)):
-            stall += 1
-            if stall >= 4:
-                return lam_new - s
-        else:
-            stall = 0
-        if abs(lam_new - lam) <= 1e-3 * tol * max(1.0, abs(lam_new)):
-            # close enough that a few more sweeps only polish round-off
-            lam = lam_new
-            v = w
-            continue
-        lam = lam_new
-        v = w
-    if abs(lam) > 0 and stall == 0:
-        # accept if the last movement was already below the ceiling
-        w = B @ v
-        nrm = float(np.linalg.norm(w))
-        lam_new = float((w / nrm) @ (B @ (w / nrm)))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new - s
-        raise NumericalError("power iteration did not converge to the Perron root")
-    return lam - s
+    lam, vl, vr = scipy.linalg.eig(M, left=True, right=True)
+    i = int(np.argmax(lam.real))
+    return float(lam[i].real), vr[:, i].real, vl[:, i].real
 
 
-def tau_perron_markov(model: MarkovMeasure, q: float) -> float:
-    """Scale-free tau(q) = log_ell of the Perron root of the q-th entry power."""
-    active = model.core.active
-    P = model.core.P[np.ix_(active, active)]
-    _check_irreducible(P, active)
-    Mq = np.zeros_like(P)
+def _active_chain(core) -> tuple[np.ndarray, np.ndarray]:
+    """P and its entrywise natural log (0 where P is 0) on the active core."""
+    act = list(core.active)
+    P = core.P[np.ix_(act, act)]
+    _check_irreducible(P, act)
+    return P, np.where(P > 0, core.log_P[np.ix_(act, act)], 0.0)
+
+
+def _chain_kernel(core, q: float) -> tuple[float, float, float]:
+    P, lP = _active_chain(core)
+    M = np.zeros_like(P)
     pos = P > 0
-    Mq[pos] = P[pos] ** q  # 0^q := 0 by convention, also for q <= 0
-    rho = perron_root(Mq)
+    M[pos] = P[pos] ** q  # 0^q := 0 by convention, also for q <= 0
+    rho, u, v = perron_root(M)
     if rho <= 0:
         raise NumericalError(f"Perron root is not positive at q={q!r}")
-    return math.log(rho) / math.log(model.alphabet.ell)
+    vu = float(v @ u)
+    M1 = M * lP  # dM/dq; M1 * lP is d2M/dq2
+    E = np.outer(u, v) / vu  # spectral projector of rho
+    G = np.linalg.inv(rho * np.eye(len(u)) - M + E) - E  # group inverse of rho I - M
+    r1 = float(v @ M1 @ u) / vu / rho
+    r2 = float(v @ (M1 * lP) @ u + 2.0 * (v @ M1 @ G @ M1 @ u)) / vu / rho
+    ln_ell = math.log(core.ell)
+    return math.log(rho) / ln_ell, r1 / ln_ell, (r2 - r1 * r1) / ln_ell
+
+
+_KERNELS = {"product": _product_kernel, "chain": _chain_kernel}
+
+
+def spectral_kernel(model: MeasureModel, q: float) -> tuple[float, float, float]:
+    """(tau(q), tau'(q), tau''(q)) in scale-free units, from the kind's kernel."""
+    core = model.core
+    return _KERNELS[core.kind](core, q)
+
+
+# the kind each named method asserts; 'auto' takes any
+_METHOD_KINDS = {"auto": None, "closed": "product", "implicit": "product", "perron": "chain"}
 
 
 def tau_scale_free(model: MeasureModel, q: float, method: str = "auto") -> float:
-    """Dispatch to the family's evaluator; result in scale-free units."""
-    if method not in ("auto", "closed", "implicit", "perron"):
+    """tau(q) in scale-free units; a named method only asserts the family kind."""
+    if method not in _METHOD_KINDS:
         raise ValidationError(f"unknown tau method {method!r}")
-    if isinstance(model, BernoulliProduct):
-        if method in ("auto", "closed"):
-            return tau_closed_bernoulli(model.p, q)
-        raise ValidationError(f"method {method!r} does not apply to the Bernoulli family")
-    if isinstance(model, MultinomialMeasure):
-        if method in ("auto", "closed"):
-            return _tau_closed_multinomial(model, q)
-        raise ValidationError(f"method {method!r} does not apply to the multinomial family")
-    if isinstance(model, SelfSimilarMeasure):
-        if method in ("auto", "implicit"):
-            return tau_implicit_selfsimilar(model.probs, model.ratios, q)
-        raise ValidationError(f"method {method!r} does not apply to the self-similar family")
-    if method in ("auto", "perron"):
-        return tau_perron_markov(model, q)
-    raise ValidationError(f"method {method!r} does not apply to the Markov family")
+    kind = model.core.kind
+    if _METHOD_KINDS[method] not in (None, kind):
+        raise ValidationError(f"method {method!r} does not apply to the {kind} kind")
+    return spectral_kernel(model, q)[0]
 
 
 def tau(model: MeasureModel, q: float, base: Optional[LogBase] = None, method: str = "auto") -> float:
@@ -311,12 +289,13 @@ def log_partition_sum(model: MeasureModel, q: float, n: int, method: str = "auto
         raise ValidationError(f"n must be >= 1, got {n}")
     if method not in ("auto", "factorized", "enumerate"):
         raise ValidationError(f"unknown partition method {method!r}")
-    if isinstance(model, SelfSimilarMeasure):
+    core = model.core
+    if core.ell is None:
         raise ValidationError(
             "self-similar cylinders have no common level diameter; "
             "use tau_empirical_selfsimilar"
         )
-    if isinstance(model, (BernoulliProduct, MultinomialMeasure)):
+    if core.kind == "product":
         if method == "enumerate":
             check_enumeration_budget(model, n)
             lw = log_symbol_weights(model)
@@ -328,8 +307,6 @@ def log_partition_sum(model: MeasureModel, q: float, n: int, method: str = "auto
         lw = log_symbol_weights(model)
         lw = lw[np.isfinite(lw)]
         return float(n * logsumexp(q * lw))
-    # Markov
-    core = model.core
     if method == "enumerate" or (method == "auto" and core.k ** n <= 2 ** 14):
         logmass = chain_log_masses(model, n)
         return float(logsumexp(q * logmass[np.isfinite(logmass)]))
@@ -361,16 +338,17 @@ def tau_empirical(
     method: str = "auto",
 ) -> float:
     """Finite-level exponent tau_n(q) = log_ell(partition sum)/n, converted to `base`."""
-    if isinstance(model, SelfSimilarMeasure):
+    if model.core.ell is None:
         raise ValidationError("use tau_empirical_selfsimilar for the self-similar family")
     base = base or canonical_base(model)
     ls = log_partition_sum(model, q, n, method)
-    tau_star = ls / (n * math.log(model.alphabet.ell))
+    tau_star = ls / (n * math.log(model.core.ell))
     return tau_to_base(model, tau_star, base)
 
 
 def tau_empirical_selfsimilar(model: SelfSimilarMeasure, q: float, n: int) -> float:
-    """Root tau of the enumerated level-n identity sum m(w)^q diam(w)^tau = 1."""
+    """Root tau of the enumerated level-n identity sum m(w)^q diam(w)^tau = 1,
+    the implicit equation of the product kernel over the level-n words."""
     check_enumeration_budget(model, n)
     lp, lr = model.core.log_weights, model.core.log_ratios
     lm = np.zeros(1)
@@ -379,124 +357,63 @@ def tau_empirical_selfsimilar(model: SelfSimilarMeasure, q: float, n: int) -> fl
         lm = (lm[:, None] + lp[None, :]).ravel()
         ld = (ld[:, None] + lr[None, :]).ravel()
 
-    def g(t: float) -> float:
-        return float(logsumexp(q * lm + t * ld))
-
-    lo, hi = -1.0, 1.0
-    while g(lo) < 0:
-        lo *= 2.0
-    while g(hi) > 0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = g(mid)
-        if abs(math.expm1(val)) <= _IMPLICIT_TOL:
-            return mid
-        if val > 0:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericalError("empirical self-similar exponent did not converge")
+    return tau_implicit_selfsimilar(lm, ld, q)
 
 
 # ---------------------------------------------------------------------------
 # derivatives at q = 1: dimension and curvature
 
 
-def _richardson_first(f: Callable[[float], float], x0: float = 1.0, h: float = _DERIV_H):
-    def central(hh: float) -> float:
-        return (f(x0 + hh) - f(x0 - hh)) / (2.0 * hh)
-
-    d1, d2 = central(h), central(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0, abs(d2 - d1) / 3.0
-
-
-def _richardson_second(f: Callable[[float], float], x0: float = 1.0, h: float = _DERIV_H):
-    f0 = f(x0)
-
-    def central(hh: float) -> float:
-        return (f(x0 + hh) - 2.0 * f0 + f(x0 - hh)) / (hh * hh)
-
-    d1, d2 = central(h), central(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0, abs(d2 - d1) / 3.0
-
-
-def _dimension_closed(model: MeasureModel) -> float:
-    if isinstance(model, BernoulliProduct):
-        p = model.p
-        return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
-    if isinstance(model, MultinomialMeasure):
-        w = symbol_weights(model)
-        w = w[w > 0]
-        return float(-(w @ np.log(w)) / math.log(model.alphabet.ell))
-    if isinstance(model, SelfSimilarMeasure):
-        p, lp, lr = model.core.weights, model.core.log_weights, model.core.log_ratios
-        return float((p @ lp) / (p @ lr))
+def _entropy_dimension(model: MeasureModel) -> float:
+    """Entropy over mean log contraction: -sum p ln p / -sum p ln r for
+    products, and for chains the entropy rate under the stationary law of the
+    active core (the left Perron vector of P) over ln ell."""
     core = model.core
-    pi_a = core.pi[list(core.active)]
-    P_a = core.P[np.ix_(core.active, core.active)]
-    if np.any(pi_a <= 0):
-        # stationarity waived with mass off the active core: recompute
-        pi_a = stationary_distribution(P_a)
-    pi_a = pi_a / pi_a.sum()
-    pos = P_a > 0
-    lP = np.zeros_like(P_a)
-    lP[pos] = np.log(P_a[pos])
-    h_nat = float(-(pi_a[:, None] * P_a * lP).sum())
-    return h_nat / math.log(model.alphabet.ell)
+    if core.kind == "product":
+        lp, lr = _product_logs(core)
+        p = core.weights[list(core.active)]
+        return float((p @ lp) / (p @ lr))
+    P, lP = _active_chain(core)
+    pi = perron_root(P)[2]
+    pi = pi / pi.sum()
+    return float(-(pi[:, None] * P * lP).sum()) / math.log(core.ell)
 
 
 def dimension(model: MeasureModel) -> float:
-    """Measure dimension d = -tau'(1), closed form cross-checked numerically.
+    """Measure dimension d = -tau'(1) from the kind's kernel, cross-checked.
 
-    The closed form (entropy over log scale) must agree with a Richardson
-    extrapolated central difference of tau at q = 1 within 1e-8; disagreement
-    raises NumericalError carrying both values.
+    The entropy form must agree with the kernel's -tau'(1) within 1e-8;
+    disagreement raises NumericalError carrying both values.
     """
-    closed = _dimension_closed(model)
-    num, _ = _richardson_first(lambda qq: tau_scale_free(model, qq))
-    num = -num
-    if abs(closed - num) > _DIM_XCHECK_TOL:
+    d = -spectral_kernel(model, 1.0)[1]
+    entropy = _entropy_dimension(model)
+    if abs(entropy - d) > _DIM_XCHECK_TOL:
         raise NumericalError(
-            f"dimension cross-check failed: closed={closed!r}, numeric={num!r}, "
-            f"|diff|={abs(closed - num):.3e} > {_DIM_XCHECK_TOL}"
+            f"dimension cross-check failed: entropy form={entropy!r}, -tau'(1)={d!r}, "
+            f"|diff|={abs(entropy - d):.3e} > {_DIM_XCHECK_TOL}"
         )
-    return closed
+    return d
 
 
 @dataclass(frozen=True)
 class Sigma2Result:
-    """Curvature tau''(1) in requested units, with an error bar when numerical."""
+    """Curvature tau''(1) in requested units.
+
+    The kernels give tau''(1) exactly for every family, so err is 0.0,
+    method 'closed' and flagged False; the fields stay for the summary
+    files that record them.
+    """
 
     value: float
     err: float
-    method: str  # 'closed' or 'richardson'
+    method: str
     flagged: bool
     base: LogBase
 
 
 def sigma2_scale_free(model: MeasureModel) -> Sigma2Result:
     """Natural-units curvature constant sigma2 = tau''(1) of the scale-free spectrum."""
-    if isinstance(model, BernoulliProduct):
-        p = model.p
-        var_ln = p * (1.0 - p) * math.log(p / (1.0 - p)) ** 2
-        return Sigma2Result(var_ln / math.log(2.0), 0.0, "closed", False, LogBase.NATURAL)
-    if isinstance(model, MultinomialMeasure):
-        w = symbol_weights(model)
-        w = w[w > 0]
-        lw = np.log(w)
-        mean = float(w @ lw)
-        var = float(w @ (lw - mean) ** 2)
-        return Sigma2Result(var / math.log(model.alphabet.ell), 0.0, "closed", False, LogBase.NATURAL)
-    if isinstance(model, SelfSimilarMeasure):
-        p, lp, lr = model.core.weights, model.core.log_weights, model.core.log_ratios
-        d = float((p @ lp) / (p @ lr))
-        num = float(p @ (lp - d * lr) ** 2)
-        return Sigma2Result(num / float(-(p @ lr)), 0.0, "closed", False, LogBase.NATURAL)
-    # Markov: numerical second difference with a Richardson error estimate.
-    val, err = _richardson_second(lambda qq: tau_scale_free(model, qq))
-    flagged = err > _SIGMA2_FLAG_TOL * max(abs(val), 1e-30)
-    return Sigma2Result(val, err, "richardson", flagged, LogBase.NATURAL)
+    return Sigma2Result(spectral_kernel(model, 1.0)[2], 0.0, "closed", False, LogBase.NATURAL)
 
 
 def sigma2(model: MeasureModel, base: Optional[LogBase] = None) -> Sigma2Result:
@@ -513,8 +430,16 @@ def sigma2(model: MeasureModel, base: Optional[LogBase] = None) -> Sigma2Result:
 
 def chi(model: MeasureModel, q: float, method: str = "auto") -> float:
     """chi(q) = tau(1-q) - q d in scale-free units; defined for q in [-1, 1]."""
-    d = _dimension_closed(model)
+    d = -spectral_kernel(model, 1.0)[1]
     return tau_scale_free(model, 1.0 - q, method) - q * d
+
+
+def support_dimension(model: MeasureModel) -> float:
+    """delta = log_ell of the active symbol count on grids; on self-similar
+    sets tau(0), the similarity dimension of the support (sum r_i^delta = 1)."""
+    if model.core.ell is None:
+        return tau_scale_free(model, 0.0)
+    return support_info(model).delta
 
 
 def is_flat(model: MeasureModel, tol: float = _FLAT_TOL) -> bool:
@@ -527,31 +452,47 @@ class ChiProfile:
     """chi restricted to one sign branch, with inversion and theta on top.
 
     side +1 works with chi(q) on (0, q_max]; side -1 with chi(-q), which is
-    again positive and increasing under the not-flat condition.
+    again positive and increasing under the not-flat condition. The profile
+    reads d = -tau'(1) and sigma2 = tau''(1) once, when it is built.
     """
 
     model: MeasureModel
     side: int = 1
     q_max: float = 1.0
     flat: bool = field(default=False)
+    d: float = field(default=math.nan, init=False)
+    sigma2: float = field(default=math.nan, init=False)
 
     def __post_init__(self):
         if self.side not in (1, -1):
             raise ValidationError("side must be +1 or -1")
         if not 0.0 < self.q_max <= 1.0:
             raise ValidationError("q_max must lie in (0, 1]")
+        _, t1, t2 = spectral_kernel(self.model, 1.0)
+        object.__setattr__(self, "d", -t1)
+        object.__setattr__(self, "sigma2", t2)
         object.__setattr__(self, "flat", is_flat(self.model))
+
+    def _chi_and_slope(self, q: float) -> tuple[float, float]:
+        # chi(side q) and its derivative in q: side (-tau'(1 - side q) - d)
+        t, t1, _ = spectral_kernel(self.model, 1.0 - self.side * q)
+        return t - self.side * q * self.d, self.side * (-t1 - self.d)
 
     def chi(self, q: float) -> float:
         if not 0.0 < q <= self.q_max:
             raise ValidationError(f"q={q!r} outside (0, {self.q_max}]")
-        return chi(self.model, self.side * q)
+        return self._chi_and_slope(q)[0]
 
     def chi_at_qmax(self) -> float:
         return self.chi(self.q_max)
 
     def inverse(self, y: float, tol: float = 1e-12) -> float:
-        """q in (0, q_max] with chi(side*q) = y, by bisection."""
+        """q in (0, q_max] with chi(side*q) = y, by safeguarded Newton.
+
+        chi is increasing and convex on the branch. Newton starts from the
+        quadratic germ chi(q) ~ sigma2 q^2 / 2 and falls back to bisection
+        whenever a step leaves the bracket [lo, hi] around the root.
+        """
         if self.flat:
             raise FlatSpectrumError(
                 "chi is identically zero (d = delta); no inverse exists"
@@ -562,15 +503,17 @@ class ChiProfile:
                 f"y={y!r} outside the invertible range (0, {top!r}]"
             )
         lo, hi = 0.0, self.q_max
+        q = min(hi, math.sqrt(2.0 * y / self.sigma2)) if self.sigma2 > 0 else 0.5 * hi
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            val = self.chi(mid) if mid > 0 else 0.0
+            val, slope = self._chi_and_slope(q)
             if abs(val - y) <= tol * max(1.0, abs(y)):
-                return mid
+                return q
             if val < y:
-                lo = mid
+                lo = q
             else:
-                hi = mid
+                hi = q
+            step = q - (val - y) / slope if slope > 0 else math.nan
+            q = step if lo < step < hi else 0.5 * (lo + hi)
         raise NumericalError(f"chi inversion did not converge at y={y!r}")
 
     def theta(self, t: float) -> float:
@@ -591,10 +534,6 @@ class ChiProfile:
 
 def chi_inverse(model: MeasureModel, y: float, side: int = 1, q_max: float = 1.0) -> float:
     return ChiProfile(model, side, q_max).inverse(y)
-
-
-def theta_gauge(model: MeasureModel, t: float, side: int = 1, q_max: float = 1.0) -> float:
-    return ChiProfile(model, side, q_max).theta(t)
 
 
 @dataclass(frozen=True)
@@ -678,7 +617,7 @@ def spectrum_table(
     else:
         qs = tuple(q_min + i * q_step for i in range(count))
     if empirical_n is not None:
-        if isinstance(model, SelfSimilarMeasure):
+        if model.core.ell is None:
             taus = tuple(tau_empirical_selfsimilar(model, qq, empirical_n) for qq in qs)
         else:
             taus = tuple(tau_empirical(model, qq, empirical_n, base) for qq in qs)
@@ -688,11 +627,6 @@ def spectrum_table(
         used = method
     d = dimension(model)
     s2 = sigma2(model, base)
-    if isinstance(model, SelfSimilarMeasure):
-        # tau(0) is the similarity dimension of the support (sum r_i^delta = 1)
-        delta = tau_scale_free(model, 0.0)
-    else:
-        delta = support_info(model).delta
     return SpectrumTable(
         q=qs,
         tau=taus,
@@ -702,6 +636,6 @@ def spectrum_table(
         sigma2=s2.value,
         sigma2_err=s2.err,
         sigma2_flagged=s2.flagged,
-        delta=delta,
+        delta=support_dimension(model),
         flat=is_flat(model),
     )

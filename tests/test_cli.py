@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -210,3 +211,22 @@ def test_parser_keeps_the_flags_subcommands_read():
                               "--checkpoints", "16", "--family", "power", "--seed", "4", "--threads", "2"])
     assert (args.seed, args.threads) == (4, 2)
     assert parser.parse_args(["qb-check", "--model", "m", "--out", "d", "--seed", "5"]).seed == 5
+
+
+def test_spectrum_refuses_the_method_flag(capsys):
+    parser = build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["spectrum", "--model", "m.json", "--out", "d", "--method", "perron"])
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
+
+
+def test_spectrum_summary_records_the_method(zoo_dir, tmp_path):
+    model = str(zoo_dir / "markov_chain.json")
+    assert run(["spectrum", "--model", model, "--out", str(tmp_path / "a")]) == 0
+    assert read_json(tmp_path / "a" / "summary.json")["method"] == "auto"
+    assert run(["spectrum", "--model", model, "--out", str(tmp_path / "b"), "--empirical-n", "6"]) == 0
+    assert read_json(tmp_path / "b" / "summary.json")["method"] == "empirical(n=6)"
+    # base-ell units: the natural oracle over ln 2
+    s2 = read_json(tmp_path / "a" / "summary.json")["sigma2"]
+    assert abs(s2 - 0.8774000084681971 / math.log(2.0)) <= 1e-12

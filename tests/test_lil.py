@@ -387,3 +387,29 @@ def test_selfsimilar_ensemble_natural_time():
     s = run_ensemble(cb, N=50, checkpoints=[32, 128], seed=9)
     assert s.convention == "natural"
     assert math.isfinite(s.ks_distance[-1])
+
+
+def test_running_max_tail_refuses_past_the_class_budget_before_any_class(monkeypatch):
+    from mflil import MultinomialMeasure
+
+    three = MultinomialMeasure(3, 1, (0.2, 0.3, 0.5))
+    built = []
+    tables = lil_module._class_tables
+
+    def spy(*args):
+        built.append(1)
+        return tables(*args)
+
+    monkeypatch.setattr(lil_module, "_class_tables", spy)
+    monkeypatch.setenv("MFLIL_ENUM_BUDGET", "100")
+    assert 0 < running_max_tail(three, 1, 12, 1.0) < 1  # C(14, 2) = 91 classes
+    assert built == [1]
+    built.clear()
+    with pytest.raises(BudgetError, match="105"):  # C(15, 2) = 105 > 100
+        running_max_tail(three, 1, 13, 1.0)
+    assert built == []
+    monkeypatch.delenv("MFLIL_ENUM_BUDGET")
+    nine = MultinomialMeasure(3, 2, (1.0 / 9,) * 9)
+    with pytest.raises(BudgetError):  # C(72, 8), about 1.1e10 classes, over 2^24
+        running_max_tail(nine, 1, 64, 1.0)
+    assert built == []

@@ -166,3 +166,41 @@ def test_qb_constant_rejects_a_closed_form_below_the_enumerated_sup(monkeypatch)
     monkeypatch.setattr(qb_module, "_markov_closed_C", lambda model: 2.0)
     with pytest.raises(NumericalError):
         qb_constant(load_zoo_model("markov_chain"), random_pairs=0)
+
+
+_GAPPY = MarkovMeasure(
+    3, 1, (0.6, 0.4, 0.0),
+    ((0.5, 0.5, 0.0), (1.0, 0.0, 0.0), (0.2, 0.3, 0.5)),
+    stationary_required=False,
+)
+
+
+def _reference_random_sweep(model, pairs, max_len, seed):
+    """The per-pair sweep stepped one symbol at a time: the words and the
+    number of pairs whose u, v and uv all have positive mass."""
+    from mflil.models import path_rng, sample_symbols
+
+    rng = path_rng(seed, 0)
+    words, count = [], 0
+    for _ in range(pairs):
+        la = int(rng.integers(1, max_len + 1))
+        lb = int(rng.integers(1, max_len + 1))
+        u = sample_symbols(model, la, rng).tolist()
+        v = sample_symbols(model, lb, rng).tolist()
+        words += [u, v]
+        lm = [log_cylinder_mass(model, word(w, ell=model.alphabet.ell)) for w in (u, v, u + v)]
+        count += all(math.isfinite(x) for x in lm)
+    return words, count
+
+
+@pytest.mark.parametrize("model", [load_zoo_model("markov_chain"), _GAPPY])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_random_sweep_matches_the_per_symbol_reference(model, seed):
+    words, count = _reference_random_sweep(model, 200, 11, seed)
+    syms, lengths = qb_module._sampled_chain_words(
+        model.core, 200, 11, qb_module.path_rng(seed, 0)
+    )
+    assert [syms[w, :n].tolist() for w, n in enumerate(lengths)] == words
+    base = qb_constant(model, max_level=2, random_pairs=0).pairs_tested
+    rep = qb_constant(model, max_level=2, seed=seed, random_pairs=200, random_max_level=11)
+    assert rep.pairs_tested - base == count

@@ -261,3 +261,90 @@ def test_dimension_all_zoo_cross_checks():
     for name, model in zoo_models().items():
         d = dimension(model)  # raises NumericalError if routes disagree
         assert 0.0 < d <= 1.0 + 1e-12, name
+
+
+def test_markov_sigma2_is_exact():
+    # the mpmath oracle of report._mp_markov_sigma2_natural
+    mk = load_zoo_model("markov_chain")
+    res = sigma2_scale_free(mk)
+    assert abs(res.value - 0.8774000084681971) <= 1e-12
+    assert (res.err, res.flagged) == (0.0, False)
+
+
+@pytest.mark.parametrize("q", [-1.5, 0.5, 2.5])
+def test_chain_kernel_derivatives_match_mpmath(q):
+    import mpmath as mp
+
+    from mflil.report import _mp_markov_tau_star
+    from mflil.spectrum import spectral_kernel
+
+    with mp.workdps(50):
+        ref = [float(mp.diff(_mp_markov_tau_star, mp.mpf(q), n)) for n in (0, 1, 2)]
+    got = spectral_kernel(load_zoo_model("markov_chain"), q)
+    for n in range(3):
+        assert got[n] == pytest.approx(ref[n], abs=1e-12), n
+
+
+def test_product_kernel_with_unequal_ratios_matches_mpmath():
+    import mpmath as mp
+
+    from mflil.spectrum import spectral_kernel
+
+    probs, ratios = (0.2, 0.5, 0.3), (0.25, 0.4, 0.1)
+    model = SelfSimilarMeasure(probs, ratios)
+
+    def root(q):
+        return mp.findroot(
+            lambda t: mp.fsum(mp.mpf(p) ** q * mp.mpf(r) ** t for p, r in zip(probs, ratios)) - 1,
+            mp.mpf(1) - q,
+        )
+
+    with mp.workdps(40):
+        for q in (-1.0, 0.5, 1.0, 2.0):
+            ref = [float(mp.diff(root, mp.mpf(q), n)) for n in (0, 1, 2)]
+            got = spectral_kernel(model, q)
+            for n in range(3):
+                assert got[n] == pytest.approx(ref[n], abs=1e-11), (q, n)
+    assert dimension(model) == pytest.approx(-float(mp.diff(root, 1)), abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_periodic_chains_take_the_real_perron_root(k):
+    # a k-cycle: every eigenvalue of M_q has modulus 1, the Perron root is 1
+    P = tuple(tuple(1.0 if j == (i + 1) % k else 0.0 for j in range(k)) for i in range(k))
+    cycle = MarkovMeasure(k, 1, (1.0 / k,) * k, P)
+    for q in np.arange(-2.0, 3.01, 0.25):
+        assert tau_scale_free(cycle, float(q)) == pytest.approx(0.0, abs=1e-14)
+    assert dimension(cycle) == pytest.approx(0.0, abs=1e-14)
+    assert sigma2_scale_free(cycle).value == pytest.approx(0.0, abs=1e-14)
+
+
+def test_chi_profile_theta_makes_few_tau_evaluations(monkeypatch):
+    from mflil import spectrum as spectrum_module
+
+    mk = load_zoo_model("markov_chain")
+    prof = ChiProfile(mk, side=1, q_max=1.0)
+    calls = []
+    perron = spectrum_module.perron_root
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return perron(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum_module, "perron_root", counting)
+    t_lo = 1.0 / prof.chi_at_qmax()
+    for t in (t_lo * 1.5, t_lo * 40.0, 2.0 ** 16):
+        calls.clear()
+        q = 1.0 / prof.theta(t)
+        assert len(calls) <= 10, (t, len(calls))
+        assert prof.chi(q) == pytest.approx(1.0 / t, abs=1e-12)
+
+
+def test_tau_methods_assert_the_family_kind():
+    mk = load_zoo_model("markov_chain")
+    with pytest.raises(ValidationError):
+        tau_scale_free(mk, 2.0, method="closed")
+    with pytest.raises(ValidationError):
+        tau_scale_free(QUARTER, 2.0, method="perron")
+    with pytest.raises(ValidationError):
+        tau_scale_free(QUARTER, 2.0, method="richardson")
