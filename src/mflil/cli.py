@@ -30,7 +30,7 @@ import numpy as np
 from .errors import BudgetError, MFLilError, NumericalError, ValidationError
 from .gauges import GaugeSpec, gauge_test, lil_sigma, theta_correction
 from .lil import run_ensemble
-from .models import MeasureModel, SelfSimilarMeasure, parse_model_file
+from .models import MeasureModel, parse_model_file
 from .qb import dichotomy_classify, qb_constant
 from .report import build_oracles, verify_records, write_oracle_cache
 from .spectrum import ChiProfile, LogBase, dimension, spectrum_table
@@ -247,36 +247,33 @@ def cmd_lil_sim(args) -> None:
 
 def _build_gauge_spec(model: MeasureModel, args) -> GaugeSpec:
     d = dimension(model)
+    if args.family == "power":
+        return GaugeSpec(family="power", d=d)
+    ell = model.core.ell  # None on self-similar measures
     conv = args.theta_convention
     if conv == "auto":
-        if isinstance(model, SelfSimilarMeasure):
-            conv = "natural"
-        else:
-            conv = "base-2" if model.alphabet.ell == 2 else "base-ell"
+        conv = "natural" if ell is None else "base-2" if ell == 2 else "base-ell"
     if args.family in ("lil_hausdorff", "lil_packing"):
-        ell = 2 if isinstance(model, SelfSimilarMeasure) else model.alphabet.ell
         return GaugeSpec(
             family=args.family,
             d=d,
             sigma=lil_sigma(model, conv),
             epsilon=args.epsilon,
             epsilon_sign=args.epsilon_sign,
-            theta=theta_correction(conv, ell),
+            theta=theta_correction(conv, 2 if ell is None else ell),
         )
-    if isinstance(model, SelfSimilarMeasure):
+    if ell is None:
         raise ValidationError(
             f"the {args.family} gauge family needs a grid scale; "
             "self-similar models support the lil families and power only"
         )
-    if args.family == "power":
-        return GaugeSpec(family="power", d=d)
     if args.family == "sqrt":
-        return GaugeSpec(family="sqrt", d=d, a=args.a, ell=model.alphabet.ell)
+        return GaugeSpec(family="sqrt", d=d, a=args.a, ell=ell)
     return GaugeSpec(
         family="theta",
         d=d,
         a=args.a,
-        ell=model.alphabet.ell,
+        ell=ell,
         chi_profile=ChiProfile(model, side=1, q_max=args.q_max),
     )
 
@@ -386,8 +383,9 @@ def _add_common(sp, seed=False, threads=False):
         sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     if threads:
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for path ensembles; results are "
-                             "identical for every value (default 1)")
+                        help="worker threads; they speed up only --window runs "
+                             "on product models, and results are identical for "
+                             "every value (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

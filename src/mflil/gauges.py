@@ -9,10 +9,13 @@ order as t -> 0:
   'natural'  theta(t) = e^sqrt(2 u ln ln u),            u = ln(1/t)
   'base-ell' Theta(t) = ell^sqrt(2 w L L w), L = log_ell, w = log_ell(1/t)
 
-(The base-2 variant mixes a natural inner log with base-2 outer units; the
-base-ell variant is all one base. Both are kept verbatim.) Everything is
-evaluated in the log domain through u = ln(1/t), since interesting t like
-2^(-2^16) underflow float64 long before the mathematics gets hard.
+All three are one formula, Theta(t) = b^sqrt(2 w LL_c(w)) with w = log_b(1/t)
+and LL_c = log_c log_c, at the base pairs (b, c) = (2, e), (e, e) and
+(ell, ell): the base-2 variant mixes a natural inner log with base-2 outer
+units, the other two are all one base. LL_c is the iterated-log rule of the
+lil module. Everything is evaluated in the log domain through u = ln(1/t),
+since interesting t like 2^(-2^16) underflow float64 long before the
+mathematics gets hard.
 
 The matching sigma for a Theta-corrected gauge depends on the convention:
 sqrt(sigma2_natural / ln 2) for 'base-2' and sqrt(sigma2_natural) for the two
@@ -41,12 +44,23 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lil import _checked_levels, _once_per_value, _walk_ensemble, lil_convention
+from .lil import _checked_levels, _iterated_log, _walk_ensemble, lil_convention
 from .models import MeasureModel
 from .spectrum import ChiProfile, sigma2_scale_free
 
 _THETA_CONVENTIONS = ("base-2", "natural", "base-ell")
 _GAUGE_N_MIN = 16
+
+
+def _theta_bases(convention: str, ell: int) -> tuple[float, float]:
+    """The base pair (b, c) of Theta = b^sqrt(2 w LL_c(w)) in a convention."""
+    return {"base-2": (2.0, math.e), "natural": (math.e, math.e)}.get(convention, (ell, ell))
+
+
+def _once_per_value(f, a: np.ndarray) -> np.ndarray:
+    """f(x) for every entry x of the array a, calling f once per distinct value."""
+    values, inverse = np.unique(a, return_inverse=True)
+    return np.array([f(float(v)) for v in values])[inverse].reshape(a.shape)
 
 
 def lil_sigma(model: MeasureModel, convention: str) -> float:
@@ -63,10 +77,10 @@ def lil_sigma(model: MeasureModel, convention: str) -> float:
 class ThetaCorrection:
     """One convention's Theta, with its domain boundary precomputed.
 
-    u_min is the infimum of admissible u = ln(1/t) (iterated logs positive);
-    t_max = exp(-u_min) is the matching supremum of admissible t. The factor
-    is strictly increasing in u on the whole domain, verified once on a scan
-    grid at construction.
+    u_min = c ln b is the infimum of admissible u = ln(1/t) (w = u / ln b
+    above c, so the iterated log is positive); t_max = exp(-u_min) is the
+    matching supremum of admissible t. The factor is strictly increasing in u
+    on the whole domain, verified once on a scan grid at construction.
     """
 
     convention: str
@@ -81,16 +95,10 @@ class ThetaCorrection:
                 f"u = ln(1/t) must exceed {self.u_min!r} for convention "
                 f"{self.convention!r} (t below {self.t_max!r})"
             )
-        if self.convention == "base-2":
-            lb = math.log(2.0)
-            v = u / lb
-            return lb * np.sqrt(2.0 * v * np.log(np.log(v)))
-        if self.convention == "natural":
-            return np.sqrt(2.0 * u * np.log(np.log(u)))
-        lb = math.log(self.ell)
+        b, c = _theta_bases(self.convention, self.ell)
+        lb = math.log(b)
         w = u / lb
-        ll = np.log(np.log(w) / lb) / lb
-        return lb * np.sqrt(2.0 * w * ll)
+        return lb * np.sqrt(2.0 * w * _iterated_log(w, math.log(c)))
 
     def log_theta_from_u(self, u):
         """Natural log of Theta at t = exp(-u); accepts scalars or arrays."""
@@ -117,12 +125,8 @@ def theta_correction(convention: str, ell: int = 2) -> ThetaCorrection:
         )
     if ell < 2:
         raise ValidationError(f"ell must be >= 2, got {ell}")
-    if convention == "base-2":
-        u_min = math.e * math.log(2.0)
-    elif convention == "natural":
-        u_min = math.e
-    else:
-        u_min = ell * math.log(ell)
+    b, c = _theta_bases(convention, ell)
+    u_min = c * math.log(b)
     tc = ThetaCorrection(convention, ell, u_min, math.exp(-u_min))
     # monotonicity scan: strictly increasing in u across fifteen orders
     us = u_min * np.exp(np.linspace(1e-6, math.log(1e15), 400))
@@ -277,8 +281,9 @@ def gauge_test(
     Comparison happens in the natural log domain, where the walk's T is
     u = ln(1/diameter). The paths come from the ensemble walk of
     run_ensemble, under the same path and chain-step budgets; each path uses
-    its own counter-based stream keyed by (seed, index), so the result is
-    identical for every thread count.
+    its own counter-based stream keyed by (seed, index). The walk is a
+    checkpoint walk, which runs in one thread, so threads (still checked to
+    be >= 1) leaves the result and its cost unchanged.
     """
     cks = _checked_levels(checkpoints)
     if cks[0] < _GAUGE_N_MIN:

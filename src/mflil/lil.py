@@ -24,14 +24,23 @@ normalization (S - d t)/sqrt(sigma2_clt t) instead uses the per-unit-t
 variance of S, which does depend on the convention. Both constants ride on
 the convention object so they cannot be mixed up.
 
+One rule computes the iterated logarithm: _iterated_log, log_b log_b t taken
+elementwise with np.log. Every consumer reads it through the convention
+(loglog, and ratio_den = sqrt(2 t LL t)): lil_ratio, the checkpoint ratios,
+the running window extremes of both walks, and, with its own pair of bases,
+the Theta correction of the gauges.
+
 Ensemble paths each draw from their own stream path_rng(seed, i). Product
 paths are walked one at a time; Markov paths in blocks, every path of a block
 drawing its own uniforms and all stepping together, one numpy step per level,
 with the per-path state rule and increment order. A block holds at most
 _CHAIN_BLOCK_DRAWS uniforms, drawn in chunks of levels when the paths are
-long. Threads each walk one contiguous range of paths, so results are
-identical for every thread count. One entry point, _walk_ensemble, checks the
-budgets and walks the paths of run_ensemble, gauge_test and path_stats.
+long. Only the per-level product walk (window mode on product models) splits
+its paths across threads, each thread walking one contiguous range; the other
+walks run in one thread, where threads did not pay. Either way the results
+are identical for every thread count. One entry point, _walk_ensemble,
+checks the budgets and walks the paths of run_ensemble, gauge_test and
+path_stats.
 
 Exact small-n machinery (exact_distribution, running_max_tail) does rational
 arithmetic on digit-count classes and is the oracle layer for the Monte Carlo
@@ -41,7 +50,6 @@ engines.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +63,7 @@ from .models import (
     MarkovMeasure,
     MeasureModel,
     Word,
+    _env_budget,
     canonical_base,
     draw_symbols,
     enumeration_budget,
@@ -69,20 +78,31 @@ _MARKOV_STEP_BUDGET = 2 ** 26
 
 
 def path_budget() -> int:
-    raw = os.environ.get("MFLIL_PATH_BUDGET")
-    if raw is None:
-        return _DEFAULT_PATH_BUDGET
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"MFLIL_PATH_BUDGET must be an integer, got {raw!r}") from exc
-    if val < 1:
-        raise ValidationError(f"MFLIL_PATH_BUDGET must be >= 1, got {val}")
-    return val
+    """Ensemble path budget on N * n_max; override with MFLIL_PATH_BUDGET."""
+    return _env_budget("MFLIL_PATH_BUDGET", _DEFAULT_PATH_BUDGET)
 
 
 # ---------------------------------------------------------------------------
 # conventions
+
+
+def _iterated_log(t, lb: float):
+    """log_b log_b t for ln b = lb, elementwise; nan where it is not positive.
+
+    The package's one iterated-log rule. np.log rounds a scalar exactly as it
+    rounds the same value inside an array, so scalar and vectorised callers
+    agree bit for bit. It works in place on one copy of t: the window walk
+    calls it once per 2^16-level block, where every fresh temporary costs
+    page faults.
+    """
+    out = np.array(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(out, out=out)
+        out /= lb
+        np.log(out, out=out)
+    out /= lb
+    out[~(out > 0)] = np.nan
+    return out
 
 
 @dataclass(frozen=True)
@@ -101,24 +121,29 @@ class LilConvention:
     def sigma(self) -> float:
         return math.sqrt(max(self.sigma2, 0.0))
 
-    def loglog(self, t: float) -> float:
-        lb = math.log(self.log_base)
-        inner = math.log(t) / lb
-        if inner <= 0:
-            raise ValidationError(f"iterated log undefined at t={t!r} (convention {self.name})")
-        out = math.log(inner) / lb
-        if out <= 0:
-            raise ValidationError(
-                f"iterated log non-positive at t={t!r} (convention {self.name})"
-            )
-        return out
+    def loglog(self, t):
+        """LL(t) in the convention's base, for a scalar or an array; nan where LL <= 0."""
+        out = _iterated_log(t, math.log(self.log_base))
+        return float(out) if out.ndim == 0 else out
+
+    def ratio_den(self, t):
+        """sqrt(2 t LL t), for a scalar or an array; nan below t_min or where LL <= 0."""
+        t = np.asarray(t, dtype=float)
+        den = _iterated_log(t, math.log(self.log_base))
+        den *= 2.0 * t  # LL (2 t) rounds as (2 t) LL: products commute in IEEE
+        np.sqrt(den, out=den)
+        den[t < self.t_min] = np.nan
+        return float(den) if den.ndim == 0 else den
 
     def check_time(self, t: float) -> None:
         if t < self.t_min:
             raise ValidationError(
                 f"t={t!r} below t_min={self.t_min} for convention {self.name}"
             )
-        self.loglog(t)
+        if math.isnan(self.loglog(t)):
+            raise ValidationError(
+                f"iterated log non-positive at t={t!r} (convention {self.name})"
+            )
 
 
 _CONVENTION_NAMES = ("base-2", "base-ell", "natural")
@@ -146,7 +171,7 @@ def lil_convention(model: MeasureModel, name: str = "auto") -> LilConvention:
 def lil_ratio(S: float, t: float, d: float, convention: LilConvention) -> float:
     """(S - d t) / sqrt(2 t LL(t)), with LL in the convention's base."""
     convention.check_time(t)
-    return (S - d * t) / math.sqrt(2.0 * t * convention.loglog(t))
+    return (S - d * t) / convention.ratio_den(t)
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +262,6 @@ def _checkpoint_walk_product(weights, checkpoints, rng, lw_conv, neg_lr, conv):
 _WINDOW_BLOCK = 1 << 16
 
 
-def _loglog_array(conv, t: np.ndarray) -> np.ndarray:
-    """Vectorized conv.loglog; nan where the iterated log is undefined."""
-    lb = math.log(conv.log_base)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = np.log(t) / lb
-        out = np.where(inner > 0, np.log(np.where(inner > 0, inner, 1.0)) / lb, np.nan)
-    return out
-
-
 def _window_walk_product(cum, checkpoints, rng, lw_conv, neg_lr, conv, w_lo, w_hi):
     """Per-level scan: one symbol draw per level, ratio tracked inside the window.
 
@@ -276,10 +292,8 @@ def _window_walk_product(cum, checkpoints, rng, lw_conv, neg_lr, conv, w_lo, w_h
         S_lev = s_acc + np.cumsum(neg_lw[idx])
         levels = np.arange(base + 1, base + b + 1, dtype=float)
         T_lev = t_acc + np.cumsum(neg_lr[idx]) if neg_lr is not None else levels * conv.t_per_level
-        LL = _loglog_array(conv, T_lev)
-        valid = (levels >= w_lo) & (levels <= w_hi) & (T_lev >= conv.t_min) & (LL > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (S_lev - conv.d * T_lev) / np.sqrt(2.0 * T_lev * LL)
+        ratio = (S_lev - conv.d * T_lev) / conv.ratio_den(T_lev)
+        valid = (levels >= w_lo) & (levels <= w_hi) & ~np.isnan(ratio)
         run_sup = np.maximum(
             np.maximum.accumulate(np.where(valid, ratio, -np.inf)), sup_carry
         )
@@ -306,21 +320,7 @@ def _window_walk_product(cum, checkpoints, rng, lw_conv, neg_lr, conv, w_lo, w_h
 _CHAIN_BLOCK_DRAWS = 1 << 20
 
 
-def _ratio_denominators(conv, n, w_lo, w_hi):
-    """sqrt(2 t LL(t)) at each level 1..n whose ratio the window tracks, else nan."""
-    den = np.full(n, np.nan)
-    for level in range(w_lo, w_hi + 1):
-        t = level * conv.t_per_level
-        if t < conv.t_min:
-            continue
-        try:
-            den[level - 1] = math.sqrt(2.0 * t * conv.loglog(t))
-        except ValidationError:
-            continue  # LL(t) <= 0: the ratio is undefined at this level
-    return den
-
-
-def _chain_walk(tables, checkpoints, seed, lo, hi, conv, den):
+def _chain_walk(tables, checkpoints, seed, lo, hi, conv, window):
     """Walk chain paths lo..hi-1 together, one numpy step per level.
 
     tables holds the columns of the cumulative pi and P rows, and the
@@ -332,7 +332,9 @@ def _chain_walk(tables, checkpoints, seed, lo, hi, conv, den):
     vectorised form: as rows are non-decreasing, the clamped searchsorted is
     the count of row[:-1] entries at most u * row[-1]. S adds -ln P / lb in
     level order. All steps are elementwise, so no path depends on its block.
-    A den from _ratio_denominators turns on the running ratio extremes.
+    A window (w_lo, w_hi) turns on the running ratio extremes; each chunk of
+    levels also gets its conv.ratio_den, nan outside the window, so no array
+    spans all n levels.
 
     Returns (S, T, SUP, INF), one row per path and one column per checkpoint,
     T = level * conv.t_per_level.
@@ -341,6 +343,8 @@ def _chain_walk(tables, checkpoints, seed, lo, hi, conv, den):
     n, B, k = checkpoints[-1], hi - lo, len(pi_cols)
     rows = max(1, _CHAIN_BLOCK_DRAWS // B)
     U = np.empty((min(n, rows), B))  # level-major: each step reads one contiguous row
+    den = None if window is None else np.empty(min(n, rows))
+    d, t_step = conv.d, conv.t_per_level
     # 2^16 live generators cost tens of MB: keep them only for a second chunk
     rngs = [path_rng(seed, i) for i in range(lo, hi)] if n > rows else None
 
@@ -348,6 +352,10 @@ def _chain_walk(tables, checkpoints, seed, lo, hi, conv, den):
         c = min(rows, n - start)
         for b in range(B):
             U[:c, b] = (path_rng(seed, lo + b) if rngs is None else rngs[b]).random(c)
+        if den is not None:
+            lv = np.arange(start + 1, start + c + 1)
+            in_window = (window[0] <= lv) & (lv <= window[1])
+            den[:c] = np.where(in_window, conv.ratio_den(lv * t_step), np.nan)
 
     def draw(u, row):
         x = u * row[-1]
@@ -359,7 +367,6 @@ def _chain_walk(tables, checkpoints, seed, lo, hi, conv, den):
     S = np.empty((B, len(checkpoints)))
     SUP, INF = (None, None) if den is None else (np.empty_like(S), np.empty_like(S))
     sup, inf = np.full(B, -np.inf), np.full(B, np.inf)
-    d, t_step = conv.d, conv.t_per_level
     pos = 0
     for level in range(1, n + 1):
         i = (level - 1) % rows
@@ -372,8 +379,8 @@ def _chain_walk(tables, checkpoints, seed, lo, hi, conv, den):
             nxt = draw(U[i], [col.take(state) for col in P_cols])
             s += inc_P.take(state * k + nxt)
             state = nxt
-        if den is not None and not math.isnan(den[level - 1]):
-            r = (s - d * (level * t_step)) / den[level - 1]
+        if den is not None and not math.isnan(den[i]):
+            r = (s - d * (level * t_step)) / den[i]
             np.copyto(sup, r, where=r > sup)
             np.copyto(inf, r, where=r < inf)
         if level == checkpoints[pos]:
@@ -476,8 +483,9 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
     running ratio extremes over the window levels; otherwise both are None.
     Refuses the run before any path is keyed past the path budget or, for
     chains, the chain-step budget. Paths go in blocks of at most
-    _CHAIN_BLOCK_DRAWS uniforms; with threads > 1 each worker walks a
-    contiguous range of paths.
+    _CHAIN_BLOCK_DRAWS uniforms. Only the per-level product walk uses the
+    threads, each walking a contiguous range of paths: the chain and
+    checkpoint walks ran slower on more threads, so they run in one.
     """
     N, n_max, m = paths.stop - paths.start, cks[-1], len(cks)
     if N < 1:
@@ -498,10 +506,9 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
         lb = math.log(conv.log_base)
         cols = [core.cum_P[:, j].copy() for j in range(core.k)]
         tables = list(core.cum_pi), cols, -core.log_pi / lb, -core.log_P.ravel() / lb
-        den = None if window is None else _ratio_denominators(conv, n_max, *window)
 
         def walk(lo, hi):
-            return _chain_walk(tables, cks, seed, lo, hi, conv, den)
+            return _chain_walk(tables, cks, seed, lo, hi, conv, window)
     else:
         lw_conv = log_symbol_weights(model, LogBase(conv.name))  # convention names are LogBase values
         neg_lr = None if conv.t_per_level is not None else -core.log_ratios
@@ -530,20 +537,15 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
                 if out is not None:
                     out[b_lo - paths.start:b_hi - paths.start] = part
 
-    if threads == 1:
+    workers = threads if window is not None and core.kind == "product" else 1
+    if workers == 1:
         fill(paths.start, paths.stop)
     else:
-        chunk = max(1, (N + threads - 1) // threads)
+        chunk = max(1, (N + workers - 1) // workers)
         bounds = [(lo, min(lo + chunk, paths.stop)) for lo in range(paths.start, paths.stop, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda b: fill(*b), bounds))
     return S, T, SUP, INF
-
-
-def _once_per_value(f, a: np.ndarray) -> np.ndarray:
-    """f(x) for every entry x of the array a, calling f once per distinct value."""
-    values, inverse = np.unique(a, return_inverse=True)
-    return np.array([f(float(v)) for v in values])[inverse].reshape(a.shape)
 
 
 def _ks_normal(z: np.ndarray) -> float:
@@ -565,8 +567,8 @@ def run_ensemble(
     so results are identical for every thread count. Chain paths are walked
     in blocks, all paths of a block stepping together one numpy step per
     level; product paths are walked one by one. Threads only partition the
-    paths into contiguous ranges for the walk. Reductions run single-threaded
-    in path order.
+    paths of a windowed product run into contiguous ranges for the walk.
+    Reductions run single-threaded in path order.
 
     Passing an explicit window switches the walk to one draw per level so the
     running sup/inf of the ratio cover every level of [n_lo, n_hi]; without a
@@ -578,30 +580,24 @@ def run_ensemble(
     """
     conv = lil_convention(model, convention)
     cks = _validated_checkpoints(model, checkpoints, conv)
-    per_level = window is not None
-    if window is None:
-        window = (cks[0], cks[-1])
-    w_lo, w_hi = int(window[0]), int(window[1])
+    w_lo, w_hi = (cks[0], cks[-1]) if window is None else (int(window[0]), int(window[1]))
     if w_lo > w_hi or w_lo < cks[0] or w_hi > cks[-1]:
         raise ValidationError(f"window {window!r} must sit inside the checkpoint range")
-    m = len(cks)
     # with an explicit window the walk visits every level inside it and keeps
     # running ratio extremes; otherwise extremes are over the checkpoint grid
     S, T, SUP, INF = _walk_ensemble(
-        model, conv, cks, seed, range(N), threads, (w_lo, w_hi) if per_level else None
+        model, conv, cks, seed, range(N), threads, None if window is None else (w_lo, w_hi)
     )
-    LL = _once_per_value(conv.loglog, T)  # t, and so LL, varies by path on self-similar sets
     centered = S - conv.d * T
-    ratio = centered / np.sqrt(2.0 * T * LL)
+    ratio = centered / conv.ratio_den(T)
     z = centered / np.sqrt(conv.sigma2_clt * T) if conv.sigma2_clt > 0 else np.zeros_like(centered)
+    if SUP is None:  # the window is the whole checkpoint grid
+        SUP, INF = np.maximum.accumulate(ratio, axis=1), np.minimum.accumulate(ratio, axis=1)
 
-    in_window = [w_lo <= c <= w_hi for c in cks]
-    runsup = np.full(N, -np.inf)
-    runinf = np.full(N, np.inf)
     runsup_median = []
     ratio_mean, ratio_var, ratio_min, ratio_max = [], [], [], []
     ks_list, mean_gap = [], []
-    for j in range(m):
+    for j in range(len(cks)):
         col = ratio[:, j]
         mu = math.fsum(col.tolist()) / N
         ratio_mean.append(mu)
@@ -612,12 +608,7 @@ def run_ensemble(
         s_mean = math.fsum(S[:, j].tolist()) / N
         t_mean = math.fsum(T[:, j].tolist()) / N
         mean_gap.append(abs(s_mean / t_mean - conv.d))
-        if per_level:
-            runsup = SUP[:, j]
-            runinf = INF[:, j]
-        elif in_window[j]:
-            np.maximum(runsup, col, out=runsup)
-            np.minimum(runinf, col, out=runinf)
+        runsup = SUP[:, j]
         runsup_median.append(float(np.median(runsup)) if np.isfinite(runsup).all() else float("nan"))
 
     return EnsembleSummary(
@@ -635,8 +626,8 @@ def run_ensemble(
         ks_distance=tuple(ks_list),
         mean_gap=tuple(mean_gap),
         runsup_median=tuple(runsup_median),
-        path_window_sup=runsup,
-        path_window_inf=runinf,
+        path_window_sup=SUP[:, -1],
+        path_window_inf=INF[:, -1],
     )
 
 

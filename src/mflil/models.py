@@ -35,6 +35,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -611,20 +612,23 @@ def model_to_dict(model: MeasureModel) -> dict:
     }
 
 
-def enumeration_budget(default: int = 2 ** 24) -> int:
-    """Word-enumeration budget; override with MFLIL_ENUM_BUDGET."""
-    import os
-
-    raw = os.environ.get("MFLIL_ENUM_BUDGET")
+def _env_budget(name: str, default: int) -> int:
+    """The integer budget in environment variable `name`, or `default` when unset."""
+    raw = os.environ.get(name)
     if raw is None:
         return default
     try:
         val = int(raw)
     except ValueError as exc:
-        raise ValidationError(f"MFLIL_ENUM_BUDGET must be an integer, got {raw!r}") from exc
+        raise ValidationError(f"{name} must be an integer, got {raw!r}") from exc
     if val < 1:
-        raise ValidationError("MFLIL_ENUM_BUDGET must be >= 1")
+        raise ValidationError(f"{name} must be >= 1, got {val}")
     return val
+
+
+def enumeration_budget(default: int = 2 ** 24) -> int:
+    """Word-enumeration budget; override with MFLIL_ENUM_BUDGET."""
+    return _env_budget("MFLIL_ENUM_BUDGET", default)
 
 
 def check_enumeration_budget(model: MeasureModel, n: int) -> None:

@@ -230,3 +230,42 @@ def test_spectrum_summary_records_the_method(zoo_dir, tmp_path):
     # base-ell units: the natural oracle over ln 2
     s2 = read_json(tmp_path / "a" / "summary.json")["sigma2"]
     assert abs(s2 - 0.8774000084681971 / math.log(2.0)) <= 1e-12
+
+
+def test_power_gauge_runs_on_selfsimilar_models(zoo_dir, tmp_path, capsys):
+    from mflil import GaugeSpec, dimension, gauge_test
+    from mflil.zoo import load_zoo_model
+
+    model = str(zoo_dir / "cantor_biased.json")
+    out = tmp_path / "power"
+    code = run(["gauge-test", "--model", model, "--family", "power", "--out", str(out),
+                "--checkpoints", "16,64,256", "--N", "300", "--seed", "5"])
+    assert code == 0
+    cb = load_zoo_model("cantor_biased")
+    ref = gauge_test(cb, GaugeSpec("power", dimension(cb)), [16, 64, 256], N=300, seed=5)
+    rows = (out / "gauge.csv").read_text().strip().splitlines()[1:]
+    assert tuple(float(r.split(",")[1]) for r in rows) == ref.fractions
+    for family in ("sqrt", "theta"):
+        code = run(["gauge-test", "--model", model, "--family", family, "--out",
+                    str(tmp_path / family), "--checkpoints", "16,64", "--N", "10"])
+        assert code == 2
+        assert "grid scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+@pytest.mark.parametrize("var", ["MFLIL_PATH_BUDGET", "MFLIL_ENUM_BUDGET"])
+def test_malformed_budgets_refused(zoo_dir, tmp_path, monkeypatch, capsys, var, raw):
+    from mflil import ValidationError
+    from mflil.models import enumeration_budget
+
+    read = lil_module.path_budget if var == "MFLIL_PATH_BUDGET" else enumeration_budget
+    monkeypatch.setenv(var, raw)
+    with pytest.raises(ValidationError, match=f"{var}.*{raw}"):
+        read()
+    if var == "MFLIL_PATH_BUDGET":
+        argv = ["lil-sim", "--model", str(zoo_dir / "bernoulli_quarter.json"), "--N", "4",
+                "--checkpoints", "16,64"]
+    else:
+        argv = ["spectrum", "--model", str(zoo_dir / "markov_chain.json"), "--empirical-n", "4"]
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert var in capsys.readouterr().err

@@ -211,3 +211,26 @@ def test_theta_gauge_inverts_chi_once_per_checkpoint(monkeypatch):
     assert len(calls) == 3
     assert sorted(calls) == [n * math.log(2.0) / math.log(2) for n in (16, 50, 203)]
     assert res.N == 60
+
+
+def _theta_branch_formulas(convention, ell, u):
+    """The three per-convention Theta formulas the one-rule form replaced, verbatim."""
+    if convention == "base-2":
+        lb = math.log(2.0)
+        v = u / lb
+        return lb * np.sqrt(2.0 * v * np.log(np.log(v)))
+    if convention == "natural":
+        return np.sqrt(2.0 * u * np.log(np.log(u)))
+    lb = math.log(ell)
+    w = u / lb
+    ll = np.log(np.log(w) / lb) / lb
+    return lb * np.sqrt(2.0 * w * ll)
+
+
+@pytest.mark.parametrize("convention, ell", [("base-2", 2), ("natural", 2), ("base-ell", 2), ("base-ell", 3)])
+def test_log_theta_is_the_branch_formula_bit_for_bit(convention, ell):
+    tc = theta_correction(convention, ell)
+    u = tc.u_min * np.exp(np.linspace(1e-6, math.log(1e12), 5000))
+    ref = _theta_branch_formulas(convention, ell, u)
+    assert np.array_equal(tc.log_theta_from_u(u), ref)
+    assert [tc.log_theta_from_u(float(x)) for x in u[::250]] == ref[::250].tolist()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -30,7 +31,7 @@ from mflil import (
     sigma2_scale_free,
 )
 from mflil import lil as lil_module
-from mflil.models import path_rng
+from mflil.models import draw_symbols, log_symbol_weights, path_rng
 from mflil.zoo import load_zoo_model
 
 QUARTER = BernoulliProduct(0.25)
@@ -278,6 +279,20 @@ def test_chain_block_bounded_in_levels(monkeypatch):
     assert peak < 4 * 8 * draws
 
 
+def test_chain_window_holds_no_array_over_all_levels(monkeypatch):
+    # the ratio denominators come per chunk of levels, like the uniforms
+    n = 1 << 13
+    conv = lil_convention(MARKOV)
+    monkeypatch.setattr(lil_module, "_CHAIN_BLOCK_DRAWS", 1 << 8)
+    tracemalloc.start()
+    try:
+        lil_module._walk_ensemble(MARKOV, conv, (16, n), 3, range(1), window=(16, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n // 2  # one float per level would take 8 n bytes
+
+
 def test_chain_thread_invariance():
     kw = dict(N=31, checkpoints=[16, 50, 128], seed=8)
     assert run_ensemble(MARKOV, threads=1, **kw) == run_ensemble(MARKOV, threads=3, **kw)
@@ -413,3 +428,115 @@ def test_running_max_tail_refuses_past_the_class_budget_before_any_class(monkeyp
     with pytest.raises(BudgetError):  # C(72, 8), about 1.1e10 classes, over 2^24
         running_max_tail(nine, 1, 64, 1.0)
     assert built == []
+
+
+def _convention_cases():
+    cb = load_zoo_model("cantor_biased")
+    return [(QUARTER, name) for name in ("base-2", "base-ell", "natural")] + [(cb, "natural")]
+
+
+@pytest.mark.parametrize("model, name", _convention_cases(),
+                         ids=["quarter-base-2", "quarter-base-ell", "quarter-natural", "cantor-natural"])
+def test_loglog_array_equals_scalar_calls(model, name):
+    conv = lil_convention(model, name)
+    # self-similar t has no per-level step: take the slowest contraction's
+    step = conv.t_per_level or -float(np.max(model.core.log_ratios))
+    t = np.arange(16, 2 ** 16 + 16) * step
+    ll = conv.loglog(t)
+    assert np.array_equal(ll, np.array([conv.loglog(float(x)) for x in t]))
+    den = conv.ratio_den(t[::16])
+    assert np.array_equal(den, np.array([conv.ratio_den(float(x)) for x in t[::16]]))
+
+
+def test_ratio_den_is_nan_off_the_domain():
+    conv = lil_convention(QUARTER, "base-2")
+    den = conv.ratio_den(np.array([2.0, 15.0, 16.0, 256.0]))
+    assert np.isnan(den[:2]).all()
+    assert den[2] == math.sqrt(2.0 * 16.0 * 2.0) and den[3] == math.sqrt(2.0 * 256.0 * 3.0)
+    assert math.isnan(conv.loglog(2.0))  # log2 log2 2 = 0 is not positive
+    with pytest.raises(ValidationError):
+        conv.check_time(15.0)
+    wide = lil_convention(load_zoo_model("markov_chain"), "natural")
+    with pytest.raises(ValidationError, match="non-positive"):
+        dataclasses.replace(wide, t_min=1.0).check_time(2.0)  # ln ln 2 < 0
+
+
+def reference_product_window(model, conv, checkpoints, seed, path_index, window):
+    """One product path level by level: the running sup/inf of lil_ratio over
+    the window levels, read at each checkpoint. S and t add each block's
+    increments in level order and then the carry of the blocks before, as the
+    walk's cumsum does, so the reference matches it bit for bit."""
+    core = model.core
+    lw = log_symbol_weights(model, LogBase(conv.name))
+    n, block = checkpoints[-1], lil_module._WINDOW_BLOCK
+    syms = draw_symbols(core.cum_weights, path_rng(seed, path_index).random(n))
+    s_carry = t_carry = s_blk = t_blk = 0.0
+    sup, inf = -math.inf, math.inf
+    SUP, INF = [], []
+    for level in range(1, n + 1):
+        x = syms[level - 1]
+        s_blk += -lw[x]
+        s = s_carry + s_blk
+        if conv.t_per_level is None:
+            t_blk += -core.log_ratios[x]
+            t = t_carry + t_blk
+        else:
+            t = level * conv.t_per_level
+        if window[0] <= level <= window[1]:
+            r = lil_ratio(s, t, conv.d, conv)
+            sup, inf = max(sup, r), min(inf, r)
+        if level in checkpoints:
+            SUP.append(sup)
+            INF.append(inf)
+        if level % block == 0:
+            s_carry, t_carry, s_blk, t_blk = s, t, 0.0, 0.0
+    return SUP, INF
+
+
+@pytest.mark.parametrize("name", ["bernoulli_quarter", "cantor_biased"])
+def test_product_window_extremes_match_per_level_reference(name):
+    model = load_zoo_model(name)
+    conv = lil_convention(model)
+    block = lil_module._WINDOW_BLOCK
+    cks = [16, block - 3000, block, block + 1, block + 2500]
+    window = (block - 3000, block + 2000)  # crosses the first block boundary
+    sup, inf = lil_module._walk_ensemble(model, conv, tuple(cks), 11, range(2), window=window)[2:]
+    for i in range(2):
+        SUP, INF = reference_product_window(model, conv, cks, 11, i, window)
+        assert sup[i].tolist() == SUP and inf[i].tolist() == INF
+    s = run_ensemble(model, N=2, checkpoints=cks, seed=11, window=window)
+    assert s.path_window_sup.tolist() == sup[:, -1].tolist()
+    assert s.path_window_inf.tolist() == inf[:, -1].tolist()
+
+
+@pytest.mark.parametrize("name", ["bernoulli_quarter", "cantor_biased", "markov_chain"])
+def test_checkpoint_extremes_are_the_checkpoint_ratio_extremes(name):
+    model = load_zoo_model(name)
+    conv = lil_convention(model)
+    cks = [16, 40, 300, 1000]
+    s = run_ensemble(model, N=12, checkpoints=cks, seed=4)
+    for i in range(12):
+        r = path_stats(model, cks, seed=4, path_index=i).ratios(conv)
+        assert s.path_window_sup[i] == max(r)
+        assert s.path_window_inf[i] == min(r)
+
+
+@pytest.mark.parametrize("name, window", [
+    ("bernoulli_quarter", None), ("markov_chain", None), ("markov_chain", (16, 512)),
+    ("bernoulli_quarter", (16, 512)), ("cantor_biased", (16, 512)),
+])
+def test_threads_split_only_the_product_window_walk(monkeypatch, name, window):
+    model = load_zoo_model(name)
+    pools = []
+
+    class Spy(lil_module.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(lil_module, "ThreadPoolExecutor", Spy)
+    one = run_ensemble(model, N=6, checkpoints=[16, 64, 512], seed=3, window=window)
+    three = run_ensemble(model, N=6, checkpoints=[16, 64, 512], seed=3, window=window, threads=3)
+    assert one == three
+    product_window = window is not None and model.core.kind == "product"
+    assert pools == ([3] if product_window else [])
