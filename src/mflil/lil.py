@@ -30,17 +30,19 @@ elementwise with np.log. Every consumer reads it through the convention
 the running window extremes of both walks, and, with its own pair of bases,
 the Theta correction of the gauges.
 
-Ensemble paths each draw from their own stream path_rng(seed, i). Product
-paths are walked one at a time; Markov paths in blocks, every path of a block
-drawing its own uniforms and all stepping together, one numpy step per level,
-with the per-path state rule and increment order. A block holds at most
-_CHAIN_BLOCK_DRAWS uniforms, drawn in chunks of levels when the paths are
-long. Only the per-level product walk (window mode on product models) splits
-its paths across threads, each thread walking one contiguous range; the other
-walks run in one thread, where threads did not pay. Either way the results
-are identical for every thread count. One entry point, _walk_ensemble,
-checks the budgets and walks the paths of run_ensemble, gauge_test and
-path_stats.
+Ensemble paths each draw from their own stream path_rng(seed, i). A product
+checkpoint walk draws the symbol counts of every gap between checkpoints in
+one binomial or multinomial call per path, and forms S and t from them for a
+block of paths at once; a product window walk draws one symbol per level.
+Markov paths go in blocks, every path of a block drawing its own uniforms and
+all stepping together, one numpy step per level, with the per-path state rule
+and increment order. A block holds at most _CHAIN_BLOCK_DRAWS uniforms, drawn
+in chunks of levels when the paths are long. Only the per-level product walk
+(window mode on product models) splits its paths across threads, each thread
+walking one contiguous range; the other walks run in one thread, where
+threads did not pay. Either way the results are identical for every thread
+count. One entry point, _walk_ensemble, checks the budgets and walks the
+paths of run_ensemble, gauge_test and path_stats.
 
 Exact small-n machinery (exact_distribution, running_max_tail) does rational
 arithmetic on digit-count classes and is the oracle layer for the Monte Carlo
@@ -182,10 +184,9 @@ def per_symbol_moments(model: MeasureModel, base: Optional[LogBase] = None) -> t
     """(mean, variance) of the one-symbol increment X = -log_b(weight).
 
     Defined for the independent-increment families; the Markov chain's
-    increments are correlated and have no single per-symbol variance.
+    increments are correlated and have no single per-symbol variance, and
+    log_symbol_weights refuses chains.
     """
-    if isinstance(model, MarkovMeasure):
-        raise ValidationError("per-symbol moments require independent increments")
     lw = log_symbol_weights(model, base or canonical_base(model))
     w = model.core.weights
     keep = w > 0
@@ -226,54 +227,44 @@ class PathStats:
         return tuple(lil_ratio(s, t, conv.d, conv) for s, t in zip(self.S, self.t))
 
 
-def _checkpoint_walk_product(weights, checkpoints, rng, lw_conv, neg_lr, conv):
-    """Block count draws between checkpoints; exact per-symbol distribution.
+_COUNT_BLOCK = 1 << 16  # symbol counts a block of product checkpoint paths holds
 
-    Returns (S, t) at each checkpoint in the convention's units: t is the
-    level times conv.t_per_level on grids (neg_lr None) and, on self-similar
-    measures, the running sum of the per-symbol -ln r held in neg_lr.
+
+def _checkpoint_walk_product(tables, seed, lo, hi):
+    """(S, T) of product paths lo..hi-1, one row per path, at the checkpoints.
+
+    tables holds the per-run gaps between checkpoints, the renormalised
+    weights of the active symbols and their increments -log_b w and, on
+    self-similar measures, -ln r (else None, and T is None: grid t is
+    _walk_ensemble's). Path i draws every gap's symbol counts in one binomial
+    (two active symbols) or multinomial call on path_rng(seed, i). S and T sum
+    the increments, per gap as counts @ increments does (vecdot), then over
+    the gaps from 0.0 as a loop does, so they are never -0.0.
     """
-    active = np.flatnonzero(weights > 0)
-    wa = weights[active]
-    wa = wa / wa.sum()
-    S = np.empty(len(checkpoints))
-    t = np.empty(len(checkpoints))
-    s_acc = 0.0
-    t_acc = 0.0
-    prev = 0
-    two_sided = active.size == 2
-    for j, ck in enumerate(checkpoints):
-        gap = ck - prev
-        if gap:
-            if two_sided:
-                c1 = int(rng.binomial(gap, wa[1]))
-                counts = np.array([gap - c1, c1])
-            else:
-                counts = rng.multinomial(gap, wa)
-            s_acc += float(counts @ (-lw_conv[active]))
-            if neg_lr is not None:
-                t_acc += float(counts @ neg_lr[active])
-        S[j] = s_acc
-        t[j] = t_acc if neg_lr is not None else ck * conv.t_per_level
-        prev = ck
-    return S, t
+    gaps, p, neg_lw, neg_lr = tables
+    rngs = (path_rng(seed, i) for i in range(lo, hi))
+    if p.size == 2:
+        c1 = np.array([rng.binomial(gaps, p[1]) for rng in rngs])
+        counts = np.stack((gaps - c1, c1), axis=-1)
+    else:
+        counts = np.array([rng.multinomial(gaps, p) for rng in rngs])
+    S = np.cumsum(np.vecdot(counts, neg_lw), axis=1) + 0.0
+    return S, None if neg_lr is None else np.cumsum(np.vecdot(counts, neg_lr), axis=1) + 0.0
 
 
 _WINDOW_BLOCK = 1 << 16
 
 
-def _window_walk_product(cum, checkpoints, rng, lw_conv, neg_lr, conv, w_lo, w_hi):
+def _window_walk_product(cum, checkpoints, rng, neg_lw, neg_lr, conv, w_lo, w_hi):
     """Per-level scan: one symbol draw per level, ratio tracked inside the window.
 
-    Returns (S, t, run_sup, run_inf) at the checkpoints, with S and t as
-    _checkpoint_walk_product gives them and run_sup/run_inf the running
+    Returns (S, t, run_sup, run_inf) at the checkpoints, with S and t in the
+    convention's units and run_sup/run_inf the running
     extremes of the lil ratio over every window level seen so far (not only
     the checkpoints). Falls back to -inf/+inf carry values until the window
     opens. draw_symbols never picks a zero-weight symbol, so the infinite
     increments of those symbols are never read.
     """
-    neg_lw = -lw_conv
-
     m = len(checkpoints)
     n = checkpoints[-1]
     S = np.empty(m)
@@ -336,8 +327,8 @@ def _chain_walk(tables, checkpoints, seed, lo, hi, conv, window):
     levels also gets its conv.ratio_den, nan outside the window, so no array
     spans all n levels.
 
-    Returns (S, T, SUP, INF), one row per path and one column per checkpoint,
-    T = level * conv.t_per_level.
+    Returns (S, None, SUP, INF), one row per path and one column per
+    checkpoint; _walk_ensemble fills in the grid t.
     """
     pi_cols, P_cols, inc_pi, inc_P = tables
     n, B, k = checkpoints[-1], hi - lo, len(pi_cols)
@@ -388,8 +379,7 @@ def _chain_walk(tables, checkpoints, seed, lo, hi, conv, window):
             if den is not None:
                 SUP[:, pos], INF[:, pos] = sup, inf
             pos += 1
-    T = np.tile(np.asarray(checkpoints, dtype=float) * t_step, (B, 1))
-    return S, T, SUP, INF
+    return S, None, SUP, INF
 
 
 def path_stats(
@@ -482,7 +472,8 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
     With a window (w_lo, w_hi) every level is walked and SUP/INF hold the
     running ratio extremes over the window levels; otherwise both are None.
     Refuses the run before any path is keyed past the path budget or, for
-    chains, the chain-step budget. Paths go in blocks of at most
+    chains, the chain-step budget. Product checkpoint paths go in blocks of
+    at most _COUNT_BLOCK symbol counts, the others in blocks of at most
     _CHAIN_BLOCK_DRAWS uniforms. Only the per-level product walk uses the
     threads, each walking a contiguous range of paths: the chain and
     checkpoint walks ran slower on more threads, so they run in one.
@@ -498,6 +489,7 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
             "raise MFLIL_PATH_BUDGET to allow it"
         )
     core = model.core
+    block = max(1, _CHAIN_BLOCK_DRAWS // n_max)
     if isinstance(model, MarkovMeasure):
         if N * n_max > _MARKOV_STEP_BUDGET:
             raise BudgetError(
@@ -510,31 +502,38 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
         def walk(lo, hi):
             return _chain_walk(tables, cks, seed, lo, hi, conv, window)
     else:
-        lw_conv = log_symbol_weights(model, LogBase(conv.name))  # convention names are LogBase values
+        neg_lw = -log_symbol_weights(model, LogBase(conv.name))  # convention names are LogBase values
         neg_lr = None if conv.t_per_level is not None else -core.log_ratios
+        if window is None:
+            active = list(core.active)
+            p = core.weights[active]
+            tables = (
+                np.diff(cks, prepend=0), p / p.sum(), neg_lw[active],
+                None if neg_lr is None else neg_lr[active],
+            )
+            block = max(1, _COUNT_BLOCK // (m * core.k))
 
-        def walk(lo, hi):
-            S, T = np.empty((hi - lo, m)), np.empty((hi - lo, m))
-            SUP, INF = (None, None) if window is None else (np.empty_like(S), np.empty_like(S))
-            for b in range(hi - lo):
-                rng = path_rng(seed, lo + b)
-                if window is None:
-                    S[b], T[b] = _checkpoint_walk_product(core.weights, cks, rng, lw_conv, neg_lr, conv)
-                else:
+            def walk(lo, hi):
+                return *_checkpoint_walk_product(tables, seed, lo, hi), None, None
+        else:
+            def walk(lo, hi):
+                S, T, SUP, INF = (np.empty((hi - lo, m)) for _ in range(4))
+                for b in range(hi - lo):
                     S[b], T[b], SUP[b], INF[b] = _window_walk_product(
-                        core.cum_weights, cks, rng, lw_conv, neg_lr, conv, *window
+                        core.cum_weights, cks, path_rng(seed, lo + b), neg_lw, neg_lr, conv, *window
                     )
-            return S, T, SUP, INF
+                return S, T, SUP, INF
 
     S, T = np.empty((N, m)), np.empty((N, m))
+    if conv.t_per_level is not None:  # grid t, the same on every path
+        T[:] = np.asarray(cks, dtype=float) * conv.t_per_level
     SUP, INF = (None, None) if window is None else (np.empty_like(S), np.empty_like(S))
-    block = max(1, _CHAIN_BLOCK_DRAWS // n_max)
 
     def fill(lo: int, hi: int) -> None:
         for b_lo in range(lo, hi, block):
             b_hi = min(b_lo + block, hi)
             for out, part in zip((S, T, SUP, INF), walk(b_lo, b_hi)):
-                if out is not None:
+                if part is not None:
                     out[b_lo - paths.start:b_hi - paths.start] = part
 
     workers = threads if window is not None and core.kind == "product" else 1
@@ -566,7 +565,8 @@ def run_ensemble(
     Each path i draws from its own counter-based stream keyed by (seed, i),
     so results are identical for every thread count. Chain paths are walked
     in blocks, all paths of a block stepping together one numpy step per
-    level; product paths are walked one by one. Threads only partition the
+    level; each product path makes one count draw for all its checkpoints,
+    or one symbol draw per level with a window. Threads only partition the
     paths of a windowed product run into contiguous ranges for the walk.
     Reductions run single-threaded in path order.
 
@@ -733,9 +733,6 @@ def exact_distribution(
 def exact_moments(model: MeasureModel, n: int, base: Optional[LogBase] = None) -> tuple[float, float]:
     """(E[S_n], Var[S_n]) from the exact distribution."""
     dist = exact_distribution(model, n, base)
-    total = sum(p for _, p in dist)
-    if abs(float(total) - 1.0) > 1e-12:
-        raise ValidationError(f"distribution mass {float(total)!r} is not 1")
     mean = math.fsum(v * float(p) for v, p in dist)
     var = math.fsum((v - mean) ** 2 * float(p) for v, p in dist)
     return mean, var
@@ -768,7 +765,6 @@ def running_max_tail(model: MeasureModel, n0: int, n1: int, a: float) -> Fractio
     base = canonical_base(model)
     lw, fw = _class_tables(model, base)
     drift, _ = per_symbol_moments(model, base)
-    g = len(fw)
     alive: dict[tuple[int, ...], Fraction] = {tuple([0] * g): Fraction(1)}
     hit = Fraction(0)
     for k in range(1, n1 + 1):

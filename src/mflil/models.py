@@ -516,6 +516,14 @@ _FIELDS = {
 }
 
 
+def _integral_field(doc: dict, name: str, default: Optional[int] = None) -> int:
+    """doc[name] (default if absent) as an int; refused unless an integral number."""
+    x = doc.get(name, default)
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not float(x).is_integer():
+        raise ValidationError(f"field {name!r} must be an integer, got {x!r}")
+    return int(x)
+
+
 def model_from_dict(doc: dict) -> MeasureModel:
     """Build a model from a parsed model-file document. Strict: unknown fields reject."""
     if not isinstance(doc, dict):
@@ -533,9 +541,9 @@ def model_from_dict(doc: dict) -> MeasureModel:
         )
     try:
         if fam == "bernoulli":
-            if "ell" in doc and doc["ell"] != 2:
+            if _integral_field(doc, "ell", 2) != 2:
                 raise ValidationError("bernoulli family is binary; ell must be 2")
-            if "D" in doc and doc["D"] != 1:
+            if _integral_field(doc, "D", 1) != 1:
                 raise ValidationError("bernoulli family lives on [0,1); D must be 1")
             if "p" not in doc:
                 raise ValidationError("bernoulli family requires field 'p'")
@@ -545,8 +553,8 @@ def model_from_dict(doc: dict) -> MeasureModel:
                 if req not in doc:
                     raise ValidationError(f"multinomial family requires field {req!r}")
             return MultinomialMeasure(
-                ell=int(doc["ell"]),
-                dim=int(doc.get("D", 1)),
+                ell=_integral_field(doc, "ell"),
+                dim=_integral_field(doc, "D", 1),
                 weights=tuple(float(x) for x in doc["weights"]),
             )
         if fam == "selfsimilar":
@@ -561,8 +569,8 @@ def model_from_dict(doc: dict) -> MeasureModel:
             if req not in doc:
                 raise ValidationError(f"markov family requires field {req!r}")
         return MarkovMeasure(
-            ell=int(doc["ell"]),
-            dim=int(doc.get("D", 1)),
+            ell=_integral_field(doc, "ell"),
+            dim=_integral_field(doc, "D", 1),
             pi=tuple(float(x) for x in doc["pi"]),
             P=tuple(tuple(float(x) for x in row) for row in doc["P"]),
         )

@@ -7,6 +7,7 @@ import pytest
 
 from mflil import lil as lil_module
 from mflil.cli import build_parser, main
+from mflil.models import parse_model_file
 
 
 def run(args):
@@ -269,3 +270,39 @@ def test_malformed_budgets_refused(zoo_dir, tmp_path, monkeypatch, capsys, var, 
         argv = ["spectrum", "--model", str(zoo_dir / "markov_chain.json"), "--empirical-n", "4"]
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2
     assert var in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "multinomial", "ell": 2.7, "weights": [0.5, 0.5]},
+    {"family": "multinomial", "ell": 2, "D": 1.5, "weights": [0.25] * 4},
+    {"family": "multinomial", "ell": True, "weights": [0.5, 0.5]},
+    {"family": "multinomial", "ell": "2", "weights": [0.5, 0.5]},
+    {"family": "markov", "ell": 2.9, "D": 1.5, "pi": [0.5, 0.5], "P": [[0.5, 0.5], [0.5, 0.5]]},
+    {"family": "markov", "ell": 2, "D": True, "pi": [0.5, 0.5], "P": [[0.5, 0.5], [0.5, 0.5]]},
+    {"family": "bernoulli", "p": 0.25, "D": True},
+    {"family": "bernoulli", "p": 0.25, "ell": 2.5},
+])
+def test_non_integral_ell_or_d_refused(tmp_path, capsys, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["spectrum", "--model", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "'ell'" in err or "'D'" in err
+
+
+def test_integral_ell_and_d_still_load(tmp_path):
+    docs = {
+        "m3": {"family": "multinomial", "ell": 3.0, "weights": [0.2, 0.3, 0.5]},
+        "m2d": {"family": "multinomial", "ell": 2, "D": 2.0, "weights": [0.1, 0.2, 0.3, 0.4]},
+        "chain": {"family": "markov", "ell": 3, "D": 1, "pi": [0.2, 0.3, 0.5],
+                  "P": [[0.2, 0.3, 0.5]] * 3},
+        "bern": {"family": "bernoulli", "p": 0.25, "ell": 2.0, "D": 1},
+    }
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        model = parse_model_file(str(path))
+        assert (model.alphabet.ell, model.alphabet.dim) == (
+            doc.get("ell", 2), doc.get("D", 1)
+        )
+        assert run(["spectrum", "--model", str(path), "--out", str(tmp_path / name)]) == 0

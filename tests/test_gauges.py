@@ -49,6 +49,15 @@ def test_theta_monotone_and_domain_guard():
         th.log_theta_from_u(np.array([th.u_min * 0.5]))
 
 
+@pytest.mark.parametrize("convention, ell", [
+    ("natural", 2), ("base-ell", 2), ("base-ell", 3), ("base-2", 2),
+])
+def test_theta_strictly_increasing_across_fifteen_decades(convention, ell):
+    th = theta_correction(convention, ell)
+    us = th.u_min * np.exp(np.linspace(1e-6, math.log(1e15), 400))
+    assert np.all(np.diff(th.log_theta_from_u(us)) > 0)
+
+
 def test_theta_anchor_at_deep_scale():
     # at t = 2^(-2^16) the base-2 exponent is 561.5773922398699
     th = theta_correction("base-2")

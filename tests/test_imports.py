@@ -1,0 +1,37 @@
+"""Every name a module of the package imports is referenced in that module."""
+
+import ast
+import pathlib
+
+import pytest
+
+import mflil
+
+PACKAGE = pathlib.Path(mflil.__file__).parent
+# the package __init__ imports names only to re-export them
+MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p != PACKAGE / "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_the_scan_sees_an_unused_import():
+    assert unused_imports("import os\nimport math as m\nfrom a.b import c, d\nd(m.pi)\n") == [
+        "c (line 3)", "os (line 1)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

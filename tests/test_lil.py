@@ -540,3 +540,71 @@ def test_threads_split_only_the_product_window_walk(monkeypatch, name, window):
     assert one == three
     product_window = window is not None and model.core.kind == "product"
     assert pools == ([3] if product_window else [])
+
+
+def reference_checkpoint_walk(weights, checkpoints, rng, lw_conv, neg_lr, conv):
+    """The checkpoint walk as a loop over checkpoints, one count draw per gap."""
+    active = np.flatnonzero(weights > 0)
+    wa = weights[active]
+    wa = wa / wa.sum()
+    S = np.empty(len(checkpoints))
+    t = np.empty(len(checkpoints))
+    s_acc = 0.0
+    t_acc = 0.0
+    prev = 0
+    two_sided = active.size == 2
+    for j, ck in enumerate(checkpoints):
+        gap = ck - prev
+        if gap:
+            if two_sided:
+                c1 = int(rng.binomial(gap, wa[1]))
+                counts = np.array([gap - c1, c1])
+            else:
+                counts = rng.multinomial(gap, wa)
+            s_acc += float(counts @ (-lw_conv[active]))
+            if neg_lr is not None:
+                t_acc += float(counts @ neg_lr[active])
+        S[j] = s_acc
+        t[j] = t_acc if neg_lr is not None else ck * conv.t_per_level
+        prev = ck
+    return S, t
+
+
+def _checkpoint_models():
+    from mflil import MultinomialMeasure
+    return {
+        "bernoulli_quarter": (QUARTER, ("auto", "base-2", "natural")),
+        "cantor_biased": (load_zoo_model("cantor_biased"), ("auto",)),
+        "three_with_a_zero": (MultinomialMeasure(3, 1, (0.35, 0.0, 0.65)), ("auto", "natural")),
+        "four_in_2d": (MultinomialMeasure(2, 2, (0.1, 0.2, 0.3, 0.4)), ("auto", "natural")),
+        "one_active": (MultinomialMeasure(2, 1, (0.0, 1.0)), ("auto", "natural")),
+        "unequal_ratios": (SelfSimilarMeasure((0.2, 0.3, 0.5), (0.2, 0.3, 0.25)), ("auto",)),
+    }
+
+
+@pytest.mark.parametrize("checkpoints", [
+    tuple(2 ** k for k in range(4, 13)), (16, 267, 3693, 8723, 20000),
+])
+@pytest.mark.parametrize("name", sorted(_checkpoint_models()))
+def test_checkpoint_walk_matches_the_per_gap_loop(monkeypatch, name, checkpoints):
+    model, conventions = _checkpoint_models()[name]
+    core = model.core
+    for convention in conventions:
+        conv = lil_convention(model, convention)
+        lw = log_symbol_weights(model, LogBase(conv.name))
+        neg_lr = None if conv.t_per_level is not None else -core.log_ratios
+        for seed in (1, 7):
+            S, T, _, _ = lil_module._walk_ensemble(model, conv, checkpoints, seed, range(9))
+            for i in (0, 1, 4, 8):
+                S_ref, t_ref = reference_checkpoint_walk(
+                    core.weights, checkpoints, path_rng(seed, i), lw, neg_lr, conv
+                )
+                ps = path_stats(model, checkpoints, convention, seed, i)
+                # bytes, not ==, so that -0.0 and +0.0 differ
+                assert np.array(ps.S).tobytes() == S_ref.tobytes()
+                assert np.array(ps.t).tobytes() == t_ref.tobytes()
+                assert S[i].tobytes() == S_ref.tobytes() and T[i].tobytes() == t_ref.tobytes()
+            with monkeypatch.context() as mp:  # blocks of two paths
+                mp.setattr(lil_module, "_COUNT_BLOCK", 2 * len(checkpoints) * core.k)
+                S2, T2, _, _ = lil_module._walk_ensemble(model, conv, checkpoints, seed, range(9))
+            assert S2.tobytes() == S.tobytes() and T2.tobytes() == T.tobytes()
