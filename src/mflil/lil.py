@@ -30,12 +30,17 @@ elementwise with np.log. Every consumer reads it through the convention
 the running window extremes of both walks, and, with its own pair of bases,
 the Theta correction of the gauges.
 
-Ensemble paths each draw from their own stream path_rng(seed, i). A product
-checkpoint walk draws the symbol counts of every gap between checkpoints in
-one binomial or multinomial call per path, and forms S and t from them for a
-block of paths at once; a product window walk draws one symbol per level.
-Markov paths go in blocks, every path of a block drawing its own uniforms and
-all stepping together, one numpy step per level, with the per-path state rule
+Ensemble paths each draw from their own stream path_rng(seed, i). Each walk
+builds one such generator and re-keys it (rekey_path_rng) to every other
+path's stream, and to the point where a later block of levels starts. A
+product checkpoint walk draws the symbol counts of every gap between
+checkpoints in one binomial or multinomial call per path, and forms S and t
+from them for a block of paths at once. A product window walk draws one
+symbol per level and goes one block of _WINDOW_BLOCK levels at a time over a
+group of paths: on grids the block's t and ratio denominators are computed
+once for the group, and every path reuses one set of block buffers. Markov
+paths go in blocks, every path of a block drawing its own uniforms and all
+stepping together, one numpy step per level, with the per-path state rule
 and increment order. A block holds at most _CHAIN_BLOCK_DRAWS uniforms, drawn
 in chunks of levels when the paths are long. Only the per-level product walk
 (window mode on product models) splits its paths across threads, each thread
@@ -67,11 +72,11 @@ from .models import (
     Word,
     _env_budget,
     canonical_base,
-    draw_symbols,
     enumeration_budget,
     ln_base,
     log_symbol_weights,
     path_rng,
+    rekey_path_rng,
 )
 from .spectrum import LogBase, dimension, sigma2_scale_free
 
@@ -88,18 +93,18 @@ def path_budget() -> int:
 # conventions
 
 
-def _iterated_log(t, lb: float):
+def _iterated_log(t, lb: float, out=None):
     """log_b log_b t for ln b = lb, elementwise; nan where it is not positive.
 
     The package's one iterated-log rule. np.log rounds a scalar exactly as it
     rounds the same value inside an array, so scalar and vectorised callers
-    agree bit for bit. It works in place on one copy of t: the window walk
-    calls it once per 2^16-level block, where every fresh temporary costs
-    page faults.
+    agree bit for bit. It works in place, in out if given (the window walk's
+    block buffers) or else in one new array.
     """
-    out = np.array(t, dtype=float)
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t) if out is None else out
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.log(out, out=out)
+        np.log(t, out=out)
         out /= lb
         np.log(out, out=out)
     out /= lb
@@ -128,11 +133,13 @@ class LilConvention:
         out = _iterated_log(t, math.log(self.log_base))
         return float(out) if out.ndim == 0 else out
 
-    def ratio_den(self, t):
-        """sqrt(2 t LL t), for a scalar or an array; nan below t_min or where LL <= 0."""
+    def ratio_den(self, t, out=None):
+        """sqrt(2 t LL t), for a scalar or an array (into out if given); nan
+        below t_min or where LL <= 0."""
         t = np.asarray(t, dtype=float)
-        den = _iterated_log(t, math.log(self.log_base))
-        den *= 2.0 * t  # LL (2 t) rounds as (2 t) LL: products commute in IEEE
+        den = _iterated_log(t, math.log(self.log_base), out)
+        den *= t  # (LL t) 2 rounds as LL (2 t): doubling is exact
+        den *= 2.0
         np.sqrt(den, out=den)
         den[t < self.t_min] = np.nan
         return float(den) if den.ndim == 0 else den
@@ -242,68 +249,92 @@ def _checkpoint_walk_product(tables, seed, lo, hi):
     the gaps from 0.0 as a loop does, so they are never -0.0.
     """
     gaps, p, neg_lw, neg_lr = tables
-    rngs = (path_rng(seed, i) for i in range(lo, hi))
+    rng = path_rng(seed, lo)  # the walk's one generator, re-keyed for each path
+    rngs = (rekey_path_rng(rng, seed, i) for i in range(lo, hi))
     if p.size == 2:
-        c1 = np.array([rng.binomial(gaps, p[1]) for rng in rngs])
+        c1 = np.array([g.binomial(gaps, p[1]) for g in rngs])
         counts = np.stack((gaps - c1, c1), axis=-1)
     else:
-        counts = np.array([rng.multinomial(gaps, p) for rng in rngs])
+        counts = np.array([g.multinomial(gaps, p) for g in rngs])
     S = np.cumsum(np.vecdot(counts, neg_lw), axis=1) + 0.0
     return S, None if neg_lr is None else np.cumsum(np.vecdot(counts, neg_lr), axis=1) + 0.0
 
 
-_WINDOW_BLOCK = 1 << 16
+_WINDOW_BLOCK = 1 << 16  # levels a window walk draws per path at once
+_WINDOW_GROUP = 1 << 8  # paths whose window walk shares each block's grid tables
 
 
-def _window_walk_product(cum, checkpoints, rng, neg_lw, neg_lr, conv, w_lo, w_hi):
-    """Per-level scan: one symbol draw per level, ratio tracked inside the window.
+def _window_walk_product(tables, checkpoints, seed, lo, hi, conv, window):
+    """Walk product paths lo..hi-1 level by level, one block of levels at a time.
 
-    Returns (S, t, run_sup, run_inf) at the checkpoints, with S and t in the
-    convention's units and run_sup/run_inf the running
-    extremes of the lil ratio over every window level seen so far (not only
-    the checkpoints). Falls back to -inf/+inf carry values until the window
-    opens. draw_symbols never picks a zero-weight symbol, so the infinite
-    increments of those symbols are never read.
+    tables holds the cumulative weights, the increments -log_b w and, on
+    self-similar measures, -ln r (else None). Every path of the group walks a
+    block of at most _WINDOW_BLOCK levels before the next block starts; on
+    grids the block's t and ratio_den(t) are computed once for the group.
+    Path i draws block k from path_rng(seed, i) re-keyed past the k blocks
+    before, by draw_symbols' rule as one compare per column of cum[:-1]
+    against u * cum[-1], which never picks a zero-weight symbol and its
+    infinite increment. S and t are the block's cumsum plus the carry. The
+    running ratio extremes at each checkpoint are fmax/fmin reductions over
+    the window levels between checkpoints, accumulated and combined with the
+    carry: max and min are exact and no ratio is -0.0, so the order of
+    reduction cannot show, and fmax/fmin skip nan ratios (below t_min) as a
+    mask of valid levels would. All passes write into one set of buffers.
+
+    Returns (S, T, SUP, INF), one row per path and one column per checkpoint,
+    T None on grids; SUP/INF stay -inf/+inf until the window opens.
     """
-    m = len(checkpoints)
-    n = checkpoints[-1]
-    S = np.empty(m)
-    T = np.empty(m)
-    SUP = np.empty(m)
-    INF = np.empty(m)
-    s_acc = 0.0
-    t_acc = 0.0
-    sup_carry = -np.inf
-    inf_carry = np.inf
-    pos = 0
-    base = 0
-    while base < n:
+    cum, neg_lw, neg_lr = tables
+    cks = np.asarray(checkpoints)
+    n, B, d = int(cks[-1]), hi - lo, conv.d
+    S, T, SUP, INF = (np.empty((B, cks.size)) for _ in range(4))
+    s_acc, t_acc = np.zeros(B), np.zeros(B)
+    sup, inf = np.full(B, -np.inf), np.full(B, np.inf)
+    size = min(n, _WINDOW_BLOCK)
+    bufs = [np.empty(size) for _ in range(4)] + [np.empty(size, np.intp), np.empty(size, bool)]
+    rng = path_rng(seed, lo)  # the walk's one generator, re-keyed for each path and block
+    for base in range(0, n, _WINDOW_BLOCK):
         b = min(_WINDOW_BLOCK, n - base)
-        idx = draw_symbols(cum, rng.random(b))
-        S_lev = s_acc + np.cumsum(neg_lw[idx])
-        levels = np.arange(base + 1, base + b + 1, dtype=float)
-        T_lev = t_acc + np.cumsum(neg_lr[idx]) if neg_lr is not None else levels * conv.t_per_level
-        ratio = (S_lev - conv.d * T_lev) / conv.ratio_den(T_lev)
-        valid = (levels >= w_lo) & (levels <= w_hi) & ~np.isnan(ratio)
-        run_sup = np.maximum(
-            np.maximum.accumulate(np.where(valid, ratio, -np.inf)), sup_carry
-        )
-        run_inf = np.minimum(
-            np.minimum.accumulate(np.where(valid, ratio, np.inf)), inf_carry
-        )
-        while pos < m and checkpoints[pos] <= base + b:
-            j = checkpoints[pos] - base - 1
-            S[pos] = S_lev[j]
-            T[pos] = T_lev[j]
-            SUP[pos] = run_sup[j]
-            INF[pos] = run_inf[j]
-            pos += 1
-        s_acc = float(S_lev[-1])
-        t_acc = float(T_lev[-1])
-        sup_carry = float(run_sup[-1])
-        inf_carry = float(run_inf[-1])
-        base += b
-    return S, T, SUP, INF
+        u, t, den, r, idx, hit = (x[:b] for x in bufs)
+        p0, p1 = np.searchsorted(cks, (base + 1, base + b + 1))
+        at = cks[p0:p1] - base - 1  # the block's checkpoints, as offsets
+        w0, w1 = max(window[0] - base - 1, 0), min(window[1] - base, b)
+        wt, wden, wr = t[w0:w1], den[w0:w1], r[w0:w1]
+        if w0 < w1:  # the block's window levels, cut after each checkpoint
+            ends = np.clip(at + 1, w0, w1) - w0
+            cuts = np.unique(np.append(ends[ends > 0], w1 - w0))
+            starts, seg, opened = np.append(0, cuts[:-1]), np.searchsorted(cuts, ends), ends > 0
+            if neg_lr is None:  # grid t and its denominators, shared by the group
+                np.multiply(np.arange(base + w0 + 1.0, base + w1 + 1.0), conv.t_per_level, out=wt)
+                conv.ratio_den(wt, out=wden)
+        for j in range(B):
+            rekey_path_rng(rng, seed, lo + j, base).random(out=u)
+            u *= cum[-1]
+            np.less_equal(cum[0], u, out=idx)
+            for c in cum[1:-1]:
+                idx += np.less_equal(c, u, out=hit)
+            if neg_lr is not None:
+                np.take(neg_lr, idx, out=t, mode="clip")
+                np.cumsum(t, out=t)
+                t += t_acc[j]
+                T[j, p0:p1], t_acc[j] = t[at], t[-1]
+                conv.ratio_den(wt, out=wden)
+            np.take(neg_lw, idx, out=u, mode="clip")
+            np.cumsum(u, out=u)
+            u += s_acc[j]
+            S[j, p0:p1], s_acc[j] = u[at], u[-1]
+            if w0 >= w1:  # the window misses the block
+                SUP[j, p0:p1], INF[j, p0:p1] = sup[j], inf[j]
+                continue
+            np.multiply(wt, d, out=wr)
+            np.subtract(u[w0:w1], wr, out=wr)
+            wr /= wden
+            top = np.fmax.accumulate(np.fmax.reduceat(wr, starts))
+            bottom = np.fmin.accumulate(np.fmin.reduceat(wr, starts))
+            SUP[j, p0:p1] = np.where(opened, np.fmax(top[seg], sup[j]), sup[j])
+            INF[j, p0:p1] = np.where(opened, np.fmin(bottom[seg], inf[j]), inf[j])
+            sup[j], inf[j] = np.fmax(top[-1], sup[j]), np.fmin(bottom[-1], inf[j])
+    return S, None if neg_lr is None else T, SUP, INF
 
 
 # uniforms one block of chain paths holds at once: memory stays bounded for
@@ -317,7 +348,8 @@ def _chain_walk(tables, checkpoints, seed, lo, hi, conv, window):
     tables holds the columns of the cumulative pi and P rows, and the
     increments -ln(p)/lb (+inf at p = 0), P's flattened so that (i, j) sits
     at i * k + j. Path i draws its uniforms from path_rng(seed, i), in chunks
-    of at most _CHAIN_BLOCK_DRAWS // B levels that continue its generator, so
+    of at most _CHAIN_BLOCK_DRAWS // B levels that continue its stream (the
+    walk's one generator, re-keyed past the levels drawn before), so
     the block holds at most _CHAIN_BLOCK_DRAWS uniforms at any depth. Its next
     state follows draw_symbols on the cumulative row of its state, in
     vectorised form: as rows are non-decreasing, the clamped searchsorted is
@@ -336,13 +368,12 @@ def _chain_walk(tables, checkpoints, seed, lo, hi, conv, window):
     U = np.empty((min(n, rows), B))  # level-major: each step reads one contiguous row
     den = None if window is None else np.empty(min(n, rows))
     d, t_step = conv.d, conv.t_per_level
-    # 2^16 live generators cost tens of MB: keep them only for a second chunk
-    rngs = [path_rng(seed, i) for i in range(lo, hi)] if n > rows else None
+    rng = path_rng(seed, lo)  # the walk's one generator, re-keyed for each path
 
     def fill(start):
         c = min(rows, n - start)
         for b in range(B):
-            U[:c, b] = (path_rng(seed, lo + b) if rngs is None else rngs[b]).random(c)
+            U[:c, b] = rekey_path_rng(rng, seed, lo + b, start).random(c)
         if den is not None:
             lv = np.arange(start + 1, start + c + 1)
             in_window = (window[0] <= lv) & (lv <= window[1])
@@ -473,10 +504,12 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
     running ratio extremes over the window levels; otherwise both are None.
     Refuses the run before any path is keyed past the path budget or, for
     chains, the chain-step budget. Product checkpoint paths go in blocks of
-    at most _COUNT_BLOCK symbol counts, the others in blocks of at most
-    _CHAIN_BLOCK_DRAWS uniforms. Only the per-level product walk uses the
-    threads, each walking a contiguous range of paths: the chain and
-    checkpoint walks ran slower on more threads, so they run in one.
+    at most _COUNT_BLOCK symbol counts, product window paths in groups of at
+    most _WINDOW_GROUP that walk each block of levels together, and chain
+    paths in blocks of at most _CHAIN_BLOCK_DRAWS uniforms. Only the
+    per-level product walk uses the threads, each walking a contiguous range
+    of paths: the chain and checkpoint walks ran slower on more threads, so
+    they run in one.
     """
     N, n_max, m = paths.stop - paths.start, cks[-1], len(cks)
     if N < 1:
@@ -516,13 +549,11 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
             def walk(lo, hi):
                 return *_checkpoint_walk_product(tables, seed, lo, hi), None, None
         else:
+            tables = core.cum_weights, neg_lw, neg_lr
+            block = _WINDOW_GROUP
+
             def walk(lo, hi):
-                S, T, SUP, INF = (np.empty((hi - lo, m)) for _ in range(4))
-                for b in range(hi - lo):
-                    S[b], T[b], SUP[b], INF[b] = _window_walk_product(
-                        core.cum_weights, cks, path_rng(seed, lo + b), neg_lw, neg_lr, conv, *window
-                    )
-                return S, T, SUP, INF
+                return _window_walk_product(tables, cks, seed, lo, hi, conv, window)
 
     S, T = np.empty((N, m)), np.empty((N, m))
     if conv.t_per_level is not None:  # grid t, the same on every path

@@ -49,13 +49,45 @@ _WEIGHT_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
 
 
-def path_rng(run_seed: int, path_index: int = 0) -> np.random.Generator:
-    """Per-path generator: Philox keyed by (run_seed, path_index)."""
+def _path_key(run_seed: int, path_index: int):
+    """The Philox key words of (run_seed, path_index), as Philox(key=[...])
+    makes them: np.asarray goes through float64 once a value reaches 2^63."""
     if not 0 <= int(run_seed) < 2 ** 64:
         raise ValidationError(f"seed must fit in 64 bits, got {run_seed!r}")
     if not 0 <= int(path_index) < 2 ** 64:
         raise ValidationError(f"path index must fit in 64 bits, got {path_index!r}")
-    return np.random.Generator(np.random.Philox(key=[int(run_seed), int(path_index)]))
+    key = (int(run_seed), int(path_index))
+    return key if max(key) < 2 ** 63 else np.asarray(key).astype(np.uint64)
+
+
+def path_rng(run_seed: int, path_index: int = 0) -> np.random.Generator:
+    """Per-path generator: Philox keyed by (run_seed, path_index)."""
+    return np.random.Generator(np.random.Philox(key=_path_key(run_seed, path_index)))
+
+
+def rekey_path_rng(
+    rng: np.random.Generator, run_seed: int, path_index: int, drawn: int = 0
+) -> np.random.Generator:
+    """Re-key rng, a path_rng generator, to path_rng(run_seed, path_index)'s
+    stream after `drawn` doubles, and return it.
+
+    Setting the state costs a fraction of building a generator, whose
+    Philox(key=...) also builds a SeedSequence that pulls OS entropy only to
+    discard it. A double takes one 64-bit word and Philox makes four words
+    per counter step, so the counter is set to drawn // 4 and the drawn % 4
+    words left are drawn and dropped.
+    """
+    rng.bit_generator.state = {  # the setter copies each word, so tuples serve
+        "bit_generator": "Philox",
+        "state": {"counter": (drawn // 4, 0, 0, 0), "key": _path_key(run_seed, path_index)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    if drawn % 4:
+        rng.random(drawn % 4)
+    return rng
 
 
 def _check_probability_vector(name: str, v, allow_zero: bool) -> np.ndarray:

@@ -608,3 +608,89 @@ def test_checkpoint_walk_matches_the_per_gap_loop(monkeypatch, name, checkpoints
                 mp.setattr(lil_module, "_COUNT_BLOCK", 2 * len(checkpoints) * core.k)
                 S2, T2, _, _ = lil_module._walk_ensemble(model, conv, checkpoints, seed, range(9))
             assert S2.tobytes() == S.tobytes() and T2.tobytes() == T.tobytes()
+
+
+def reference_window_levels(model, conv, checkpoints, seed, path_index):
+    """S and t of one product path at the checkpoints, from its per-level
+    symbols: each block's increments summed in level order, then the carry of
+    the blocks before. On grids t is level * t_per_level."""
+    core = model.core
+    neg_lw = -log_symbol_weights(model, LogBase(conv.name))
+    n, block = checkpoints[-1], lil_module._WINDOW_BLOCK
+    syms = draw_symbols(core.cum_weights, path_rng(seed, path_index).random(n))
+    S, t = np.empty(n), np.empty(n)
+    for base in range(0, n, block):
+        part = syms[base:base + block]
+        S[base:base + block] = (S[base - 1] if base else 0.0) + np.cumsum(neg_lw[part])
+        if conv.t_per_level is None:
+            t[base:base + block] = (t[base - 1] if base else 0.0) + np.cumsum(-core.log_ratios[part])
+    if conv.t_per_level is not None:
+        t = np.arange(1.0, n + 1.0) * conv.t_per_level
+    at = np.asarray(checkpoints) - 1
+    return S[at], t[at]
+
+
+def _block_walk_cases():
+    from mflil import MultinomialMeasure
+    B = lil_module._WINDOW_BLOCK
+    models = {
+        "bernoulli_half": load_zoo_model("bernoulli_half"),  # every ratio is exactly 0.0
+        "three_with_a_zero": MultinomialMeasure(3, 1, (0.35, 0.0, 0.65)),
+        "cantor_biased": load_zoo_model("cantor_biased"),
+    }
+    cks = (16, 600, B - 1, B, B + 1, B + 700)
+    windows = {  # levels 1..B make the first block
+        "crosses": (B - 300, B + 300),
+        "ends_at_the_boundary": (B - 500, B),  # and misses the second block
+        "starts_after_the_boundary": (B + 1, B + 500),  # and misses the first block
+        "starts_on_the_last_level": (B, B + 400),
+    }
+    return models, cks, windows
+
+
+@pytest.mark.parametrize("name", ["bernoulli_half", "three_with_a_zero", "cantor_biased"])
+def test_block_window_walk_bytes_match_the_level_references(monkeypatch, name):
+    models, cks, windows = _block_walk_cases()
+    model = models[name]
+    conv = lil_convention(model)
+    paths, seed = range(3, 6), 5
+    refs = {i: reference_window_levels(model, conv, cks, seed, i) for i in paths}
+    for label, window in windows.items():
+        extremes = {i: reference_product_window(model, conv, cks, seed, i, window) for i in paths}
+        for group in (1, 2, lil_module._WINDOW_GROUP):
+            for threads in (1, 2, 3):
+                with monkeypatch.context() as mp:
+                    mp.setattr(lil_module, "_WINDOW_GROUP", group)
+                    S, T, SUP, INF = lil_module._walk_ensemble(
+                        model, conv, cks, seed, paths, threads, window
+                    )
+                for row, i in enumerate(paths):
+                    case = (label, group, threads, i)
+                    # bytes, not ==, so that -0.0 and +0.0 differ
+                    assert S[row].tobytes() == refs[i][0].tobytes(), case
+                    assert T[row].tobytes() == refs[i][1].tobytes(), case
+                    assert SUP[row].tobytes() == np.array(extremes[i][0]).tobytes(), case
+                    assert INF[row].tobytes() == np.array(extremes[i][1]).tobytes(), case
+    if name == "bernoulli_half":
+        seen = SUP[np.isfinite(SUP)]
+        assert seen.size and (seen == 0.0).all() and not np.signbit(seen).any()
+
+
+def _window_walk_peak(n):
+    conv = lil_convention(QUARTER)
+    cks = tuple(2 ** k for k in range(4, n.bit_length()))
+    tracemalloc.start()
+    try:
+        lil_module._walk_ensemble(QUARTER, conv, cks, 3, range(2), window=(16, n))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_window_walk_memory_is_a_few_blocks():
+    # one set of block buffers per group of paths, reused on every block:
+    # no array over all levels and no fresh temporaries per path and block
+    block_bytes = 8 * lil_module._WINDOW_BLOCK
+    peak = _window_walk_peak(1 << 18)
+    assert peak < 8 * block_bytes
+    assert _window_walk_peak(1 << 17) >= peak - block_bytes // 64

@@ -26,7 +26,7 @@ from mflil import (
     support_info,
     symbol_weights,
 )
-from mflil.models import chain_log_masses, check_enumeration_budget
+from mflil.models import chain_log_masses, check_enumeration_budget, rekey_path_rng
 from mflil.symbolic import word
 from mflil.zoo import load_zoo_model, zoo_models
 
@@ -175,6 +175,46 @@ def test_path_rng_validation():
         path_rng(-1, 0)
     with pytest.raises(ValidationError):
         path_rng(0, 2 ** 64)
+
+
+def _leave_words_pending(rng):
+    # buffered Philox words, and half a word held for the next uint32 draw
+    rng.random(3)
+    rng.integers(0, 7, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+
+
+@pytest.mark.parametrize("draw", [
+    lambda g: g.random(9),
+    lambda g: g.binomial(np.array([1, 37, 10 ** 4]), 0.25),
+    lambda g: g.multinomial(np.array([5, 300, 10 ** 4]), [0.35, 0.0, 0.65]),
+], ids=["uniform", "binomial", "multinomial"])
+def test_rekeyed_generator_repeats_path_rng(draw):
+    rng = path_rng(11, 0)
+    for seed, i in ((11, 0), (11, 1), (11, 7), (0, 2 ** 63 - 1), (2 ** 63 + 5, 3)):
+        for drawn in (0, 1, 3, 4, 6, 1 << 16):
+            _leave_words_pending(rng)
+            got = draw(rekey_path_rng(rng, seed, i, drawn))
+            want_rng = path_rng(seed, i)
+            want_rng.random(drawn)
+            assert got.tobytes() == draw(want_rng).tobytes()
+    # after a draw, the re-keyed state is the fresh generator's, word for word
+    _leave_words_pending(rng)
+    got, want = rekey_path_rng(rng, 3, 9).bit_generator.state, path_rng(3, 9).bit_generator.state
+    assert got["state"]["counter"].tolist() == want["state"]["counter"].tolist()
+    assert got["state"]["key"].tolist() == want["state"]["key"].tolist()
+    assert got["buffer"].tolist() == want["buffer"].tolist()
+    assert [got[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == [
+        want[k] for k in ("buffer_pos", "has_uint32", "uinteger")
+    ]
+
+
+def test_rekeying_refuses_what_path_rng_refuses():
+    rng = path_rng(0, 0)
+    with pytest.raises(ValidationError):
+        rekey_path_rng(rng, -1, 0)
+    with pytest.raises(ValidationError):
+        rekey_path_rng(rng, 0, 2 ** 64)
 
 
 def test_enumeration_budget():
