@@ -27,22 +27,25 @@ the convention object so they cannot be mixed up.
 One rule computes the iterated logarithm: _iterated_log, log_b log_b t taken
 elementwise with np.log. Every consumer reads it through the convention
 (loglog, and ratio_den = sqrt(2 t LL t)): lil_ratio, the checkpoint ratios,
-the running window extremes of both walks, and, with its own pair of bases,
-the Theta correction of the gauges.
+the running window extremes of the per-level walks, and, with its own pair
+of bases, the Theta correction of the gauges.
 
 Ensemble paths each draw from their own stream path_rng(seed, i). Each walk
 builds one such generator and re-keys it (rekey_path_rng) to every other
 path's stream, and to the point where a later block of levels starts. A
 product checkpoint walk draws the symbol counts of every gap between
 checkpoints in one binomial or multinomial call per path, and forms S and t
-from them for a block of paths at once. A product window walk draws one
-symbol per level and goes one block of _WINDOW_BLOCK levels at a time over a
-group of paths: on grids the block's t and ratio denominators are computed
-once for the group, and every path reuses one set of block buffers. Markov
-paths go in blocks, every path of a block drawing its own uniforms and all
-stepping together, one numpy step per level, with the per-path state rule
-and increment order. A block holds at most _CHAIN_BLOCK_DRAWS uniforms, drawn
-in chunks of levels when the paths are long. Only the per-level product walk
+from them for a block of paths at once. The two per-level walks only draw
+and sum. A product window walk draws one symbol per level and goes one block
+of _WINDOW_BLOCK levels at a time over a group of paths, every path reusing
+one set of block buffers. Markov paths go in blocks, every path of a block
+drawing its own uniforms and all stepping together, one numpy step per
+level, with the per-path state rule and increment order; a block holds at
+most _CHAIN_BLOCK_DRAWS uniforms, drawn in chunks of levels when the paths
+are long. Both hand each block of walked levels to one shared pass,
+_level_walk, which picks the checkpoints and keeps the running window
+extremes by one rule: on grids it computes the block's t and ratio
+denominators once for all its paths. Only the per-level product walk
 (window mode on product models) splits its paths across threads, each thread
 walking one contiguous range; the other walks run in one thread, where
 threads did not pay. Either way the results are identical for every thread
@@ -260,6 +263,73 @@ def _checkpoint_walk_product(tables, seed, lo, hi):
     return S, None if neg_lr is None else np.cumsum(np.vecdot(counts, neg_lr), axis=1) + 0.0
 
 
+def _level_walk(produce, checkpoints, conv, window, n_paths, block):
+    """(S, T, SUP, INF) of a per-level walk of n_paths paths, block levels at a time.
+
+    For each block of levels base+1..base+b, produce(base, b) yields
+    (rows, s, t): a slice of the paths and their walked S, one level per row
+    and one column per path, or one path's index and its S as a vector; t
+    alike on self-similar measures, else None. This pass owns what follows
+    the draw: it picks S and t at the block's checkpoints. With a window
+    (w_lo, w_hi) it forms the ratios (s - d t) / ratio_den(t) in place in s
+    over the block's window levels (grid t and ratio_den once per block) and
+    reads the running extremes at each checkpoint from fmax/fmin.reduceat
+    over those levels cut after each checkpoint, accumulated and combined
+    with the carry. max and min are exact and no ratio is -0.0, so the order
+    of reduction cannot show, and fmax/fmin skip the nan ratios below t_min
+    as a mask of valid levels would.
+
+    One row per path and one column per checkpoint; T is None on grids, and
+    SUP/INF are None without a window and stay -inf/+inf until it opens.
+    """
+    cks = np.asarray(checkpoints)
+    n, d = int(cks[-1]), conv.d
+    S = np.empty((n_paths, cks.size))
+    T = np.empty_like(S) if conv.t_per_level is None else None  # grid t is _walk_ensemble's
+    SUP, INF = (None, None) if window is None else (np.empty_like(S), np.empty_like(S))
+    sup, inf = np.full(n_paths, -np.inf), np.full(n_paths, np.inf)
+    w_lo, w_hi = (1, 0) if window is None else window  # no window: no level is in it
+    bufs = np.empty((2, 0 if window is None else min(n, block)))  # a block's ratio_den and d t
+    for base in range(0, n, block):
+        b = min(block, n - base)
+        p0, p1 = np.searchsorted(cks, (base + 1, base + b + 1))
+        at = cks[p0:p1] - base - 1  # the block's checkpoints, as offsets
+        w0, w1 = max(w_lo - base - 1, 0), min(w_hi - base, b)
+        if w0 < w1:  # the block's window levels, cut after each checkpoint
+            den, dt = bufs[:, :w1 - w0]
+            ends = np.clip(at + 1, w0, w1) - w0
+            cuts = np.unique(np.append(ends[ends > 0], w1 - w0))
+            starts, seg = np.append(0, cuts[:-1]), np.searchsorted(cuts, ends)
+            opened = ends > 0  # whether the window has opened by each checkpoint
+            if conv.t_per_level is not None:  # grid t, shared by every path of the block
+                np.multiply(np.arange(base + w0 + 1.0, base + w1 + 1.0),
+                            conv.t_per_level, out=dt)  # unnamed, so the levels are freed at once
+                conv.ratio_den(dt, out=den)
+                dt *= d
+        for rows, s, t in produce(base, b):
+            S[rows, p0:p1] = s[at].T
+            if T is not None:
+                T[rows, p0:p1] = t[at].T
+            if window is None:
+                continue
+            if w0 >= w1:  # the window misses the block
+                SUP[rows, p0:p1], INF[rows, p0:p1] = sup[rows, None], inf[rows, None]
+                continue
+            if T is not None:
+                conv.ratio_den(t[w0:w1], out=den)
+                np.multiply(t[w0:w1], d, out=dt)
+            col = (slice(None), None)[:s.ndim]  # level-axis tables, lifted over a path axis
+            r = s[w0:w1]
+            r -= dt[col]
+            r /= den[col]
+            top = np.fmax.accumulate(np.fmax.reduceat(r, starts), axis=0)
+            bottom = np.fmin.accumulate(np.fmin.reduceat(r, starts), axis=0)
+            SUP[rows, p0:p1] = np.where(opened[col], np.fmax(top[seg], sup[rows]), sup[rows]).T
+            INF[rows, p0:p1] = np.where(opened[col], np.fmin(bottom[seg], inf[rows]), inf[rows]).T
+            sup[rows], inf[rows] = np.fmax(top[-1], sup[rows]), np.fmin(bottom[-1], inf[rows])
+    return S, T, SUP, INF
+
+
 _WINDOW_BLOCK = 1 << 16  # levels a window walk draws per path at once
 _WINDOW_GROUP = 1 << 8  # paths whose window walk shares each block's grid tables
 
@@ -269,72 +339,39 @@ def _window_walk_product(tables, checkpoints, seed, lo, hi, conv, window):
 
     tables holds the cumulative weights, the increments -log_b w and, on
     self-similar measures, -ln r (else None). Every path of the group walks a
-    block of at most _WINDOW_BLOCK levels before the next block starts; on
-    grids the block's t and ratio_den(t) are computed once for the group.
-    Path i draws block k from path_rng(seed, i) re-keyed past the k blocks
-    before, by draw_symbols' rule as one compare per column of cum[:-1]
-    against u * cum[-1], which never picks a zero-weight symbol and its
-    infinite increment. S and t are the block's cumsum plus the carry. The
-    running ratio extremes at each checkpoint are fmax/fmin reductions over
-    the window levels between checkpoints, accumulated and combined with the
-    carry: max and min are exact and no ratio is -0.0, so the order of
-    reduction cannot show, and fmax/fmin skip nan ratios (below t_min) as a
-    mask of valid levels would. All passes write into one set of buffers.
-
-    Returns (S, T, SUP, INF), one row per path and one column per checkpoint,
-    T None on grids; SUP/INF stay -inf/+inf until the window opens.
+    block of at most _WINDOW_BLOCK levels before the next block starts, so
+    _level_walk computes the block's grid t and ratio_den(t) once for the
+    group. Path i draws block k from path_rng(seed, i) re-keyed past the k
+    blocks before, by draw_symbols' rule as one compare per column of
+    cum[:-1] against u * cum[-1], which never picks a zero-weight symbol and
+    its infinite increment. S and t are the block's cumsum plus the carry,
+    written into one set of buffers that every path and block reuses.
     """
     cum, neg_lw, neg_lr = tables
-    cks = np.asarray(checkpoints)
-    n, B, d = int(cks[-1]), hi - lo, conv.d
-    S, T, SUP, INF = (np.empty((B, cks.size)) for _ in range(4))
-    s_acc, t_acc = np.zeros(B), np.zeros(B)
-    sup, inf = np.full(B, -np.inf), np.full(B, np.inf)
-    size = min(n, _WINDOW_BLOCK)
-    bufs = [np.empty(size) for _ in range(4)] + [np.empty(size, np.intp), np.empty(size, bool)]
+    size = min(checkpoints[-1], _WINDOW_BLOCK)
+    u, idx, hit = np.empty(size), np.empty(size, np.intp), np.empty(size, bool)
+    t = None if neg_lr is None else np.empty(size)
+    # increments, buffer and carry per path of S, and of t on self-similar measures
+    sums = [(neg_lw, u, np.zeros(hi - lo))] + ([] if t is None else [(neg_lr, t, np.zeros(hi - lo))])
     rng = path_rng(seed, lo)  # the walk's one generator, re-keyed for each path and block
-    for base in range(0, n, _WINDOW_BLOCK):
-        b = min(_WINDOW_BLOCK, n - base)
-        u, t, den, r, idx, hit = (x[:b] for x in bufs)
-        p0, p1 = np.searchsorted(cks, (base + 1, base + b + 1))
-        at = cks[p0:p1] - base - 1  # the block's checkpoints, as offsets
-        w0, w1 = max(window[0] - base - 1, 0), min(window[1] - base, b)
-        wt, wden, wr = t[w0:w1], den[w0:w1], r[w0:w1]
-        if w0 < w1:  # the block's window levels, cut after each checkpoint
-            ends = np.clip(at + 1, w0, w1) - w0
-            cuts = np.unique(np.append(ends[ends > 0], w1 - w0))
-            starts, seg, opened = np.append(0, cuts[:-1]), np.searchsorted(cuts, ends), ends > 0
-            if neg_lr is None:  # grid t and its denominators, shared by the group
-                np.multiply(np.arange(base + w0 + 1.0, base + w1 + 1.0), conv.t_per_level, out=wt)
-                conv.ratio_den(wt, out=wden)
-        for j in range(B):
-            rekey_path_rng(rng, seed, lo + j, base).random(out=u)
-            u *= cum[-1]
-            np.less_equal(cum[0], u, out=idx)
+
+    def produce(base, b):
+        ub, ib, hb = u[:b], idx[:b], hit[:b]
+        for j in range(hi - lo):
+            rekey_path_rng(rng, seed, lo + j, base).random(out=ub)
+            ub *= cum[-1]
+            np.less_equal(cum[0], ub, out=ib)
             for c in cum[1:-1]:
-                idx += np.less_equal(c, u, out=hit)
-            if neg_lr is not None:
-                np.take(neg_lr, idx, out=t, mode="clip")
-                np.cumsum(t, out=t)
-                t += t_acc[j]
-                T[j, p0:p1], t_acc[j] = t[at], t[-1]
-                conv.ratio_den(wt, out=wden)
-            np.take(neg_lw, idx, out=u, mode="clip")
-            np.cumsum(u, out=u)
-            u += s_acc[j]
-            S[j, p0:p1], s_acc[j] = u[at], u[-1]
-            if w0 >= w1:  # the window misses the block
-                SUP[j, p0:p1], INF[j, p0:p1] = sup[j], inf[j]
-                continue
-            np.multiply(wt, d, out=wr)
-            np.subtract(u[w0:w1], wr, out=wr)
-            wr /= wden
-            top = np.fmax.accumulate(np.fmax.reduceat(wr, starts))
-            bottom = np.fmin.accumulate(np.fmin.reduceat(wr, starts))
-            SUP[j, p0:p1] = np.where(opened, np.fmax(top[seg], sup[j]), sup[j])
-            INF[j, p0:p1] = np.where(opened, np.fmin(bottom[seg], inf[j]), inf[j])
-            sup[j], inf[j] = np.fmax(top[-1], sup[j]), np.fmin(bottom[-1], inf[j])
-    return S, None if neg_lr is None else T, SUP, INF
+                ib += np.less_equal(c, ub, out=hb)
+            for inc, x, acc in sums:
+                xb = x[:b]
+                np.take(inc, ib, out=xb, mode="clip")
+                np.cumsum(xb, out=xb)
+                xb += acc[j]
+                acc[j] = xb[-1]
+            yield j, ub, None if t is None else t[:b]
+
+    return _level_walk(produce, checkpoints, conv, window, hi - lo, _WINDOW_BLOCK)
 
 
 # uniforms one block of chain paths holds at once: memory stays bounded for
@@ -355,29 +392,14 @@ def _chain_walk(tables, checkpoints, seed, lo, hi, conv, window):
     vectorised form: as rows are non-decreasing, the clamped searchsorted is
     the count of row[:-1] entries at most u * row[-1]. S adds -ln P / lb in
     level order. All steps are elementwise, so no path depends on its block.
-    A window (w_lo, w_hi) turns on the running ratio extremes; each chunk of
-    levels also gets its conv.ratio_den, nan outside the window, so no array
-    spans all n levels.
-
-    Returns (S, None, SUP, INF), one row per path and one column per
-    checkpoint; _walk_ensemble fills in the grid t.
+    Each level's S overwrites its spent uniforms, and _level_walk takes the
+    chunk from there, so no array spans all n levels.
     """
     pi_cols, P_cols, inc_pi, inc_P = tables
     n, B, k = checkpoints[-1], hi - lo, len(pi_cols)
     rows = max(1, _CHAIN_BLOCK_DRAWS // B)
     U = np.empty((min(n, rows), B))  # level-major: each step reads one contiguous row
-    den = None if window is None else np.empty(min(n, rows))
-    d, t_step = conv.d, conv.t_per_level
     rng = path_rng(seed, lo)  # the walk's one generator, re-keyed for each path
-
-    def fill(start):
-        c = min(rows, n - start)
-        for b in range(B):
-            U[:c, b] = rekey_path_rng(rng, seed, lo + b, start).random(c)
-        if den is not None:
-            lv = np.arange(start + 1, start + c + 1)
-            in_window = (window[0] <= lv) & (lv <= window[1])
-            den[:c] = np.where(in_window, conv.ratio_den(lv * t_step), np.nan)
 
     def draw(u, row):
         x = u * row[-1]
@@ -386,31 +408,23 @@ def _chain_walk(tables, checkpoints, seed, lo, hi, conv, window):
             nxt += col <= x
         return nxt
 
-    S = np.empty((B, len(checkpoints)))
-    SUP, INF = (None, None) if den is None else (np.empty_like(S), np.empty_like(S))
-    sup, inf = np.full(B, -np.inf), np.full(B, np.inf)
-    pos = 0
-    for level in range(1, n + 1):
-        i = (level - 1) % rows
-        if i == 0:
-            fill(level - 1)
-        if level == 1:
-            state = draw(U[0], pi_cols)
-            s = inc_pi[state]
-        else:
-            nxt = draw(U[i], [col.take(state) for col in P_cols])
-            s += inc_P.take(state * k + nxt)
-            state = nxt
-        if den is not None and not math.isnan(den[i]):
-            r = (s - d * (level * t_step)) / den[i]
-            np.copyto(sup, r, where=r > sup)
-            np.copyto(inf, r, where=r < inf)
-        if level == checkpoints[pos]:
-            S[:, pos] = s
-            if den is not None:
-                SUP[:, pos], INF[:, pos] = sup, inf
-            pos += 1
-    return S, None, SUP, INF
+    def produce(base, c):
+        nonlocal state, s
+        for b in range(B):
+            U[:c, b] = rekey_path_rng(rng, seed, lo + b, base).random(c)
+        for level, u in enumerate(U[:c], base + 1):
+            if level == 1:
+                state = draw(u, pi_cols)
+                s = inc_pi[state]
+            else:
+                nxt = draw(u, [col.take(state) for col in P_cols])
+                s += inc_P.take(state * k + nxt)
+                state = nxt
+            u[:] = s
+        yield slice(None), U[:c], None
+
+    state = s = None
+    return _level_walk(produce, checkpoints, conv, window, B, rows)
 
 
 def path_stats(
@@ -503,13 +517,14 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
     With a window (w_lo, w_hi) every level is walked and SUP/INF hold the
     running ratio extremes over the window levels; otherwise both are None.
     Refuses the run before any path is keyed past the path budget or, for
-    chains, the chain-step budget. Product checkpoint paths go in blocks of
-    at most _COUNT_BLOCK symbol counts, product window paths in groups of at
-    most _WINDOW_GROUP that walk each block of levels together, and chain
-    paths in blocks of at most _CHAIN_BLOCK_DRAWS uniforms. Only the
-    per-level product walk uses the threads, each walking a contiguous range
-    of paths: the chain and checkpoint walks ran slower on more threads, so
-    they run in one.
+    chains, the chain-step budget. Product checkpoint paths are the jump
+    engine: blocks of at most _COUNT_BLOCK symbol counts, one count draw per
+    path. The per-level walks go through _level_walk: product window paths
+    in groups of at most _WINDOW_GROUP that walk each block of levels
+    together, and chain paths in blocks of at most _CHAIN_BLOCK_DRAWS
+    uniforms. Only the per-level product walk uses the threads, each walking
+    a contiguous range of paths: the chain and checkpoint walks ran slower
+    on more threads, so they run in one.
     """
     N, n_max, m = paths.stop - paths.start, cks[-1], len(cks)
     if N < 1:
@@ -718,7 +733,7 @@ def exact_distribution(
         for i, w in enumerate(pi):
             if w > 0:
                 classes[(i, w)] = classes.get((i, w), Fraction(0)) + w
-        for _ in range(n - 1):
+        for level in range(2, n + 1):
             nxt: dict[tuple[int, Fraction], Fraction] = {}
             for (i, mass), prob in classes.items():
                 for j, pij in enumerate(P[i]):
@@ -727,9 +742,8 @@ def exact_distribution(
                         nxt[key] = nxt.get(key, Fraction(0)) + prob * pij
             classes = nxt
             if len(classes) > _MARKOV_CLASS_BUDGET:
-                raise BudgetError(
-                    f"chain class count exceeded {_MARKOV_CLASS_BUDGET} at level {n}"
-                )
+                raise BudgetError(f"chain class count {len(classes)} exceeded "
+                                  f"{_MARKOV_CLASS_BUDGET} at level {level} of {n}")
         agg: dict[Fraction, Fraction] = {}
         for (_, mass), prob in classes.items():
             agg[mass] = agg.get(mass, Fraction(0)) + prob

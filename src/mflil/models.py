@@ -49,20 +49,22 @@ _WEIGHT_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
 
 
-def _path_key(run_seed: int, path_index: int):
-    """The Philox key words of (run_seed, path_index), as Philox(key=[...])
-    makes them: np.asarray goes through float64 once a value reaches 2^63."""
+def _path_key(run_seed: int, path_index: int) -> tuple[int, int]:
+    """The Philox key words (run_seed, path_index), refused unless each fits in 64 bits."""
     if not 0 <= int(run_seed) < 2 ** 64:
         raise ValidationError(f"seed must fit in 64 bits, got {run_seed!r}")
     if not 0 <= int(path_index) < 2 ** 64:
         raise ValidationError(f"path index must fit in 64 bits, got {path_index!r}")
-    key = (int(run_seed), int(path_index))
-    return key if max(key) < 2 ** 63 else np.asarray(key).astype(np.uint64)
+    return int(run_seed), int(path_index)
 
 
 def path_rng(run_seed: int, path_index: int = 0) -> np.random.Generator:
-    """Per-path generator: Philox keyed by (run_seed, path_index)."""
-    return np.random.Generator(np.random.Philox(key=_path_key(run_seed, path_index)))
+    """Per-path generator: Philox keyed by the exact words (run_seed, path_index).
+
+    The key goes in as uint64: a plain list would pass through float64 from
+    2^63 on, and distinct large seeds would share a stream."""
+    key = np.array(_path_key(run_seed, path_index), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def rekey_path_rng(

@@ -86,6 +86,24 @@ def test_reproducible_across_threads_and_reruns(zoo_dir, tmp_path):
     assert digests[0] == digests[1] == digests[2]
 
 
+def test_seeds_past_2_63_give_distinct_streams(zoo_dir, tmp_path):
+    # both seeds round to 2^63 in float64
+    digests = []
+    for seed in ("9223372036854775808", "9223372036854775813"):
+        out = tmp_path / seed
+        assert run(["lil-sim", "--model", str(zoo_dir / "bernoulli_quarter.json"), "--N", "20",
+                    "--checkpoints", "pow2:4:8", "--seed", seed, "--out", str(out)]) == 0
+        digests.append(sha256(out / "lilsim.csv"))
+    assert digests[0] != digests[1]
+
+
+def test_spectrum_empirical_level_on_a_selfsimilar_model(zoo_dir, tmp_path):
+    out = tmp_path / "emp"
+    assert run(["spectrum", "--model", str(zoo_dir / "cantor_biased.json"), "--out", str(out),
+                "--empirical-n", "4"]) == 0
+    assert read_json(out / "summary.json")["method"] == "empirical(n=4)"
+
+
 def test_gauge_test_outputs(zoo_dir, tmp_path):
     out = tmp_path / "gauge"
     code = run(["gauge-test", "--model", str(zoo_dir / "bernoulli_quarter.json"),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from mflil import (
     BudgetError,
     GaugeSpec,
     LogBase,
+    MarkovMeasure,
     SelfSimilarMeasure,
     ValidationError,
     dimension,
@@ -32,6 +34,7 @@ from mflil import (
 )
 from mflil import lil as lil_module
 from mflil.models import draw_symbols, log_symbol_weights, path_rng
+from mflil.symbolic import word
 from mflil.zoo import load_zoo_model
 
 QUARTER = BernoulliProduct(0.25)
@@ -127,6 +130,21 @@ def test_s_process_matches_cylinder_mass():
         assert S[n - 1] == pytest.approx(-log_cylinder_mass(QUARTER, w.prefix(n)), abs=1e-12)
 
 
+def test_s_process_on_a_chain_matches_prefix_masses():
+    w = sample_path(MARKOV, 40, seed=6)
+    S = s_process(MARKOV, w)
+    for n in range(1, 41):
+        assert S[n - 1] == pytest.approx(-log_cylinder_mass(MARKOV, w.prefix(n)), rel=1e-12, abs=1e-12)
+    # null transition 1 -> 1
+    gapped = MarkovMeasure(
+        3, 1, (0.6, 0.4, 0.0), ((0.5, 0.5, 0.0), (1.0, 0.0, 0.0), (0.2, 0.3, 0.5)),
+        stationary_required=False,
+    )
+    assert s_process(gapped, word((0, 1, 0, 0), ell=3)).size == 4
+    with pytest.raises(ValidationError, match="null cylinder"):
+        s_process(gapped, word((0, 1, 1), ell=3))
+
+
 def test_s_process_exact_for_uniform():
     half = BernoulliProduct(0.5)
     w = sample_path(half, 20, seed=1)
@@ -172,6 +190,20 @@ def test_exact_distribution_markov():
     dist = exact_distribution(mk, 6)
     assert sum(p for _, p in dist) == Fraction(1)
     assert all(v >= 0 for v, _ in dist)
+
+
+def test_exact_distribution_chain_refusal_names_the_level_reached(monkeypatch):
+    monkeypatch.setattr(lil_module, "_MARKOV_CLASS_BUDGET", 10)
+    with pytest.raises(BudgetError) as info:
+        exact_distribution(MARKOV, 20)
+    found = re.fullmatch(r"chain class count (\d+) exceeded 10 at level (\d+) of 20", str(info.value))
+    assert found, str(info.value)
+    count, level = int(found[1]), int(found[2])
+    assert count > 10 and level < 20
+    # the level named is the first one whose classes pass the budget
+    exact_distribution(MARKOV, level - 1)
+    with pytest.raises(BudgetError, match=f"chain class count {count} exceeded 10 at level {level} of {level}"):
+        exact_distribution(MARKOV, level)
 
 
 def test_exact_moments_selfsimilar_natural_units():

@@ -177,6 +177,18 @@ def test_path_rng_validation():
         path_rng(0, 2 ** 64)
 
 
+def test_path_rng_keys_seeds_past_2_63_exactly(recwarn):
+    # float64 would round both seeds to 2^63, and warn on 2^64 - 1
+    a, b = path_rng(2 ** 63, 3), path_rng(2 ** 63 + 5, 3)
+    assert b.bit_generator.state["state"]["key"].tolist() == [2 ** 63 + 5, 3]
+    assert a.random(4).tobytes() != b.random(4).tobytes()
+    top = path_rng(2 ** 64 - 1, 2 ** 64 - 1)
+    assert top.bit_generator.state["state"]["key"].tolist() == [2 ** 64 - 1] * 2
+    rekey_path_rng(top, 2 ** 64 - 1, 2 ** 64 - 2)
+    assert top.bit_generator.state["state"]["key"].tolist() == [2 ** 64 - 1, 2 ** 64 - 2]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def _leave_words_pending(rng):
     # buffered Philox words, and half a word held for the next uint32 draw
     rng.random(3)

@@ -110,6 +110,13 @@ def test_dichotomy_equivalent_evidence():
     assert res.evidence["flat"]
 
 
+def test_dichotomy_uniform_chain_is_equivalent_to_hdelta():
+    chain = MarkovMeasure(2, 1, (0.5, 0.5), ((0.5, 0.5), (0.5, 0.5)))
+    res = dichotomy_classify(chain)
+    assert res.case == "equivalent_to_Hdelta"
+    assert res.evidence["homogeneous_ratio_range"] == (1.0, 1.0)
+
+
 def test_dichotomy_multinomial_with_gaps():
     m = MultinomialMeasure(3, 1, (0.5, 0.0, 0.5))
     res = dichotomy_classify(m)

@@ -28,6 +28,7 @@ from mflil import (
     tau_scale_free,
     tau_to_base,
 )
+from mflil.spectrum import tau_empirical_selfsimilar
 from mflil.zoo import load_zoo_model, zoo_models
 
 QUARTER = BernoulliProduct(0.25)
@@ -230,6 +231,29 @@ def test_log_partition_sum_routes_agree():
     a = log_partition_sum(mk, 2.0, 6, method="enumerate")
     b = log_partition_sum(mk, 2.0, 6)
     assert a == pytest.approx(b, abs=1e-11)
+
+
+def test_chain_scaled_matrix_powers_match_enumeration():
+    # the factorized route is what tau_empirical takes past 2^14 chain words
+    mk = load_zoo_model("markov_chain")
+    for n in range(1, 13):
+        for q in (-1.5, 0.5, 1.0, 2.5):
+            fac = log_partition_sum(mk, q, n, method="factorized")
+            enu = log_partition_sum(mk, q, n, method="enumerate")
+            # relative error of the partition sum itself: at q = 1 its log is 0
+            assert abs(math.expm1(fac - enu)) <= 1e-12, (n, q)
+
+
+@pytest.mark.parametrize("model", [
+    load_zoo_model("cantor_biased"), SelfSimilarMeasure((0.2, 0.5, 0.3), (0.2, 0.3, 0.25)),
+], ids=["cantor_biased", "unequal_ratios"])
+def test_selfsimilar_empirical_tau_is_tau_at_every_level(model):
+    # sum over level-n words of p_w^q r_w^tau is (sum_i p_i^q r_i^tau)^n, so
+    # the level-n root is the level-1 root
+    for n in range(1, 7):
+        for q in (-1.5, 0.5, 1.0, 2.5):
+            emp = tau_empirical_selfsimilar(model, q, n)
+            assert abs(emp - tau_scale_free(model, q)) <= 1e-12, (n, q)
 
 
 def test_tau_empirical():
