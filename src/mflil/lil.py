@@ -52,9 +52,10 @@ threads did not pay. Either way the results are identical for every thread
 count. One entry point, _walk_ensemble, checks the budgets and walks the
 paths of run_ensemble, gauge_test and path_stats.
 
-Exact small-n machinery (exact_distribution, running_max_tail) does rational
-arithmetic on digit-count classes and is the oracle layer for the Monte Carlo
-engines.
+Exact small-n machinery (exact_distribution, running_max_tail) is the oracle
+layer for the Monte Carlo engines. Both read one rational walk, _class_walk,
+over classes keyed by (state, counts of each mass factor), with an optional
+absorbing barrier for the running-max tail.
 """
 
 from __future__ import annotations
@@ -678,32 +679,91 @@ def run_ensemble(
 
 
 # ---------------------------------------------------------------------------
-# exact small-n oracles (rational arithmetic on digit-count classes)
+# exact small-n oracles (rational arithmetic on (state, counts) classes)
 
 
-def _class_tables(model, base: LogBase) -> tuple[np.ndarray, list[Fraction]]:
-    """Log weights in `base` units and exact weights of the active symbols."""
-    lw = log_symbol_weights(model, base)
-    active = list(model.core.active)
-    fw = [Fraction(float(x)) for x in model.core.weights[active]]
-    # float weights summing to 1.0 need not sum to 1 as exact rationals;
-    # renormalize in Q so the enumerated law has total mass exactly 1
-    total = sum(fw)
-    return lw[active], [f / total for f in fw]
+def _exact_weights(p) -> list[Fraction]:
+    """The float weights p as rationals, renormalised in Q: floats summing to
+    1.0 need not sum to 1 as rationals, and the laws must have mass exactly 1."""
+    fr = [Fraction(x) for x in p]
+    total = sum(fr)
+    return [x / total for x in fr]
 
 
-def _compositions(n: int, g: int):
-    """All count vectors of length g summing to n, lexicographic."""
-    if g == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, g - 1):
-            yield (first,) + rest
+def _class_tables(model, base: LogBase):
+    """(start, moves, logs): the exact class walk's table in `base` units.
+
+    start lists the first symbol's moves and moves[i] those out of state i,
+    each move a (next state, factor, exact probability) triple; logs[factor]
+    is the log of the move's mass factor. Products have one state, and their
+    factors are the active symbols. Chain states are the symbols, and their
+    factors are the distinct positive entries of pi and P.
+    """
+    core = model.core
+    if core.kind == "product":
+        active = list(core.active)
+        start = [(0, f, w) for f, w in enumerate(_exact_weights(core.weights[active].tolist()))]
+        return start, [start], log_symbol_weights(model, base)[active]
+    rows = [core.pi.tolist(), *core.P.tolist()]
+    factors = list(dict.fromkeys(x for row in rows for x in row if x > 0))
+    start, *moves = [
+        [(j, factors.index(x), w) for j, (x, w) in enumerate(zip(row, _exact_weights(row))) if x > 0]
+        for row in rows
+    ]
+    lb = ln_base(model, base)
+    return start, moves, np.array([math.log(x) / lb for x in factors])
 
 
-_COMPOSITION_BUDGET = 2 ** 20
-_MARKOV_CLASS_BUDGET = 2 ** 20
+def _class_walk(model, base: LogBase, n: int, budget: int, barrier=None):
+    """(law, hit, scale): the exact law of S_n, walked one level at a time.
+
+    A class is a (state, counts) pair, counts[f] the uses of factor f, so its
+    S value is float(-(counts @ logs)). Each level extends every live class by
+    every move of its state, multiplying integer numerators over the common
+    denominator den (the lcm of the move probabilities' denominators); no
+    division happens before the end. With a barrier (n0, test), every class
+    of a level k >= n0 whose S value v passes test(k, v) is absorbed. law maps
+    each S value of the live classes at level n to its numerator and hit is
+    the absorbed numerator, both over scale = den^n.
+
+    Products have one state, so their count at level n is C(n+g-1, g-1) for
+    g active symbols, refused past budget before the table is built. Past
+    that, the live class count is checked against budget after each level.
+    """
+    core = model.core
+    if core.kind == "product":
+        g = len(core.active)
+        count = math.comb(n + g - 1, g - 1)
+        if count > budget:
+            raise BudgetError(f"{count} product classes at level {n}, {g} symbols, exceed the budget {budget}")
+    start, moves, logs = _class_tables(model, base)
+    den = math.lcm(*(w.denominator for row in (start, *moves) for _, _, w in row))
+    start, *moves = [[(j, f, int(w * den)) for j, f, w in row] for row in (start, *moves)]
+
+    def value(counts) -> float:
+        return float(-(np.asarray(counts, dtype=float) @ logs))
+
+    classes, hit = {(None, (0,) * len(logs)): 1}, 0  # level 0: no symbol yet
+    for level in range(1, n + 1):
+        nxt: dict = {}
+        for (state, counts), num in classes.items():
+            for j, f, a in start if state is None else moves[state]:
+                key = (j, counts[:f] + (counts[f] + 1,) + counts[f + 1:])
+                nxt[key] = nxt.get(key, 0) + num * a
+        classes = nxt
+        if barrier is not None and level >= barrier[0]:
+            out = [key for key in classes if barrier[1](level, value(key[1]))]
+            hit += sum(classes.pop(key) for key in out) * den ** (n - level)
+        if len(classes) > budget:
+            raise BudgetError(f"{core.kind} class count {len(classes)} exceeded {budget} at level {level} of {n}")
+    law: dict[float, int] = {}
+    for (_, counts), num in classes.items():  # float-identical values merge
+        v = value(counts)
+        law[v] = law.get(v, 0) + num
+    return law, hit, den ** n
+
+
+_CLASS_BUDGET = 2 ** 20
 
 
 def exact_distribution(
@@ -711,68 +771,16 @@ def exact_distribution(
 ) -> list[tuple[float, Fraction]]:
     """The exact law of S_n as (value, probability) pairs, probabilities rational.
 
-    Independent-increment families collapse to digit-count classes (n+1 classes
-    for two symbols); the chain walks a dictionary keyed by (last state, exact
-    mass). Weight vectors are renormalized inside Q (float entries summing to
-    1.0 rarely sum to 1 as exact rationals), so probabilities sum to exactly 1.
+    One rational walk over (state, counts) classes serves every family (n+1
+    classes for two product symbols); float-identical values are merged, so
+    the values strictly increase. Weight vectors are renormalized inside Q
+    (float entries summing to 1.0 rarely sum to 1 as exact rationals), so the
+    probabilities sum to exactly 1. At most _CLASS_BUDGET live classes.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    base = base or canonical_base(model)
-    if isinstance(model, MarkovMeasure):
-        lb = ln_base(model, base)
-        pi = [Fraction(float(x)) for x in model.core.pi]
-        pi_total = sum(pi)
-        pi = [x / pi_total for x in pi]
-        P = []
-        for row in model.core.P:
-            fr = [Fraction(float(x)) for x in row]
-            row_total = sum(fr)
-            P.append([x / row_total for x in fr] if row_total > 0 else fr)
-        classes: dict[tuple[int, Fraction], Fraction] = {}
-        for i, w in enumerate(pi):
-            if w > 0:
-                classes[(i, w)] = classes.get((i, w), Fraction(0)) + w
-        for level in range(2, n + 1):
-            nxt: dict[tuple[int, Fraction], Fraction] = {}
-            for (i, mass), prob in classes.items():
-                for j, pij in enumerate(P[i]):
-                    if pij > 0:
-                        key = (j, mass * pij)
-                        nxt[key] = nxt.get(key, Fraction(0)) + prob * pij
-            classes = nxt
-            if len(classes) > _MARKOV_CLASS_BUDGET:
-                raise BudgetError(f"chain class count {len(classes)} exceeded "
-                                  f"{_MARKOV_CLASS_BUDGET} at level {level} of {n}")
-        agg: dict[Fraction, Fraction] = {}
-        for (_, mass), prob in classes.items():
-            agg[mass] = agg.get(mass, Fraction(0)) + prob
-        out = [(-math.log(float(mass)) / lb, prob) for mass, prob in agg.items()]
-        out.sort(key=lambda vp: vp[0])
-        return out
-    lw, fw = _class_tables(model, base)
-    g = len(fw)
-    if math.comb(n + g - 1, g - 1) > _COMPOSITION_BUDGET:
-        raise BudgetError(f"class count at n={n}, {g} symbols exceeds the budget")
-    out = []
-    for counts in _compositions(n, g):
-        coeff = math.factorial(n)
-        for c in counts:
-            coeff //= math.factorial(c)
-        prob = Fraction(coeff)
-        for c, w in zip(counts, fw):
-            prob *= w ** c
-        value = float(-(np.asarray(counts, dtype=float) @ lw))
-        out.append((value, prob))
-    out.sort(key=lambda vp: vp[0])
-    # merge numerically identical values (relabeled symbols with equal weights)
-    merged: list[tuple[float, Fraction]] = []
-    for value, prob in out:
-        if merged and merged[-1][0] == value:
-            merged[-1] = (value, merged[-1][1] + prob)
-        else:
-            merged.append((value, prob))
-    return merged
+    law, _, scale = _class_walk(model, base or canonical_base(model), n, _CLASS_BUDGET)
+    return [(v, Fraction(law[v], scale)) for v in sorted(law)]
 
 
 def exact_moments(model: MeasureModel, n: int, base: Optional[LogBase] = None) -> tuple[float, float]:
@@ -789,45 +797,22 @@ _TAIL_LEVEL_BUDGET = 64
 def running_max_tail(model: MeasureModel, n0: int, n1: int, a: float) -> Fraction:
     """Exact probability that sup over k in [n0, n1] of (S_k - k d) reaches a.
 
-    First-passage dynamic program over digit-count classes with rational
-    weights; S and d are in the model's own per-symbol units (base-ell on
-    grids, nats for self-similar). Restricted to independent increments.
-    The live classes at level k number C(k+g-1, g-1) for g active symbols,
-    so the run is refused up front when that count at n1 exceeds the
-    enumeration budget.
+    The exact class walk with an absorbing barrier from level n0 on; S and d
+    are in the model's own per-symbol units (base-ell on grids, nats for
+    self-similar). Restricted to independent increments, so chains are
+    refused. The live classes at level k number C(k+g-1, g-1) for g active
+    symbols, so the run is refused up front when that count at n1 exceeds the
+    enumeration budget (MFLIL_ENUM_BUDGET).
     """
     if not 1 <= n0 <= n1:
         raise ValidationError(f"need 1 <= n0 <= n1, got ({n0}, {n1})")
+    if model.core.kind != "product":
+        raise ValidationError("running_max_tail is restricted to independent increments; "
+                              "a chain's increments are correlated")
     if n1 > _TAIL_LEVEL_BUDGET:
         raise BudgetError(f"n1={n1} above the exact-tail level budget {_TAIL_LEVEL_BUDGET}")
-    g = len(model.core.active)
-    classes, budget = math.comb(n1 + g - 1, g - 1), enumeration_budget()
-    if classes > budget:
-        raise BudgetError(
-            f"{classes} digit-count classes at n1={n1}, {g} symbols exceed the budget "
-            f"{budget} (set MFLIL_ENUM_BUDGET to raise it)"
-        )
     base = canonical_base(model)
-    lw, fw = _class_tables(model, base)
     drift, _ = per_symbol_moments(model, base)
-    alive: dict[tuple[int, ...], Fraction] = {tuple([0] * g): Fraction(1)}
-    hit = Fraction(0)
-    for k in range(1, n1 + 1):
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for counts, prob in alive.items():
-            for j in range(g):
-                cc = list(counts)
-                cc[j] += 1
-                key = tuple(cc)
-                nxt[key] = nxt.get(key, Fraction(0)) + prob * fw[j]
-        alive = nxt
-        if k >= n0:
-            still: dict[tuple[int, ...], Fraction] = {}
-            for counts, prob in alive.items():
-                s_val = float(-(np.asarray(counts, dtype=float) @ lw))
-                if s_val - k * drift >= a:
-                    hit += prob
-                else:
-                    still[counts] = prob
-            alive = still
-    return hit
+    _, hit, scale = _class_walk(model, base, n1, enumeration_budget(),
+                                (n0, lambda k, s: s - k * drift >= a))
+    return Fraction(hit, scale)

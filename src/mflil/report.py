@@ -91,7 +91,6 @@ def _mp_selfsimilar_sigma2_natural(probs, ratios) -> float:
         return float(num / den)
 
 
-_MARKOV_PI = ("5/6", "1/6")
 _MARKOV_P = (("0.9", "0.1"), ("0.5", "0.5"))
 
 

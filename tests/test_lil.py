@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import math
 import re
 import tracemalloc
@@ -14,6 +16,7 @@ from mflil import (
     GaugeSpec,
     LogBase,
     MarkovMeasure,
+    MultinomialMeasure,
     SelfSimilarMeasure,
     ValidationError,
     dimension,
@@ -33,9 +36,9 @@ from mflil import (
     sigma2_scale_free,
 )
 from mflil import lil as lil_module
-from mflil.models import draw_symbols, log_symbol_weights, path_rng
+from mflil.models import canonical_base, draw_symbols, log_symbol_weights, path_rng
 from mflil.symbolic import word
-from mflil.zoo import load_zoo_model
+from mflil.zoo import ZOO_NAMES, load_zoo_model
 
 QUARTER = BernoulliProduct(0.25)
 MARKOV = load_zoo_model("markov_chain")
@@ -193,7 +196,7 @@ def test_exact_distribution_markov():
 
 
 def test_exact_distribution_chain_refusal_names_the_level_reached(monkeypatch):
-    monkeypatch.setattr(lil_module, "_MARKOV_CLASS_BUDGET", 10)
+    monkeypatch.setattr(lil_module, "_CLASS_BUDGET", 10)
     with pytest.raises(BudgetError) as info:
         exact_distribution(MARKOV, 20)
     found = re.fullmatch(r"chain class count (\d+) exceeded 10 at level (\d+) of 20", str(info.value))
@@ -204,6 +207,78 @@ def test_exact_distribution_chain_refusal_names_the_level_reached(monkeypatch):
     exact_distribution(MARKOV, level - 1)
     with pytest.raises(BudgetError, match=f"chain class count {count} exceeded 10 at level {level} of {level}"):
         exact_distribution(MARKOV, level)
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_exact_distribution_values_strictly_increase(name):
+    # float-identical atoms are merged on every family, chains included
+    model = load_zoo_model(name)
+    for n in range(1, 9):
+        values = [v for v, _ in exact_distribution(model, n)]
+        assert all(x < y for x, y in zip(values, values[1:])), (name, n)
+
+
+THREE_ZERO = MultinomialMeasure(3, 1, (0.2, 0.0, 0.8))
+THREE = MultinomialMeasure(3, 1, (0.2, 0.3, 0.5))
+TWO_D = MultinomialMeasure(2, 2, (0.1, 0.2, 0.3, 0.4))
+
+
+def word_tables(model):
+    """Exact word probability and float S value, both by symbol counts.
+
+    Weights are renormalised in Q; a word's S value is -(counts @ log weights)
+    over the active symbols, in the model's own units."""
+    core = model.core
+    fw = [Fraction(x) for x in core.weights.tolist()]
+    fw = [x / sum(fw) for x in fw]
+    active = list(core.active)
+    lw = log_symbol_weights(model, canonical_base(model))[active]
+
+    @functools.cache
+    def prob(counts):
+        return math.prod((w ** c for w, c in zip(fw, counts)), start=Fraction(1))
+
+    @functools.cache
+    def value(counts):
+        return float(-(np.asarray([counts[s] for s in active], dtype=float) @ lw))
+
+    return prob, value
+
+
+@pytest.mark.parametrize("model", [THREE_ZERO, TWO_D], ids=["three-with-zero", "two-d"])
+def test_exact_distribution_matches_every_word(model):
+    prob, value = word_tables(model)
+    for n in range(1, 7):
+        law = {}
+        for w in itertools.product(range(model.core.k), repeat=n):
+            counts = tuple(np.bincount(w, minlength=model.core.k).tolist())
+            if prob(counts):
+                law[value(counts)] = law.get(value(counts), 0) + prob(counts)
+        assert exact_distribution(model, n) == sorted(law.items()), n
+
+
+@pytest.mark.parametrize("n1", range(1, 9))
+def test_running_max_tail_matches_every_word(n1):
+    prob, value = word_tables(THREE)
+    drift, _ = per_symbol_moments(THREE, canonical_base(THREE))
+    cases = [(n0, a) for n0 in sorted({1, (n1 + 1) // 2}) for a in (-0.25, 0.5, 1.0)]
+    hits = dict.fromkeys(cases, Fraction(0))
+    for w in itertools.product(range(3), repeat=n1):
+        counts, centered = [0, 0, 0], []
+        for k, s in enumerate(w, 1):
+            counts[s] += 1
+            centered.append(value(tuple(counts)) - k * drift)
+        for n0, a in cases:
+            if any(x >= a for x in centered[n0 - 1:]):
+                hits[n0, a] += prob(tuple(counts))
+    for (n0, a), hit in hits.items():
+        assert running_max_tail(THREE, n0, n1, a) == hit, (n0, a)
+    assert 0 < hits[1, 0.5] < 1
+
+
+def test_running_max_tail_refuses_chains():
+    with pytest.raises(ValidationError, match="independent increments"):
+        running_max_tail(MARKOV, 1, 8, 1.0)
 
 
 def test_exact_moments_selfsimilar_natural_units():
