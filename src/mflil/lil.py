@@ -67,7 +67,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import ndtr
 
 from .errors import BudgetError, ValidationError
 from .models import (
@@ -594,8 +594,18 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
     return S, T, SUP, INF
 
 
-def _ks_normal(z: np.ndarray) -> float:
-    return float(_scipy_stats.kstest(z, "norm").statistic)
+def _ks_normal(z: np.ndarray) -> np.ndarray:
+    """Each column's one-sample Kolmogorov-Smirnov distance to N(0, 1).
+
+    The float operations and their order are those of scipy's kstest
+    statistic, so every distance is bit-equal to kstest(z[:, j], "norm")'s;
+    no p-value is formed. A column holding a NaN gives NaN.
+    """
+    N = z.shape[0]
+    F = ndtr(np.sort(z, axis=0))
+    d_plus = (np.arange(1.0, N + 1)[:, None] / N - F).max(axis=0)
+    d_minus = (F - np.arange(0.0, N)[:, None] / N).max(axis=0)
+    return np.where(d_plus > d_minus, d_plus, d_minus)
 
 
 def run_ensemble(
@@ -615,7 +625,10 @@ def run_ensemble(
     level; each product path makes one count draw for all its checkpoints,
     or one symbol draw per level with a window. Threads only partition the
     paths of a windowed product run into contiguous ranges for the walk.
-    Reductions run single-threaded in path order.
+    Reductions run single-threaded in path order. The Kolmogorov-Smirnov
+    distances of z = centered / sqrt(sigma2_clt T) to N(0, 1) come from one
+    column-wise pass over the (N, checkpoints) z matrix; they are NaN when
+    sigma2_clt is 0.
 
     Passing an explicit window switches the walk to one draw per level so the
     running sup/inf of the ratio cover every level of [n_lo, n_hi]; without a
@@ -637,13 +650,16 @@ def run_ensemble(
     )
     centered = S - conv.d * T
     ratio = centered / conv.ratio_den(T)
-    z = centered / np.sqrt(conv.sigma2_clt * T) if conv.sigma2_clt > 0 else np.zeros_like(centered)
+    if conv.sigma2_clt > 0:
+        ks_distance = tuple(_ks_normal(centered / np.sqrt(conv.sigma2_clt * T)).tolist())
+    else:
+        ks_distance = (float("nan"),) * len(cks)
     if SUP is None:  # the window is the whole checkpoint grid
         SUP, INF = np.maximum.accumulate(ratio, axis=1), np.minimum.accumulate(ratio, axis=1)
 
     runsup_median = []
     ratio_mean, ratio_var, ratio_min, ratio_max = [], [], [], []
-    ks_list, mean_gap = [], []
+    mean_gap = []
     for j in range(len(cks)):
         col = ratio[:, j]
         mu = math.fsum(col.tolist()) / N
@@ -651,7 +667,6 @@ def run_ensemble(
         ratio_var.append(math.fsum(((col - mu) ** 2).tolist()) / N)
         ratio_min.append(float(col.min()))
         ratio_max.append(float(col.max()))
-        ks_list.append(_ks_normal(z[:, j]) if conv.sigma2_clt > 0 else float("nan"))
         s_mean = math.fsum(S[:, j].tolist()) / N
         t_mean = math.fsum(T[:, j].tolist()) / N
         mean_gap.append(abs(s_mean / t_mean - conv.d))
@@ -670,7 +685,7 @@ def run_ensemble(
         ratio_var=tuple(ratio_var),
         ratio_min=tuple(ratio_min),
         ratio_max=tuple(ratio_max),
-        ks_distance=tuple(ks_list),
+        ks_distance=ks_distance,
         mean_gap=tuple(mean_gap),
         runsup_median=tuple(runsup_median),
         path_window_sup=SUP[:, -1],

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import bdtr, bdtrc
 
 from mflil import (
     BernoulliProduct,
@@ -243,3 +244,54 @@ def test_log_theta_is_the_branch_formula_bit_for_bit(convention, ell):
     ref = _theta_branch_formulas(convention, ell, u)
     assert np.array_equal(tc.log_theta_from_u(u), ref)
     assert [tc.log_theta_from_u(float(x)) for x in u[::250]] == ref[::250].tolist()
+
+
+# two-sided level of the exact binomial band on a hit count, fixed before any run
+GAUGE_BAND_ALPHA = 1e-6
+
+
+def _quarter_hit_probabilities(family: str, sigma: float, epsilon: float, n: int):
+    """(low, high) bounds on P(m(I_n) <= gauge(2^-n)) for bernoulli_quarter.
+
+    With K of the n symbols of weight 1/4, S_n = K c1 + (n - K) c0 in nats, and
+    the gauge t^d Theta(t)^e at t = 2^-n is hit iff S_n >= n H - e ln2
+    sqrt(2 n ln ln n), i.e. iff K >= x. K ~ Binomial(n, 1/4), so the hit
+    probability is a binomial tail. The walk's float S_n, its threshold and
+    thr here each carry a few ulps of n c1; when x lies that close to an
+    integer, S_n may fall on either side of that atom, and the bounds span
+    both neighbouring atoms.
+    """
+    p = 0.25
+    e = (sigma + epsilon) * (1 if family == "lil_hausdorff" else -1)
+    c1, c0 = -math.log(p), -math.log(1 - p)
+    entropy = p * c1 + (1 - p) * c0
+    thr = n * entropy - e * LN2 * math.sqrt(2 * n * math.log(math.log(n)))
+    x = (thr - n * c0) / (c1 - c0)
+    tol = 16 * math.ulp(n * c1) / (c1 - c0)
+    k_lo, k_hi = math.ceil(x - tol), math.ceil(x + tol)
+    # P(K >= k) = P(K > k - 1)
+    return float(bdtrc(k_hi - 1, n, p)), float(bdtrc(k_lo - 1, n, p))
+
+
+def _count_band(p_lo: float, p_hi: float, N: int) -> tuple[int, int]:
+    """[lo, hi] with P(count < lo) <= alpha/2 at p_lo and P(count > hi) <= alpha/2 at p_hi."""
+    k = np.arange(N + 1)
+    lo = int(np.argmax(bdtr(k, N, p_lo) > GAUGE_BAND_ALPHA / 2))
+    hi = int(np.argmax(bdtrc(k, N, p_hi) <= GAUGE_BAND_ALPHA / 2))
+    return lo, hi
+
+
+@pytest.mark.parametrize("family", ["lil_hausdorff", "lil_packing"])
+def test_gauge_fractions_in_exact_binomial_band(family):
+    d = dimension(QUARTER)
+    sig = lil_sigma(QUARTER, "base-2")
+    spec = GaugeSpec(family=family, d=d, sigma=sig, epsilon=0.3, epsilon_sign=1,
+                     theta=theta_correction("base-2"))
+    cks, N = [1024, 16384], 2000
+    res = gauge_test(QUARTER, spec, cks, N=N, seed=12)
+    for n, fraction in zip(cks, res.fractions):
+        p_lo, p_hi = _quarter_hit_probabilities(family, sig, 0.3, n)
+        lo, hi = _count_band(p_lo, p_hi, N)
+        count = round(fraction * N)
+        assert count == fraction * N
+        assert lo <= count <= hi, (n, count, lo, hi, p_lo, p_hi)

@@ -2,6 +2,8 @@
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -35,3 +37,13 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs about half of a CLI start; no module of the package may pull it in
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import mflil.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

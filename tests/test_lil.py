@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from mflil import (
     BernoulliProduct,
@@ -489,6 +490,8 @@ def test_uniform_ratios_exact_zero():
     assert all(v == 0.0 for v in s.ratio_min + s.ratio_max)
     assert np.all(np.asarray(s.path_window_sup) == 0.0)
     assert np.all(np.asarray(s.path_window_inf) == 0.0)
+    # no CLT variance, so no z-scores to test
+    assert len(s.ks_distance) == 2 and all(math.isnan(v) for v in s.ks_distance)
 
 
 def test_ensemble_statistics_sane():
@@ -502,6 +505,41 @@ def test_ensemble_statistics_sane():
     # constant only appears in the limsup, not in fixed-n variances
     z_var = s.ratio_var[0] * 2.0 * conv.loglog(4096.0)
     assert z_var == pytest.approx(conv.sigma2_clt, rel=0.15)
+
+
+def _ks_cases():
+    rng = np.random.default_rng(20)
+    for N in (1, 2, 3, 3000):
+        z = rng.normal(0.2, 1.1, size=(N, 3))
+        yield f"N={N}", z
+        yield f"N={N} ties", np.round(z, 1)
+    z = rng.normal(size=(40, 2))
+    z[[3, 17], 0] = np.inf
+    z[[5, 9], 1] = -np.inf
+    z[11, 1] = np.inf
+    yield "infinities", z
+
+
+_KS_CASES = dict(_ks_cases())
+
+
+@pytest.mark.parametrize("label", list(_KS_CASES))
+def test_ks_normal_is_kstest_statistic_bit_for_bit(label):
+    z = _KS_CASES[label]
+    got = lil_module._ks_normal(z)
+    assert got.shape == (z.shape[1],)
+    for j in range(z.shape[1]):
+        want = stats.kstest(z[:, j], "norm").statistic
+        assert np.float64(got[j]).tobytes() == np.float64(want).tobytes(), (label, j)
+
+
+def test_ks_normal_nan_column_leaves_its_neighbours():
+    z = np.random.default_rng(21).normal(size=(50, 3))
+    z[7, 1] = np.nan
+    got = lil_module._ks_normal(z)
+    assert math.isnan(got[1]) and math.isnan(stats.kstest(z[:, 1], "norm").statistic)
+    for j in (0, 2):
+        assert got[j] == stats.kstest(z[:, j], "norm").statistic
 
 
 def test_selfsimilar_ensemble_natural_time():
