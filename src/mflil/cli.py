@@ -1,12 +1,15 @@
 """Command-line entry point.
 
-Every subcommand reads a model file, runs one module, and writes plain-text
-artifacts into --out: CSV tables with 17-significant-digit scientific floats,
-a JSON summary mirroring the CSV aggregates, and a manifest recording the
-tool version, the full option set, the model-file digest, the master seed,
-and the SHA-256 of every output. Re-running the same command over the same
-model reproduces the output files byte for byte, for any --threads value;
-only the manifest's timestamp differs.
+Every subcommand reads a model file, runs one module, and hands its outputs
+to one writer, `_emit`. The writer creates --out and writes plain-text
+artifacts into it: CSV tables with 17-significant-digit scientific floats,
+a JSON summary holding the result dataclass's fields (one level deep) plus
+the aggregates the command adds, and a manifest recording the tool version,
+the full option set, the model-file digest, the master seed (null for a
+command that takes no --seed), and the SHA-256 of every output. A run refused
+before its outputs exist writes nothing, not even --out. Re-running the
+same command over the same model reproduces the output files byte for
+byte, for any --threads value; only the manifest's timestamp differs.
 
 Exit codes: 0 success; 2 validation (bad flags, malformed model files, domain
 violations); 3 numerical failure (a cross-check disagreed); 4 budget
@@ -22,8 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import is_dataclass, asdict
-from typing import Optional
+from dataclasses import fields
 
 import numpy as np
 
@@ -49,8 +51,6 @@ def _fmt(x: float) -> str:
 
 
 def _jsonable(obj):
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -95,25 +95,44 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(outdir, command, options: dict, model_path: Optional[str], seed, outputs) -> str:
-    doc = {
+def _fields(result, *drop) -> dict:
+    """A result dataclass's fields less those named in drop, read one level
+    deep (asdict would deep-copy every table)."""
+    return {f.name: getattr(result, f.name) for f in fields(result) if f.name not in drop}
+
+
+def _emit(args, command: str, outputs: dict) -> list[str]:
+    """Create --out, write each named output into it, then the manifest.
+
+    A (header, rows) tuple is written as CSV, a str verbatim, a callable is
+    handed the path to write, and anything else is written as JSON. The
+    manifest reads the options, the model file and the seed from args.
+    Returns the output paths in order.
+    """
+    os.makedirs(args.out, exist_ok=True)
+    paths = [os.path.join(args.out, name) for name in outputs]
+    for path, content in zip(paths, outputs.values()):
+        if isinstance(content, tuple):
+            _write_csv(path, *content)
+        elif isinstance(content, str):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        elif callable(content):
+            content(path)
+        else:
+            _write_json(path, content)
+    model = getattr(args, "model", None)
+    _write_json(os.path.join(args.out, "manifest.json"), {
         "tool": "mflil",
         "version": __version__,
         "command": command,
-        "options": _jsonable(options),
-        "model_digest": _digest(model_path) if model_path else None,
-        "master_seed": seed,
+        "options": vars(args) | {"func": None},
+        "model_digest": _digest(model) if model else None,
+        "master_seed": getattr(args, "seed", None),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": {os.path.basename(p): _digest(p) for p in outputs},
-    }
-    path = os.path.join(outdir, "manifest.json")
-    _write_json(path, doc)
-    return path
-
-
-def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
+        "outputs": {name: _digest(path) for name, path in zip(outputs, paths)},
+    })
+    return paths
 
 
 def _parse_checkpoints(text: str) -> list[int]:
@@ -148,7 +167,6 @@ def _model(args) -> MeasureModel:
 
 def cmd_spectrum(args) -> None:
     model = _model(args)
-    outdir = _outdir(args)
     base = None if args.base == "auto" else LogBase.parse(args.base)
     table = spectrum_table(
         model,
@@ -158,33 +176,21 @@ def cmd_spectrum(args) -> None:
         base=base,
         empirical_n=args.empirical_n,
     )
-    csv_path = os.path.join(outdir, "spectrum.csv")
-    _write_csv(csv_path, ["q", "tau"], list(zip(table.q, table.tau)))
-    summary = {
+    summary = _fields(table, "q", "tau") | {
         "base": table.base.value,
-        "method": table.method,
-        "d": table.d,
-        "sigma2": table.sigma2,
-        "sigma2_err": table.sigma2_err,
-        "sigma2_flagged": table.sigma2_flagged,
-        "delta": table.delta,
-        "flat": table.flat,
         "q_min": args.q_min,
         "q_max": args.q_max,
         "q_step": args.q_step,
         "rows": len(table.q),
     }
-    json_path = os.path.join(outdir, "summary.json")
-    _write_json(json_path, summary)
-    _write_manifest(
-        outdir, "spectrum", vars(args) | {"func": None}, args.model, None,
-        [csv_path, json_path],
-    )
+    _emit(args, "spectrum", {
+        "spectrum.csv": (["q", "tau"], zip(table.q, table.tau)),
+        "summary.json": summary,
+    })
 
 
 def cmd_lil_sim(args) -> None:
     model = _model(args)
-    outdir = _outdir(args)
     checkpoints = _parse_checkpoints(args.checkpoints)
     window = None
     if args.window:
@@ -202,47 +208,20 @@ def cmd_lil_sim(args) -> None:
         window=window,
         threads=args.threads,
     )
-    csv_path = os.path.join(outdir, "lilsim.csv")
-    rows = list(
-        zip(
-            summary.checkpoints,
-            summary.ratio_mean,
-            summary.ratio_min,
-            summary.ratio_max,
-            summary.ks_distance,
-            summary.runsup_median,
-        )
-    )
-    _write_csv(
-        csv_path,
-        ["n", "mean_ratio", "min_ratio", "max_ratio", "ks_distance", "runsup_median"],
-        rows,
-    )
-    doc = {
-        "convention": summary.convention,
-        "N": summary.N,
-        "seed": summary.seed,
-        "d": summary.d,
-        "sigma": summary.sigma,
-        "window": list(summary.window),
-        "checkpoints": list(summary.checkpoints),
-        "ratio_mean": list(summary.ratio_mean),
-        "ratio_var": list(summary.ratio_var),
-        "ratio_min": list(summary.ratio_min),
-        "ratio_max": list(summary.ratio_max),
-        "ks_distance": list(summary.ks_distance),
-        "mean_gap": list(summary.mean_gap),
-        "runsup_median": list(summary.runsup_median),
+    doc = _fields(summary, "path_window_sup", "path_window_inf") | {
         "ks_final": summary.ks_distance[-1],
         "window_sup_max": float(np.max(summary.path_window_sup)),
         "window_inf_min": float(np.min(summary.path_window_inf)),
     }
-    json_path = os.path.join(outdir, "summary.json")
-    _write_json(json_path, doc)
-    _write_manifest(
-        outdir, "lil-sim", vars(args) | {"func": None}, args.model, args.seed,
-        [csv_path, json_path],
-    )
+    rows = zip(summary.checkpoints, summary.ratio_mean, summary.ratio_min,
+               summary.ratio_max, summary.ks_distance, summary.runsup_median)
+    _emit(args, "lil-sim", {
+        "lilsim.csv": (
+            ["n", "mean_ratio", "min_ratio", "max_ratio", "ks_distance", "runsup_median"],
+            rows,
+        ),
+        "summary.json": doc,
+    })
 
 
 def _build_gauge_spec(model: MeasureModel, args) -> GaugeSpec:
@@ -280,95 +259,43 @@ def _build_gauge_spec(model: MeasureModel, args) -> GaugeSpec:
 
 def cmd_gauge_test(args) -> None:
     model = _model(args)
-    outdir = _outdir(args)
     spec = _build_gauge_spec(model, args)
     checkpoints = _parse_checkpoints(args.checkpoints)
     result = gauge_test(
         model, spec, checkpoints, N=args.N, seed=args.seed, threads=args.threads
     )
-    csv_path = os.path.join(outdir, "gauge.csv")
-    rows = list(zip(result.checkpoints, result.fractions, result.hit_by))
-    _write_csv(csv_path, ["n", "fraction", "hit_ever_fraction"], rows)
-    doc = {
-        "spec": spec.describe(),
-        "N": result.N,
-        "seed": result.seed,
-        "checkpoints": list(result.checkpoints),
-        "fractions": list(result.fractions),
-        "hit_by": list(result.hit_by),
-        "hit_ever": result.hit_ever,
-    }
-    json_path = os.path.join(outdir, "summary.json")
-    _write_json(json_path, doc)
-    _write_manifest(
-        outdir, "gauge-test", vars(args) | {"func": None}, args.model, args.seed,
-        [csv_path, json_path],
-    )
+    _emit(args, "gauge-test", {
+        "gauge.csv": (
+            ["n", "fraction", "hit_ever_fraction"],
+            zip(result.checkpoints, result.fractions, result.hit_by),
+        ),
+        "summary.json": _fields(result, "family") | {"spec": spec.describe()},
+    })
 
 
 def cmd_qb_check(args) -> None:
     model = _model(args)
-    outdir = _outdir(args)
     report = qb_constant(model, max_level=args.max_level, seed=args.seed)
     verdict = dichotomy_classify(model)
-    doc = {
-        "C_hat": report.C_hat,
-        "exact": report.exact,
-        "closed_form": report.closed_form,
-        "max_level": report.max_level,
-        "pairs_tested": report.pairs_tested,
-        "case": verdict.case,
-        "d": verdict.d,
-        "delta": verdict.delta,
-        "tol_eq": verdict.tol_eq,
-        "evidence": verdict.evidence,
-    }
-    json_path = os.path.join(outdir, "qb.json")
-    _write_json(json_path, doc)
-    _write_manifest(
-        outdir, "qb-check", vars(args) | {"func": None}, args.model, args.seed,
-        [json_path],
-    )
+    _emit(args, "qb-check", {"qb.json": _fields(report) | _fields(verdict)})
 
 
 def cmd_oracles(args) -> None:
-    outdir = _outdir(args)
     records = build_oracles()
-    cache_path = os.path.join(outdir, "oracles.json")
-    write_oracle_cache(records, cache_path)
     checks = verify_records(records)
-    rows = []
-    for c in checks:
-        rows.append(
-            {
-                "quantity": c.quantity,
-                "oracle_value": c.oracle_value,
-                "main_value": c.main_value,
-                "ok": c.ok,
-                "tolerance": c.tolerance,
-            }
-        )
-    check_path = os.path.join(outdir, "oracle_checks.json")
-    _write_json(check_path, rows)
+    _emit(args, "oracles", {
+        "oracles.json": lambda path: write_oracle_cache(records, path),
+        "oracle_checks.json": [_fields(c) for c in checks],
+    })
     bad = [c.quantity for c in checks if not c.ok]
-    _write_manifest(outdir, "oracles", vars(args) | {"func": None}, None, 0,
-                    [cache_path, check_path])
     if bad:
         raise NumericalError("oracle cross-checks failed: " + ", ".join(bad))
 
 
 def cmd_zoo(args) -> None:
-    outdir = _outdir(args)
     names = [args.name] if args.name else list(ZOO_NAMES)
-    written = []
-    for name in names:
-        path = os.path.join(outdir, f"{name}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(zoo_text(name))
-        written.append(path)
-    _write_manifest(outdir, "zoo", vars(args) | {"func": None}, None, 0, written)
-    for p in written:
-        print(p)
+    for path in _emit(args, "zoo", {f"{name}.json": zoo_text(name) for name in names}):
+        print(path)
 
 
 # ---------------------------------------------------------------------------

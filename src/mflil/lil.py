@@ -71,7 +71,6 @@ from scipy.special import ndtr
 
 from .errors import BudgetError, ValidationError
 from .models import (
-    MarkovMeasure,
     MeasureModel,
     Word,
     _env_budget,
@@ -214,7 +213,7 @@ def s_process(model: MeasureModel, w: Word, base: Union[LogBase, str] = LogBase.
     syms = np.asarray(w.symbols, dtype=np.intp)
     if syms.size == 0:
         return np.zeros(0)
-    if isinstance(model, MarkovMeasure):
+    if model.core.kind == "chain":
         inc = -model.core.log_factors(syms) / ln_base(model, base)
     else:
         inc = -log_symbol_weights(model, base)[syms]
@@ -539,7 +538,7 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
         )
     core = model.core
     block = max(1, _CHAIN_BLOCK_DRAWS // n_max)
-    if isinstance(model, MarkovMeasure):
+    if core.kind == "chain":
         if N * n_max > _MARKOV_STEP_BUDGET:
             raise BudgetError(
                 f"stepwise chain simulation capped at N*n_max <= {_MARKOV_STEP_BUDGET}"

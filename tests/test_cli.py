@@ -3,7 +3,9 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
+import scipy
 
 from mflil import lil as lil_module
 from mflil.cli import build_parser, main
@@ -324,3 +326,78 @@ def test_integral_ell_and_d_still_load(tmp_path):
             doc.get("ell", 2), doc.get("D", 1)
         )
         assert run(["spectrum", "--model", str(path), "--out", str(tmp_path / name)]) == 0
+
+
+def test_master_seed_is_null_without_a_seed_option(zoo_dir, tmp_path):
+    for cmd in (["zoo"], ["oracles"],
+                ["spectrum", "--model", str(zoo_dir / "bernoulli_half.json")]):
+        out = tmp_path / cmd[0]
+        assert run(cmd + ["--out", str(out)]) == 0
+        assert read_json(out / "manifest.json")["master_seed"] is None
+    out = tmp_path / "qb"
+    assert run(["qb-check", "--model", str(zoo_dir / "bernoulli_half.json"),
+                "--out", str(out), "--seed", "5"]) == 0
+    assert read_json(out / "manifest.json")["master_seed"] == 5
+
+
+def test_refused_runs_leave_no_out_directory(zoo_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MFLIL_PATH_BUDGET", "100")
+    out = tmp_path / "lil"
+    assert run(["lil-sim", "--model", str(zoo_dir / "bernoulli_quarter.json"),
+                "--out", str(out), "--N", "100", "--checkpoints", "pow2:4:8"]) == 4
+    assert not out.exists()
+    monkeypatch.delenv("MFLIL_PATH_BUDGET")
+    out = tmp_path / "theta"
+    assert run(["gauge-test", "--model", str(zoo_dir / "cantor_biased.json"),
+                "--out", str(out), "--family", "theta", "--N", "10",
+                "--checkpoints", "64,1024"]) == 2
+    assert "grid scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# sha256 of the data files (manifests excluded) of six small commands, as
+# written before the subcommands shared one output writer.
+_PINNED_COMMANDS = {
+    "spectrum": ("spectrum", "markov_chain", []),
+    "lil_ckpt": ("lil-sim", "bernoulli_quarter",
+                 ["--N", "200", "--checkpoints", "pow2:4:12", "--seed", "11"]),
+    "lil_window": ("lil-sim", "cantor_biased",
+                   ["--N", "8", "--checkpoints", "pow2:4:14", "--window", "16:16384",
+                    "--seed", "6"]),
+    "gauge_packing": ("gauge-test", "cantor_biased",
+                      ["--family", "lil_packing", "--N", "200", "--checkpoints", "64,1024",
+                       "--seed", "3"]),
+    "gauge_theta": ("gauge-test", "bernoulli_quarter",
+                    ["--family", "theta", "--N", "200", "--checkpoints", "64,1024",
+                     "--seed", "3"]),
+    "qb": ("qb-check", "markov_chain", []),
+}
+_PINNED_SHA256 = {
+    ("spectrum", "spectrum.csv"): "044786d933ebb653c3053b61a2a74f79a36f195202e357bdb1c6c792f8c3213c",
+    ("spectrum", "summary.json"): "4299d72a9fff90b488ca4ac759c351f4d55aa02ec91f203fdd1e3fdf3b3c5d6a",
+    ("lil_ckpt", "lilsim.csv"): "7f6d7ef146b0470a8ba37d766aa572047f84ae21dab7cad82d6b818cee35c18a",
+    ("lil_ckpt", "summary.json"): "81956e36a8c0ad23e4d1b1db3c98f90bf3419ae37438a0318795b82a54bc553e",
+    ("lil_window", "lilsim.csv"): "f44c178098c30b9378c7df5050791f86b891f9725cba00cab5dbc35b3be1f18e",
+    ("lil_window", "summary.json"): "dc5c79f7c1bb5a3a3abaab8f09db695fd920a6ab6e6b8be0a818acd6dc6da4c6",
+    ("gauge_packing", "gauge.csv"): "bfb6d856ac71f67eb9750a8d9dd659b24d597bd1387d9d3a4a757519bd13c304",
+    ("gauge_packing", "summary.json"): "acd00f5d68a1478a30288231b5a0b581c49a7bf25b1e13ace88ed6f55711f5eb",
+    ("gauge_theta", "gauge.csv"): "ad79a4ffc58fd3ae1dd1dcaf42fde9b612c25cc0606a2c06ec511ed96b5c9f68",
+    ("gauge_theta", "summary.json"): "8cb0362e00631bfff51069cd40c2f9116c483f1e6c9f3d90001431901099a697",
+    ("qb", "qb.json"): "90d1cacd6d21eee9278bc8fc62a4fb337de688dbadd2edee6ecdee53e68847d7",
+}
+
+
+@pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
+    reason="the pinned hashes were recorded with numpy 2.4.6 and scipy 1.17.1",
+)
+def test_data_files_match_pinned_hashes(zoo_dir, tmp_path):
+    found = {}
+    for tag, (command, model, extra) in _PINNED_COMMANDS.items():
+        out = tmp_path / tag
+        assert run([command, "--model", str(zoo_dir / f"{model}.json"),
+                    "--out", str(out), *extra]) == 0
+        for name in os.listdir(out):
+            if name != "manifest.json":
+                found[(tag, name)] = sha256(out / name)
+    assert found == _PINNED_SHA256
