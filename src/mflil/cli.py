@@ -106,7 +106,8 @@ def _emit(args, command: str, outputs: dict) -> list[str]:
 
     A (header, rows) tuple is written as CSV, a str verbatim, a callable is
     handed the path to write, and anything else is written as JSON. The
-    manifest reads the options, the model file and the seed from args.
+    manifest reads the options (less the subcommand and its handler, which
+    no user sets), the model file and the seed from args.
     Returns the output paths in order.
     """
     os.makedirs(args.out, exist_ok=True)
@@ -126,7 +127,7 @@ def _emit(args, command: str, outputs: dict) -> list[str]:
         "tool": "mflil",
         "version": __version__,
         "command": command,
-        "options": vars(args) | {"func": None},
+        "options": {k: v for k, v in vars(args).items() if k not in ("command", "func")},
         "model_digest": _digest(model) if model else None,
         "master_seed": getattr(args, "seed", None),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -382,21 +382,24 @@ _CHAIN_BLOCK_DRAWS = 1 << 20
 def _chain_walk(tables, checkpoints, seed, lo, hi, conv, window):
     """Walk chain paths lo..hi-1 together, one numpy step per level.
 
-    tables holds the columns of the cumulative pi and P rows, and the
-    increments -ln(p)/lb (+inf at p = 0), P's flattened so that (i, j) sits
-    at i * k + j. Path i draws its uniforms from path_rng(seed, i), in chunks
-    of at most _CHAIN_BLOCK_DRAWS // B levels that continue its stream (the
-    walk's one generator, re-keyed past the levels drawn before), so
-    the block holds at most _CHAIN_BLOCK_DRAWS uniforms at any depth. Its next
-    state follows draw_symbols on the cumulative row of its state, in
-    vectorised form: as rows are non-decreasing, the clamped searchsorted is
-    the count of row[:-1] entries at most u * row[-1]. S adds -ln P / lb in
-    level order. All steps are elementwise, so no path depends on its block.
-    Each level's S overwrites its spent uniforms, and _level_walk takes the
-    chunk from there, so no array spans all n levels.
+    tables holds the k columns of the core's cum_P (row k, the start
+    state's, is pi) and the increments -ln(p)/lb (+inf at p = 0) of its
+    log_P, flattened so that (i, j) sits at i * k + j. Every path starts in
+    state k with S = -0.0, the additive identity: +0.0 would turn a first
+    increment of -0.0 (a pi entry of 1) into +0.0. Path i draws its uniforms
+    from path_rng(seed, i), in chunks of at most _CHAIN_BLOCK_DRAWS // B
+    levels that continue its stream (the walk's one generator, re-keyed past
+    the levels drawn before), so the block holds at most _CHAIN_BLOCK_DRAWS
+    uniforms at any depth. Its next state follows draw_symbols on the
+    cumulative row of its state, in vectorised form: as rows are
+    non-decreasing, the clamped searchsorted is the count of row[:-1]
+    entries at most u * row[-1]. S adds -ln P / lb in level order. All steps
+    are elementwise, so no path depends on its block. Each level's S
+    overwrites its spent uniforms, and _level_walk takes the chunk from
+    there, so no array spans all n levels.
     """
-    pi_cols, P_cols, inc_pi, inc_P = tables
-    n, B, k = checkpoints[-1], hi - lo, len(pi_cols)
+    P_cols, inc_P = tables
+    n, B, k = checkpoints[-1], hi - lo, len(P_cols)
     rows = max(1, _CHAIN_BLOCK_DRAWS // B)
     U = np.empty((min(n, rows), B))  # level-major: each step reads one contiguous row
     rng = path_rng(seed, lo)  # the walk's one generator, re-keyed for each path
@@ -412,18 +415,14 @@ def _chain_walk(tables, checkpoints, seed, lo, hi, conv, window):
         nonlocal state, s
         for b in range(B):
             U[:c, b] = rekey_path_rng(rng, seed, lo + b, base).random(c)
-        for level, u in enumerate(U[:c], base + 1):
-            if level == 1:
-                state = draw(u, pi_cols)
-                s = inc_pi[state]
-            else:
-                nxt = draw(u, [col.take(state) for col in P_cols])
-                s += inc_P.take(state * k + nxt)
-                state = nxt
+        for u in U[:c]:
+            nxt = draw(u, [col.take(state) for col in P_cols])
+            s += inc_P.take(state * k + nxt)
+            state = nxt
             u[:] = s
         yield slice(None), U[:c], None
 
-    state = s = None
+    state, s = np.full(B, k), np.full(B, -0.0)
     return _level_walk(produce, checkpoints, conv, window, B, rows)
 
 
@@ -493,21 +492,17 @@ class EnsembleSummary:
     path_window_inf: np.ndarray
 
     def __eq__(self, other):
+        """Field by field, NaN equal to NaN: a statistic is NaN where it is
+        undefined (no CLT variance, a window not yet open), and two runs of
+        one input must still compare equal."""
         if not isinstance(other, EnsembleSummary):
             return NotImplemented
-        scalar = all(
-            getattr(self, f) == getattr(other, f)
-            for f in (
-                "convention", "N", "seed", "checkpoints", "window", "d", "sigma",
-                "ratio_mean", "ratio_var", "ratio_min", "ratio_max",
-                "ks_distance", "mean_gap", "runsup_median",
-            )
-        )
-        return (
-            scalar
-            and np.array_equal(self.path_window_sup, other.path_window_sup)
-            and np.array_equal(self.path_window_inf, other.path_window_inf)
-        )
+
+        def same(a, b) -> bool:
+            a, b = np.asarray(a), np.asarray(b)
+            return np.array_equal(a, b, equal_nan=a.dtype.kind == b.dtype.kind == "f")
+
+        return all(same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
@@ -544,8 +539,7 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
                 f"stepwise chain simulation capped at N*n_max <= {_MARKOV_STEP_BUDGET}"
             )
         lb = math.log(conv.log_base)
-        cols = [core.cum_P[:, j].copy() for j in range(core.k)]
-        tables = list(core.cum_pi), cols, -core.log_pi / lb, -core.log_P.ravel() / lb
+        tables = [core.cum_P[:, j].copy() for j in range(core.k)], -core.log_P.ravel() / lb
 
         def walk(lo, hi):
             return _chain_walk(tables, cks, seed, lo, hi, conv, window)
@@ -705,34 +699,36 @@ def _exact_weights(p) -> list[Fraction]:
 
 
 def _class_tables(model, base: LogBase):
-    """(start, moves, logs): the exact class walk's table in `base` units.
+    """(moves, first_state, logs): the exact class walk's table in `base` units.
 
-    start lists the first symbol's moves and moves[i] those out of state i,
-    each move a (next state, factor, exact probability) triple; logs[factor]
-    is the log of the move's mass factor. Products have one state, and their
-    factors are the active symbols. Chain states are the symbols, and their
-    factors are the distinct positive entries of pi and P.
+    moves[i] lists the moves out of state i, each a (next state, factor,
+    exact probability) triple, and every word starts in first_state;
+    logs[factor] is the log of the move's mass factor. Products have one
+    state, 0, and their factors are the active symbols. Chain states are the
+    k symbols and the start state k, whose moves are pi's; the factors are
+    the distinct positive entries of pi and then of P.
     """
     core = model.core
     if core.kind == "product":
         active = list(core.active)
-        start = [(0, f, w) for f, w in enumerate(_exact_weights(core.weights[active].tolist()))]
-        return start, [start], log_symbol_weights(model, base)[active]
-    rows = [core.pi.tolist(), *core.P.tolist()]
-    factors = list(dict.fromkeys(x for row in rows for x in row if x > 0))
-    start, *moves = [
+        moves = [(0, f, w) for f, w in enumerate(_exact_weights(core.weights[active].tolist()))]
+        return [moves], 0, log_symbol_weights(model, base)[active]
+    pi, P = core.pi.tolist(), core.P.tolist()
+    factors = list(dict.fromkeys(x for row in [pi, *P] for x in row if x > 0))
+    moves = [
         [(j, factors.index(x), w) for j, (x, w) in enumerate(zip(row, _exact_weights(row))) if x > 0]
-        for row in rows
+        for row in [*P, pi]
     ]
     lb = ln_base(model, base)
-    return start, moves, np.array([math.log(x) / lb for x in factors])
+    return moves, core.k, np.array([math.log(x) / lb for x in factors])
 
 
 def _class_walk(model, base: LogBase, n: int, budget: int, barrier=None):
     """(law, hit, scale): the exact law of S_n, walked one level at a time.
 
     A class is a (state, counts) pair, counts[f] the uses of factor f, so its
-    S value is float(-(counts @ logs)). Each level extends every live class by
+    S value is float(-(counts @ logs)); the walk starts from one class, the
+    first state with no counts. Each level extends every live class by
     every move of its state, multiplying integer numerators over the common
     denominator den (the lcm of the move probabilities' denominators); no
     division happens before the end. With a barrier (n0, test), every class
@@ -750,18 +746,18 @@ def _class_walk(model, base: LogBase, n: int, budget: int, barrier=None):
         count = math.comb(n + g - 1, g - 1)
         if count > budget:
             raise BudgetError(f"{count} product classes at level {n}, {g} symbols, exceed the budget {budget}")
-    start, moves, logs = _class_tables(model, base)
-    den = math.lcm(*(w.denominator for row in (start, *moves) for _, _, w in row))
-    start, *moves = [[(j, f, int(w * den)) for j, f, w in row] for row in (start, *moves)]
+    moves, first, logs = _class_tables(model, base)
+    den = math.lcm(*(w.denominator for row in moves for _, _, w in row))
+    moves = [[(j, f, int(w * den)) for j, f, w in row] for row in moves]
 
     def value(counts) -> float:
         return float(-(np.asarray(counts, dtype=float) @ logs))
 
-    classes, hit = {(None, (0,) * len(logs)): 1}, 0  # level 0: no symbol yet
+    classes, hit = {(first, (0,) * len(logs)): 1}, 0  # level 0: no symbol yet
     for level in range(1, n + 1):
         nxt: dict = {}
         for (state, counts), num in classes.items():
-            for j, f, a in start if state is None else moves[state]:
+            for j, f, a in moves[state]:
                 key = (j, counts[:f] + (counts[f] + 1,) + counts[f + 1:])
                 nxt[key] = nxt.get(key, 0) + num * a
         classes = nxt

@@ -19,11 +19,14 @@ exp of the sum of per-symbol log factors, never the log of a float product.
 Family core. Each model builds its per-symbol tables once, on first use of
 `model.core`: one read-only FamilyCore of kind 'product' (Bernoulli,
 multinomial and self-similar: weights, their natural logs, self-similar log
-ratios) or 'chain' (Markov: pi, P, their cumulative rows and logs taken
-entry by entry with math.log). Masses, samplers, spectra, ensembles and the
-quasi-Bernoulli checks read these tables instead of re-deriving them. Every
-sampler draws through one inverse-CDF rule (draw_symbols), and every chain
-enumeration comes from one enumerator (chain_log_masses).
+ratios) or 'chain' (Markov: pi, P, and the cumulative rows and logs, taken
+entry by entry with math.log, of P with pi appended as row k). A chain word
+starts in the start state k, so its first symbol is a transition out of
+row k like any other. Masses, samplers, spectra, ensembles and the
+quasi-Bernoulli checks read these tables instead of re-deriving them, and
+the family checks read the core's ell, None for self-similar measures.
+Every sampler draws through one inverse-CDF rule (draw_symbols), and every
+chain enumeration comes from one enumerator (chain_log_masses).
 
 Sampling uses a counter-based generator (Philox) keyed by
 (run_seed, path_index): every path owns a substream, so ensembles are
@@ -136,11 +139,13 @@ class FamilyCore:
 
     kind 'product' (independent symbols) carries weights, their cumulative
     sums and natural logs (np.log, -inf at weight 0), and for self-similar
-    measures the natural log contraction ratios. kind 'chain' carries pi, P,
-    their cumulative rows, and logs taken entry by entry with math.log (-inf
-    at 0). ell is the grid base, None for self-similar measures. active lists
-    the symbols that positive-mass words use: the positive weights, or the
-    chain states reachable from the support of pi.
+    measures the natural log contraction ratios. kind 'chain' carries pi and
+    P, and the (k+1) x k tables cum_P and log_P: the cumulative rows, and
+    logs taken entry by entry with math.log (-inf at 0), of P's k rows and
+    then of row k, the start state's, which is pi. ell is the grid base, None
+    for self-similar measures. active lists the symbols that positive-mass
+    words use: the positive weights, or the chain states reachable from the
+    support of pi.
     """
 
     kind: str
@@ -153,9 +158,7 @@ class FamilyCore:
     log_ratios: Optional[np.ndarray] = None
     pi: Optional[np.ndarray] = None
     P: Optional[np.ndarray] = None
-    cum_pi: Optional[np.ndarray] = None
     cum_P: Optional[np.ndarray] = None
-    log_pi: Optional[np.ndarray] = None
     log_P: Optional[np.ndarray] = None
 
     @classmethod
@@ -182,28 +185,23 @@ class FamilyCore:
                 break
             active = grown
 
-        def log(a):
-            return [math.log(x) if x > 0 else -math.inf for x in a.ravel().tolist()]
-
+        rows = np.vstack((P, pi))  # row k, the start state, is pi
+        logs = [math.log(x) if x > 0 else -math.inf for x in rows.ravel().tolist()]
         return cls(
             "chain", pi.size, ell, tuple(np.flatnonzero(active).tolist()),
             pi=_read_only(pi),
             P=_read_only(P),
-            cum_pi=_read_only(np.cumsum(pi)),
-            cum_P=_read_only(np.cumsum(P, axis=1)),
-            log_pi=_read_only(log(pi)),
-            log_P=_read_only(np.reshape(log(P), P.shape)),
+            cum_P=_read_only(np.cumsum(rows, axis=1)),
+            log_P=_read_only(np.reshape(logs, rows.shape)),
         )
 
     def log_factors(self, syms: np.ndarray) -> np.ndarray:
         """Natural log of each mass factor along a non-empty word: the symbol
-        weights, or pi of the first symbol and then the transitions. A 2-d
-        syms holds one word per row."""
+        weights, or the transitions out of the start state k and then out of
+        each symbol. A 2-d syms holds one word per row."""
         if self.kind == "product":
             return self.log_weights[syms]
-        return np.concatenate(
-            (self.log_pi[syms[..., :1]], self.log_P[syms[..., :-1], syms[..., 1:]]), axis=-1
-        )
+        return self.log_P[np.insert(syms[..., :-1], 0, self.k, axis=-1), syms]
 
 
 @dataclass(frozen=True)
@@ -355,7 +353,7 @@ def stationary_distribution(P, tol: float = 1e-14, max_iter: int = 100000) -> np
 
 
 def canonical_base(model: MeasureModel) -> LogBase:
-    return LogBase.NATURAL if isinstance(model, SelfSimilarMeasure) else LogBase.BASE_ELL
+    return LogBase.NATURAL if model.core.ell is None else LogBase.BASE_ELL
 
 
 def ln_base(model: MeasureModel, base: LogBase) -> float:
@@ -398,10 +396,10 @@ def log_symbol_weights(model: MeasureModel, base: LogBase = LogBase.NATURAL) -> 
 
 
 def _validate_word(model: MeasureModel, w: Word) -> None:
-    if isinstance(model, SelfSimilarMeasure):
-        if any(s >= model.k for s in w.symbols):
+    if model.core.ell is None:
+        if any(s >= model.core.k for s in w.symbols):
             raise ValidationError(
-                f"word uses symbols outside the {model.k} IFS branches"
+                f"word uses symbols outside the {model.core.k} IFS branches"
             )
         return
     if w.alphabet != model.alphabet:
@@ -439,7 +437,7 @@ def log_cylinder_diameter(model: MeasureModel, w: Word) -> float:
 
 
 def cylinder_diameter(model: MeasureModel, w: Word) -> float:
-    if not isinstance(model, SelfSimilarMeasure):
+    if model.core.ell is not None:
         # keep grid side lengths exact instead of exp(log) round-tripping
         _validate_word(model, w)
         return float(model.alphabet.ell) ** (-w.level)
@@ -450,15 +448,15 @@ def chain_log_masses(model: MeasureModel, n: int) -> np.ndarray:
     """Natural log masses of all k^n level-n words (n >= 1) of a chain, -inf
     for null words, in lexicographic order: word s_1..s_n sits at sum s_i k^(n-i).
 
-    Log masses add left to right, log pi first. Refused past the enumeration
-    budget.
+    Log masses add left to right, from the start state's row (log pi) on.
+    Refused past the enumeration budget.
     """
     core = model.core
     check_enumeration_budget(model, n)
-    L = core.log_pi
+    L = core.log_P[core.k]
     for _ in range(n - 1):
         # rows of the reshape are prefixes, columns their last state
-        L = (L.reshape(-1, core.k)[:, :, None] + core.log_P).ravel()
+        L = (L.reshape(-1, core.k)[:, :, None] + core.log_P[:core.k]).ravel()
     return L
 
 
@@ -486,7 +484,7 @@ def support_info(model: MeasureModel) -> SupportInfo:
 
 def homogeneous_measure(model: MeasureModel) -> MultinomialMeasure:
     """Uniform weights 1/g on the active symbols of a grid family."""
-    if isinstance(model, SelfSimilarMeasure):
+    if model.core.ell is None:
         raise ValidationError("homogeneous measure is defined for grid families only")
     info = support_info(model)
     k = model.alphabet.k
@@ -524,8 +522,9 @@ def sample_symbols(model: MeasureModel, n: int, rng: np.random.Generator) -> np.
     if core.kind == "product":
         return draw_symbols(core.cum_weights, u)
     out = np.empty(n, dtype=np.intp)
+    state = core.k  # the start state, whose row is pi
     for t in range(n):
-        out[t] = draw_symbols(core.cum_P[out[t - 1]] if t else core.cum_pi, u[t])
+        state = out[t] = draw_symbols(core.cum_P[state], u[t])
     return out
 
 

@@ -88,8 +88,8 @@ def _sampled_chain_words(core, pairs: int, max_len: int, rng) -> tuple[np.ndarra
 
     Each pair draws the lengths |u|, |v| in [1, max_len] and then the
     uniforms of u and of v from rng, in that order. The words then step
-    together, one draw per level; row w of the symbol matrix holds word w,
-    padded with zeros past its length.
+    together from the start state k, one draw per level; row w of the symbol
+    matrix holds word w, padded with zeros past its length.
     """
     lengths, draws = [], []
     for _ in range(pairs):
@@ -100,10 +100,10 @@ def _sampled_chain_words(core, pairs: int, max_len: int, rng) -> tuple[np.ndarra
         U[w, : u.size] = u
     lengths = np.asarray(lengths, dtype=np.intp)
     syms = np.zeros(U.shape, dtype=np.intp)
+    state = np.full(len(draws), core.k)
     for level in range(max_len):
         live = np.flatnonzero(lengths > level)
-        rows = core.cum_pi if level == 0 else core.cum_P[syms[live, level - 1]]
-        syms[live, level] = draw_symbols(rows, U[live, level])
+        state[live] = syms[live, level] = draw_symbols(core.cum_P[state[live]], U[live, level])
     return syms, lengths
 
 

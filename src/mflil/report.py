@@ -28,7 +28,7 @@ from .errors import ValidationError
 from .gauges import theta_correction
 from .lil import exact_moments, running_max_tail
 from .qb import qb_constant
-from .spectrum import LogBase, chi, dimension, sigma2, sigma2_scale_free, tau
+from .spectrum import LogBase, chi, dimension, sigma2, sigma2_scale_free, tau, tau_scale_free
 from .zoo import zoo_models
 
 
@@ -218,7 +218,7 @@ def build_oracles() -> list[OracleRecord]:
     add("markov_chain.dimension", "high-precision",
         _mp_markov_dimension(), 1e-12, "entropy rate over log 2 at 50 digits")
     add("markov_chain.sigma2_natural", "high-precision",
-        _mp_markov_sigma2_natural(), 1e-6,
+        _mp_markov_sigma2_natural(), 1e-12,
         "second difference of the closed 2x2 eigenvalue exponent, h=1e-12 at 60 digits")
     add("markov_chain.tau_at_2", "high-precision",
         _mp_markov_tau2(), 1e-12, "closed 2x2 eigenvalue of the squared entries")
@@ -260,8 +260,7 @@ def build_oracles() -> list[OracleRecord]:
 # main-path recomputations keyed by quantity
 
 
-def _main_value(quantity: str) -> Optional[float]:
-    models = zoo_models()
+def _main_value(quantity: str, models: dict) -> Optional[float]:
     name, _, what = quantity.partition(".")
     if name in models:
         model = models[name]
@@ -276,8 +275,6 @@ def _main_value(quantity: str) -> Optional[float]:
         if what == "chi_at_half":
             return chi(model, 0.5)
         if what == "delta":
-            from .spectrum import tau_scale_free
-
             return tau_scale_free(model, 0.0)
         if what == "qb_constant":
             return qb_constant(model).C_hat
@@ -298,9 +295,10 @@ def verify_records(records: Optional[list[OracleRecord]] = None) -> list[OracleC
     """Recompute each oracle through the main paths; informational records pass."""
     if records is None:
         records = build_oracles()
+    models = zoo_models()
     out = []
     for r in records:
-        main = _main_value(r.quantity)
+        main = _main_value(r.quantity, models)
         if main is None:
             out.append(OracleCheck(r.quantity, r.value, None, True, r.tolerance))
             continue

@@ -340,6 +340,18 @@ def test_master_seed_is_null_without_a_seed_option(zoo_dir, tmp_path):
     assert read_json(out / "manifest.json")["master_seed"] == 5
 
 
+def test_manifest_options_are_the_parsed_options(zoo_dir, tmp_path):
+    out = tmp_path / "qb"
+    assert run(["qb-check", "--model", str(zoo_dir / "bernoulli_half.json"),
+                "--out", str(out), "--seed", "5"]) == 0
+    manifest = read_json(out / "manifest.json")
+    assert manifest["command"] == "qb-check"
+    # the subcommand has its own key, and its handler is no option
+    assert "command" not in manifest["options"] and "func" not in manifest["options"]
+    assert manifest["options"]["seed"] == 5
+    assert manifest["options"]["out"] == str(out)
+
+
 def test_refused_runs_leave_no_out_directory(zoo_dir, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MFLIL_PATH_BUDGET", "100")
     out = tmp_path / "lil"

@@ -8,8 +8,10 @@ from mflil import (
     BernoulliProduct,
     ChiProfile,
     GaugeSpec,
+    LogBase,
     ValidationError,
     dimension,
+    exact_distribution,
     gauge_test,
     gauge_value,
     lil_sigma,
@@ -295,3 +297,30 @@ def test_gauge_fractions_in_exact_binomial_band(family):
         count = round(fraction * N)
         assert count == fraction * N
         assert lo <= count <= hi, (n, count, lo, hi, p_lo, p_hi)
+
+
+def test_chain_gauge_counts_in_exact_binomial_band():
+    # the chain walk's hit counts against the exact chain law of S_n
+    chain = load_zoo_model("markov_chain")
+    d, sig = dimension(chain), lil_sigma(chain, "base-2")
+    specs = [GaugeSpec(family="power", d=d)] + [
+        GaugeSpec(family=family, d=d, sigma=sig, epsilon=0.3, epsilon_sign=-1,
+                  theta=theta_correction("base-2"))
+        for family in ("lil_hausdorff", "lil_packing")
+    ]
+    cks, N = [16, 32, 64], 4000
+    laws = {n: exact_distribution(chain, n, LogBase.NATURAL) for n in cks}
+    for spec in specs:
+        res = gauge_test(chain, spec, cks, N=N, seed=12)
+        for n, fraction in zip(cks, res.fractions):
+            # a path hits iff S_n >= thr; the walk's S_n and the law's atoms
+            # each carry the rounding of n additions, so an atom that close
+            # to thr counts toward both bounds
+            thr = -log_gauge_from_u(spec, n * LN2)
+            tol = 2 * n * math.ulp(thr)
+            p_lo = float(sum(p for v, p in laws[n] if v >= thr + tol))
+            p_hi = float(sum(p for v, p in laws[n] if v >= thr - tol))
+            lo, hi = _count_band(p_lo, p_hi, N)
+            count = round(fraction * N)
+            assert count == fraction * N
+            assert lo <= count <= hi, (spec.family, n, count, lo, hi, p_lo, p_hi)

@@ -406,6 +406,31 @@ def test_chain_thread_invariance():
     assert run_ensemble(MARKOV, threads=1, **kw) == run_ensemble(MARKOV, threads=3, **kw)
 
 
+@pytest.mark.parametrize("name, window", [("markov_chain", (40, 150)), ("bernoulli_half", None)])
+def test_equal_runs_compare_equal_through_nan_fields(name, window):
+    # runsup_median is NaN before the chain's window opens, and bernoulli_half
+    # has no CLT variance, so every KS distance is NaN
+    model = load_zoo_model(name)
+    kw = dict(N=7, checkpoints=[17, 50, 203], seed=4, window=window)
+    a, b = run_ensemble(model, **kw), run_ensemble(model, **kw)
+    assert np.isnan(a.runsup_median[0] if window else a.ks_distance).all()
+    assert a == b
+    gap = b.mean_gap[:-1] + (math.nextafter(b.mean_gap[-1], math.inf),)
+    assert a != dataclasses.replace(b, mean_gap=gap)
+    assert a != dataclasses.replace(b, convention="other")
+
+
+def test_chain_walk_keeps_the_sign_of_a_zero_sum():
+    # a chain that never leaves state 0 adds -ln 1 = -0.0 at every level; the
+    # walk starts S at -0.0, the additive identity, so S stays -0.0 as in
+    # s_process's cumsum
+    frozen = MarkovMeasure(2, 1, (1.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
+    ps = path_stats(frozen, [16, 64], convention="natural", seed=2)
+    ref = s_process(frozen, sample_path(frozen, 64, seed=2))[[15, 63]]
+    assert np.signbit(ref).all()
+    assert np.array_equal(np.signbit(ps.S), np.signbit(ref))
+
+
 def test_chain_ensemble_moments_match_exact_law():
     # mean and variance of S_n at n = 16 and 32 within 4 exact standard errors;
     # the band was fixed before the first run
