@@ -322,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multifractal measure laboratory: spectra, log-mass "
                     "fluctuation ensembles, corrected gauges, and "
                     "quasi-Bernoulli diagnostics.",
-        epilog="Budgets: MFLIL_ENUM_BUDGET caps cylinder enumerations and the "
-               "running-max tail's classes (default 2^24); the exact laws of S_n "
+        epilog="Budgets: MFLIL_ENUM_BUDGET caps cylinder enumerations, spectrum "
+               "q-grid rows and the running-max tail's classes (default 2^24); "
+               "the exact laws of S_n "
                "have a fixed cap of 2^20 classes; MFLIL_PATH_BUDGET caps N*n_max "
                "in ensembles (default 2^33).",
     )

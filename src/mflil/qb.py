@@ -225,8 +225,8 @@ def partition_bound_check(
     cells = []
     drifts = []
     ok = True
-    for q in qs:
-        tau_q = tau_scale_free(model, q) + tau_shift
+    taus = (tau_scale_free(model, np.array(qs, dtype=float)) + tau_shift).tolist()
+    for q, tau_q in zip(qs, taus):
         defects = []
         for n in ns:
             ls = log_partition_sum(model, q, n) / ln_ell
@@ -322,8 +322,9 @@ def dichotomy_classify(model: MeasureModel) -> DichotomyResult:
     s2 = sigma2_scale_free(model)
     evidence["sigma2_natural"] = s2.value
     evidence["sigma2_err"] = s2.err
-    evidence["chi_half_plus"] = chi(model, 0.5)
-    evidence["chi_half_minus"] = chi(model, -0.5)
+    half_plus, half_minus = chi(model, np.array([0.5, -0.5])).tolist()
+    evidence["chi_half_plus"] = half_plus
+    evidence["chi_half_minus"] = half_minus
     evidence["not_flat_plus"] = {"holds": plus.holds, "C": plus.C, "alpha": plus.alpha_lower_bound}
     evidence["not_flat_minus"] = {"holds": minus.holds, "C": minus.C, "alpha": minus.alpha_lower_bound}
     if plus.holds and minus.holds:

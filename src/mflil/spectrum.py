@@ -6,19 +6,24 @@ such that the level-n partition sum of q-th mass powers behaves like
 tau_n(q) = log_ell(sum m(I)^q)/n; for self-similar measures it is the root of
 sum_i p_i^q r_i^tau = 1.
 
-One kernel per family kind. spectral_kernel(model, q) returns tau(q), tau'(q)
-and tau''(q) in scale-free units, read from the model's FamilyCore:
+One tau rule per family kind. tau_scale_free(model, q), and with it tau and
+chi, takes a float or a 1-D array of q and evaluates an array in one pass.
+spectral_kernel(model, q) takes one float and returns tau(q), tau'(q) and
+tau''(q) in scale-free units, its tau from the same rule. Both read the
+model's FamilyCore:
 
   * kind 'product' (Bernoulli, multinomial, self-similar): tau is the root of
     sum_i p_i^q r_i^tau = 1 over the active symbols, with r_i = 1/ell on
     grids. Equal ratios (every grid) give the closed form
-    tau = ln(sum p_i^q) / ln(1/r); otherwise tau_implicit_selfsimilar finds
-    the root. Implicit differentiation under the tilted weights
+    tau = ln(sum p_i^q) / ln(1/r), one logsumexp over the (q, symbol)
+    matrix; otherwise tau_implicit_selfsimilar finds the root, one q at a
+    time. Implicit differentiation under the tilted weights
     w_i = p_i^q r_i^tau gives tau' = -E_w ln p / E_w ln r and
     tau'' = Var_w(ln p + tau' ln r) / (-E_w ln r).
   * kind 'chain' (Markov): tau = log_ell rho(q), with rho the Perron root of
-    the entrywise power M_q = (P_ij^q) on the active core, from one
-    eigen-solve (perron_root). With the right and left Perron vectors u, v,
+    the entrywise power M_q = (P_ij^q) on the active core. An array of q is
+    one eigen-solve over the stack of its M_q (perron_root). With the right
+    and left Perron vectors u, v,
     rho' = v M' u / v u and rho'' = (v M'' u + 2 v M' (rho I - M_q)^# M' u) / v u,
     where ^# is the group inverse (Deutsch & Neumann, J. Math. Anal. Appl.
     102, 1984). At q = 1 this is the Markov-CLT variance of the fundamental
@@ -52,7 +57,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import logsumexp
 
-from .errors import FlatSpectrumError, NumericalError, ValidationError
+from .errors import BudgetError, FlatSpectrumError, NumericalError, ValidationError
 from .models import (
     LogBase,
     MeasureModel,
@@ -60,6 +65,7 @@ from .models import (
     canonical_base,
     chain_log_masses,
     check_enumeration_budget,
+    enumeration_budget,
     log_symbol_weights,
     support_info,
 )
@@ -161,12 +167,18 @@ def _product_logs(core) -> tuple[np.ndarray, np.ndarray]:
     return lp, core.log_ratios[act]
 
 
-def _product_kernel(core, q: float) -> tuple[float, float, float]:
+def _product_tau(core, qs: np.ndarray) -> np.ndarray:
+    """tau over a 1-D array of q: the closed form in one pass on equal
+    ratios, else the implicit root one q at a time."""
     lp, lr = _product_logs(core)
     if np.all(lr == lr[0]):
-        t = float(logsumexp(q * lp) / -lr[0])
-    else:
-        t = tau_implicit_selfsimilar(lp, lr, q)
+        return logsumexp(qs[:, None] * lp, axis=1) / -lr[0]
+    return np.array([tau_implicit_selfsimilar(lp, lr, q) for q in qs.tolist()])
+
+
+def _product_kernel(core, q: float) -> tuple[float, float, float]:
+    t = float(_product_tau(core, np.array([q]))[0])
+    lp, lr = _product_logs(core)
     z = q * lp + t * lr
     w = np.exp(z - z.max())
     w /= w.sum()
@@ -199,20 +211,26 @@ def _check_irreducible(P: np.ndarray, labels: Sequence[int]) -> None:
     )
 
 
-def perron_root(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def perron_root(M: np.ndarray):
     """Perron root rho of a nonnegative matrix with its right and left
-    eigenvectors (u, v), from one eigen-solve.
+    eigenvectors (u, v), from one eigen-solve; for a (Q, k, k) stack, the
+    array of the Q roots alone, from one batched eigen-solve.
 
     rho is the eigenvalue of largest real part: every other eigenvalue mu has
     |mu| <= rho, and on a periodic pattern the others of modulus rho are rho
     times nontrivial roots of unity, with smaller real part. On an
-    irreducible M, u and v are positive up to a common sign.
+    irreducible M, u and v are positive up to a common sign. Both forms take
+    LAPACK geev's eigenvalues, so a stack's roots equal the single matrices'
+    roots bit for bit (tests/test_spectrum.py holds them to it).
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError("perron_root expects a square matrix")
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise ValidationError("perron_root expects a square matrix or a stack of them")
     if np.any(M < 0):
         raise ValidationError("perron_root expects a nonnegative matrix")
+    if M.ndim == 3:
+        lam = np.linalg.eigvals(M).real
+        return lam[np.arange(len(lam)), np.argmax(lam, axis=1)]
     lam, vl, vr = scipy.linalg.eig(M, left=True, right=True)
     i = int(np.argmax(lam.real))
     return float(lam[i].real), vr[:, i].real, vl[:, i].real
@@ -226,14 +244,38 @@ def _active_chain(core) -> tuple[np.ndarray, np.ndarray]:
     return P, np.where(P > 0, core.log_P[np.ix_(act, act)], 0.0)
 
 
-def _chain_kernel(core, q: float) -> tuple[float, float, float]:
-    P, lP = _active_chain(core)
-    M = np.zeros_like(P)
+def _chain_powers(P: np.ndarray, qs: Sequence[float]) -> np.ndarray:
+    """The stack of entrywise powers M_q = (P_ij^q), with 0^q := 0 also for
+    q <= 0. Each matrix takes the scalar `P ** q`: numpy computes it exactly
+    rounded at q = 2, 0.5 and -1 (square, sqrt, reciprocal), which a
+    broadcast power over the whole stack does not."""
     pos = P > 0
-    M[pos] = P[pos] ** q  # 0^q := 0 by convention, also for q <= 0
-    rho, u, v = perron_root(M)
+    M = np.zeros((len(qs),) + P.shape)
+    for Mq, q in zip(M, qs):
+        Mq[pos] = P[pos] ** q
+    return M
+
+
+def _chain_tau_of_root(core, rho: float, q: float) -> float:
+    """tau = log_ell rho, with math.log: np.log can move a root's log by an
+    ulp."""
     if rho <= 0:
         raise NumericalError(f"Perron root is not positive at q={q!r}")
+    return math.log(rho) / math.log(core.ell)
+
+
+def _chain_tau(core, qs: np.ndarray) -> np.ndarray:
+    """tau over a 1-D array of q, from one eigen-solve over the M_q stack."""
+    qs = qs.tolist()
+    rhos = perron_root(_chain_powers(_active_chain(core)[0], qs)).tolist()
+    return np.array([_chain_tau_of_root(core, rho, q) for rho, q in zip(rhos, qs)])
+
+
+def _chain_kernel(core, q: float) -> tuple[float, float, float]:
+    P, lP = _active_chain(core)
+    M = _chain_powers(P, [q])[0]
+    rho, u, v = perron_root(M)
+    t = _chain_tau_of_root(core, rho, q)
     vu = float(v @ u)
     M1 = M * lP  # dM/dq; M1 * lP is d2M/dq2
     E = np.outer(u, v) / vu  # spectral projector of rho
@@ -241,34 +283,53 @@ def _chain_kernel(core, q: float) -> tuple[float, float, float]:
     r1 = float(v @ M1 @ u) / vu / rho
     r2 = float(v @ (M1 * lP) @ u + 2.0 * (v @ M1 @ G @ M1 @ u)) / vu / rho
     ln_ell = math.log(core.ell)
-    return math.log(rho) / ln_ell, r1 / ln_ell, (r2 - r1 * r1) / ln_ell
+    return t, r1 / ln_ell, (r2 - r1 * r1) / ln_ell
 
 
+_TAUS = {"product": _product_tau, "chain": _chain_tau}
 _KERNELS = {"product": _product_kernel, "chain": _chain_kernel}
 
 
 def spectral_kernel(model: MeasureModel, q: float) -> tuple[float, float, float]:
-    """(tau(q), tau'(q), tau''(q)) in scale-free units, from the kind's kernel."""
+    """(tau(q), tau'(q), tau''(q)) in scale-free units at one q, from the
+    kind's kernel; its tau is the kind's tau rule."""
     core = model.core
     return _KERNELS[core.kind](core, q)
 
+
+# q per pass of a kind's tau rule. On a 10^6-row grid, one pass raised the
+# peak memory by about 100 MB over one q at a time; 2^16-row passes by 7 MB.
+_Q_BLOCK = 1 << 16
 
 # the kind each named method asserts; 'auto' takes any
 _METHOD_KINDS = {"auto": None, "closed": "product", "implicit": "product", "perron": "chain"}
 
 
-def tau_scale_free(model: MeasureModel, q: float, method: str = "auto") -> float:
-    """tau(q) in scale-free units; a named method only asserts the family kind."""
+def tau_scale_free(model: MeasureModel, q, method: str = "auto"):
+    """tau(q) in scale-free units; a named method only asserts the family kind.
+
+    q is a float, which gives a float, or a 1-D array, which gives an array
+    of the same length, each value bit-equal to its float call. An array is
+    evaluated in one pass per 2^16 values (one eigen-solve per pass on chains).
+    """
     if method not in _METHOD_KINDS:
         raise ValidationError(f"unknown tau method {method!r}")
     kind = model.core.kind
     if _METHOD_KINDS[method] not in (None, kind):
         raise ValidationError(f"method {method!r} does not apply to the {kind} kind")
-    return spectral_kernel(model, q)[0]
+    qs = np.asarray(q, dtype=float)
+    if qs.ndim > 1:
+        raise ValidationError("q must be a float or a 1-D array")
+    flat = qs.reshape(-1)
+    t = np.empty(flat.size)
+    for i in range(0, flat.size, _Q_BLOCK):
+        t[i:i + _Q_BLOCK] = _TAUS[kind](model.core, flat[i:i + _Q_BLOCK])
+    return float(t[0]) if qs.ndim == 0 else t
 
 
-def tau(model: MeasureModel, q: float, base: Optional[LogBase] = None, method: str = "auto") -> float:
-    """tau(q) in the requested units (default: the family's canonical base)."""
+def tau(model: MeasureModel, q, base: Optional[LogBase] = None, method: str = "auto"):
+    """tau(q) in the requested units (default: the family's canonical base);
+    q is a float or a 1-D array, as in tau_scale_free."""
     base = base or canonical_base(model)
     return tau_to_base(model, tau_scale_free(model, q, method), base)
 
@@ -428,9 +489,14 @@ def sigma2(model: MeasureModel, base: Optional[LogBase] = None) -> Sigma2Result:
 # chi, its inverse, theta, and the not-flat condition
 
 
-def chi(model: MeasureModel, q: float, method: str = "auto") -> float:
-    """chi(q) = tau(1-q) - q d in scale-free units; defined for q in [-1, 1]."""
+def chi(model: MeasureModel, q, method: str = "auto"):
+    """chi(q) = tau(1-q) - q d in scale-free units; defined for q in [-1, 1].
+
+    q is a float or a 1-D array, as in tau_scale_free; d is read once per call.
+    """
     d = -spectral_kernel(model, 1.0)[1]
+    if np.ndim(q):
+        q = np.asarray(q, dtype=float)
     return tau_scale_free(model, 1.0 - q, method) - q * d
 
 
@@ -444,7 +510,7 @@ def support_dimension(model: MeasureModel) -> float:
 
 def is_flat(model: MeasureModel, tol: float = _FLAT_TOL) -> bool:
     """Flat spectrum: chi vanishes identically (equivalently d = delta)."""
-    return abs(chi(model, 1.0)) <= tol and abs(chi(model, 0.5)) <= tol
+    return bool(np.all(np.abs(chi(model, np.array([1.0, 0.5]))) <= tol))
 
 
 @dataclass(frozen=True)
@@ -556,7 +622,8 @@ def not_flat_check(
 ) -> NotFlatResult:
     """Doubling condition 0 < chi(q) <= C chi(q/2) on a dyadic grid.
 
-    Scans q_j = q_max 2^-j for j = 0..levels. Returns the sup of consecutive
+    Scans q_j = q_max 2^-j for j = 0..levels. The arguments are scalars; the
+    scan is one chi call over the array of side q_j. Returns the sup of consecutive
     ratios as C and alpha = log2 C; for spectra with positive curvature the
     ratio tends to 4 (alpha to 2) as the scan window is refined toward 0.
     """
@@ -565,7 +632,7 @@ def not_flat_check(
     if levels < 1:
         raise ValidationError("levels must be >= 1")
     qs = tuple(q_max * 2.0 ** (-j) for j in range(levels + 1))
-    chis = tuple(chi(model, side * qq) for qq in qs)
+    chis = tuple(chi(model, side * np.array(qs)).tolist())
     scale = max(abs(c) for c in chis)
     if scale <= _FLAT_TOL:
         return NotFlatResult(False, True, float("nan"), float("nan"), qs, chis, (), side)
@@ -605,12 +672,24 @@ def spectrum_table(
     method: str = "auto",
     empirical_n: Optional[int] = None,
 ) -> SpectrumTable:
+    """tau on the grid q_min, q_min + q_step, ..., q_max, from one tau call
+    over the whole grid (or one empirical exponent per row with
+    empirical_n). The row count must not exceed enumeration_budget()."""
+    if not all(math.isfinite(x) for x in (q_min, q_max, q_step)):
+        raise ValidationError("q_min, q_max and q_step must be finite")
     if q_step <= 0:
         raise ValidationError("q_step must be positive")
     if q_max < q_min:
         raise ValidationError("q_max must be >= q_min")
     base = base or canonical_base(model)
-    count = int(round((q_max - q_min) / q_step)) + 1
+    steps = (q_max - q_min) / q_step  # infinite when q_max - q_min overflows
+    count = round(steps) + 1 if math.isfinite(steps) else math.inf
+    budget = enumeration_budget()
+    if count > budget:
+        raise BudgetError(
+            f"a q grid of {count:.6g} rows exceeds the budget {budget} "
+            "(set MFLIL_ENUM_BUDGET to raise it)"
+        )
     if q_step >= 1e-9:
         # snap accumulated float error so decimal grids hit 0 and 1 exactly
         qs = tuple(float(round(q_min + i * q_step, 12)) for i in range(count))
@@ -623,7 +702,7 @@ def spectrum_table(
             taus = tuple(tau_empirical(model, qq, empirical_n, base) for qq in qs)
         used = f"empirical(n={empirical_n})"
     else:
-        taus = tuple(tau(model, qq, base, method) for qq in qs)
+        taus = tuple(tau(model, np.array(qs), base, method).tolist())
         used = method
     d = dimension(model)
     s2 = sigma2(model, base)

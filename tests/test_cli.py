@@ -413,3 +413,31 @@ def test_data_files_match_pinned_hashes(zoo_dir, tmp_path):
             if name != "manifest.json":
                 found[(tag, name)] = sha256(out / name)
     assert found == _PINNED_SHA256
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--q-step", "nan"), ("--q-min", "nan"), ("--q-max", "inf"), ("--q-step", "inf"),
+])
+def test_spectrum_refuses_a_non_finite_grid(zoo_dir, tmp_path, capsys, flag, value):
+    out = tmp_path / "s"
+    code = run(["spectrum", "--model", str(zoo_dir / "bernoulli_quarter.json"),
+                "--out", str(out), flag, value])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_grid_rows_sit_under_the_enumeration_budget(zoo_dir, tmp_path, monkeypatch, capsys):
+    model = str(zoo_dir / "markov_chain.json")
+    monkeypatch.setenv("MFLIL_ENUM_BUDGET", "10")
+    grid = ["--q-min", "-2", "--q-max", "3"]
+    assert run(["spectrum", "--model", model, "--out", str(tmp_path / "a"), *grid,
+                "--q-step", "0.5"]) == 4  # 11 rows
+    assert "MFLIL_ENUM_BUDGET" in capsys.readouterr().err
+    assert run(["spectrum", "--model", model, "--out", str(tmp_path / "b"), *grid,
+                "--q-step", "1"]) == 0  # 6 rows
+    assert len((tmp_path / "b" / "spectrum.csv").read_text().splitlines()) == 7
+    # a span that overflows to infinity is refused the same way
+    assert run(["spectrum", "--model", model, "--out", str(tmp_path / "c"),
+                "--q-min=-1e308", "--q-max", "1e308", "--q-step", "1"]) == 4
+    assert "MFLIL_ENUM_BUDGET" in capsys.readouterr().err

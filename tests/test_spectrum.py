@@ -372,3 +372,83 @@ def test_tau_methods_assert_the_family_kind():
         tau_scale_free(QUARTER, 2.0, method="perron")
     with pytest.raises(ValidationError):
         tau_scale_free(QUARTER, 2.0, method="richardson")
+
+
+def _array_kernel_models():
+    models = dict(zoo_models())
+    models["multinomial_gap"] = MultinomialMeasure(3, 1, (0.2, 0.0, 0.8))
+    models["selfsimilar_unequal"] = SelfSimilarMeasure((0.2, 0.5, 0.3), (0.2, 0.3, 0.25))
+    for k in (2, 3):
+        P = tuple(tuple(1.0 if j == (i + 1) % k else 0.0 for j in range(k)) for i in range(k))
+        models[f"cycle{k}"] = MarkovMeasure(k, 1, (1.0 / k,) * k, P)
+    models["chain3"] = MarkovMeasure(
+        3, 1, (1 / 3,) * 3, ((0.5, 0.5, 0.0), (0.0, 0.3, 0.7), (0.6, 0.0, 0.4)),
+        stationary_required=False,
+    )
+    return models
+
+
+# the q where numpy's scalar power is exact (2, 0.5, -1), the fixed points
+# 0 and 1, negative q, and 0.58 and 1.04, where np.log and math.log of the
+# zoo chain's Perron root differ by an ulp
+ARRAY_QS = np.array([-2.0, -1.0, -0.55, -0.5, 0.0, 0.25, 0.5, 0.58, 1.0, 1.04, 1.5, 2.0, 2.37, 3.0])
+
+
+@pytest.mark.parametrize("name", sorted(_array_kernel_models()))
+def test_array_tau_is_the_scalar_tau_bit_for_bit(name, monkeypatch):
+    from mflil import spectrum as spectrum_module
+    from mflil.spectrum import spectral_kernel
+
+    model = _array_kernel_models()[name]
+    got = tau_scale_free(model, ARRAY_QS)
+    assert got.shape == ARRAY_QS.shape
+    hexes = [float(t).hex() for t in got]
+    assert hexes == [tau_scale_free(model, q).hex() for q in ARRAY_QS.tolist()]
+    assert hexes == [spectral_kernel(model, q)[0].hex() for q in ARRAY_QS.tolist()]
+    monkeypatch.setattr(spectrum_module, "_Q_BLOCK", 5)  # passes of 5, 5 and 4 q
+    assert [float(t).hex() for t in tau_scale_free(model, ARRAY_QS)] == hexes
+    chis = chi(model, -ARRAY_QS[1:9])
+    assert [float(c).hex() for c in chis] == [chi(model, -q).hex() for q in ARRAY_QS[1:9].tolist()]
+    assert tau_scale_free(model, ARRAY_QS[:0]).shape == (0,)
+
+
+def test_stacked_perron_root_is_each_matrix_root():
+    from mflil.spectrum import perron_root
+
+    rng = np.random.default_rng(5)
+    for k in (2, 3, 4):
+        stack = rng.random((40, k, k)) * (rng.random((40, k, k)) < 0.8)
+        roots = perron_root(stack)
+        assert roots.shape == (40,)
+        assert [float(r).hex() for r in roots] == [perron_root(M)[0].hex() for M in stack]
+    with pytest.raises(ValidationError):
+        perron_root(-stack)
+    with pytest.raises(ValidationError):
+        perron_root(np.zeros((2, 2, 3)))
+
+
+def test_tau_refuses_a_q_matrix():
+    with pytest.raises(ValidationError):
+        tau_scale_free(QUARTER, np.zeros((2, 2)))
+
+
+def test_spectrum_table_makes_one_eigen_solve_for_the_grid(monkeypatch):
+    from mflil import spectrum as spectrum_module
+
+    mk = load_zoo_model("markov_chain")
+    calls = []
+    perron = spectrum_module.perron_root
+
+    def counting(M):
+        calls.append(np.ndim(M))
+        return perron(M)
+
+    monkeypatch.setattr(spectrum_module, "perron_root", counting)
+    counts = []
+    for q_step in (0.5, 0.01):
+        calls.clear()
+        table = spectrum_table(mk, q_min=-2.0, q_max=3.0, q_step=q_step)
+        counts.append(len(calls))
+        assert calls.count(3) >= 1  # the grid went through one stacked solve
+    assert len(table.q) == 501
+    assert counts[0] == counts[1] <= 8, counts
