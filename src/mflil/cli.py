@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -385,9 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# one parser per process: building it costs about as much as a small command
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except ValidationError as exc:

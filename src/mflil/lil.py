@@ -39,17 +39,18 @@ from them for a block of paths at once. The two per-level walks only draw
 and sum. A product window walk draws one symbol per level and goes one block
 of _WINDOW_BLOCK levels at a time over a group of paths, every path reusing
 one set of block buffers. Markov paths go in blocks, every path of a block
-drawing its own uniforms and all stepping together, one numpy step per
-level, with the per-path state rule and increment order; a block holds at
-most _CHAIN_BLOCK_DRAWS uniforms, drawn in chunks of levels when the paths
-are long. Both hand each block of walked levels to one shared pass,
-_level_walk, which picks the checkpoints and keeps the running window
-extremes by one rule: on grids it computes the block's t and ratio
-denominators once for all its paths. Only the per-level product walk
-(window mode on product models) splits its paths across threads, each thread
-walking one contiguous range; the other walks run in one thread, where
-threads did not pay. Either way the results are identical for every thread
-count. One entry point, _walk_ensemble, checks the budgets and walks the
+drawing its own uniforms; a block holds at most _CHAIN_BLOCK_DRAWS
+uniforms, drawn in chunks of levels when the paths are long. One state scan
+(models.chain_states) walks every path of a chunk in about 2 sqrt(levels)
+numpy steps, composing the per-level state maps, and a cumsum down the
+levels adds the increments in level order. Both hand each block of walked
+levels to one shared pass, _level_walk, which picks the checkpoints and
+keeps the running window extremes by one rule: on grids it computes the
+block's t and ratio denominators once for all its paths. Only the per-level
+product walk (window mode on product models) splits its paths across
+threads, each thread walking one contiguous range; the other walks run in
+one thread, where threads did not pay. Either way the results are identical
+for every thread count. One entry point, _walk_ensemble, checks the budgets and walks the
 paths of run_ensemble, gauge_test and path_stats.
 
 Exact small-n machinery (exact_distribution, running_max_tail) is the oracle
@@ -75,6 +76,7 @@ from .models import (
     Word,
     _env_budget,
     canonical_base,
+    chain_states,
     enumeration_budget,
     ln_base,
     log_symbol_weights,
@@ -375,52 +377,63 @@ def _window_walk_product(tables, checkpoints, seed, lo, hi, conv, window):
 
 
 # uniforms one block of chain paths holds at once: memory stays bounded for
-# any N and any depth while each level's numpy step covers many paths
+# any N and any depth while each numpy step of the scan covers many paths
 _CHAIN_BLOCK_DRAWS = 1 << 20
+_CHAIN_DRAW_GROUP = 1 << 12  # uniforms a group of chain paths draws before they enter U
 
 
 def _chain_walk(tables, checkpoints, seed, lo, hi, conv, window):
-    """Walk chain paths lo..hi-1 together, one numpy step per level.
+    """Walk chain paths lo..hi-1 together, a chunk of levels at a time.
 
-    tables holds the k columns of the core's cum_P (row k, the start
-    state's, is pi) and the increments -ln(p)/lb (+inf at p = 0) of its
-    log_P, flattened so that (i, j) sits at i * k + j. Every path starts in
-    state k with S = -0.0, the additive identity: +0.0 would turn a first
-    increment of -0.0 (a pi entry of 1) into +0.0. Path i draws its uniforms
-    from path_rng(seed, i), in chunks of at most _CHAIN_BLOCK_DRAWS // B
-    levels that continue its stream (the walk's one generator, re-keyed past
-    the levels drawn before), so the block holds at most _CHAIN_BLOCK_DRAWS
-    uniforms at any depth. Its next state follows draw_symbols on the
-    cumulative row of its state, in vectorised form: as rows are
-    non-decreasing, the clamped searchsorted is the count of row[:-1]
-    entries at most u * row[-1]. S adds -ln P / lb in level order. All steps
-    are elementwise, so no path depends on its block. Each level's S
-    overwrites its spent uniforms, and _level_walk takes the chunk from
-    there, so no array spans all n levels.
+    tables holds the core's cum_P (row k, the start state's, is pi) and the
+    increments -ln(p)/lb (+inf at p = 0) of its log_P, flattened so that
+    (i, j) sits at i * k + j. Path i draws its uniforms from path_rng(seed,
+    i), in chunks of at most _CHAIN_BLOCK_DRAWS // B levels that continue its
+    stream (the walk's one generator, re-keyed past the levels drawn
+    before), so the block holds at most _CHAIN_BLOCK_DRAWS uniforms at any
+    depth. A group of paths draws about _CHAIN_DRAW_GROUP uniforms into one
+    row each, and the group's rows enter U's columns in one copy.
+    chain_states walks every path of the chunk from its carried state (k at
+    first), by draw_symbols' rule in about 2 sqrt(levels) numpy steps. The
+    increments then overwrite the spent uniforms, about sqrt(levels) levels
+    at a time, and each such slab's cumsum down the levels, from the carried
+    S added to its first level, makes S as adding them in level order does.
+    S starts at -0.0, the additive identity: +0.0 would turn a first
+    increment of -0.0 (a pi entry of 1) into +0.0. All steps are
+    elementwise, so no path depends on its block, and _level_walk takes the
+    chunk from U, so no array spans all n levels.
     """
-    P_cols, inc_P = tables
-    n, B, k = checkpoints[-1], hi - lo, len(P_cols)
+    cum_P, inc_P = tables
+    n, B, k = checkpoints[-1], hi - lo, cum_P.shape[1]
     rows = max(1, _CHAIN_BLOCK_DRAWS // B)
-    U = np.empty((min(n, rows), B))  # level-major: each step reads one contiguous row
+    U = np.empty((min(n, rows), B))  # level-major: a level's uniforms are one row
     rng = path_rng(seed, lo)  # the walk's one generator, re-keyed for each path
 
-    def draw(u, row):
-        x = u * row[-1]
-        nxt = (row[0] <= x).astype(np.intp)
-        for col in row[1:-1]:
-            nxt += col <= x
-        return nxt
+    def draw(base, X):
+        group = np.empty((max(1, min(B, _CHAIN_DRAW_GROUP // len(X))), len(X)))
+        for g in range(0, B, len(group)):
+            part = group[:B - g]
+            for b, row in enumerate(part):
+                rekey_path_rng(rng, seed, lo + g + b, base).random(out=row)
+            X[:, g:g + len(part)] = part.T
 
     def produce(base, c):
-        nonlocal state, s
-        for b in range(B):
-            U[:c, b] = rekey_path_rng(rng, seed, lo + b, base).random(c)
-        for u in U[:c]:
-            nxt = draw(u, [col.take(state) for col in P_cols])
-            s += inc_P.take(state * k + nxt)
-            state = nxt
-            u[:] = s
-        yield slice(None), U[:c], None
+        X = U[:c]
+        draw(base, X)
+        Z = chain_states(cum_P, X, state)
+        step = math.isqrt(c) + 1
+        code = np.empty((step, B), np.intp)
+        for a in range(0, c, step):  # the move from Z[l] to Z[l + 1] adds X[l]
+            x, z = X[a:a + step], Z[a:a + step + 1]
+            cx = code[:len(x)]
+            np.multiply(z[:-1], k, out=cx, dtype=np.intp)
+            cx += z[1:]
+            inc_P.take(cx, out=x, mode="clip")
+            x[0] += s
+            np.add.accumulate(x, axis=0, out=x)  # cumsum: np.cumsum keeps KBs of call caches
+            s[:] = x[-1]
+        state[:] = Z[-1]
+        yield slice(None), X, None
 
     state, s = np.full(B, k), np.full(B, -0.0)
     return _level_walk(produce, checkpoints, conv, window, B, rows)
@@ -517,9 +530,10 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
     path. The per-level walks go through _level_walk: product window paths
     in groups of at most _WINDOW_GROUP that walk each block of levels
     together, and chain paths in blocks of at most _CHAIN_BLOCK_DRAWS
-    uniforms. Only the per-level product walk uses the threads, each walking
-    a contiguous range of paths: the chain and checkpoint walks ran slower
-    on more threads, so they run in one.
+    uniforms, each chunk of levels walked by one state scan. Only the
+    per-level product walk uses the threads, each walking a contiguous range
+    of paths: the chain and checkpoint walks ran slower on more threads, so
+    they run in one.
     """
     N, n_max, m = paths.stop - paths.start, cks[-1], len(cks)
     if N < 1:
@@ -539,7 +553,7 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
                 f"stepwise chain simulation capped at N*n_max <= {_MARKOV_STEP_BUDGET}"
             )
         lb = math.log(conv.log_base)
-        tables = [core.cum_P[:, j].copy() for j in range(core.k)], -core.log_P.ravel() / lb
+        tables = core.cum_P, -core.log_P.ravel() / lb
 
         def walk(lo, hi):
             return _chain_walk(tables, cks, seed, lo, hi, conv, window)
@@ -614,14 +628,14 @@ def run_ensemble(
 
     Each path i draws from its own counter-based stream keyed by (seed, i),
     so results are identical for every thread count. Chain paths are walked
-    in blocks, all paths of a block stepping together one numpy step per
-    level; each product path makes one count draw for all its checkpoints,
-    or one symbol draw per level with a window. Threads only partition the
-    paths of a windowed product run into contiguous ranges for the walk.
-    Reductions run single-threaded in path order. The Kolmogorov-Smirnov
-    distances of z = centered / sqrt(sigma2_clt T) to N(0, 1) come from one
-    column-wise pass over the (N, checkpoints) z matrix; they are NaN when
-    sigma2_clt is 0.
+    in blocks, every chunk of levels of a block by one state scan in about
+    2 sqrt(levels) numpy steps; each product path makes one count draw for
+    all its checkpoints, or one symbol draw per level with a window. Threads
+    only partition the paths of a windowed product run into contiguous
+    ranges for the walk. Reductions run single-threaded in path order. The
+    Kolmogorov-Smirnov distances of z = centered / sqrt(sigma2_clt T) to
+    N(0, 1) come from one column-wise pass over the (N, checkpoints) z
+    matrix; they are NaN when sigma2_clt is 0.
 
     Passing an explicit window switches the walk to one draw per level so the
     running sup/inf of the ratio cover every level of [n_lo, n_hi]; without a

@@ -25,8 +25,9 @@ starts in the start state k, so its first symbol is a transition out of
 row k like any other. Masses, samplers, spectra, ensembles and the
 quasi-Bernoulli checks read these tables instead of re-deriving them, and
 the family checks read the core's ell, None for self-similar measures.
-Every sampler draws through one inverse-CDF rule (draw_symbols), and every
-chain enumeration comes from one enumerator (chain_log_masses).
+Every sampler draws through one inverse-CDF rule (draw_symbols), every chain
+walk steps its states through one scan of that rule (chain_states), and
+every chain enumeration comes from one enumerator (chain_log_masses).
 
 Sampling uses a counter-based generator (Philox) keyed by
 (run_seed, path_index): every path owns a substream, so ensembles are
@@ -503,14 +504,94 @@ def draw_symbols(cum: np.ndarray, u):
 
     cum is a cumulative weight row and u uniform on [0, 1). Scaling u by the
     row total, rather than setting the total to 1, keeps zero-weight symbols
-    out of reach when the weights sum to slightly less than 1. A 2-d cum
-    holds one row per uniform (a chain's rows cum_P[state]); as rows are
-    non-decreasing, the clamped count is that of row[:-1] entries at most
-    u * row[-1].
+    out of reach when the weights sum to slightly less than 1. As cum is
+    non-decreasing, the clamped count is that of cum[:-1] entries at most
+    u * cum[-1], the form chain_states takes.
     """
-    if cum.ndim == 2:
-        return np.count_nonzero(cum[:, :-1] <= (u * cum[:, -1])[:, None], axis=1)
     return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)
+
+
+# table entries a numpy step covers in about the time its call costs: a chain
+# block with more entries per level walks its levels one step each
+_STEP_ELEMENTS = 1 << 10
+_TABLE_BYTES = 1 << 22  # the most a next-state table takes at once
+
+
+def chain_states(cum_P: np.ndarray, U: np.ndarray, start) -> np.ndarray:
+    """The states of B chain walks over L levels, as an (L + 1) x B array of
+    the smallest unsigned integer type that holds k: row 0 is start (a state,
+    or one per walk) and row l + 1 the state after level l.
+
+    U holds one uniform on [0, 1) per level (row) and walk (column). From
+    state e, level l goes to the count of cum_P[e, :-1] entries at most
+    U[l] * cum_P[e, -1], draw_symbols' rule; row k of cum_P is the start
+    state's. So each level's uniforms map the k + 1 states to states, and
+    maps compose: _scan_levels walks the levels as a chunked prefix scan in
+    about 2 sqrt(L) numpy steps, not L. It tabulates k + 1 next states per
+    uniform, so the levels go to it in blocks whose table holds at most
+    _TABLE_BYTES, each block entering where the one before left.
+    """
+    L, B = U.shape
+    E = cum_P.shape[0]  # the k states and the start state
+    dtype = np.min_scalar_type(E - 1)
+    Z = np.empty((L + math.isqrt(L) + 2, B), dtype)  # room for a block's last chunk to run past it
+    Z[0] = start
+    levels = max(1, _TABLE_BYTES // (max(B, 1) * E * dtype.itemsize))
+    for a in range(0, L, levels):
+        _scan_levels(cum_P, U[a:a + levels], Z[a:])
+    return Z[:L + 1]
+
+
+def _scan_levels(cum_P, U, Z):
+    """Write the states after each of U's levels into Z[1:], the walks
+    entering in Z[0], by a chunked prefix scan (Hillis and Steele 1986;
+    Blelloch 1990).
+
+    F[l, b, e] tabulates level l of walk b from every state e, and the
+    levels are cut into C chunks of c ~ sqrt(L); the last chunk runs past L
+    on unset entries, and the rows of Z it writes there are left to the
+    caller. Then c steps walk every chunk but the last from every state at
+    once, C - 1 steps stitch the chunks' entry states from Z[0], and c steps
+    walk every chunk again from its entry, writing each level's state. Each
+    step is one flat take from F. Where a level's table holds
+    _STEP_ELEMENTS entries or more, one chunk takes every level: a step then
+    costs more in entries than in its call, and stepping every state would
+    not pay.
+    """
+    L, B = U.shape
+    E = cum_P.shape[0]
+    c = L if E * B >= _STEP_ELEMENTS else math.isqrt(L) + 1
+    C = -(-L // c)
+    F = np.empty((C * c, B, E), Z.dtype)
+    rows = max(1, L * E * Z.itemsize // 64)  # scaled uniforms take an eighth of F's bytes
+    x = np.empty((min(rows, L), B))
+    for a in range(0, L, rows):
+        u = U[a:a + rows]
+        xs = x[:len(u)]
+        for e, row in enumerate(cum_P):
+            np.multiply(u, row[-1], out=xs)
+            to = F[a:a + len(u), :, e]
+            np.less_equal(row[0], xs, out=to)
+            for col in row[1:-1]:
+                to += col <= xs
+    flat, span = F.reshape(-1), B * E  # level l's table starts at flat[l * span]
+    at = np.arange(C)[:, None] * (c * span) + np.arange(0, span, E)  # chunk j's level 0, walk b
+    G = np.empty((C - 1, B, E), Z.dtype)  # every chunk but the last walked from every state
+    G[:] = np.arange(E, dtype=Z.dtype)
+    idx = np.empty(G.shape, np.intp)
+    for i in range(c if C > 1 else 0):
+        np.add(at[:-1, :, None], G, out=idx)
+        flat[i * span:].take(idx, out=G, mode="clip")
+    walks = Z[1:C * c + 1].reshape(C, c, B)  # walks[j, i]: the state after level j c + i
+    entry = Z[0]
+    for j in range(C - 1):  # chunk j + 1 enters where chunk j leaves
+        G[j].take(at[0] + entry, out=walks[j, -1], mode="clip")  # at[0][b] = b E
+        entry = walks[j, -1]
+    state, idx = np.vstack((Z[:1], walks[:-1, -1])), np.empty((C, B), np.intp)
+    for i in range(c):
+        np.add(at, state, out=idx)
+        state = walks[:, i]
+        flat[i * span:].take(idx, out=state, mode="clip")
 
 
 def sample_symbols(model: MeasureModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -521,11 +602,7 @@ def sample_symbols(model: MeasureModel, n: int, rng: np.random.Generator) -> np.
     u = rng.random(n)
     if core.kind == "product":
         return draw_symbols(core.cum_weights, u)
-    out = np.empty(n, dtype=np.intp)
-    state = core.k  # the start state, whose row is pi
-    for t in range(n):
-        state = out[t] = draw_symbols(core.cum_P[state], u[t])
-    return out
+    return chain_states(core.cum_P, u[:, None], core.k)[1:, 0].astype(np.intp)
 
 
 def sample_path(model: MeasureModel, n: int, seed: int, path_index: int = 0) -> Word:

@@ -39,7 +39,7 @@ from .models import (
     MarkovMeasure,
     MeasureModel,
     chain_log_masses,
-    draw_symbols,
+    chain_states,
     homogeneous_measure,
     log_symbol_weights,
     path_rng,
@@ -87,23 +87,20 @@ def _sampled_chain_words(core, pairs: int, max_len: int, rng) -> tuple[np.ndarra
     """Symbols and lengths of 2 * pairs chain words u_1, v_1, u_2, ...
 
     Each pair draws the lengths |u|, |v| in [1, max_len] and then the
-    uniforms of u and of v from rng, in that order. The words then step
-    together from the start state k, one draw per level; row w of the symbol
-    matrix holds word w, padded with zeros past its length.
+    uniforms of u and of v from rng, in that order. The words are walked
+    together from the start state k by chain_states, with u = 0 past each
+    word's length; row w of the symbol matrix holds word w, zeroed there.
     """
     lengths, draws = [], []
     for _ in range(pairs):
         lengths += [int(rng.integers(1, max_len + 1)) for _ in range(2)]
         draws += [rng.random(n) for n in lengths[-2:]]
-    U = np.zeros((len(draws), max_len))
+    U = np.zeros((max_len, len(draws)))
     for w, u in enumerate(draws):
-        U[w, : u.size] = u
+        U[: u.size, w] = u
     lengths = np.asarray(lengths, dtype=np.intp)
-    syms = np.zeros(U.shape, dtype=np.intp)
-    state = np.full(len(draws), core.k)
-    for level in range(max_len):
-        live = np.flatnonzero(lengths > level)
-        state[live] = syms[live, level] = draw_symbols(core.cum_P[state[live]], U[live, level])
+    syms = chain_states(core.cum_P, U, core.k)[1:].T.astype(np.intp)
+    syms[np.arange(max_len) >= lengths[:, None]] = 0
     return syms, lengths
 
 

@@ -234,6 +234,17 @@ def test_parser_keeps_the_flags_subcommands_read():
     assert parser.parse_args(["qb-check", "--model", "m", "--out", "d", "--seed", "5"]).seed == 5
 
 
+def test_main_calls_in_a_row_leak_no_options(zoo_dir, tmp_path):
+    # main reuses one parser; each call still parses from the defaults
+    base = ["lil-sim", "--model", str(zoo_dir / "markov_chain.json"), "--N", "3", "--checkpoints", "16,32"]
+    assert run(base + ["--out", str(tmp_path / "a"), "--threads", "2", "--seed", "9", "--window", "16:32"]) == 0
+    assert run(base + ["--out", str(tmp_path / "b")]) == 0
+    first = read_json(tmp_path / "a" / "manifest.json")["options"]
+    second = read_json(tmp_path / "b" / "manifest.json")["options"]
+    assert (first["threads"], first["seed"], first["window"]) == (2, 9, "16:32")
+    assert (second["threads"], second["seed"], second["window"]) == (1, 0, None)
+
+
 def test_spectrum_refuses_the_method_flag(capsys):
     parser = build_parser()
     with pytest.raises(SystemExit) as exc:

@@ -37,12 +37,30 @@ from mflil import (
     sigma2_scale_free,
 )
 from mflil import lil as lil_module
-from mflil.models import canonical_base, draw_symbols, log_symbol_weights, path_rng
+from mflil.models import (
+    canonical_base,
+    chain_states,
+    draw_symbols,
+    log_symbol_weights,
+    path_rng,
+    sample_symbols,
+    stationary_distribution,
+)
 from mflil.symbolic import word
 from mflil.zoo import ZOO_NAMES, load_zoo_model
 
 QUARTER = BernoulliProduct(0.25)
 MARKOV = load_zoo_model("markov_chain")
+
+
+def _stationary_chain(ell, dim, P):
+    return MarkovMeasure(ell, dim, tuple(stationary_distribution(P).tolist()), P)
+
+
+# rows with two and three compares; state 0 never moves to state 1
+CHAIN3 = _stationary_chain(3, 1, ((0.5, 0.0, 0.5), (0.2, 0.3, 0.5), (0.1, 0.8, 0.1)))
+CHAIN4 = _stationary_chain(2, 2, ((0.1, 0.2, 0.3, 0.4), (0.25, 0.25, 0.25, 0.25),
+                                  (0.7, 0.1, 0.1, 0.1), (0.05, 0.05, 0.6, 0.3)))
 
 
 def reference_chain_walk(model, checkpoints, seed, path_index, conv, window=None):
@@ -399,6 +417,83 @@ def test_chain_window_holds_no_array_over_all_levels(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * n // 2  # one float per level would take 8 n bytes
+
+
+def _states_by_draw_symbols(cum_P, U, start):
+    """Chain states stepped level by level: each state's walks draw through
+    draw_symbols' searchsorted form on that state's cumulative row."""
+    states = [np.broadcast_to(start, U.shape[1]).astype(np.intp)]
+    for u in U:
+        nxt = np.empty_like(states[-1])
+        for e in np.unique(states[-1]):
+            on = states[-1] == e
+            nxt[on] = draw_symbols(cum_P[e], u[on])
+        states.append(nxt)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("model", [MARKOV, CHAIN3, CHAIN4], ids=["k2", "k3", "k4"])
+@pytest.mark.parametrize("levels", [1, 2, 3, 7, 511, 513, 4099])
+def test_chain_states_match_a_per_level_walk(model, levels):
+    # level counts that are no square and primes leave a short last chunk;
+    # 1 and 7 walks take the chunked scan, and 400 walks, whose levels hold
+    # more than _STEP_ELEMENTS table entries, one chunk of every level
+    core = model.core
+    rng = np.random.default_rng(levels)
+    for walks in (1, 7, 400) if levels <= 513 else (1, 7):
+        U = rng.random((levels, walks))
+        U[::5], U[1::7] = 0.5, 0.0  # u * row total ties a cumulative weight on some rows
+        for start in (core.k, rng.integers(0, core.k + 1, walks)):
+            got = chain_states(core.cum_P, U, start)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, _states_by_draw_symbols(core.cum_P, U, start))
+
+
+def test_chain_states_of_a_chain_past_255_states():
+    # the start state of 256 states is 256: the table needs 16-bit entries
+    rng = np.random.default_rng(3)
+    P = rng.random((256, 256)) * (rng.random((256, 256)) < 0.3)
+    P[:, 0] += 1e-3
+    pi = rng.random(256)
+    chain = MarkovMeasure(2, 8, tuple((pi / pi.sum()).tolist()),
+                          tuple(map(tuple, (P / P.sum(axis=1, keepdims=True)).tolist())),
+                          stationary_required=False)
+    for walks in (3, 5):  # 3 x 257 table entries per level take the chunked scan, 5 x 257 one chunk
+        U = rng.random((67, walks))
+        for start in (256, rng.integers(0, 257, walks)):
+            got = chain_states(chain.core.cum_P, U, start)
+            assert got.dtype == np.uint16
+            assert np.array_equal(got, _states_by_draw_symbols(chain.core.cum_P, U, start))
+
+
+@pytest.mark.parametrize("model", [MARKOV, CHAIN3, CHAIN4], ids=["k2", "k3", "k4"])
+@pytest.mark.parametrize("block_draws", [1 << 6, 1 << 8])
+@pytest.mark.parametrize("window", [None, (40, 4099)])
+def test_chain_walk_matches_the_reference_across_chunk_carries(monkeypatch, model, block_draws, window):
+    # one path walks 4099 levels in chunks of block_draws levels, ending in a
+    # chunk of 3; three paths in chunks of block_draws // 3
+    monkeypatch.setattr(lil_module, "_CHAIN_BLOCK_DRAWS", block_draws)
+    cks, seed = (17, 511, 513, 4099), 12
+    conv = lil_convention(model)
+    for paths in (range(5, 6), range(3)):
+        S, _, SUP, INF = lil_module._walk_ensemble(model, conv, cks, seed, paths, window=window)
+        for row, i in enumerate(paths):
+            ref_S, sup, inf = reference_chain_walk(model, cks, seed, i, conv, window)
+            assert np.array_equal(S[row], ref_S)
+            if window is not None:
+                assert (SUP[row, -1], INF[row, -1]) == (sup, inf)
+
+
+@pytest.mark.parametrize("model", [MARKOV, CHAIN3, CHAIN4], ids=["k2", "k3", "k4"])
+def test_chain_sample_symbols_match_a_scalar_draw_loop(model):
+    core = model.core
+    for n, seed, index in ((0, 1, 0), (1, 2, 3), (7, 5, 1), (513, 9, 2 ** 40)):
+        u, state, want = path_rng(seed, index).random(n), core.k, []
+        for x in u:
+            state = int(draw_symbols(core.cum_P[state], x))
+            want.append(state)
+        got = sample_symbols(model, n, path_rng(seed, index))
+        assert got.dtype == np.intp and got.tolist() == want
 
 
 def test_chain_thread_invariance():
