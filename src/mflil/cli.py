@@ -9,7 +9,7 @@ the full option set, the model-file digest, the master seed (null for a
 command that takes no --seed), and the SHA-256 of every output. A run refused
 before its outputs exist writes nothing, not even --out. Re-running the
 same command over the same model reproduces the output files byte for
-byte, for any --threads value; only the manifest's timestamp differs.
+byte, for any lil-sim --threads value; only the manifest's timestamp differs.
 
 Exit codes: 0 success; 2 validation (bad flags, malformed model files, domain
 violations); 3 numerical failure (a cross-check disagreed); 4 budget
@@ -263,9 +263,7 @@ def cmd_gauge_test(args) -> None:
     model = _model(args)
     spec = _build_gauge_spec(model, args)
     checkpoints = _parse_checkpoints(args.checkpoints)
-    result = gauge_test(
-        model, spec, checkpoints, N=args.N, seed=args.seed, threads=args.threads
-    )
+    result = gauge_test(model, spec, checkpoints, N=args.N, seed=args.seed)
     _emit(args, "gauge-test", {
         "gauge.csv": (
             ["n", "fraction", "hit_ever_fraction"],
@@ -304,17 +302,12 @@ def cmd_zoo(args) -> None:
 # parser
 
 
-def _add_common(sp, seed=False, threads=False):
-    """--model and --out, plus --seed and --threads where the subcommand reads them."""
+def _add_common(sp, seed=False):
+    """--model and --out, plus --seed where the subcommand reads it."""
     sp.add_argument("--model", default=None, metavar="FILE", help="model file (JSON)")
     sp.add_argument("--out", required=True, metavar="DIR", help="output directory")
     if seed:
         sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    if threads:
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads; they speed up only --window runs "
-                             "on product models, and results are identical for "
-                             "every value (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,7 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("lil-sim", help="Monte Carlo ensemble of normalized log-mass ratios")
-    _add_common(sp, seed=True, threads=True)
+    _add_common(sp, seed=True)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker threads for the --window walk of product models, "
+                         "split over contiguous ranges of paths; other walks run in "
+                         "one thread, and results are identical for every value "
+                         "(default 1)")
     sp.add_argument("--N", type=int, required=True, help="number of paths")
     sp.add_argument("--checkpoints", required=True,
                     help="comma-separated levels, or pow2:LO:HI")
@@ -354,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_lil_sim)
 
     sp = sub.add_parser("gauge-test", help="mass-vs-gauge fractions over sampled paths")
-    _add_common(sp, seed=True, threads=True)
+    _add_common(sp, seed=True)
     sp.add_argument("--family", required=True,
                     choices=["power", "lil_hausdorff", "lil_packing", "sqrt", "theta"])
     sp.add_argument("--epsilon", type=float, default=0.3)

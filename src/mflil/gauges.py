@@ -266,7 +266,6 @@ def gauge_test(
     checkpoints: Sequence[int],
     N: int,
     seed: int = 0,
-    threads: int = 1,
 ) -> GaugeTestResult:
     """Monte Carlo fractions of m(I_n(x)) <= gauge(|I_n(x)|) at each checkpoint.
 
@@ -274,8 +273,7 @@ def gauge_test(
     u = ln(1/diameter). The paths come from the ensemble walk of
     run_ensemble, under the same path and chain-step budgets; each path uses
     its own counter-based stream keyed by (seed, index). The walk is a
-    checkpoint walk, which runs in one thread, so threads (still checked to
-    be >= 1) leaves the result and its cost unchanged.
+    checkpoint walk, which runs in one thread.
     """
     cks = _checked_levels(checkpoints)
     if cks[0] < _GAUGE_N_MIN:
@@ -283,7 +281,7 @@ def gauge_test(
             f"checkpoint {cks[0]} below n_min={_GAUGE_N_MIN} for gauge tests"
         )
     conv = lil_convention(model, "natural")
-    S, T, _, _ = _walk_ensemble(model, conv, cks, seed, range(N), threads)
+    S, T, _, _ = _walk_ensemble(model, conv, cks, seed, range(N))
     m = len(cks)
 
     # m(I) <= gauge(diam)  <=>  -S_natural <= log gauge  <=>  S_natural >= -log gauge

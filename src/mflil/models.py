@@ -27,7 +27,8 @@ quasi-Bernoulli checks read these tables instead of re-deriving them, and
 the family checks read the core's ell, None for self-similar measures.
 Every sampler draws through one inverse-CDF rule (draw_symbols), every chain
 walk steps its states through one scan of that rule (chain_states), and
-every chain enumeration comes from one enumerator (chain_log_masses).
+every word enumeration comes from one enumerator per kind (chain_log_masses
+for chains, word_log_sums for products).
 
 Sampling uses a counter-based generator (Philox) keyed by
 (run_seed, path_index): every path owns a substream, so ensembles are
@@ -461,6 +462,20 @@ def chain_log_masses(model: MeasureModel, n: int) -> np.ndarray:
     return L
 
 
+def word_log_sums(model: MeasureModel, values: np.ndarray, n: int) -> np.ndarray:
+    """Sums of per-symbol values over all g^n level-n words (n >= 1) of a
+    product family's g symbols, in lexicographic order: word s_1..s_n sits at
+    sum s_i g^(n-i) and holds values[s_1] + ... + values[s_n], added left to
+    right from 0.0. Refused past the enumeration budget of the model's k^n
+    words.
+    """
+    check_enumeration_budget(model, n)
+    acc = np.zeros(1)
+    for _ in range(n):
+        acc = (acc[:, None] + values[None, :]).ravel()
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # support
 
@@ -750,6 +765,9 @@ def enumeration_budget(default: int = 2 ** 24) -> int:
 
 
 def check_enumeration_budget(model: MeasureModel, n: int) -> None:
+    """Refuse a level below 1, and the k^n words of level n past the budget."""
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
     k = model.core.k
     budget = enumeration_budget()
     if k ** n > budget:

@@ -222,11 +222,13 @@ def partition_bound_check(
     cells = []
     drifts = []
     ok = True
-    taus = (tau_scale_free(model, np.array(qs, dtype=float)) + tau_shift).tolist()
-    for q, tau_q in zip(qs, taus):
+    q_arr = np.array(qs, dtype=float)
+    taus = (tau_scale_free(model, q_arr) + tau_shift).tolist()
+    sums = [(log_partition_sum(model, q_arr, n) / ln_ell).tolist() for n in ns]
+    for j, (q, tau_q) in enumerate(zip(qs, taus)):
         defects = []
-        for n in ns:
-            ls = log_partition_sum(model, q, n) / ln_ell
+        for n, ls_n in zip(ns, sums):
+            ls = ls_n[j]
             n_tau = n * tau_q
             defect = ls - n_tau
             bound = abs(q) * log_ell_C + _BOUND_SLACK

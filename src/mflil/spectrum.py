@@ -32,6 +32,16 @@ model's FamilyCore:
 Everything else reads the kernel: dimension d = -tau'(1), curvature
 sigma2 = tau''(1), chi(q) = tau(1-q) - q d and its Newton inverse.
 
+One finite-level rule for every kind. tau_empirical(model, q, n) takes q as
+tau_scale_free does and enumerates the level-n words once per call, whatever
+the number of q: chain_log_masses on chains, models.word_log_sums on
+products (the masses, and on self-similar measures the diameters too). On
+grids tau_n(q) = log_ell(sum_w m(w)^q) / n (log_partition_sum), one
+logsumexp over the (q, word) matrix in passes of at most _Q_BLOCK / 4
+entries; chains of more than 2^14 words take scaled powers of M_q instead,
+one q at a time. On self-similar measures tau_n(q) is the root of
+sum_w m(w)^q diam(w)^tau = 1 over the enumerated words, one root per q.
+
 Base conventions. Reported values can be converted between natural, base-2 and
 base-ell units:
 
@@ -61,13 +71,11 @@ from .errors import BudgetError, FlatSpectrumError, NumericalError, ValidationEr
 from .models import (
     LogBase,
     MeasureModel,
-    SelfSimilarMeasure,
     canonical_base,
     chain_log_masses,
-    check_enumeration_budget,
     enumeration_budget,
-    log_symbol_weights,
     support_info,
+    word_log_sums,
 )
 
 _IMPLICIT_TOL = 1e-13
@@ -245,10 +253,10 @@ def _active_chain(core) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chain_powers(P: np.ndarray, qs: Sequence[float]) -> np.ndarray:
-    """The stack of entrywise powers M_q = (P_ij^q), with 0^q := 0 also for
-    q <= 0. Each matrix takes the scalar `P ** q`: numpy computes it exactly
-    rounded at q = 2, 0.5 and -1 (square, sqrt, reciprocal), which a
-    broadcast power over the whole stack does not."""
+    """The stack of entrywise powers M_q = (P_ij^q) of a matrix (or vector)
+    P, with 0^q := 0 also for q <= 0. Each takes the scalar `P ** q`: numpy
+    computes it exactly rounded at q = 2, 0.5 and -1 (square, sqrt,
+    reciprocal), which a broadcast power over the whole stack does not."""
     pos = P > 0
     M = np.zeros((len(qs),) + P.shape)
     for Mq, q in zip(M, qs):
@@ -299,87 +307,66 @@ def spectral_kernel(model: MeasureModel, q: float) -> tuple[float, float, float]
 
 # q per pass of a kind's tau rule. On a 10^6-row grid, one pass raised the
 # peak memory by about 100 MB over one q at a time; 2^16-row passes by 7 MB.
+# An empirical pass takes _Q_BLOCK / 4 (q, word) entries: from 2^15 on,
+# logsumexp's temporaries outgrew a 2 MB L2 cache, and a 101-q pass over a
+# 16,384-word chain table took twice as long as one q at a time.
 _Q_BLOCK = 1 << 16
 
-# the kind each named method asserts; 'auto' takes any
-_METHOD_KINDS = {"auto": None, "closed": "product", "implicit": "product", "perron": "chain"}
+
+def _over_q(q, rule):
+    """rule over q as a 1-D float array; a float q gives a float. A q of more
+    than one dimension is refused."""
+    qs = np.asarray(q, dtype=float)
+    if qs.ndim > 1:
+        raise ValidationError("q must be a float or a 1-D array")
+    t = rule(qs.reshape(-1))
+    return float(t[0]) if qs.ndim == 0 else t
 
 
-def tau_scale_free(model: MeasureModel, q, method: str = "auto"):
-    """tau(q) in scale-free units; a named method only asserts the family kind.
+def _in_passes(qs: np.ndarray, rows: int, rule) -> np.ndarray:
+    """rule over qs in passes of at most `rows` q."""
+    t = np.empty(qs.size)
+    for i in range(0, qs.size, rows):
+        t[i:i + rows] = rule(qs[i:i + rows])
+    return t
+
+
+def tau_scale_free(model: MeasureModel, q):
+    """tau(q) in scale-free units, from the kind's tau rule.
 
     q is a float, which gives a float, or a 1-D array, which gives an array
     of the same length, each value bit-equal to its float call. An array is
     evaluated in one pass per 2^16 values (one eigen-solve per pass on chains).
     """
-    if method not in _METHOD_KINDS:
-        raise ValidationError(f"unknown tau method {method!r}")
-    kind = model.core.kind
-    if _METHOD_KINDS[method] not in (None, kind):
-        raise ValidationError(f"method {method!r} does not apply to the {kind} kind")
-    qs = np.asarray(q, dtype=float)
-    if qs.ndim > 1:
-        raise ValidationError("q must be a float or a 1-D array")
-    flat = qs.reshape(-1)
-    t = np.empty(flat.size)
-    for i in range(0, flat.size, _Q_BLOCK):
-        t[i:i + _Q_BLOCK] = _TAUS[kind](model.core, flat[i:i + _Q_BLOCK])
-    return float(t[0]) if qs.ndim == 0 else t
+    core = model.core
+    rule = _TAUS[core.kind]
+    return _over_q(q, lambda qs: _in_passes(qs, _Q_BLOCK, lambda b: rule(core, b)))
 
 
-def tau(model: MeasureModel, q, base: Optional[LogBase] = None, method: str = "auto"):
+def tau(model: MeasureModel, q, base: Optional[LogBase] = None):
     """tau(q) in the requested units (default: the family's canonical base);
     q is a float or a 1-D array, as in tau_scale_free."""
     base = base or canonical_base(model)
-    return tau_to_base(model, tau_scale_free(model, q, method), base)
+    return tau_to_base(model, tau_scale_free(model, q), base)
 
 
 # ---------------------------------------------------------------------------
 # empirical partition sums
 
 
-def log_partition_sum(model: MeasureModel, q: float, n: int, method: str = "auto") -> float:
-    """Natural log of sum over nonzero level-n cylinders of m(I)^q.
+def _log_sums(qs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """logsumexp(q * table) for each q, in passes of at most _Q_BLOCK / 4
+    (q, word) entries, or of one q."""
+    rows = max(1, (_Q_BLOCK >> 2) // table.size)
+    return _in_passes(qs, rows, lambda b: logsumexp(b[:, None] * table, axis=1))
 
-    method 'factorized' uses the product structure (grid product families) or
-    scaled transfer-matrix powers (Markov); 'enumerate' walks every word within
-    the enumeration budget. 'auto' enumerates when affordable for Markov and
-    factorizes otherwise.
-    """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if method not in ("auto", "factorized", "enumerate"):
-        raise ValidationError(f"unknown partition method {method!r}")
-    core = model.core
-    if core.ell is None:
-        raise ValidationError(
-            "self-similar cylinders have no common level diameter; "
-            "use tau_empirical_selfsimilar"
-        )
-    if core.kind == "product":
-        if method == "enumerate":
-            check_enumeration_budget(model, n)
-            lw = log_symbol_weights(model)
-            lw = lw[np.isfinite(lw)]
-            acc = np.zeros(1)
-            for _ in range(n):
-                acc = (acc[:, None] + lw[None, :]).ravel()
-            return float(logsumexp(q * acc))
-        lw = log_symbol_weights(model)
-        lw = lw[np.isfinite(lw)]
-        return float(n * logsumexp(q * lw))
-    if method == "enumerate" or (method == "auto" and core.k ** n <= 2 ** 14):
-        logmass = chain_log_masses(model, n)
-        return float(logsumexp(q * logmass[np.isfinite(logmass)]))
-    # scaled matrix powers in the log domain, over the active states
-    pi_a = core.pi[list(core.active)]
-    P_a = core.P[np.ix_(core.active, core.active)]
-    Mq = np.zeros_like(P_a)
-    pos = P_a > 0
-    Mq[pos] = P_a[pos] ** q
-    v = np.zeros(pi_a.size)
-    ppos = pi_a > 0
-    v[ppos] = pi_a[ppos] ** q
+
+def _chain_power_sum(core, q: float, n: int) -> float:
+    """Natural log of the level-n partition sum from scaled powers of M_q in
+    the log domain, over the active states."""
+    act = list(core.active)
+    v = _chain_powers(core.pi[act], [q])[0]
+    Mq = _chain_powers(core.P[np.ix_(act, act)], [q])[0]
     logscale = 0.0
     for _ in range(n - 1):
         v = v @ Mq
@@ -391,34 +378,60 @@ def log_partition_sum(model: MeasureModel, q: float, n: int, method: str = "auto
     return logscale + math.log(float(v.sum()))
 
 
-def tau_empirical(
-    model: MeasureModel,
-    q: float,
-    n: int,
-    base: Optional[LogBase] = None,
-    method: str = "auto",
-) -> float:
-    """Finite-level exponent tau_n(q) = log_ell(partition sum)/n, converted to `base`."""
-    if model.core.ell is None:
-        raise ValidationError("use tau_empirical_selfsimilar for the self-similar family")
+def log_partition_sum(model: MeasureModel, q, n: int, method: str = "auto"):
+    """Natural log of sum over nonzero level-n cylinders of m(I)^q; q is a
+    float or a 1-D array, as in tau_scale_free.
+
+    method 'factorized' uses the product structure (grid product families) or
+    scaled transfer-matrix powers (Markov, one q at a time); 'enumerate'
+    walks every word within the enumeration budget. 'auto' enumerates when
+    affordable for Markov and factorizes otherwise. An enumeration is made
+    once per call, whatever the number of q.
+    """
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    if method not in ("auto", "factorized", "enumerate"):
+        raise ValidationError(f"unknown partition method {method!r}")
+    core = model.core
+    if core.ell is None:
+        raise ValidationError(
+            "self-similar cylinders have no common level diameter; use tau_empirical"
+        )
+
+    def rule(qs):
+        if core.kind == "product":
+            lp = _product_logs(core)[0]
+            if method == "enumerate":
+                return _log_sums(qs, word_log_sums(model, lp, n))
+            return n * _log_sums(qs, lp)
+        if method == "enumerate" or (method == "auto" and core.k ** n <= 2 ** 14):
+            logmass = chain_log_masses(model, n)
+            return _log_sums(qs, logmass[np.isfinite(logmass)])
+        return np.array([_chain_power_sum(core, x, n) for x in qs.tolist()])
+
+    return _over_q(q, rule)
+
+
+def tau_empirical(model: MeasureModel, q, n: int, base: Optional[LogBase] = None):
+    """Finite-level exponent tau_n(q) in `base` units, from one enumeration
+    of the level-n words (or the chain's matrix powers past 2^14 words).
+
+    On grids tau_n(q) = log_ell(partition sum)/n. On self-similar measures it
+    is the root tau of the level-n identity sum m(w)^q diam(w)^tau = 1, the
+    implicit equation of the product kernel over the level-n words, one root
+    per q. q is a float or a 1-D array, as in tau_scale_free.
+    """
     base = base or canonical_base(model)
-    ls = log_partition_sum(model, q, n, method)
-    tau_star = ls / (n * math.log(model.core.ell))
-    return tau_to_base(model, tau_star, base)
+    core = model.core
 
+    def rule(qs):
+        if core.ell is not None:
+            return log_partition_sum(model, qs, n) / (n * math.log(core.ell))
+        lp, lr = _product_logs(core)
+        lm, ld = word_log_sums(model, lp, n), word_log_sums(model, lr, n)
+        return np.array([tau_implicit_selfsimilar(lm, ld, x) for x in qs.tolist()])
 
-def tau_empirical_selfsimilar(model: SelfSimilarMeasure, q: float, n: int) -> float:
-    """Root tau of the enumerated level-n identity sum m(w)^q diam(w)^tau = 1,
-    the implicit equation of the product kernel over the level-n words."""
-    check_enumeration_budget(model, n)
-    lp, lr = model.core.log_weights, model.core.log_ratios
-    lm = np.zeros(1)
-    ld = np.zeros(1)
-    for _ in range(n):
-        lm = (lm[:, None] + lp[None, :]).ravel()
-        ld = (ld[:, None] + lr[None, :]).ravel()
-
-    return tau_implicit_selfsimilar(lm, ld, q)
+    return tau_to_base(model, _over_q(q, rule), base)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +502,7 @@ def sigma2(model: MeasureModel, base: Optional[LogBase] = None) -> Sigma2Result:
 # chi, its inverse, theta, and the not-flat condition
 
 
-def chi(model: MeasureModel, q, method: str = "auto"):
+def chi(model: MeasureModel, q):
     """chi(q) = tau(1-q) - q d in scale-free units; defined for q in [-1, 1].
 
     q is a float or a 1-D array, as in tau_scale_free; d is read once per call.
@@ -497,7 +510,7 @@ def chi(model: MeasureModel, q, method: str = "auto"):
     d = -spectral_kernel(model, 1.0)[1]
     if np.ndim(q):
         q = np.asarray(q, dtype=float)
-    return tau_scale_free(model, 1.0 - q, method) - q * d
+    return tau_scale_free(model, 1.0 - q) - q * d
 
 
 def support_dimension(model: MeasureModel) -> float:
@@ -669,12 +682,11 @@ def spectrum_table(
     q_max: float = 3.0,
     q_step: float = 0.05,
     base: Optional[LogBase] = None,
-    method: str = "auto",
     empirical_n: Optional[int] = None,
 ) -> SpectrumTable:
     """tau on the grid q_min, q_min + q_step, ..., q_max, from one tau call
-    over the whole grid (or one empirical exponent per row with
-    empirical_n). The row count must not exceed enumeration_budget()."""
+    over the whole grid, or with empirical_n one tau_empirical call at that
+    level. The row count must not exceed enumeration_budget()."""
     if not all(math.isfinite(x) for x in (q_min, q_max, q_step)):
         raise ValidationError("q_min, q_max and q_step must be finite")
     if q_step <= 0:
@@ -695,20 +707,16 @@ def spectrum_table(
         qs = tuple(float(round(q_min + i * q_step, 12)) for i in range(count))
     else:
         qs = tuple(q_min + i * q_step for i in range(count))
-    if empirical_n is not None:
-        if model.core.ell is None:
-            taus = tuple(tau_empirical_selfsimilar(model, qq, empirical_n) for qq in qs)
-        else:
-            taus = tuple(tau_empirical(model, qq, empirical_n, base) for qq in qs)
-        used = f"empirical(n={empirical_n})"
+    if empirical_n is None:
+        taus, used = tau(model, np.array(qs), base), "auto"
     else:
-        taus = tuple(tau(model, np.array(qs), base, method).tolist())
-        used = method
+        taus = tau_empirical(model, np.array(qs), empirical_n, base)
+        used = f"empirical(n={empirical_n})"
     d = dimension(model)
     s2 = sigma2(model, base)
     return SpectrumTable(
         q=qs,
-        tau=taus,
+        tau=tuple(taus.tolist()),
         base=base,
         method=used,
         d=d,

@@ -67,21 +67,13 @@ def test_criterion_01_spectrum_exactness(capsys):
             "cantor_biased": delta_cantor,
             "markov_chain": 1.0,
         }
-        methods = {
-            "bernoulli_half": ("auto", "closed"),
-            "bernoulli_quarter": ("auto", "closed"),
-            "cantor_natural": ("auto", "implicit"),
-            "cantor_biased": ("auto", "implicit"),
-            "markov_chain": ("auto", "perron"),
-        }
         for name, model in zoo_models().items():
-            for method in methods[name]:
-                t1 = tau_scale_free(model, 1.0, method=method)
-                assert abs(t1) <= 1e-10, f"{name}/{method}: tau(1) = {t1!r}"
-                t0_ = tau_scale_free(model, 0.0, method=method)
-                assert abs(t0_ - expected_delta[name]) <= 1e-9, (
-                    f"{name}/{method}: tau(0) = {t0_!r}, delta = {expected_delta[name]!r}"
-                )
+            t1 = tau_scale_free(model, 1.0)
+            assert abs(t1) <= 1e-10, f"{name}: tau(1) = {t1!r}"
+            t0_ = tau_scale_free(model, 0.0)
+            assert abs(t0_ - expected_delta[name]) <= 1e-9, (
+                f"{name}: tau(0) = {t0_!r}, delta = {expected_delta[name]!r}"
+            )
 
     _run(capsys, 1, "spectrum exactness", 1.0, body)
 
@@ -176,13 +168,13 @@ def test_criterion_07_gauge_dichotomy(capsys):
         cks = [2 ** 10, 2 ** 14, 2 ** 18]
         haus = GaugeSpec(family="lil_hausdorff", d=d, sigma=sig, epsilon=0.3,
                          epsilon_sign=1, theta=th)
-        rh = gauge_test(QUARTER, haus, cks, N=10000, seed=7, threads=4)
+        rh = gauge_test(QUARTER, haus, cks, N=10000, seed=7)
         fr = rh.fractions
         assert fr[0] <= fr[1] <= fr[2], f"hausdorff fractions {fr!r}"
         assert fr[2] >= 0.95, f"hausdorff final fraction {fr[2]!r}"
         pack = GaugeSpec(family="lil_packing", d=d, sigma=sig, epsilon=0.3,
                          epsilon_sign=1, theta=th)
-        rp = gauge_test(QUARTER, pack, cks, N=10000, seed=7, threads=4)
+        rp = gauge_test(QUARTER, pack, cks, N=10000, seed=7)
         assert rp.fractions[2] <= 0.05, f"packing final fraction {rp.fractions[2]!r}"
         return f", haus {fr[2]:.4f}, pack {rp.fractions[2]:.4f}"
 
@@ -249,12 +241,12 @@ def test_criterion_10_cli_reproducibility(capsys, tmp_path):
         assert runs["r1"] == runs["r2"] == runs["r3"], f"lil-sim drifted: {runs!r}"
 
         gauges = {}
-        for tag, threads in (("g1", "1"), ("g2", "4")):
+        for tag in ("g1", "g2"):
             out = tmp_path / f"gauge_{tag}"
             code = cli_main(["gauge-test", "--model", model, "--out", str(out),
                              "--family", "lil_hausdorff", "--epsilon", "0.3",
                              "--checkpoints", "64,1024", "--N", "500",
-                             "--seed", "3", "--threads", threads])
+                             "--seed", "3"])
             assert code == 0
             gauges[tag] = (_sha(out / "gauge.csv"), _sha(out / "summary.json"))
         assert gauges["g1"] == gauges["g2"], f"gauge-test drifted: {gauges!r}"

@@ -228,9 +228,12 @@ def test_parser_keeps_the_flags_subcommands_read():
     args = parser.parse_args(["lil-sim", "--model", "m", "--out", "d", "--N", "3",
                               "--checkpoints", "16", "--seed", "4", "--threads", "2"])
     assert (args.seed, args.threads) == (4, 2)
-    args = parser.parse_args(["gauge-test", "--model", "m", "--out", "d", "--N", "3",
-                              "--checkpoints", "16", "--family", "power", "--seed", "4", "--threads", "2"])
-    assert (args.seed, args.threads) == (4, 2)
+    gauge = ["gauge-test", "--model", "m", "--out", "d", "--N", "3",
+             "--checkpoints", "16", "--family", "power", "--seed", "4"]
+    assert parser.parse_args(gauge).seed == 4
+    with pytest.raises(SystemExit) as exc:  # gauge walks run in one thread
+        parser.parse_args(gauge + ["--threads", "2"])
+    assert exc.value.code == 2
     assert parser.parse_args(["qb-check", "--model", "m", "--out", "d", "--seed", "5"]).seed == 5
 
 
@@ -378,8 +381,9 @@ def test_refused_runs_leave_no_out_directory(zoo_dir, tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
-# sha256 of the data files (manifests excluded) of six small commands, as
-# written before the subcommands shared one output writer.
+# sha256 of the data files (manifests excluded) of ten small commands: the
+# first six as written before the subcommands shared one output writer, the
+# empirical tables as written while each row enumerated its own words.
 _PINNED_COMMANDS = {
     "spectrum": ("spectrum", "markov_chain", []),
     "lil_ckpt": ("lil-sim", "bernoulli_quarter",
@@ -394,6 +398,11 @@ _PINNED_COMMANDS = {
                     ["--family", "theta", "--N", "200", "--checkpoints", "64,1024",
                      "--seed", "3"]),
     "qb": ("qb-check", "markov_chain", []),
+    # finite-level tables; the chain at n = 16 takes the matrix-power route
+    "empirical_quarter": ("spectrum", "bernoulli_quarter", ["--empirical-n", "6"]),
+    "empirical_cantor": ("spectrum", "cantor_biased", ["--empirical-n", "6"]),
+    "empirical_chain6": ("spectrum", "markov_chain", ["--empirical-n", "6"]),
+    "empirical_chain16": ("spectrum", "markov_chain", ["--empirical-n", "16"]),
 }
 _PINNED_SHA256 = {
     ("spectrum", "spectrum.csv"): "044786d933ebb653c3053b61a2a74f79a36f195202e357bdb1c6c792f8c3213c",
@@ -407,6 +416,14 @@ _PINNED_SHA256 = {
     ("gauge_theta", "gauge.csv"): "ad79a4ffc58fd3ae1dd1dcaf42fde9b612c25cc0606a2c06ec511ed96b5c9f68",
     ("gauge_theta", "summary.json"): "8cb0362e00631bfff51069cd40c2f9116c483f1e6c9f3d90001431901099a697",
     ("qb", "qb.json"): "90d1cacd6d21eee9278bc8fc62a4fb337de688dbadd2edee6ecdee53e68847d7",
+    ("empirical_quarter", "spectrum.csv"): "31a97258f3a3a0dfefa6a68f7dadee7875b08a8911558e639bd1e84cddaa081d",
+    ("empirical_quarter", "summary.json"): "6c52b7848dda243a3e6c9d30fcf7047d5f2a73ffb5ab4c397c0a6cf380d809a0",
+    ("empirical_cantor", "spectrum.csv"): "fc95729242e45508963a2ba797445251b0f7fe1860496d59a77fcf9912ae50e6",
+    ("empirical_cantor", "summary.json"): "4b2d984d5830ed9ce613854e977fb586cc9dcce1b244ed2e183ab22897b89794",
+    ("empirical_chain6", "spectrum.csv"): "12d6c1a44554e9f41e29e7c9adcb623ef0d6482fb656dd369e3e889fc3c57cf3",
+    ("empirical_chain6", "summary.json"): "d173d9a31a6bfeb07a99d0c1dea92fe355baa8ce18dd704f19eabec81da72f25",
+    ("empirical_chain16", "spectrum.csv"): "8062fe31f3b0d87837b6f1367738586297777b975e158b81b3d0edd594a17dfe",
+    ("empirical_chain16", "summary.json"): "109d8da25cd5b70fd2ef7c395f7e9d88c7f1d0e61fb91fd02f55668f232c1bcc",
 }
 
 

@@ -172,8 +172,8 @@ def test_gauge_test_deterministic_and_cumulative():
     sig = lil_sigma(QUARTER, "base-2")
     th = theta_correction("base-2")
     spec = GaugeSpec(family="lil_hausdorff", d=d, sigma=sig, epsilon=0.3, theta=th)
-    a = gauge_test(QUARTER, spec, [64, 256, 1024], N=300, seed=11, threads=1)
-    b = gauge_test(QUARTER, spec, [64, 256, 1024], N=300, seed=11, threads=3)
+    a = gauge_test(QUARTER, spec, [64, 256, 1024], N=300, seed=11)
+    b = gauge_test(QUARTER, spec, [64, 256, 1024], N=300, seed=11)
     assert a == b
     hb = np.asarray(a.hit_by)
     assert np.all(np.diff(hb) >= 0)
@@ -184,8 +184,8 @@ def test_gauge_test_deterministic_and_cumulative():
 def test_markov_gauge_test_thread_invariance():
     mk = load_zoo_model("markov_chain")
     spec = GaugeSpec(family="sqrt", d=dimension(mk), a=0.5, ell=2)
-    a = gauge_test(mk, spec, [16, 50, 128], N=31, seed=9, threads=1)
-    b = gauge_test(mk, spec, [16, 50, 128], N=31, seed=9, threads=3)
+    a = gauge_test(mk, spec, [16, 50, 128], N=31, seed=9)
+    b = gauge_test(mk, spec, [16, 50, 128], N=31, seed=9)
     assert a == b
 
 

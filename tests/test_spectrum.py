@@ -28,7 +28,6 @@ from mflil import (
     tau_scale_free,
     tau_to_base,
 )
-from mflil.spectrum import tau_empirical_selfsimilar
 from mflil.zoo import load_zoo_model, zoo_models
 
 QUARTER = BernoulliProduct(0.25)
@@ -63,10 +62,10 @@ def test_tau_perron_markov():
 def test_methods_agree_on_products():
     m = MultinomialMeasure(3, 1, (0.2, 0.3, 0.5))
     for q in (-1.5, 0.3, 2.5):
-        closed = tau_scale_free(m, q, method="closed")
+        closed = tau_scale_free(m, q)
         # the same weights as a chain with identical rows
         mk = MarkovMeasure(3, 1, (0.2, 0.3, 0.5), ((0.2, 0.3, 0.5),) * 3)
-        perron = tau_scale_free(mk, q, method="perron")
+        perron = tau_scale_free(mk, q)
         assert closed == pytest.approx(perron, abs=1e-10)
 
 
@@ -252,7 +251,7 @@ def test_selfsimilar_empirical_tau_is_tau_at_every_level(model):
     # the level-n root is the level-1 root
     for n in range(1, 7):
         for q in (-1.5, 0.5, 1.0, 2.5):
-            emp = tau_empirical_selfsimilar(model, q, n)
+            emp = tau_empirical(model, q, n)
             assert abs(emp - tau_scale_free(model, q)) <= 1e-12, (n, q)
 
 
@@ -364,16 +363,6 @@ def test_chi_profile_theta_makes_few_tau_evaluations(monkeypatch):
         assert prof.chi(q) == pytest.approx(1.0 / t, abs=1e-12)
 
 
-def test_tau_methods_assert_the_family_kind():
-    mk = load_zoo_model("markov_chain")
-    with pytest.raises(ValidationError):
-        tau_scale_free(mk, 2.0, method="closed")
-    with pytest.raises(ValidationError):
-        tau_scale_free(QUARTER, 2.0, method="perron")
-    with pytest.raises(ValidationError):
-        tau_scale_free(QUARTER, 2.0, method="richardson")
-
-
 def _array_kernel_models():
     models = dict(zoo_models())
     models["multinomial_gap"] = MultinomialMeasure(3, 1, (0.2, 0.0, 0.8))
@@ -452,3 +441,55 @@ def test_spectrum_table_makes_one_eigen_solve_for_the_grid(monkeypatch):
         assert calls.count(3) >= 1  # the grid went through one stacked solve
     assert len(table.q) == 501
     assert counts[0] == counts[1] <= 8, counts
+
+
+@pytest.mark.parametrize("name", sorted(_array_kernel_models()))
+def test_array_empirical_tau_is_the_float_call_bit_for_bit(name, monkeypatch):
+    from mflil import spectrum as spectrum_module
+
+    model = _array_kernel_models()[name]
+    k = model.core.k
+    # the unequal self-similar roots took 1.8 s over 3^12 words on a 2-vCPU
+    # host, and grow with the word count; the two Cantor models carry the
+    # self-similar rule to n = 14 and 15
+    ns = (1, 6) if name == "selfsimilar_unequal" else (1, 6, 14, 15)
+    for n in ns:
+        rules = {"tau_empirical": lambda q: tau_empirical(model, q, n)}
+        if model.core.ell is not None:
+            for method in ("auto", "factorized", "enumerate"):
+                if method != "enumerate" or k ** n <= 2 ** 16:
+                    rules[method] = lambda q, m=method: log_partition_sum(model, q, n, m)
+        for label, rule in rules.items():
+            want = [rule(q).hex() for q in ARRAY_QS.tolist()]
+            assert [float(t).hex() for t in rule(ARRAY_QS)] == want, (label, n)
+            with monkeypatch.context() as patch:
+                patch.setattr(spectrum_module, "_Q_BLOCK", 100)  # passes of a few q
+                assert [float(t).hex() for t in rule(ARRAY_QS)] == want, (label, n)
+            assert rule(ARRAY_QS[:0]).shape == (0,)
+
+
+def test_empirical_table_enumerates_the_words_once(monkeypatch):
+    from mflil import spectrum as spectrum_module
+
+    calls = []
+    enumerate_chain = spectrum_module.chain_log_masses
+
+    def counting(model, n):
+        calls.append(n)
+        return enumerate_chain(model, n)
+
+    monkeypatch.setattr(spectrum_module, "chain_log_masses", counting)
+    table = spectrum_table(load_zoo_model("markov_chain"), empirical_n=14)
+    assert len(table.q) == 101
+    assert calls == [14]
+
+
+def test_empirical_tau_refuses_levels_below_one_and_grid_units_on_self_similar():
+    cb = load_zoo_model("cantor_biased")
+    for n in (0, -1):
+        with pytest.raises(ValidationError):
+            tau_empirical(cb, 1.0, n)
+        with pytest.raises(ValidationError):
+            tau_empirical(QUARTER, 1.0, n)
+    with pytest.raises(ValidationError):
+        tau_empirical(cb, 1.0, 4, LogBase.BASE_2)
