@@ -30,6 +30,11 @@ walk steps its states through one scan of that rule (chain_states), and
 every word enumeration comes from one enumerator per kind (chain_log_masses
 for chains, word_log_sums for products).
 
+Model files. A model file is a JSON object whose "family" names one of
+the four classes (each class's `family`); _MODEL_FILES gives each family's
+fields, their readers and defaults, and model_from_dict and model_to_dict
+both read it. Numbers must be JSON numbers, and unknown fields are refused.
+
 Sampling uses a counter-based generator (Philox) keyed by
 (run_seed, path_index): every path owns a substream, so ensembles are
 reproducible bit for bit regardless of scheduling or thread count.
@@ -43,7 +48,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Callable, ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -210,6 +215,7 @@ class FamilyCore:
 class BernoulliProduct:
     """Binary product measure; digit 1 has weight p, digit 0 has weight 1-p."""
 
+    family: ClassVar[str] = "bernoulli"
     p: float
 
     def __post_init__(self):
@@ -233,6 +239,7 @@ class BernoulliProduct:
 class MultinomialMeasure:
     """Product measure over adic cubes with one weight per packed symbol."""
 
+    family: ClassVar[str] = "multinomial"
     ell: int
     dim: int
     weights: tuple[float, ...]
@@ -261,6 +268,7 @@ class MultinomialMeasure:
 class SelfSimilarMeasure:
     """Self-similar measure: probabilities over IFS branches with ratios r_i."""
 
+    family: ClassVar[str] = "selfsimilar"
     probs: tuple[float, ...]
     ratios: tuple[float, ...]
 
@@ -278,10 +286,6 @@ class SelfSimilarMeasure:
         # symbolic coding alphabet; branch count stands in for ell
         return Alphabet(max(2, len(self.probs)), 1)
 
-    @property
-    def k(self) -> int:
-        return len(self.probs)
-
     @cached_property
     def core(self) -> FamilyCore:
         return FamilyCore.product(None, self.probs, self.ratios)
@@ -291,6 +295,7 @@ class SelfSimilarMeasure:
 class MarkovMeasure:
     """Stationary Markov measure on symbol strings over the adic alphabet."""
 
+    family: ClassVar[str] = "markov"
     ell: int
     dim: int
     pi: tuple[float, ...]
@@ -336,15 +341,16 @@ class MarkovMeasure:
 MeasureModel = Union[BernoulliProduct, MultinomialMeasure, SelfSimilarMeasure, MarkovMeasure]
 
 
-def stationary_distribution(P, tol: float = 1e-14, max_iter: int = 100000) -> np.ndarray:
-    """Stationary row vector of a row-stochastic matrix, by power iteration."""
+def stationary_distribution(P) -> np.ndarray:
+    """Stationary row vector of a row-stochastic matrix, by power iteration
+    until no entry moves by 1e-14, in at most 10^5 steps."""
     P = np.asarray(P, dtype=float)
     k = P.shape[0]
     v = np.full(k, 1.0 / k)
-    for _ in range(max_iter):
+    for _ in range(100000):
         w = v @ P
         w /= w.sum()
-        if np.max(np.abs(w - v)) < tol:
+        if np.max(np.abs(w - v)) < 1e-14:
             return w
         v = w
     raise ValidationError("stationary distribution iteration did not converge")
@@ -632,73 +638,83 @@ def sample_path(model: MeasureModel, n: int, seed: int, path_index: int = 0) -> 
 # model files
 
 
-_FAMILIES = ("bernoulli", "multinomial", "selfsimilar", "markov")
-_FIELDS = {
-    "bernoulli": {"family", "p", "ell", "D"},
-    "multinomial": {"family", "ell", "D", "weights"},
-    "selfsimilar": {"family", "probs", "ratios"},
-    "markov": {"family", "ell", "D", "pi", "P"},
-}
+def _number(x) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"needs JSON numbers, got {x!r}")
+    return float(x)
 
 
-def _integral_field(doc: dict, name: str, default: Optional[int] = None) -> int:
-    """doc[name] (default if absent) as an int; refused unless an integral number."""
-    x = doc.get(name, default)
+def _integer(x) -> int:
     if isinstance(x, bool) or not isinstance(x, (int, float)) or not float(x).is_integer():
-        raise ValidationError(f"field {name!r} must be an integer, got {x!r}")
+        raise TypeError(f"must be an integer, got {x!r}")
     return int(x)
 
 
+def _list_of(read: Callable) -> Callable:
+    def read_list(x) -> tuple:
+        if not isinstance(x, list):
+            raise TypeError(f"needs a list, got {x!r}")
+        return tuple(map(read, x))
+    return read_list
+
+
+_vector = _list_of(_number)
+_matrix = _list_of(_vector)
+
+
+class _Field(NamedTuple):
+    """One model-file field: the constructor argument it fills (None: fixed to
+    its default and never written), its reader, and its default (None:
+    required)."""
+
+    arg: Optional[str]
+    read: Callable
+    default: object = None
+
+
+# each family's file name -> its class and its file fields, read and written alike
+_MODEL_FILES = {cls.family: (cls, fields) for cls, fields in (
+    (BernoulliProduct, {"p": _Field("p", _number), "ell": _Field(None, _integer, 2),
+                        "D": _Field(None, _integer, 1)}),
+    (MultinomialMeasure, {"ell": _Field("ell", _integer), "D": _Field("dim", _integer, 1),
+                          "weights": _Field("weights", _vector)}),
+    (SelfSimilarMeasure, {"probs": _Field("probs", _vector), "ratios": _Field("ratios", _vector)}),
+    (MarkovMeasure, {"ell": _Field("ell", _integer), "D": _Field("dim", _integer, 1),
+                     "pi": _Field("pi", _vector), "P": _Field("P", _matrix)}),
+)}
+
+
 def model_from_dict(doc: dict) -> MeasureModel:
-    """Build a model from a parsed model-file document. Strict: unknown fields reject."""
+    """Build a model from a parsed model-file document. Strict: unknown
+    fields, and strings or booleans where numbers go, are refused."""
     if not isinstance(doc, dict):
         raise ValidationError("model document must be a JSON object")
     fam = doc.get("family")
-    if fam not in _FAMILIES:
+    if not isinstance(fam, str) or fam not in _MODEL_FILES:
         raise ValidationError(
-            f"unknown family {fam!r}; expected one of {', '.join(_FAMILIES)}"
+            f"unknown family {fam!r}; expected one of {', '.join(_MODEL_FILES)}"
         )
-    allowed = _FIELDS[fam]
+    cls, fields = _MODEL_FILES[fam]
+    allowed = {"family", *fields}
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise ValidationError(
             f"unknown field(s) {unknown} for family {fam!r}; allowed: {sorted(allowed)}"
         )
+    args = {}
+    for name, f in fields.items():
+        if name not in doc and f.default is None:
+            raise ValidationError(f"{fam} family requires field {name!r}")
+        try:
+            value = f.read(doc[name]) if name in doc else f.default
+        except (TypeError, OverflowError) as exc:
+            raise ValidationError(f"{fam} field {name!r} {exc}") from exc
+        if f.arg:
+            args[f.arg] = value
+        elif value != f.default:
+            raise ValidationError(f"{fam} family fixes {name!r} to {f.default}, got {value}")
     try:
-        if fam == "bernoulli":
-            if _integral_field(doc, "ell", 2) != 2:
-                raise ValidationError("bernoulli family is binary; ell must be 2")
-            if _integral_field(doc, "D", 1) != 1:
-                raise ValidationError("bernoulli family lives on [0,1); D must be 1")
-            if "p" not in doc:
-                raise ValidationError("bernoulli family requires field 'p'")
-            return BernoulliProduct(p=float(doc["p"]))
-        if fam == "multinomial":
-            for req in ("ell", "weights"):
-                if req not in doc:
-                    raise ValidationError(f"multinomial family requires field {req!r}")
-            return MultinomialMeasure(
-                ell=_integral_field(doc, "ell"),
-                dim=_integral_field(doc, "D", 1),
-                weights=tuple(float(x) for x in doc["weights"]),
-            )
-        if fam == "selfsimilar":
-            for req in ("probs", "ratios"):
-                if req not in doc:
-                    raise ValidationError(f"selfsimilar family requires field {req!r}")
-            return SelfSimilarMeasure(
-                probs=tuple(float(x) for x in doc["probs"]),
-                ratios=tuple(float(x) for x in doc["ratios"]),
-            )
-        for req in ("ell", "pi", "P"):
-            if req not in doc:
-                raise ValidationError(f"markov family requires field {req!r}")
-        return MarkovMeasure(
-            ell=_integral_field(doc, "ell"),
-            dim=_integral_field(doc, "D", 1),
-            pi=tuple(float(x) for x in doc["pi"]),
-            P=tuple(tuple(float(x) for x in row) for row in doc["P"]),
-        )
+        return cls(**args)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {fam} model: {exc}") from exc
 
@@ -720,29 +736,11 @@ def parse_model_file(path: str) -> MeasureModel:
 
 
 def model_to_dict(model: MeasureModel) -> dict:
-    """Round-trippable document for manifests and reports."""
-    if isinstance(model, BernoulliProduct):
-        return {"family": "bernoulli", "p": model.p}
-    if isinstance(model, MultinomialMeasure):
-        return {
-            "family": "multinomial",
-            "ell": model.ell,
-            "D": model.dim,
-            "weights": list(model.weights),
-        }
-    if isinstance(model, SelfSimilarMeasure):
-        return {
-            "family": "selfsimilar",
-            "probs": list(model.probs),
-            "ratios": list(model.ratios),
-        }
-    return {
-        "family": "markov",
-        "ell": model.ell,
-        "D": model.dim,
-        "pi": list(model.pi),
-        "P": [list(r) for r in model.P],
-    }
+    """The model-file document of a model, which model_from_dict reads back."""
+    _, fields = _MODEL_FILES[model.family]
+    return {"family": model.family, **{
+        name: np.asarray(getattr(model, f.arg)).tolist() for name, f in fields.items() if f.arg
+    }}
 
 
 def _env_budget(name: str, default: int) -> int:
@@ -759,9 +757,9 @@ def _env_budget(name: str, default: int) -> int:
     return val
 
 
-def enumeration_budget(default: int = 2 ** 24) -> int:
-    """Word-enumeration budget; override with MFLIL_ENUM_BUDGET."""
-    return _env_budget("MFLIL_ENUM_BUDGET", default)
+def enumeration_budget() -> int:
+    """Word-enumeration budget, 2^24 words; override with MFLIL_ENUM_BUDGET."""
+    return _env_budget("MFLIL_ENUM_BUDGET", 2 ** 24)
 
 
 def check_enumeration_budget(model: MeasureModel, n: int) -> None:

@@ -268,13 +268,14 @@ class DichotomyResult:
     evidence: dict
 
 
-def _homogeneous_ratio_bounds(model: MeasureModel, levels: int = 6) -> tuple[float, float]:
-    """Range of m(I)/m0(I) over positive-mass cylinders up to the level cap.
+def _homogeneous_ratio_bounds(model: MeasureModel) -> tuple[float, float]:
+    """Range of m(I)/m0(I) over positive-mass cylinders of level 6.
 
     m0 is the homogeneous measure on the same support. For product families
     the per-level range is the per-symbol range to the level-th power; chains
     are enumerated directly.
     """
+    levels = 6
     if model.core.ell is None:
         # compare against diameter^delta: per-symbol factors p_i / r_i^delta
         delta = support_dimension(model)

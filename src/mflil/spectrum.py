@@ -117,18 +117,13 @@ def sigma2_to_base(model: MeasureModel, sigma2_natural: float, base: LogBase) ->
 # the product kernel
 
 
-def tau_implicit_selfsimilar(
-    lp: np.ndarray,
-    lr: np.ndarray,
-    q: float,
-    tol: float = _IMPLICIT_TOL,
-) -> float:
+def tau_implicit_selfsimilar(lp: np.ndarray, lr: np.ndarray, q: float) -> float:
     """Root tau of sum_i p_i^q r_i^tau = 1, by bracketing plus safeguarded Newton.
 
     lp and lr are the natural logs of the probabilities and of the ratios.
     The map tau -> sum p_i^q r_i^tau is strictly decreasing (all r_i < 1), so
     the root is unique. Work happens on G(tau) = log(sum ...); the returned
-    root satisfies |sum p_i^q r_i^tau - 1| <= tol.
+    root satisfies |sum p_i^q r_i^tau - 1| <= _IMPLICIT_TOL.
     """
 
     def g_and_slope(t: float) -> tuple[float, float]:
@@ -153,7 +148,7 @@ def tau_implicit_selfsimilar(
     t = 0.5 * (lo + hi)
     for _ in range(200):
         g, slope = g_and_slope(t)
-        if abs(math.expm1(g)) <= tol:
+        if abs(math.expm1(g)) <= _IMPLICIT_TOL:
             return t
         if g > 0:
             lo = t
@@ -162,7 +157,7 @@ def tau_implicit_selfsimilar(
         t_newton = t - g / slope
         t = t_newton if lo < t_newton < hi else 0.5 * (lo + hi)
     raise NumericalError(
-        f"implicit spectrum root did not reach |F| <= {tol} at q={q!r}"
+        f"implicit spectrum root did not reach |F| <= {_IMPLICIT_TOL} at q={q!r}"
     )
 
 
@@ -521,9 +516,9 @@ def support_dimension(model: MeasureModel) -> float:
     return support_info(model).delta
 
 
-def is_flat(model: MeasureModel, tol: float = _FLAT_TOL) -> bool:
+def is_flat(model: MeasureModel) -> bool:
     """Flat spectrum: chi vanishes identically (equivalently d = delta)."""
-    return bool(np.all(np.abs(chi(model, np.array([1.0, 0.5]))) <= tol))
+    return bool(np.all(np.abs(chi(model, np.array([1.0, 0.5]))) <= _FLAT_TOL))
 
 
 @dataclass(frozen=True)
@@ -538,7 +533,7 @@ class ChiProfile:
     model: MeasureModel
     side: int = 1
     q_max: float = 1.0
-    flat: bool = field(default=False)
+    flat: bool = field(default=False, init=False)
     d: float = field(default=math.nan, init=False)
     sigma2: float = field(default=math.nan, init=False)
 
@@ -565,12 +560,13 @@ class ChiProfile:
     def chi_at_qmax(self) -> float:
         return self.chi(self.q_max)
 
-    def inverse(self, y: float, tol: float = 1e-12) -> float:
+    def inverse(self, y: float) -> float:
         """q in (0, q_max] with chi(side*q) = y, by safeguarded Newton.
 
         chi is increasing and convex on the branch. Newton starts from the
         quadratic germ chi(q) ~ sigma2 q^2 / 2 and falls back to bisection
-        whenever a step leaves the bracket [lo, hi] around the root.
+        whenever a step leaves the bracket [lo, hi] around the root. It stops
+        once |chi(side*q) - y| <= 1e-12 max(1, |y|).
         """
         if self.flat:
             raise FlatSpectrumError(
@@ -585,7 +581,7 @@ class ChiProfile:
         q = min(hi, math.sqrt(2.0 * y / self.sigma2)) if self.sigma2 > 0 else 0.5 * hi
         for _ in range(200):
             val, slope = self._chi_and_slope(q)
-            if abs(val - y) <= tol * max(1.0, abs(y)):
+            if abs(val - y) <= 1e-12 * max(1.0, abs(y)):
                 return q
             if val < y:
                 lo = q

@@ -324,6 +324,22 @@ def test_non_integral_ell_or_d_refused(tmp_path, capsys, doc):
     assert "'ell'" in err or "'D'" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"family": "bernoulli", "p": "0.25"},
+    {"family": "multinomial", "ell": 2, "weights": [True, False]},
+    {"family": "markov", "ell": 2, "pi": "10", "P": [[1, 0], [1, 0]]},
+    {"family": "markov", "ell": 2, "pi": [1, 0], "P": ["10", "10"]},
+    {"family": "selfsimilar", "probs": "1", "ratios": [0.5]},
+])
+def test_model_numbers_that_are_not_json_numbers_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["spectrum", "--model", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert doc["family"] in err and "field" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_integral_ell_and_d_still_load(tmp_path):
     docs = {
         "m3": {"family": "multinomial", "ell": 3.0, "weights": [0.2, 0.3, 0.5]},

@@ -1,9 +1,8 @@
-"""The package tests a model's family class in at most three places.
+"""The package never tests a model's family class.
 
 Family decisions read the model's core (its kind, its grid base ell), so a
 new family extends the core, not a chain of isinstance tests. The model-file
-serialiser, which writes each family's own fields, is the one place left
-that needs the concrete class.
+reader and writer read one table keyed by each class's `family` name.
 """
 
 import ast
@@ -15,7 +14,7 @@ from mflil.models import MeasureModel
 
 PACKAGE = pathlib.Path(mflil.__file__).parent
 FAMILIES = {cls.__name__ for cls in typing.get_args(MeasureModel)}
-MAX_SITES = 3
+MAX_SITES = 0
 
 
 def class_names(node: ast.expr) -> set[str]:

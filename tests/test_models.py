@@ -90,7 +90,7 @@ def test_product_mass_multiplicative(a, b):
 @pytest.mark.parametrize("name", ["bernoulli_quarter", "cantor_biased", "markov_chain"])
 def test_mass_additivity(name):
     model = load_zoo_model(name)
-    k = model.k if isinstance(model, SelfSimilarMeasure) else model.alphabet.k
+    k = model.core.k
     parent = word([0, 1, 0], ell=model.alphabet.ell)
     total = sum(
         cylinder_mass(model, word([0, 1, 0, s], ell=model.alphabet.ell))
@@ -101,7 +101,7 @@ def test_mass_additivity(name):
 
 def test_mass_additivity_at_root():
     for model in zoo_models().values():
-        k = model.k if isinstance(model, SelfSimilarMeasure) else model.alphabet.k
+        k = model.core.k
         total = sum(
             cylinder_mass(model, word([s], ell=model.alphabet.ell)) for s in range(k)
         )
@@ -132,8 +132,16 @@ def test_homogeneous_measure():
     assert np.allclose(symbol_weights(h2), [0.5, 0.5])
 
 
+CHAIN_4 = ((0.5, 0.25, 0.25, 0.0), (0.1, 0.6, 0.1, 0.2), (0.0, 0.3, 0.3, 0.4), (0.25, 0.25, 0.25, 0.25))
+
+
 def test_model_round_trip():
-    for model in zoo_models().values():
+    models = [
+        *zoo_models().values(),
+        MultinomialMeasure(3, 2, (0.1, 0.2, 0.0, 0.05, 0.15, 0.1, 0.2, 0.1, 0.1)),
+        MarkovMeasure(2, 2, tuple(stationary_distribution(CHAIN_4).tolist()), CHAIN_4),
+    ]
+    for model in models:
         again = model_from_dict(model_to_dict(model))
         assert type(again) is type(model)
         assert model_to_dict(again) == model_to_dict(model)
@@ -153,6 +161,70 @@ def test_model_schema_rejects_junk(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"family": "bernoulli", "p": 0.25}))
     assert isinstance(parse_model_file(str(good)), BernoulliProduct)
+
+
+_P2 = [[0.5, 0.5], [0.5, 0.5]]
+JUNK_DOCS = {
+    "family-not-a-name": {"family": ["bernoulli"], "p": 0.5},
+    "no-family": {"p": 0.5},
+    "bernoulli-no-p": {"family": "bernoulli"},
+    "multinomial-no-ell": {"family": "multinomial", "weights": [0.5, 0.5]},
+    "multinomial-no-weights": {"family": "multinomial", "ell": 2},
+    "selfsimilar-no-probs": {"family": "selfsimilar", "ratios": [0.5, 0.5]},
+    "selfsimilar-no-ratios": {"family": "selfsimilar", "probs": [0.5, 0.5]},
+    "markov-no-ell": {"family": "markov", "pi": [0.5, 0.5], "P": _P2},
+    "markov-no-pi": {"family": "markov", "ell": 2, "P": _P2},
+    "markov-no-P": {"family": "markov", "ell": 2, "pi": [0.5, 0.5]},
+    "bernoulli-ell-3": {"family": "bernoulli", "p": 0.25, "ell": 3},
+    "bernoulli-D-2": {"family": "bernoulli", "p": 0.25, "D": 2},
+    "ell-2.5": {"family": "multinomial", "ell": 2.5, "weights": [0.5, 0.5]},
+    "ell-true": {"family": "multinomial", "ell": True, "weights": [0.5, 0.5]},
+    "bernoulli-ell-2.5": {"family": "bernoulli", "p": 0.25, "ell": 2.5},
+    "bernoulli-ell-true": {"family": "bernoulli", "p": 0.25, "ell": True},
+    "a-list": [{"family": "bernoulli", "p": 0.25}],
+    "a-string": "bernoulli",
+    "null": None,
+    "ragged-P": {"family": "markov", "ell": 2, "pi": [0.5, 0.5], "P": [[1, 0], [1]]},
+    "scalar-row-in-P": {"family": "markov", "ell": 2, "pi": [0.5, 0.5], "P": [[0.5, 0.5], 1]},
+    "nested-weights": {"family": "multinomial", "ell": 2, "weights": [[0.5], [0.5]]},
+}
+
+
+@pytest.mark.parametrize("doc", JUNK_DOCS.values(), ids=JUNK_DOCS)
+def test_model_schema_refuses(doc):
+    with pytest.raises(ValidationError):
+        model_from_dict(doc)
+
+
+# strings and booleans where numbers go, and a string where a list goes
+NOT_NUMBERS = {
+    "p-string": ({"family": "bernoulli", "p": "0.25"}, "bernoulli", "p"),
+    "weights-booleans": ({"family": "multinomial", "ell": 2, "weights": [True, False]},
+                         "multinomial", "weights"),
+    "pi-string": ({"family": "markov", "ell": 2, "pi": "10", "P": [[1, 0], [1, 0]]}, "markov", "pi"),
+    "P-string-rows": ({"family": "markov", "ell": 2, "pi": [1, 0], "P": ["10", "10"]}, "markov", "P"),
+    "probs-string": ({"family": "selfsimilar", "probs": "1", "ratios": [0.5]}, "selfsimilar", "probs"),
+    "ratios-string-entry": ({"family": "selfsimilar", "probs": [1], "ratios": ["0.5"]},
+                            "selfsimilar", "ratios"),
+    "p-past-float": ({"family": "bernoulli", "p": 10 ** 400}, "bernoulli", "p"),
+    "ell-past-float": ({"family": "multinomial", "ell": 10 ** 400, "weights": [1]}, "multinomial", "ell"),
+}
+
+
+@pytest.mark.parametrize("doc, family, field", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+def test_model_numbers_must_be_json_numbers(doc, family, field):
+    with pytest.raises(ValidationError, match=f"^{family} field '{field}' "):
+        model_from_dict(doc)
+
+
+def test_model_readers_take_json_numbers_of_either_kind():
+    doc = {"family": "markov", "ell": 2.0, "D": 1, "pi": [1, 0], "P": [[1, 0], [1.0, 0]]}
+    model = model_from_dict(doc)
+    assert (model.ell, model.dim, model.pi, model.P) == (2, 1, (1.0, 0.0), ((1.0, 0.0), (1.0, 0.0)))
+    assert model_to_dict(model) == {"family": "markov", "ell": 2, "D": 1, "pi": [1.0, 0.0],
+                                    "P": [[1.0, 0.0], [1.0, 0.0]]}
+    assert model_to_dict(model_from_dict({"family": "bernoulli", "p": 0.25, "ell": 2, "D": 1.0})) == {
+        "family": "bernoulli", "p": 0.25}
 
 
 def test_sampling_determinism():

@@ -187,6 +187,12 @@ def test_chi_profile_flat_raises():
         prof.inverse(0.01)
 
 
+def test_chi_profile_flat_is_read_from_the_model():
+    assert not ChiProfile(QUARTER).flat
+    with pytest.raises(TypeError):
+        ChiProfile(QUARTER, flat=True)
+
+
 def test_theta_domain():
     prof = ChiProfile(QUARTER, side=1, q_max=1.0)
     t_lo = 1.0 / prof.chi_at_qmax()
