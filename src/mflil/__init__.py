@@ -52,7 +52,6 @@ from .spectrum import (
     ChiProfile,
     LogBase,
     NotFlatResult,
-    Sigma2Result,
     SpectrumTable,
     chi,
     chi_inverse,
@@ -134,7 +133,6 @@ __all__ = [
     "PathStats",
     "QBReport",
     "SelfSimilarMeasure",
-    "Sigma2Result",
     "SpectrumTable",
     "SupportInfo",
     "ThetaCorrection",

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BudgetError, MFLilError, NumericalError, ValidationError
 from .gauges import GaugeSpec, gauge_test, lil_sigma, theta_correction
-from .lil import run_ensemble
+from .lil import _WALK_BITS, run_ensemble
 from .models import MeasureModel, parse_model_file
 from .qb import dichotomy_classify, qb_constant
 from .report import build_oracles, verify_records, write_oracle_cache
@@ -148,6 +148,10 @@ def _parse_checkpoints(text: str) -> list[int]:
             ) from exc
         if not 0 <= lo_i <= hi_i:
             raise ValidationError(f"bad checkpoint range {text!r}")
+        if hi_i >= _WALK_BITS:
+            raise ValidationError(
+                f"bad checkpoint range {text!r}: checkpoint levels must lie below 2^{_WALK_BITS}"
+            )
         return [2 ** k for k in range(lo_i, hi_i + 1)]
     try:
         return [int(tok) for tok in text.split(",") if tok]

@@ -65,7 +65,7 @@ def _once_per_value(f, a: np.ndarray) -> np.ndarray:
 
 def lil_sigma(model: MeasureModel, convention: str) -> float:
     """The sigma that pairs with a Theta correction in the given convention."""
-    s2 = sigma2_scale_free(model).value
+    s2 = sigma2_scale_free(model)
     if convention == "base-2":
         return math.sqrt(max(s2, 0.0) / math.log(2.0))
     if convention in ("natural", "base-ell"):

@@ -87,6 +87,7 @@ from .spectrum import LogBase, dimension, sigma2_scale_free
 
 _DEFAULT_PATH_BUDGET = 2 ** 33
 _MARKOV_STEP_BUDGET = 2 ** 26
+_WALK_BITS = 63  # the walks hold levels and path indexes in 64-bit integers
 
 
 def path_budget() -> int:
@@ -175,7 +176,7 @@ def lil_convention(model: MeasureModel, name: str = "auto") -> LilConvention:
     lb = ln_base(model, LogBase(name))
     ell = model.core.ell
     log_base = math.e if name == "natural" else 2.0 if name == "base-2" else float(ell)
-    s2_nat = sigma2_scale_free(model).value
+    s2_nat = sigma2_scale_free(model)
     return LilConvention(
         name, log_base, 3.0 if name == "natural" else 16.0, dimension(model), s2_nat,
         s2_nat / lb, None if ell is None else math.log(ell) / lb,
@@ -453,10 +454,13 @@ def path_stats(
 
 
 def _checked_levels(checkpoints: Sequence[int]) -> tuple[int, ...]:
-    """The checkpoints as ints, refused unless positive and strictly increasing."""
+    """The checkpoints as ints, refused unless positive, below 2^_WALK_BITS
+    and strictly increasing."""
     cks = tuple(int(c) for c in checkpoints)
     if not cks or any(c <= 0 for c in cks):
         raise ValidationError("checkpoints must be positive levels")
+    if max(cks).bit_length() > _WALK_BITS:
+        raise ValidationError(f"checkpoint levels must lie below 2^{_WALK_BITS}")
     if list(cks) != sorted(set(cks)):
         raise ValidationError("checkpoints must be strictly increasing")
     return cks
@@ -538,6 +542,8 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
     N, n_max, m = paths.stop - paths.start, cks[-1], len(cks)
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
+    if N.bit_length() > _WALK_BITS:  # and so N * n_max below 2^126 in the message below
+        raise ValidationError(f"N must lie below 2^{_WALK_BITS}")
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     if N * n_max > path_budget():

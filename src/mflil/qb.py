@@ -5,7 +5,8 @@ m(I)m(J)/C <= m(IJ) <= C m(I)m(J) over positive-mass word pairs. Product
 measures have C = 1 exactly; for a chain started in pi the concatenation
 ratio is m(IJ)/(m(I)m(J)) = P(i, j)/pi(j) with i the last symbol of I and j
 the first of J, so the sharp constant has a closed form scanned over the
-transition matrix.
+transition matrix. qb_constant reports that closed form as C_hat, after
+checking the enumerated and sampled word-pair ratios against it.
 
 The constant feeds a two-sided partition-sum bound,
 
@@ -60,11 +61,10 @@ _PAIR_BUDGET = 2 ** 20
 
 @dataclass(frozen=True)
 class QBReport:
-    """Concatenation-ratio constant, with provenance of how it was obtained."""
+    """The closed-form concatenation-ratio constant C_hat, with the enumerated
+    and sampled word pairs that were checked against it."""
 
     C_hat: float
-    exact: bool  # True when a closed form exists (products, chains)
-    closed_form: Optional[float]
     max_level: int
     pairs_tested: int
 
@@ -111,19 +111,19 @@ def qb_constant(
     random_pairs: int = 256,
     random_max_level: int = 16,
 ) -> QBReport:
-    """Estimate (or read off) the concatenation-ratio constant.
+    """The closed-form concatenation-ratio constant, checked against word pairs.
 
     Product families short-circuit to C = 1: masses factor symbol by symbol,
-    so every ratio is exactly one. Chains get the closed-form scan plus the
-    ratios m(uv)/(m(u)m(v)) of every positive-mass pair with
+    so every ratio is exactly one. Chains get the closed-form scan, checked
+    against the ratios m(uv)/(m(u)m(v)) of every positive-mass pair with
     |u| + |v| <= max_level, read off the enumerated word masses, and of a
     seeded random-pair sweep at longer words; their sup must not exceed the
-    closed form.
+    closed form, or NumericalError is raised.
     """
     if max_level < 2:
         raise ValidationError(f"max_level must be >= 2, got {max_level}")
     if model.core.kind == "product":
-        return QBReport(1.0, True, 1.0, max_level, 0)
+        return QBReport(1.0, max_level, 0)
     closed = _markov_closed_C(model)
     k = model.core.k
     if k ** max_level > _PAIR_BUDGET:
@@ -162,7 +162,7 @@ def qb_constant(
         raise NumericalError(
             f"enumerated ratio {sup!r} exceeds the closed-form constant {closed!r}"
         )
-    return QBReport(closed, True, closed, max_level, pairs)
+    return QBReport(closed, max_level, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +302,13 @@ def dichotomy_classify(model: MeasureModel) -> DichotomyResult:
     dimension within tol_eq; case 'singular_Hd_ac_Pd' when d is strictly
     below delta and the curvature evidence (positive chi on dyadic grids, on
     both sign branches) holds; 'inconclusive' otherwise, never a guess.
+    The evidence holds what the verdict read beyond d, delta and tol_eq,
+    which are fields of the result.
     """
     d = dimension(model)
     delta = support_dimension(model)
     tol_eq = 1e-5 if model.core.kind == "chain" else 1e-9
-    evidence: dict = {"tol_eq": tol_eq}
+    evidence: dict = {}
     if abs(d - delta) <= tol_eq:
         lo, hi = _homogeneous_ratio_bounds(model)
         evidence["homogeneous_ratio_range"] = (lo, hi)
@@ -320,8 +322,7 @@ def dichotomy_classify(model: MeasureModel) -> DichotomyResult:
     plus = not_flat_check(model, side=1)
     minus = not_flat_check(model, side=-1)
     s2 = sigma2_scale_free(model)
-    evidence["sigma2_natural"] = s2.value
-    evidence["sigma2_err"] = s2.err
+    evidence["sigma2_natural"] = s2
     half_plus, half_minus = chi(model, np.array([0.5, -0.5])).tolist()
     evidence["chi_half_plus"] = half_plus
     evidence["chi_half_minus"] = half_minus
@@ -329,8 +330,8 @@ def dichotomy_classify(model: MeasureModel) -> DichotomyResult:
     evidence["not_flat_minus"] = {"holds": minus.holds, "C": minus.C, "alpha": minus.alpha_lower_bound}
     if plus.holds and minus.holds:
         evidence["witness_gauges"] = {
-            "hausdorff": {"family": "lil_hausdorff", "d": d, "sigma_natural": math.sqrt(max(s2.value, 0.0))},
-            "packing": {"family": "lil_packing", "d": d, "sigma_natural": math.sqrt(max(s2.value, 0.0))},
+            "hausdorff": {"family": "lil_hausdorff", "d": d, "sigma_natural": math.sqrt(max(s2, 0.0))},
+            "packing": {"family": "lil_packing", "d": d, "sigma_natural": math.sqrt(max(s2, 0.0))},
         }
         return DichotomyResult("singular_Hd_ac_Pd", d, delta, tol_eq, evidence)
     evidence["why"] = "dimension gap present but the curvature evidence is flat"

@@ -267,9 +267,9 @@ def _main_value(quantity: str, models: dict) -> Optional[float]:
         if what == "dimension":
             return dimension(model)
         if what == "sigma2_natural":
-            return sigma2_scale_free(model).value
+            return sigma2_scale_free(model)
         if what == "sigma2_base2":
-            return sigma2(model, LogBase.BASE_2).value
+            return sigma2(model, LogBase.BASE_2)
         if what == "tau_at_2":
             return tau(model, 2.0)
         if what == "chi_at_half":

@@ -30,7 +30,9 @@ model's FamilyCore:
     matrix (Kemeny & Snell, Finite Markov Chains, 1960).
 
 Everything else reads the kernel: dimension d = -tau'(1), curvature
-sigma2 = tau''(1), chi(q) = tau(1-q) - q d and its Newton inverse.
+sigma2 = tau''(1), chi(q) = tau(1-q) - q d and its Newton inverse. Both
+kernels give tau''(1) in closed form, so sigma2 is a plain float with no
+error estimate, and a SpectrumTable records only its value.
 
 One finite-level rule for every kind. tau_empirical(model, q, n) takes q as
 tau_scale_free does and enumerates the level-n words once per call, whatever
@@ -464,33 +466,16 @@ def dimension(model: MeasureModel) -> float:
     return d
 
 
-@dataclass(frozen=True)
-class Sigma2Result:
-    """Curvature tau''(1) in requested units.
-
-    The kernels give tau''(1) exactly for every family, so err is 0.0,
-    method 'closed' and flagged False; the fields stay for the summary
-    files that record them.
-    """
-
-    value: float
-    err: float
-    method: str
-    flagged: bool
-    base: LogBase
+def sigma2_scale_free(model: MeasureModel) -> float:
+    """Natural-units curvature constant sigma2 = tau''(1) of the scale-free
+    spectrum, from the kind's kernel."""
+    return spectral_kernel(model, 1.0)[2]
 
 
-def sigma2_scale_free(model: MeasureModel) -> Sigma2Result:
-    """Natural-units curvature constant sigma2 = tau''(1) of the scale-free spectrum."""
-    return Sigma2Result(spectral_kernel(model, 1.0)[2], 0.0, "closed", False, LogBase.NATURAL)
-
-
-def sigma2(model: MeasureModel, base: Optional[LogBase] = None) -> Sigma2Result:
+def sigma2(model: MeasureModel, base: Optional[LogBase] = None) -> float:
     """Curvature constant in the requested units (see module docstring)."""
     base = base or canonical_base(model)
-    res = sigma2_scale_free(model)
-    scale = sigma2_to_base(model, 1.0, base)
-    return Sigma2Result(res.value * scale, res.err * scale, res.method, res.flagged, base)
+    return sigma2_scale_free(model) * sigma2_to_base(model, 1.0, base)
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +651,6 @@ class SpectrumTable:
     method: str
     d: float
     sigma2: float
-    sigma2_err: float
-    sigma2_flagged: bool
     delta: float
     flat: bool
 
@@ -680,9 +663,11 @@ def spectrum_table(
     base: Optional[LogBase] = None,
     empirical_n: Optional[int] = None,
 ) -> SpectrumTable:
-    """tau on the grid q_min, q_min + q_step, ..., q_max, from one tau call
-    over the whole grid, or with empirical_n one tau_empirical call at that
-    level. The row count must not exceed enumeration_budget()."""
+    """tau on the grid q_min, q_min + q_step, ... of the points at or below
+    q_max, from one tau call over the whole grid, or with empirical_n one
+    tau_empirical call at that level. q_max is a row when (q_max - q_min) /
+    q_step is an integer up to float error. The row count must not exceed
+    enumeration_budget()."""
     if not all(math.isfinite(x) for x in (q_min, q_max, q_step)):
         raise ValidationError("q_min, q_max and q_step must be finite")
     if q_step <= 0:
@@ -691,7 +676,10 @@ def spectrum_table(
         raise ValidationError("q_max must be >= q_min")
     base = base or canonical_base(model)
     steps = (q_max - q_min) / q_step  # infinite when q_max - q_min overflows
-    count = round(steps) + 1 if math.isfinite(steps) else math.inf
+    last = round(steps) if math.isfinite(steps) else math.inf
+    if last - steps > 1e-9 * steps:  # rounded up past q_max by more than float error
+        last -= 1
+    count = last + 1
     budget = enumeration_budget()
     if count > budget:
         raise BudgetError(
@@ -708,17 +696,13 @@ def spectrum_table(
     else:
         taus = tau_empirical(model, np.array(qs), empirical_n, base)
         used = f"empirical(n={empirical_n})"
-    d = dimension(model)
-    s2 = sigma2(model, base)
     return SpectrumTable(
         q=qs,
         tau=tuple(taus.tolist()),
         base=base,
         method=used,
-        d=d,
-        sigma2=s2.value,
-        sigma2_err=s2.err,
-        sigma2_flagged=s2.flagged,
+        d=dimension(model),
+        sigma2=sigma2(model, base),
         delta=support_dimension(model),
         flat=is_flat(model),
     )

@@ -22,7 +22,7 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Symbols 0..k-1 indexing the ell-adic subcubes of [0,1)^D, k = ell**D."""
+    """Symbols 0..k-1 indexing the ell-adic subcubes of [0,1)^D, k = ell**D < 2^63."""
 
     ell: int
     dim: int = 1
@@ -32,6 +32,11 @@ class Alphabet:
             raise ValidationError(f"ell must be an integer >= 2, got {self.ell!r}")
         if not isinstance(self.dim, int) or self.dim < 1:
             raise ValidationError(f"dim must be an integer >= 1, got {self.dim!r}")
+        # ell**dim >= 2**(dim * (bit_length - 1)): refuse before forming the power
+        if self.dim * (self.ell.bit_length() - 1) >= 63 or self.ell ** self.dim >= 2 ** 63:
+            raise ValidationError(
+                f"ell**dim symbols must number below 2^63, got ell={self.ell}, dim={self.dim}"
+            )
 
     @property
     def k(self) -> int:

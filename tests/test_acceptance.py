@@ -83,7 +83,7 @@ def test_criterion_02_closed_vs_numeric(capsys):
         for name, model in zoo_models().items():
             dimension(model)  # raises NumericalError if the two routes split past 1e-8
         d = dimension(QUARTER)
-        s2 = sigma2(QUARTER, LogBase.BASE_2).value
+        s2 = sigma2(QUARTER, LogBase.BASE_2)
         assert abs(d - 0.8112781) <= 1e-6, f"d = {d!r}"
         assert abs(s2 - 0.4710196) <= 1e-6, f"sigma2_base2 = {s2!r}"
 
@@ -93,10 +93,10 @@ def test_criterion_02_closed_vs_numeric(capsys):
 def test_criterion_03_exact_moments(capsys):
     def body():
         d_q = dimension(QUARTER)
-        s2_q = sigma2(QUARTER, LogBase.BASE_2).value
+        s2_q = sigma2(QUARTER, LogBase.BASE_2)
         cb = load_zoo_model("cantor_biased")
         d_cb = dimension(cb) * LN3  # natural units per symbol, every ratio is 1/3
-        s2_cb = sigma2_scale_free(cb).value * LN3
+        s2_cb = sigma2_scale_free(cb) * LN3
         for n in range(1, 17):
             m, v = exact_moments(QUARTER, n)
             assert abs(m - n * d_q) <= 1e-12, f"bits mean at n={n}: {m!r}"
@@ -189,7 +189,7 @@ def test_criterion_08_running_max_tail(capsys):
         slope1 = (lp[1] - lp[0]) / (x[1] - x[0])
         slope2 = (lp[2] - lp[1]) / (x[2] - x[1])
         assert slope2 >= slope1, f"not log-convex in a^2: {tails!r}"
-        sigma_nat = math.sqrt(sigma2_scale_free(QUARTER).value)
+        sigma_nat = math.sqrt(sigma2_scale_free(QUARTER))
         denom = 2.0 * 32 * (sigma_nat + 0.1) ** 2
         C = tails[0] * 2.0 ** (4.0 / denom)
         for a, t in zip((2.0, 4.0, 6.0), tails):

@@ -148,7 +148,7 @@ def test_qb_check_outputs(zoo_dir, tmp_path):
     assert code == 0
     doc = read_json(out / "qb.json")
     assert doc["C_hat"] == pytest.approx(3.0, abs=1e-12)
-    assert doc["exact"] is True
+    assert "exact" not in doc and "closed_form" not in doc
     assert doc["case"] == "singular_Hd_ac_Pd"
     assert doc["d"] == pytest.approx(0.5574963279910676, abs=1e-10)
     assert doc["delta"] == 1.0
@@ -170,6 +170,41 @@ def test_exit_codes(zoo_dir, tmp_path, monkeypatch, capsys):
                 "--out", str(tmp_path / "z"), "--N", "10",
                 "--checkpoints", "bogus"])
     assert code == 2
+
+
+@pytest.mark.parametrize("checkpoints", ["pow2:4:20000", "pow2:4:1000000", "pow2:4:64", "16,9223372036854775808"])
+@pytest.mark.parametrize("command", [["lil-sim"], ["gauge-test", "--family", "power"]])
+def test_checkpoint_levels_from_2_pow_63_exit_2(zoo_dir, tmp_path, capsys, command, checkpoints):
+    # pow2:4:1000000 would build every 2^k up to 2^1000000 before any check
+    out = tmp_path / "o"
+    assert run([*command, "--model", str(zoo_dir / "bernoulli_quarter.json"), "--out", str(out),
+                "--N", "10", "--checkpoints", checkpoints]) == 2
+    assert "below 2^63" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["lil-sim"], ["gauge-test", "--family", "power"]])
+def test_path_counts_from_2_pow_63_exit_2(zoo_dir, tmp_path, capsys, command):
+    # N * n_max would have more than 4,300 digits, past the int-to-str limit
+    out = tmp_path / "o"
+    assert run([*command, "--model", str(zoo_dir / "bernoulli_quarter.json"), "--out", str(out),
+                "--N", "1" + "0" * 4290, "--checkpoints", f"16,{2 ** 62}"]) == 2
+    assert "below 2^63" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "multinomial", "ell": 2, "D": 100000, "weights": [1]},
+    {"family": "multinomial", "ell": 2, "D": 10 ** 8, "weights": [1]},
+    {"family": "markov", "ell": 2, "D": 20000, "pi": [1], "P": [[1]]},
+])
+def test_model_alphabets_of_2_pow_63_symbols_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["spectrum", "--model", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"ell=2, dim={doc['D']}" in err and "2^63" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_window_and_convention(zoo_dir, tmp_path, capsys):
@@ -422,7 +457,7 @@ _PINNED_COMMANDS = {
 }
 _PINNED_SHA256 = {
     ("spectrum", "spectrum.csv"): "044786d933ebb653c3053b61a2a74f79a36f195202e357bdb1c6c792f8c3213c",
-    ("spectrum", "summary.json"): "4299d72a9fff90b488ca4ac759c351f4d55aa02ec91f203fdd1e3fdf3b3c5d6a",
+    ("spectrum", "summary.json"): "28df0a6c657ed4d3f33d169a4390c465466868a1e0eae6df0b27c7a7aadc8216",
     ("lil_ckpt", "lilsim.csv"): "7f6d7ef146b0470a8ba37d766aa572047f84ae21dab7cad82d6b818cee35c18a",
     ("lil_ckpt", "summary.json"): "81956e36a8c0ad23e4d1b1db3c98f90bf3419ae37438a0318795b82a54bc553e",
     ("lil_window", "lilsim.csv"): "f44c178098c30b9378c7df5050791f86b891f9725cba00cab5dbc35b3be1f18e",
@@ -431,15 +466,15 @@ _PINNED_SHA256 = {
     ("gauge_packing", "summary.json"): "acd00f5d68a1478a30288231b5a0b581c49a7bf25b1e13ace88ed6f55711f5eb",
     ("gauge_theta", "gauge.csv"): "ad79a4ffc58fd3ae1dd1dcaf42fde9b612c25cc0606a2c06ec511ed96b5c9f68",
     ("gauge_theta", "summary.json"): "8cb0362e00631bfff51069cd40c2f9116c483f1e6c9f3d90001431901099a697",
-    ("qb", "qb.json"): "90d1cacd6d21eee9278bc8fc62a4fb337de688dbadd2edee6ecdee53e68847d7",
+    ("qb", "qb.json"): "810c597ff6d09a5e66fc3b2437cc1c01dd1546598b421ae82de32fa626b7a7b2",
     ("empirical_quarter", "spectrum.csv"): "31a97258f3a3a0dfefa6a68f7dadee7875b08a8911558e639bd1e84cddaa081d",
-    ("empirical_quarter", "summary.json"): "6c52b7848dda243a3e6c9d30fcf7047d5f2a73ffb5ab4c397c0a6cf380d809a0",
+    ("empirical_quarter", "summary.json"): "59cc8e145b290329c1e4cdb41c29dcd66ae44a9888b4f34af2c601f563ebd433",
     ("empirical_cantor", "spectrum.csv"): "fc95729242e45508963a2ba797445251b0f7fe1860496d59a77fcf9912ae50e6",
-    ("empirical_cantor", "summary.json"): "4b2d984d5830ed9ce613854e977fb586cc9dcce1b244ed2e183ab22897b89794",
+    ("empirical_cantor", "summary.json"): "8d9d4061028fa3c2ae6098e2e8ddd1835d1cb5ab6f61b201a0cb69aaf915a928",
     ("empirical_chain6", "spectrum.csv"): "12d6c1a44554e9f41e29e7c9adcb623ef0d6482fb656dd369e3e889fc3c57cf3",
-    ("empirical_chain6", "summary.json"): "d173d9a31a6bfeb07a99d0c1dea92fe355baa8ce18dd704f19eabec81da72f25",
+    ("empirical_chain6", "summary.json"): "f89d2051702345d0f02b7fcf18450458303eabbfcaec126aa494369daa4c983a",
     ("empirical_chain16", "spectrum.csv"): "8062fe31f3b0d87837b6f1367738586297777b975e158b81b3d0edd594a17dfe",
-    ("empirical_chain16", "summary.json"): "109d8da25cd5b70fd2ef7c395f7e9d88c7f1d0e61fb91fd02f55668f232c1bcc",
+    ("empirical_chain16", "summary.json"): "1d3536041c9a681acb4c5d09a7dfdb39be8ab1e157d20bc13b09a7307471755e",
 }
 
 

@@ -202,7 +202,7 @@ def test_exact_distribution_bernoulli():
     assert len(dist) == 9  # digit-count classes
     mean, var = exact_moments(QUARTER, 8)
     d = dimension(QUARTER)
-    s2 = sigma2(QUARTER, LogBase.BASE_2).value
+    s2 = sigma2(QUARTER, LogBase.BASE_2)
     assert mean == pytest.approx(8 * d, abs=1e-12)
     assert var == pytest.approx(8 * s2, abs=1e-12)
 
@@ -596,6 +596,23 @@ def test_run_ensemble_validation():
         run_ensemble(QUARTER, N=4, checkpoints=[16, 64], window=(8, 64))
     with pytest.raises(ValidationError):
         run_ensemble(QUARTER, N=4, checkpoints=[16, 64], window=(16, 128))
+
+
+@pytest.mark.parametrize("bits", [63, 20000])
+def test_checkpoint_levels_from_2_pow_63_are_refused(bits):
+    # the path-budget message would format N * 2^20000, past the int-to-str limit
+    with pytest.raises(ValidationError, match=r"below 2\^63"):
+        run_ensemble(QUARTER, 2, [16, 2 ** bits])
+    with pytest.raises(ValidationError, match=r"below 2\^63"):
+        gauge_test(QUARTER, GaugeSpec(family="power", d=dimension(QUARTER)), [16, 2 ** bits], N=2)
+
+
+def test_path_counts_from_2_pow_63_are_refused():
+    # past the path budget too, whose message formats N * n_max
+    with pytest.raises(ValidationError, match=r"below 2\^63"):
+        run_ensemble(QUARTER, 2 ** 63, [16, 2 ** 62])
+    with pytest.raises(ValidationError, match=r"below 2\^63"):
+        gauge_test(QUARTER, GaugeSpec(family="power", d=dimension(QUARTER)), [16], N=10 ** 5000)
 
 
 def test_run_ensemble_budget(monkeypatch):

@@ -17,6 +17,7 @@ from mflil import (
     qb_constant,
 )
 from mflil import qb as qb_module
+from mflil.models import chain_log_masses
 from mflil.symbolic import word, word_concat
 from mflil.zoo import load_zoo_model
 
@@ -24,7 +25,6 @@ from mflil.zoo import load_zoo_model
 def test_qb_constant_products_are_exact_one():
     rep = qb_constant(BernoulliProduct(0.25))
     assert rep.C_hat == 1.0
-    assert rep.exact
     rep2 = qb_constant(load_zoo_model("cantor_biased"))
     assert rep2.C_hat == 1.0
 
@@ -33,8 +33,6 @@ def test_qb_constant_markov_closed_form():
     mk = load_zoo_model("markov_chain")
     rep = qb_constant(mk, max_level=6, random_pairs=128)
     assert rep.C_hat == pytest.approx(3.0, abs=1e-12)
-    assert rep.exact
-    assert rep.closed_form == pytest.approx(3.0, abs=1e-12)
     assert rep.pairs_tested > 0
 
 
@@ -129,16 +127,25 @@ def test_markov_enumeration_matches_closed_form_at_every_level():
     # the pairwise ratio depends only on the boundary symbols, so the
     # enumerated sup should saturate the closed form already at small levels
     mk = load_zoo_model("markov_chain")
+    k = mk.core.k
     for lvl in (2, 4):
+        L = {n: chain_log_masses(mk, n) for n in range(1, lvl + 1)}
+        sup = 1.0
+        for a in range(1, lvl):
+            for b in range(1, lvl - a + 1):
+                for u in range(k ** a):
+                    for v in range(k ** b):
+                        logs = (L[a + b][u * k ** b + v], L[a][u], L[b][v])
+                        if all(math.isfinite(x) for x in logs):
+                            sup = max(sup, math.exp(abs(logs[0] - logs[1] - logs[2])))
         rep = qb_constant(mk, max_level=lvl, random_pairs=16)
-        assert rep.C_hat == pytest.approx(rep.closed_form, abs=1e-12)
+        assert rep.C_hat == pytest.approx(sup, abs=1e-12)
 
 
 def test_qb_constant_returns_python_floats():
     for model in (load_zoo_model("markov_chain"), BernoulliProduct(0.25)):
         rep = qb_constant(model)
         assert type(rep.C_hat) is float
-        assert type(rep.closed_form) is float
 
 
 def test_qb_pairs_tested_on_the_zoo_chain():

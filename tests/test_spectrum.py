@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mflil import (
     BernoulliProduct,
+    BudgetError,
     ChiProfile,
     FlatSpectrumError,
     LogBase,
@@ -104,7 +105,7 @@ def test_relabeling_invariance():
     m2 = MultinomialMeasure(3, 1, (0.5, 0.2, 0.3))
     for q in (-1.0, 0.5, 2.0):
         assert tau_scale_free(m1, q) == pytest.approx(tau_scale_free(m2, q), abs=1e-13)
-    assert sigma2_scale_free(m1).value == pytest.approx(sigma2_scale_free(m2).value, abs=1e-12)
+    assert sigma2_scale_free(m1) == pytest.approx(sigma2_scale_free(m2), abs=1e-12)
 
 
 def test_bernoulli_equals_selfsimilar_twin():
@@ -122,8 +123,8 @@ def test_base_conversions():
     t_nat = tau(QUARTER, 2.0, LogBase.NATURAL)
     t_b2 = tau(QUARTER, 2.0, LogBase.BASE_2)
     assert t_nat == pytest.approx(t_b2 * LN2, abs=1e-13)
-    s_nat = sigma2(QUARTER, LogBase.NATURAL).value
-    s_b2 = sigma2(QUARTER, LogBase.BASE_2).value
+    s_nat = sigma2(QUARTER, LogBase.NATURAL)
+    s_b2 = sigma2(QUARTER, LogBase.BASE_2)
     assert s_nat == pytest.approx(s_b2 * LN2, abs=1e-13)
     assert tau_to_base(QUARTER, 1.0, LogBase.NATURAL) == pytest.approx(LN2)
     assert sigma2_to_base(QUARTER, 1.0, LogBase.BASE_2) == pytest.approx(1.0 / LN2)
@@ -140,28 +141,27 @@ def test_selfsimilar_units_are_natural_only():
 
 def test_anchor_values():
     assert dimension(QUARTER) == pytest.approx(0.8112781244591328, abs=1e-12)
-    assert sigma2(QUARTER, LogBase.BASE_2).value == pytest.approx(0.471019899129799, abs=1e-12)
-    assert sigma2_scale_free(QUARTER).value == pytest.approx(0.32648611506945, abs=1e-12)
+    assert sigma2(QUARTER, LogBase.BASE_2) == pytest.approx(0.471019899129799, abs=1e-12)
+    assert sigma2_scale_free(QUARTER) == pytest.approx(0.32648611506945, abs=1e-12)
     cb = load_zoo_model("cantor_biased")
     assert dimension(cb) == pytest.approx(0.5118595071429147, abs=1e-12)
-    assert sigma2_scale_free(cb).value == pytest.approx(0.20598980412527054, abs=1e-11)
+    assert sigma2_scale_free(cb) == pytest.approx(0.20598980412527054, abs=1e-11)
     mk = load_zoo_model("markov_chain")
     assert dimension(mk) == pytest.approx(0.5574963279910676, abs=1e-10)
 
 
-def test_markov_sigma2_flag_and_err():
+def test_markov_sigma2_is_a_float():
     mk = load_zoo_model("markov_chain")
     res = sigma2_scale_free(mk)
-    assert res.err >= 0
-    assert not res.flagged
-    assert res.value == pytest.approx(0.8774000084681973, abs=1e-5)
+    assert type(res) is float
+    assert res == pytest.approx(0.8774000084681973, abs=1e-5)
 
 
 def test_flatness():
     assert is_flat(BernoulliProduct(0.5))
     assert is_flat(load_zoo_model("cantor_natural"))
     assert not is_flat(QUARTER)
-    assert sigma2_scale_free(BernoulliProduct(0.5)).value == 0.0
+    assert sigma2_scale_free(BernoulliProduct(0.5)) == 0.0
 
 
 def test_chi_values():
@@ -286,6 +286,21 @@ def test_spectrum_table():
         spectrum_table(QUARTER, q_step=-0.1)
 
 
+def test_spectrum_table_rows_stop_at_q_max(monkeypatch):
+    assert spectrum_table(QUARTER, q_min=0.0, q_max=1.0, q_step=0.6).q == (0.0, 0.6)
+    # q_max stays a row when the quotient is an integer up to float error
+    assert spectrum_table(QUARTER, q_min=0.0, q_max=0.3, q_step=0.1).q == (0.0, 0.1, 0.2, 0.3)
+    assert len(spectrum_table(QUARTER).q) == 101
+    assert len(spectrum_table(QUARTER, q_min=-2.0, q_max=3.0, q_step=0.01).q) == 501
+    # the budget counts rows by the same rule
+    monkeypatch.setenv("MFLIL_ENUM_BUDGET", "2")
+    assert len(spectrum_table(QUARTER, q_min=0.0, q_max=1.0, q_step=0.6).q) == 2
+    with pytest.raises(BudgetError):
+        spectrum_table(QUARTER, q_min=0.0, q_max=1.2, q_step=0.6)
+    with pytest.raises(BudgetError):  # a finite span next to the float range
+        spectrum_table(QUARTER, q_min=0.0, q_max=1.7976931348623157e308, q_step=1.0)
+
+
 def test_dimension_all_zoo_cross_checks():
     for name, model in zoo_models().items():
         d = dimension(model)  # raises NumericalError if routes disagree
@@ -295,9 +310,7 @@ def test_dimension_all_zoo_cross_checks():
 def test_markov_sigma2_is_exact():
     # the mpmath oracle of report._mp_markov_sigma2_natural
     mk = load_zoo_model("markov_chain")
-    res = sigma2_scale_free(mk)
-    assert abs(res.value - 0.8774000084681971) <= 1e-12
-    assert (res.err, res.flagged) == (0.0, False)
+    assert abs(sigma2_scale_free(mk) - 0.8774000084681971) <= 1e-12
 
 
 @pytest.mark.parametrize("q", [-1.5, 0.5, 2.5])
@@ -345,7 +358,7 @@ def test_periodic_chains_take_the_real_perron_root(k):
     for q in np.arange(-2.0, 3.01, 0.25):
         assert tau_scale_free(cycle, float(q)) == pytest.approx(0.0, abs=1e-14)
     assert dimension(cycle) == pytest.approx(0.0, abs=1e-14)
-    assert sigma2_scale_free(cycle).value == pytest.approx(0.0, abs=1e-14)
+    assert sigma2_scale_free(cycle) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_chi_profile_theta_makes_few_tau_evaluations(monkeypatch):

@@ -24,6 +24,15 @@ def test_alphabet_basics():
         Alphabet(2, 0)
 
 
+@pytest.mark.parametrize("ell,dim", [(2, 63), (2, 10 ** 8), (3, 40), (2 ** 63, 1), (2 ** 32, 2)])
+def test_alphabet_refuses_2_pow_63_symbols_before_forming_them(ell, dim):
+    # ell**dim at dim = 10**8 would be a 10**8-bit integer
+    with pytest.raises(ValidationError, match=rf"ell={ell}, dim={dim}"):
+        Alphabet(ell, dim)
+    assert Alphabet(2, 62).k == 2 ** 62
+    assert Alphabet(3, 39).k == 3 ** 39
+
+
 def test_digit_packing_round_trip():
     a = Alphabet(3, 2)
     for s in range(a.k):
