@@ -33,10 +33,10 @@ import numpy as np
 from .errors import BudgetError, MFLilError, NumericalError, ValidationError
 from .gauges import GaugeSpec, gauge_test, lil_sigma, theta_correction
 from .lil import _WALK_BITS, run_ensemble
-from .models import MeasureModel, parse_model_file
+from .models import LogBase, MeasureModel, parse_model_file
 from .qb import dichotomy_classify, qb_constant
 from .report import build_oracles, verify_records, write_oracle_cache
-from .spectrum import ChiProfile, LogBase, dimension, spectrum_table
+from .spectrum import ChiProfile, dimension, spectrum_table
 from .zoo import ZOO_NAMES, zoo_text
 
 try:
@@ -237,7 +237,7 @@ def _build_gauge_spec(model: MeasureModel, args) -> GaugeSpec:
     ell = model.core.ell  # None on self-similar measures
     conv = args.theta_convention
     if conv == "auto":
-        conv = "natural" if ell is None else "base-2" if ell == 2 else "base-ell"
+        conv = (LogBase.NATURAL if ell is None else LogBase.BASE_2 if ell == 2 else LogBase.BASE_ELL).value
     if args.family in ("lil_hausdorff", "lil_packing"):
         return GaugeSpec(
             family=args.family,
@@ -245,7 +245,7 @@ def _build_gauge_spec(model: MeasureModel, args) -> GaugeSpec:
             sigma=lil_sigma(model, conv),
             epsilon=args.epsilon,
             epsilon_sign=args.epsilon_sign,
-            theta=theta_correction(conv, 2 if ell is None else ell),
+            theta=theta_correction(conv, ell),
         )
     if ell is None:
         raise ValidationError(
@@ -314,6 +314,9 @@ def _add_common(sp, seed=False):
         sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
 
 
+_UNITS = ["auto", *(b.value for b in LogBase)]  # the --base and convention choices
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mflil",
@@ -334,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q-min", type=float, default=-2.0)
     sp.add_argument("--q-max", type=float, default=3.0)
     sp.add_argument("--q-step", type=float, default=0.05)
-    sp.add_argument("--base", default="auto",
-                    choices=["auto", "natural", "base-ell", "base-2"])
+    sp.add_argument("--base", default="auto", choices=_UNITS)
     sp.add_argument("--empirical-n", type=int, default=None,
                     help="tabulate the finite-level exponent at this level instead")
     sp.set_defaults(func=cmd_spectrum)
@@ -344,14 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, seed=True)
     sp.add_argument("--threads", type=int, default=1,
                     help="worker threads for the --window walk of product models, "
-                         "split over contiguous ranges of paths; other walks run in "
-                         "one thread, and results are identical for every value "
-                         "(default 1)")
+                         "split over contiguous ranges of paths and capped at the "
+                         "CPU count; other walks run in one thread, and results "
+                         "are identical for every value (default 1)")
     sp.add_argument("--N", type=int, required=True, help="number of paths")
     sp.add_argument("--checkpoints", required=True,
                     help="comma-separated levels, or pow2:LO:HI")
-    sp.add_argument("--convention", default="auto",
-                    choices=["auto", "base-2", "base-ell", "natural"])
+    sp.add_argument("--convention", default="auto", choices=_UNITS)
     sp.add_argument("--window", default=None, help="ratio window LO:HI (levels)")
     sp.set_defaults(func=cmd_lil_sim)
 
@@ -364,8 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=float, default=0.5)
     sp.add_argument("--q-max", type=float, default=1.0,
                     help="chi-profile range for the theta family")
-    sp.add_argument("--theta-convention", default="auto",
-                    choices=["auto", "base-2", "natural", "base-ell"])
+    sp.add_argument("--theta-convention", default="auto", choices=_UNITS,
+                    help="units of the lil families' Theta; base-ell needs a grid model (auto: "
+                         "natural on self-similar models, base-2 on binary grids, else base-ell)")
     sp.add_argument("--checkpoints", required=True)
     sp.add_argument("--N", type=int, required=True)
     sp.set_defaults(func=cmd_gauge_test)

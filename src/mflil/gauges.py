@@ -11,15 +11,18 @@ order as t -> 0:
 
 All three are one formula, Theta(t) = b^sqrt(2 w LL_c(w)) with w = log_b(1/t)
 and LL_c = log_c log_c, at the base pairs (b, c) = (2, e), (e, e) and
-(ell, ell): the base-2 variant mixes a natural inner log with base-2 outer
-units, the other two are all one base. LL_c is the iterated-log rule of the
-lil module. Everything is evaluated in the log domain through u = ln(1/t),
-since interesting t like 2^(-2^16) underflow float64 long before the
-mathematics gets hard.
+(ell, ell), keyed by the unit systems of models.LogBase: the base-2 variant
+mixes a natural inner log with base-2 outer units, the other two are all one
+base. base-ell reads the model's grid base ell, so self-similar measures,
+which have none, are refused it; the other two never read ell and hold on
+every model. LL_c is the iterated-log rule of the lil module. Everything is
+evaluated in the log domain through u = ln(1/t), since interesting t like
+2^(-2^16) underflow float64 long before the mathematics gets hard.
 
 The matching sigma for a Theta-corrected gauge depends on the convention:
-sqrt(sigma2_natural / ln 2) for 'base-2' and sqrt(sigma2_natural) for the two
-all-one-base conventions, where sigma2_natural = tau''(1); see lil_sigma.
+sqrt(sigma2_natural / (ln b / ln c)) from the same pair, so sqrt(sigma2_natural
+/ ln 2) for 'base-2' and sqrt(sigma2_natural) for the two all-one-base
+conventions, where sigma2_natural = tau''(1); see lil_sigma.
 
 Gauge families:
 
@@ -45,16 +48,23 @@ import numpy as np
 
 from .errors import ValidationError
 from .lil import _checked_levels, _iterated_log, _walk_ensemble, lil_convention
-from .models import MeasureModel
+from .models import LogBase, MeasureModel
 from .spectrum import ChiProfile, sigma2_scale_free
 
-_THETA_CONVENTIONS = ("base-2", "natural", "base-ell")
 _GAUGE_N_MIN = 16
+# (b, c) of Theta = b^sqrt(2 w LL_c(w)); base-ell reads the grid base, (ell, ell)
+_THETA_BASES = {LogBase.BASE_2: (2.0, math.e), LogBase.NATURAL: (math.e, math.e)}
 
 
-def _theta_bases(convention: str, ell: int) -> tuple[float, float]:
-    """The base pair (b, c) of Theta = b^sqrt(2 w LL_c(w)) in a convention."""
-    return {"base-2": (2.0, math.e), "natural": (math.e, math.e)}.get(convention, (ell, ell))
+def _theta_bases(convention: str, ell: Optional[int]) -> tuple[float, float]:
+    """The base pair (b, c) of Theta in a convention, for grid base ell (None
+    on self-similar measures, which have no base-ell Theta)."""
+    base = LogBase.parse(convention)
+    if ell is not None and ell < 2:
+        raise ValidationError(f"ell must be >= 2, got {ell}")
+    if base is LogBase.BASE_ELL and ell is None:
+        raise ValidationError("base-ell Theta needs a grid base ell; self-similar measures have none")
+    return _THETA_BASES.get(base, (ell, ell))
 
 
 def _once_per_value(f, a: np.ndarray) -> np.ndarray:
@@ -65,12 +75,8 @@ def _once_per_value(f, a: np.ndarray) -> np.ndarray:
 
 def lil_sigma(model: MeasureModel, convention: str) -> float:
     """The sigma that pairs with a Theta correction in the given convention."""
-    s2 = sigma2_scale_free(model)
-    if convention == "base-2":
-        return math.sqrt(max(s2, 0.0) / math.log(2.0))
-    if convention in ("natural", "base-ell"):
-        return math.sqrt(max(s2, 0.0))
-    raise ValidationError(f"unknown Theta convention {convention!r}")
+    b, c = _theta_bases(convention, model.core.ell)
+    return math.sqrt(max(sigma2_scale_free(model), 0.0) / (math.log(b) / math.log(c)))
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,7 @@ class ThetaCorrection:
     """
 
     convention: str
-    ell: int
+    bases: tuple[float, float]  # (b, c)
     u_min: float
     t_max: float
 
@@ -95,7 +101,7 @@ class ThetaCorrection:
                 f"u = ln(1/t) must exceed {self.u_min!r} for convention "
                 f"{self.convention!r} (t below {self.t_max!r})"
             )
-        b, c = _theta_bases(self.convention, self.ell)
+        b, c = self.bases
         lb = math.log(b)
         w = u / lb
         return lb * np.sqrt(2.0 * w * _iterated_log(w, math.log(c)))
@@ -118,16 +124,12 @@ class ThetaCorrection:
         return math.exp(lv) if lv < 709.0 else float("inf")
 
 
-def theta_correction(convention: str, ell: int = 2) -> ThetaCorrection:
-    if convention not in _THETA_CONVENTIONS:
-        raise ValidationError(
-            f"unknown Theta convention {convention!r}; expected one of {_THETA_CONVENTIONS}"
-        )
-    if ell < 2:
-        raise ValidationError(f"ell must be >= 2, got {ell}")
+def theta_correction(convention: str, ell: Optional[int] = 2) -> ThetaCorrection:
+    """Theta in a convention; base-ell needs the grid base ell, the other two
+    never read it."""
     b, c = _theta_bases(convention, ell)
     u_min = c * math.log(b)
-    return ThetaCorrection(convention, ell, u_min, math.exp(-u_min))
+    return ThetaCorrection(convention, (b, c), u_min, math.exp(-u_min))
 
 
 _FAMILIES = ("power", "lil_hausdorff", "lil_packing", "sqrt", "theta")

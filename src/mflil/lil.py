@@ -5,7 +5,9 @@ Along a sampled path x the level-n cylinder mass m(I_n(x)) decays roughly like
 S_n = -log m(I_n(x)), and its second-order fluctuations under the normalizer
 sqrt(2 t LL(t)). Everything here is unit-disciplined through a convention
 object that fixes, at once, the base of S, the time variable t, the iterated
-logarithm LL, and the matching variance constants:
+logarithm LL, and the matching variance constants. The conventions are the
+unit systems of models.LogBase, and models.ln_base decides which of them a
+model admits and the ln b each carries:
 
   'base-2'   S in bits, t = n symbols, LL = log2 log2.  Binary grids only.
   'base-ell' S in base-ell units, t = n, LL = log_ell log_ell.  Grid models.
@@ -48,10 +50,11 @@ levels to one shared pass, _level_walk, which picks the checkpoints and
 keeps the running window extremes by one rule: on grids it computes the
 block's t and ratio denominators once for all its paths. Only the per-level
 product walk (window mode on product models) splits its paths across
-threads, each thread walking one contiguous range; the other walks run in
-one thread, where threads did not pay. Either way the results are identical
-for every thread count. One entry point, _walk_ensemble, checks the budgets and walks the
-paths of run_ensemble, gauge_test and path_stats.
+threads, at most one per CPU, each thread walking one contiguous range; the
+other walks run in one thread, where threads did not pay. Either way the
+results are identical for every thread count. One entry point,
+_walk_ensemble, checks the budgets and walks the paths of run_ensemble,
+gauge_test and path_stats.
 
 Exact small-n machinery (exact_distribution, running_max_tail) is the oracle
 layer for the Monte Carlo engines. Both read one rational walk, _class_walk,
@@ -62,6 +65,7 @@ absorbing barrier for the running-max tail.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -72,6 +76,7 @@ from scipy.special import ndtr
 
 from .errors import BudgetError, ValidationError
 from .models import (
+    LogBase,
     MeasureModel,
     Word,
     _env_budget,
@@ -83,7 +88,7 @@ from .models import (
     path_rng,
     rekey_path_rng,
 )
-from .spectrum import LogBase, dimension, sigma2_scale_free
+from .spectrum import dimension, sigma2_scale_free
 
 _DEFAULT_PATH_BUDGET = 2 ** 33
 _MARKOV_STEP_BUDGET = 2 ** 26
@@ -120,10 +125,14 @@ def _iterated_log(t, lb: float, out=None):
 
 @dataclass(frozen=True)
 class LilConvention:
-    """One consistent unit system for (S, t, LL, sigma)."""
+    """One consistent unit system for (S, t, LL, sigma).
 
-    name: str
-    log_base: float  # base of S and of both iterated logs; math.e for natural
+    base is the LogBase and ln_base its models.ln_base value for the model:
+    S and both iterated logs are in base b. name is base's value.
+    """
+
+    base: LogBase
+    ln_base: float
     t_min: float
     d: float  # drift of S per unit t (the scale-free dimension)
     sigma2: float  # variance constant of the normalized ratio, = tau''(1) natural
@@ -131,19 +140,23 @@ class LilConvention:
     t_per_level: Optional[float]  # ln(ell)/ln(base) on grids; None: t = -sum ln r_i
 
     @property
+    def name(self) -> str:
+        return self.base.value
+
+    @property
     def sigma(self) -> float:
         return math.sqrt(max(self.sigma2, 0.0))
 
     def loglog(self, t):
         """LL(t) in the convention's base, for a scalar or an array; nan where LL <= 0."""
-        out = _iterated_log(t, math.log(self.log_base))
+        out = _iterated_log(t, self.ln_base)
         return float(out) if out.ndim == 0 else out
 
     def ratio_den(self, t, out=None):
         """sqrt(2 t LL t), for a scalar or an array (into out if given); nan
         below t_min or where LL <= 0."""
         t = np.asarray(t, dtype=float)
-        den = _iterated_log(t, math.log(self.log_base), out)
+        den = _iterated_log(t, self.ln_base, out)
         den *= t  # (LL t) 2 rounds as LL (2 t): doubling is exact
         den *= 2.0
         np.sqrt(den, out=den)
@@ -161,24 +174,15 @@ class LilConvention:
             )
 
 
-_CONVENTION_NAMES = ("base-2", "base-ell", "natural")
-
-
 def lil_convention(model: MeasureModel, name: str = "auto") -> LilConvention:
     """Build the unit system for a model; 'auto' picks base-ell for grids."""
-    if name == "auto":
-        name = canonical_base(model).value
-    if name not in _CONVENTION_NAMES:
-        raise ValidationError(
-            f"unknown convention {name!r}; expected one of {_CONVENTION_NAMES} or 'auto'"
-        )
+    base = canonical_base(model) if name == "auto" else LogBase.parse(name)
     # refuses grid units on self-similar measures and base-2 off binary grids
-    lb = ln_base(model, LogBase(name))
+    lb = ln_base(model, base)
     ell = model.core.ell
-    log_base = math.e if name == "natural" else 2.0 if name == "base-2" else float(ell)
     s2_nat = sigma2_scale_free(model)
     return LilConvention(
-        name, log_base, 3.0 if name == "natural" else 16.0, dimension(model), s2_nat,
+        base, lb, 3.0 if base is LogBase.NATURAL else 16.0, dimension(model), s2_nat,
         s2_nat / lb, None if ell is None else math.log(ell) / lb,
     )
 
@@ -535,9 +539,9 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
     in groups of at most _WINDOW_GROUP that walk each block of levels
     together, and chain paths in blocks of at most _CHAIN_BLOCK_DRAWS
     uniforms, each chunk of levels walked by one state scan. Only the
-    per-level product walk uses the threads, each walking a contiguous range
-    of paths: the chain and checkpoint walks ran slower on more threads, so
-    they run in one.
+    per-level product walk uses the threads, at most one per CPU, each
+    walking a contiguous range of paths: the chain and checkpoint walks ran
+    slower on more threads, so they run in one.
     """
     N, n_max, m = paths.stop - paths.start, cks[-1], len(cks)
     if N < 1:
@@ -558,13 +562,12 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
             raise BudgetError(
                 f"stepwise chain simulation capped at N*n_max <= {_MARKOV_STEP_BUDGET}"
             )
-        lb = math.log(conv.log_base)
-        tables = core.cum_P, -core.log_P.ravel() / lb
+        tables = core.cum_P, -core.log_P.ravel() / conv.ln_base
 
         def walk(lo, hi):
             return _chain_walk(tables, cks, seed, lo, hi, conv, window)
     else:
-        neg_lw = -log_symbol_weights(model, LogBase(conv.name))  # convention names are LogBase values
+        neg_lw = -log_symbol_weights(model, conv.base)
         neg_lr = None if conv.t_per_level is not None else -core.log_ratios
         if window is None:
             active = list(core.active)
@@ -596,7 +599,8 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
                 if part is not None:
                     out[b_lo - paths.start:b_hi - paths.start] = part
 
-    workers = threads if window is not None and core.kind == "product" else 1
+    # never more threads than CPUs: each range beyond them only waits its turn
+    workers = min(threads, os.cpu_count() or 1) if window is not None and core.kind == "product" else 1
     if workers == 1:
         fill(paths.start, paths.stop)
     else:

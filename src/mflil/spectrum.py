@@ -119,47 +119,57 @@ def sigma2_to_base(model: MeasureModel, sigma2_natural: float, base: LogBase) ->
 # the product kernel
 
 
+def _safeguarded_newton(f, x: float, lo: float, hi: float, done, failure: str) -> float:
+    """A root of the increasing f in the bracket [lo, hi], starting from x.
+
+    f(x) gives (value, slope). Each step moves lo or hi to x by the sign of
+    the value and takes the Newton step, or the bracket's midpoint when that
+    step leaves the bracket or the slope is not positive. Returns x once
+    done(value) holds; NumericalError(failure) after 200 steps.
+    """
+    for _ in range(200):
+        val, slope = f(x)
+        if done(val):
+            return x
+        if val < 0:
+            lo = x
+        else:
+            hi = x
+        step = x - val / slope if slope > 0 else math.nan
+        x = step if lo < step < hi else 0.5 * (lo + hi)
+    raise NumericalError(failure)
+
+
 def tau_implicit_selfsimilar(lp: np.ndarray, lr: np.ndarray, q: float) -> float:
     """Root tau of sum_i p_i^q r_i^tau = 1, by bracketing plus safeguarded Newton.
 
     lp and lr are the natural logs of the probabilities and of the ratios.
     The map tau -> sum p_i^q r_i^tau is strictly decreasing (all r_i < 1), so
-    the root is unique. Work happens on G(tau) = log(sum ...); the returned
-    root satisfies |sum p_i^q r_i^tau - 1| <= _IMPLICIT_TOL.
+    the root is unique. Work happens on -G(tau) = -log(sum ...), which
+    increases; the returned root satisfies |sum p_i^q r_i^tau - 1| <=
+    _IMPLICIT_TOL.
     """
 
-    def g_and_slope(t: float) -> tuple[float, float]:
+    def neg_g_and_slope(t: float) -> tuple[float, float]:
         z = q * lp + t * lr
         m = z.max()
         w = np.exp(z - m)
         s = w.sum()
         g = m + math.log(s)
-        slope = float((w @ lr) / s)  # dG/dtau, always negative
-        return float(g), slope
+        return -float(g), -float((w @ lr) / s)  # -dG/dtau, always positive
 
     # bracket by geometric expansion around the equal-ratio root
     lo = hi = float(logsumexp(q * lp) / (-lr.max()))
     step = 1.0
-    if g_and_slope(lo)[0] > 0:  # G decreases: the root lies above
-        while g_and_slope(hi)[0] > 0:
+    if neg_g_and_slope(lo)[0] < 0:  # -G increases: the root lies above
+        while neg_g_and_slope(hi)[0] < 0:
             lo, hi, step = hi, hi + step, 2.0 * step
     else:
-        while g_and_slope(lo)[0] < 0:
+        while neg_g_and_slope(lo)[0] > 0:
             lo, hi, step = lo - step, lo, 2.0 * step
-    # safeguarded Newton: fall back to bisection when the step leaves [lo, hi]
-    t = 0.5 * (lo + hi)
-    for _ in range(200):
-        g, slope = g_and_slope(t)
-        if abs(math.expm1(g)) <= _IMPLICIT_TOL:
-            return t
-        if g > 0:
-            lo = t
-        else:
-            hi = t
-        t_newton = t - g / slope
-        t = t_newton if lo < t_newton < hi else 0.5 * (lo + hi)
-    raise NumericalError(
-        f"implicit spectrum root did not reach |F| <= {_IMPLICIT_TOL} at q={q!r}"
+    return _safeguarded_newton(
+        neg_g_and_slope, 0.5 * (lo + hi), lo, hi, lambda v: abs(math.expm1(-v)) <= _IMPLICIT_TOL,
+        f"implicit spectrum root did not reach |F| <= {_IMPLICIT_TOL} at q={q!r}",
     )
 
 
@@ -562,19 +572,16 @@ class ChiProfile:
             raise ValidationError(
                 f"y={y!r} outside the invertible range (0, {top!r}]"
             )
-        lo, hi = 0.0, self.q_max
-        q = min(hi, math.sqrt(2.0 * y / self.sigma2)) if self.sigma2 > 0 else 0.5 * hi
-        for _ in range(200):
-            val, slope = self._chi_and_slope(q)
-            if abs(val - y) <= 1e-12 * max(1.0, abs(y)):
-                return q
-            if val < y:
-                lo = q
-            else:
-                hi = q
-            step = q - (val - y) / slope if slope > 0 else math.nan
-            q = step if lo < step < hi else 0.5 * (lo + hi)
-        raise NumericalError(f"chi inversion did not converge at y={y!r}")
+        q = min(self.q_max, math.sqrt(2.0 * y / self.sigma2)) if self.sigma2 > 0 else 0.5 * self.q_max
+
+        def gap_and_slope(x: float) -> tuple[float, float]:
+            val, slope = self._chi_and_slope(x)
+            return val - y, slope
+
+        return _safeguarded_newton(
+            gap_and_slope, q, 0.0, self.q_max, lambda v: abs(v) <= 1e-12 * max(1.0, abs(y)),
+            f"chi inversion did not converge at y={y!r}",
+        )
 
     def theta(self, t: float) -> float:
         """theta(t) = 1/chi^{-1}(1/t); needs t >= 1/chi(q_max)."""

@@ -219,6 +219,17 @@ def test_bad_window_and_convention(zoo_dir, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("family", ["lil_hausdorff", "lil_packing"])
+def test_base_ell_theta_on_a_selfsimilar_model_exits_2(zoo_dir, tmp_path, capsys, family):
+    out = tmp_path / "g"
+    code = run(["gauge-test", "--model", str(zoo_dir / "cantor_biased.json"), "--out", str(out),
+                "--family", family, "--theta-convention", "base-ell",
+                "--checkpoints", "16,64", "--N", "10"])
+    assert code == 2
+    assert "base-ell" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifest_timestamp_only_in_manifest(zoo_dir, tmp_path):
     # two runs differ only in manifest timestamps, never in data files
     outs = []

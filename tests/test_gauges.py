@@ -43,6 +43,12 @@ def test_theta_domains():
         theta_correction("nonsense")
 
 
+@pytest.mark.parametrize("base", list(LogBase), ids=lambda b: b.value)
+def test_theta_refuses_ell_below_2_in_every_convention(base):
+    with pytest.raises(ValidationError, match="ell must be >= 2"):
+        theta_correction(base.value, ell=1)
+
+
 def test_theta_monotone_and_domain_guard():
     th = theta_correction("base-2")
     us = np.linspace(th.u_min * 1.01, th.u_min * 400, 300)

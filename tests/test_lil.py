@@ -66,7 +66,7 @@ CHAIN4 = _stationary_chain(2, 2, ((0.1, 0.2, 0.3, 0.4), (0.25, 0.25, 0.25, 0.25)
 def reference_chain_walk(model, checkpoints, seed, path_index, conv, window=None):
     """One chain path stepped level by level: S at the checkpoints, and the
     running sup/inf of the ratio over the window levels up to the last one."""
-    lb = 1.0 if conv.name == "natural" else math.log(conv.log_base)
+    lb = conv.ln_base
     pi = np.asarray(model.pi, dtype=float)
     P = np.asarray(model.P, dtype=float)
     cum_pi = np.cumsum(pi)
@@ -235,6 +235,49 @@ def test_exact_distribution_values_strictly_increase(name):
     for n in range(1, 9):
         values = [v for v, _ in exact_distribution(model, n)]
         assert all(x < y for x, y in zip(values, values[1:])), (name, n)
+
+
+# Dvoretzky-Kiefer-Wolfowitz with Massart's constant: P(sup |F_N - F| > eps)
+# <= 2 exp(-2 N eps^2). The level, the path counts and the seeds were fixed
+# before the first run.
+DKW_ALPHA = 1e-9
+DKW_PATHS = {"checkpoint": (20_000, 41), "window": (2_000, 42)}  # mode: (N, seed)
+DKW_MODELS = {
+    "bernoulli_quarter": (lambda: QUARTER, 256),
+    "cantor_biased": (lambda: load_zoo_model("cantor_biased"), 256),
+    "multinomial": (lambda: MultinomialMeasure(3, 1, (0.2, 0.5, 0.3)), 48),
+    "markov_chain": (lambda: load_zoo_model("markov_chain"), 32),
+}
+
+
+def dkw_distance(S: np.ndarray, law) -> float:
+    """sup |F_N - F| between the sample S and the exact law, read at each
+    cluster of atoms within 1e-9 relative of each other.
+
+    Different factor counts can give one S up to rounding, so neither the
+    exact law nor a walk tells such atoms apart. F is read at a cluster's
+    last atom and F_N midway to the next cluster, where F takes the same value.
+    """
+    values = [v for v, _ in law]
+    ends = [i for i in range(len(values) - 1)
+            if values[i + 1] - values[i] > 1e-9 * max(abs(values[i]), abs(values[i + 1]))]
+    cdf = list(itertools.accumulate(p for _, p in law))
+    cuts = np.array([0.5 * (values[i] + values[i + 1]) for i in ends])
+    emp = np.searchsorted(np.sort(S), cuts, side="right") / S.size
+    return float(np.max(np.abs(emp - np.array([float(cdf[i]) for i in ends]))))
+
+
+@pytest.mark.parametrize("mode", sorted(DKW_PATHS))
+@pytest.mark.parametrize("name", sorted(DKW_MODELS))
+def test_ensemble_S_n_sits_in_the_dkw_band_of_the_exact_law(name, mode):
+    make, n = DKW_MODELS[name]
+    model = make()
+    N, seed = DKW_PATHS[mode]
+    conv = lil_convention(model)  # the exact law's units: base-ell on grids, nats otherwise
+    window = None if mode == "checkpoint" else (16, n)
+    S = lil_module._walk_ensemble(model, conv, (16, n), seed, range(N), window=window)[0][:, -1]
+    eps = math.sqrt(math.log(2.0 / DKW_ALPHA) / (2 * N))
+    assert dkw_distance(S, exact_distribution(model, n)) <= eps
 
 
 THREE_ZERO = MultinomialMeasure(3, 1, (0.2, 0.0, 0.8))
@@ -817,11 +860,43 @@ def test_threads_split_only_the_product_window_walk(monkeypatch, name, window):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(lil_module, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(lil_module.os, "cpu_count", lambda: 8)  # more CPUs than threads
     one = run_ensemble(model, N=6, checkpoints=[16, 64, 512], seed=3, window=window)
     three = run_ensemble(model, N=6, checkpoints=[16, 64, 512], seed=3, window=window, threads=3)
     assert one == three
     product_window = window is not None and model.core.kind == "product"
     assert pools == ([3] if product_window else [])
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 4])
+def test_window_threads_are_capped_at_the_cpu_count(monkeypatch, cpus):
+    """A huge --threads asks for no more workers than CPUs. The recorder runs
+    every task inline, so no thread is ever started."""
+    if cpus is not None:
+        monkeypatch.setattr(lil_module.os, "cpu_count", lambda: cpus)
+    cap = lil_module.os.cpu_count() or 1
+    pools = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(lil_module, "ThreadPoolExecutor", Inline)
+    kw = dict(N=12, checkpoints=[16, 64, 256], seed=5, window=(16, 256))
+    one = run_ensemble(QUARTER, **kw)
+    huge = run_ensemble(QUARTER, threads=10 ** 6, **kw)
+    assert huge == one
+    assert all(w <= cap for w in pools)
+    assert pools == ([cap] if cap > 1 else [])
 
 
 def reference_checkpoint_walk(weights, checkpoints, rng, lw_conv, neg_lr, conv):
