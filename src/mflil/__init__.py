@@ -109,87 +109,3 @@ try:
     __version__ = _version("mflil")
 except Exception:  # pragma: no cover
     __version__ = "0.0.0"
-
-__all__ = [
-    "Alphabet",
-    "BernoulliProduct",
-    "BudgetError",
-    "ChiProfile",
-    "DichotomyResult",
-    "EnsembleSummary",
-    "FlatSpectrumError",
-    "GaugeSpec",
-    "GaugeTestResult",
-    "GaugeValue",
-    "LilConvention",
-    "LogBase",
-    "MFLilError",
-    "MarkovMeasure",
-    "MeasureModel",
-    "MultinomialMeasure",
-    "NotFlatResult",
-    "NumericalError",
-    "PartitionBoundReport",
-    "PathStats",
-    "QBReport",
-    "SelfSimilarMeasure",
-    "SpectrumTable",
-    "SupportInfo",
-    "ThetaCorrection",
-    "ValidationError",
-    "Word",
-    "ZOO_NAMES",
-    "chi",
-    "chi_inverse",
-    "cube_length",
-    "cube_of_point",
-    "cylinder_diameter",
-    "cylinder_mass",
-    "dimension",
-    "dichotomy_classify",
-    "exact_distribution",
-    "exact_moments",
-    "gauge_test",
-    "gauge_value",
-    "homogeneous_measure",
-    "is_flat",
-    "lil_convention",
-    "lil_ratio",
-    "lil_sigma",
-    "load_zoo_model",
-    "log_cylinder_diameter",
-    "log_cylinder_mass",
-    "log_partition_sum",
-    "log_symbol_weights",
-    "mass_gauge_fraction",
-    "model_from_dict",
-    "model_to_dict",
-    "not_flat_check",
-    "parse_model_file",
-    "partition_bound_check",
-    "path_rng",
-    "path_stats",
-    "per_symbol_moments",
-    "qb_constant",
-    "run_ensemble",
-    "running_max_tail",
-    "s_process",
-    "sample_path",
-    "sample_symbols",
-    "sigma2",
-    "sigma2_scale_free",
-    "sigma2_to_base",
-    "spectrum_table",
-    "stationary_distribution",
-    "support_info",
-    "symbol_weights",
-    "tau",
-    "tau_empirical",
-    "tau_scale_free",
-    "tau_to_base",
-    "theta_correction",
-    "word",
-    "word_concat",
-    "zoo_models",
-    "zoo_text",
-]

@@ -30,21 +30,14 @@ from dataclasses import fields
 
 import numpy as np
 
+from . import __version__
 from .errors import BudgetError, MFLilError, NumericalError, ValidationError
 from .gauges import GaugeSpec, gauge_test, lil_sigma, theta_correction
 from .lil import _WALK_BITS, run_ensemble
 from .models import LogBase, MeasureModel, parse_model_file
 from .qb import dichotomy_classify, qb_constant
-from .report import build_oracles, verify_records, write_oracle_cache
 from .spectrum import ChiProfile, dimension, spectrum_table
 from .zoo import ZOO_NAMES, zoo_text
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    __version__ = _pkg_version("mflil")
-except Exception:  # pragma: no cover - metadata missing in odd environments
-    __version__ = "0.0.0"
 
 
 def _fmt(x: float) -> str:
@@ -285,6 +278,9 @@ def cmd_qb_check(args) -> None:
 
 
 def cmd_oracles(args) -> None:
+    # the one subcommand that needs mpmath, so the others start without it
+    from .report import build_oracles, verify_records, write_oracle_cache
+
     records = build_oracles()
     checks = verify_records(records)
     _emit(args, "oracles", {

@@ -66,8 +66,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.special import logsumexp
 
 from .errors import BudgetError, FlatSpectrumError, NumericalError, ValidationError
 from .models import (
@@ -115,6 +113,26 @@ def sigma2_to_base(model: MeasureModel, sigma2_natural: float, base: LogBase) ->
     return sigma2_natural / math.log(ell if base is LogBase.BASE_ELL else 2.0)
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, bit for bit scipy 1.17.1's
+    logsumexp on real input (tests/test_spectrum.py holds them to it).
+
+    The maxima are taken out of the sum: with m of them,
+    log1p(sum exp(a - max) / m) + log(m) + max. Where that is not finite,
+    log(sum(exp(a))) gives the edge cases (-inf, +inf, nan).
+    """
+    with np.errstate(all="ignore"):
+        a_max = a.max(axis=-1, keepdims=True)
+        mask = a == a_max
+        m = mask.sum(axis=-1, keepdims=True, dtype=a.dtype)
+        s = np.exp(np.where(mask, -np.inf, a) - a_max).sum(axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[..., 0]
+        bad = ~np.isfinite(out)
+        out[bad] = np.log(np.exp(a[bad]).sum(axis=-1))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the product kernel
 
@@ -159,7 +177,7 @@ def tau_implicit_selfsimilar(lp: np.ndarray, lr: np.ndarray, q: float) -> float:
         return -float(g), -float((w @ lr) / s)  # -dG/dtau, always positive
 
     # bracket by geometric expansion around the equal-ratio root
-    lo = hi = float(logsumexp(q * lp) / (-lr.max()))
+    lo = hi = float(_logsumexp(q * lp) / (-lr.max()))
     step = 1.0
     if neg_g_and_slope(lo)[0] < 0:  # -G increases: the root lies above
         while neg_g_and_slope(hi)[0] < 0:
@@ -187,7 +205,7 @@ def _product_tau(core, qs: np.ndarray) -> np.ndarray:
     ratios, else the implicit root one q at a time."""
     lp, lr = _product_logs(core)
     if np.all(lr == lr[0]):
-        return logsumexp(qs[:, None] * lp, axis=1) / -lr[0]
+        return _logsumexp(qs[:, None] * lp) / -lr[0]
     return np.array([tau_implicit_selfsimilar(lp, lr, q) for q in qs.tolist()])
 
 
@@ -237,6 +255,10 @@ def perron_root(M: np.ndarray):
     irreducible M, u and v are positive up to a common sign. Both forms take
     LAPACK geev's eigenvalues, so a stack's roots equal the single matrices'
     roots bit for bit (tests/test_spectrum.py holds them to it).
+
+    The single matrix keeps scipy.linalg.eig, imported here so that only
+    chain kernels load scipy: the left vector of np.linalg.eig(M.T) differs
+    from it in the last bits, and the chain outputs would move with it.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
@@ -246,6 +268,8 @@ def perron_root(M: np.ndarray):
     if M.ndim == 3:
         lam = np.linalg.eigvals(M).real
         return lam[np.arange(len(lam)), np.argmax(lam, axis=1)]
+    import scipy.linalg
+
     lam, vl, vr = scipy.linalg.eig(M, left=True, right=True)
     i = int(np.argmax(lam.real))
     return float(lam[i].real), vr[:, i].real, vl[:, i].real
@@ -362,10 +386,10 @@ def tau(model: MeasureModel, q, base: Optional[LogBase] = None):
 
 
 def _log_sums(qs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """logsumexp(q * table) for each q, in passes of at most _Q_BLOCK / 4
+    """_logsumexp(q * table) for each q, in passes of at most _Q_BLOCK / 4
     (q, word) entries, or of one q."""
     rows = max(1, (_Q_BLOCK >> 2) // table.size)
-    return _in_passes(qs, rows, lambda b: logsumexp(b[:, None] * table, axis=1))
+    return _in_passes(qs, rows, lambda b: _logsumexp(b[:, None] * table))
 
 
 def _chain_power_sum(core, q: float, n: int) -> float:

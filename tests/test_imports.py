@@ -40,10 +40,34 @@ def test_no_unused_imports(path):
 
 
 def test_the_cli_import_leaves_scipy_stats_out():
-    # scipy.stats costs about half of a CLI start; no module of the package may pull it in
+    # scipy.stats is a large import chain that no module of the package needs; none may pull it in
     code = (
         f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import mflil.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_product_commands_load_neither_scipy_nor_mpmath(tmp_path):
+    # scipy's import chain was over half of a CLI start, and mpmath serves only `oracles`:
+    # the import and the product commands run without either
+    model = str(tmp_path / "bernoulli_quarter.json")
+    commands = [
+        ["zoo", "--out", str(tmp_path)],
+        ["spectrum", "--model", model, "--out", str(tmp_path / "spectrum")],
+        ["qb-check", "--model", model, "--out", str(tmp_path / "qb")],
+        ["gauge-test", "--model", model, "--out", str(tmp_path / "gauge"),
+         "--family", "lil_hausdorff", "--N", "20", "--checkpoints", "64,1024"],
+    ]
+    code = (
+        f"import contextlib, io, sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import mflil.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath'))\n"
+        "print(loaded())\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert mflil.cli.main(argv) == 0, argv\n"
+        "    print(loaded())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n") == ["[]"] * (1 + len(commands)) + [""]

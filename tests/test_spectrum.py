@@ -512,3 +512,39 @@ def test_empirical_tau_refuses_levels_below_one_and_grid_units_on_self_similar()
             tau_empirical(QUARTER, 1.0, n)
     with pytest.raises(ValidationError):
         tau_empirical(cb, 1.0, 4, LogBase.BASE_2)
+
+
+def _logsumexp_rows(rng):
+    """Rows of 1-3,000 entries at scales 1e-3 to 700, with each edge case in
+    turn: plain, ties at the maximum, -inf entries, all -inf, +inf, NaN."""
+    for i in range(600):
+        a = rng.normal(size=int(rng.integers(1, 3001))) * 10.0 ** rng.uniform(-3.0, math.log10(700.0))
+        pick = rng.integers(0, a.size, size=int(rng.integers(1, a.size + 1)))
+        kind = i % 6
+        if kind == 1:
+            a[pick] = a.max()
+        elif kind == 2:
+            a[pick] = -np.inf
+        elif kind == 3:
+            a[:] = -np.inf
+        elif kind == 4:
+            a[pick[0]] = np.inf
+        elif kind == 5:
+            a[pick[0]] = np.nan
+        yield a
+
+
+def test_logsumexp_is_scipys_bit_for_bit():
+    from scipy.special import logsumexp
+
+    from mflil.spectrum import _logsumexp
+
+    rng = np.random.default_rng(20211)
+    for a in _logsumexp_rows(rng):
+        # the call sites' shapes: q * row, and a (q, word) matrix, here with an all -inf row
+        qa = rng.uniform(-3.0, 3.0, size=int(rng.integers(1, 9)))[:, None] * a
+        if len(qa) > 1:
+            qa[rng.integers(0, len(qa))] = -np.inf
+        for got, want in ((_logsumexp(a), logsumexp(a)), (_logsumexp(qa), logsumexp(qa, axis=1))):
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want, equal_nan=True), (a, got, want)
