@@ -3,7 +3,8 @@
 The package groups five kinds of tooling around a shared model layer:
 
 * ``models`` / ``symbolic``: coded measures on digit grids and self-similar
-  attractors, with exact cylinder masses and seeded path sampling.
+  attractors, with exact log cylinder masses (``log_cylinder_mass``) and
+  seeded symbol sampling (``sample_symbols``).
 * ``spectrum``: scale-free pressure exponents tau(q), their derived local
   dimension and variance constants, and flatness diagnostics.
 * ``lil``: normalized log-mass fluctuation ensembles, exact finite-level
@@ -24,7 +25,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .symbolic import Alphabet, Word, cube_length, cube_of_point, word, word_concat
+from .symbolic import Alphabet, Word, word
 from .models import (
     BernoulliProduct,
     MarkovMeasure,
@@ -32,19 +33,14 @@ from .models import (
     MultinomialMeasure,
     SelfSimilarMeasure,
     SupportInfo,
-    cylinder_diameter,
-    cylinder_mass,
     homogeneous_measure,
-    log_cylinder_diameter,
     log_cylinder_mass,
     log_symbol_weights,
     model_from_dict,
     model_to_dict,
     parse_model_file,
     path_rng,
-    sample_path,
     sample_symbols,
-    stationary_distribution,
     support_info,
     symbol_weights,
 )
@@ -54,7 +50,6 @@ from .spectrum import (
     NotFlatResult,
     SpectrumTable,
     chi,
-    chi_inverse,
     dimension,
     is_flat,
     log_partition_sum,
@@ -80,17 +75,13 @@ from .lil import (
     per_symbol_moments,
     run_ensemble,
     running_max_tail,
-    s_process,
 )
 from .gauges import (
     GaugeSpec,
     GaugeTestResult,
-    GaugeValue,
     ThetaCorrection,
     gauge_test,
-    gauge_value,
     lil_sigma,
-    mass_gauge_fraction,
     theta_correction,
 )
 from .qb import (

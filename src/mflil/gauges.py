@@ -32,10 +32,6 @@ Gauge families:
   sqrt           t^d ell^(a sqrt(log_ell(1/t))),  a != 0, either sign
   theta          t^d ell^(-a theta(log_ell(1/t))),  0 < a < 1, theta from a
                  chi-profile inversion
-
-mass_gauge_fraction estimates, by seeded Monte Carlo over paths, the measure
-of the set of points whose level-n cylinder mass is at most the gauge of the
-cylinder diameter.
 """
 
 from __future__ import annotations
@@ -110,18 +106,6 @@ class ThetaCorrection:
         """Natural log of Theta at t = exp(-u); accepts scalars or arrays."""
         out = self._scaled(u)
         return float(out) if np.ndim(u) == 0 else out
-
-    def log_theta(self, t: float) -> float:
-        if not 0.0 < t < self.t_max:
-            raise ValidationError(
-                f"t={t!r} outside the domain (0, {self.t_max!r}) of convention "
-                f"{self.convention!r}"
-            )
-        return self.log_theta_from_u(math.log(1.0 / t))
-
-    def theta(self, t: float) -> float:
-        lv = self.log_theta(t)
-        return math.exp(lv) if lv < 709.0 else float("inf")
 
 
 def theta_correction(convention: str, ell: Optional[int] = 2) -> ThetaCorrection:
@@ -203,13 +187,6 @@ class GaugeSpec:
         return doc
 
 
-@dataclass(frozen=True)
-class GaugeValue:
-    log_value: float
-    value: float
-    underflowed: bool
-
-
 def log_gauge_from_u(spec: GaugeSpec, u):
     """Natural log of the gauge at t = exp(-u); scalar or array u."""
     u_arr = np.asarray(u, dtype=float)
@@ -228,16 +205,6 @@ def log_gauge_from_u(spec: GaugeSpec, u):
         th = _once_per_value(spec.chi_profile.theta, targs)  # one chi inversion per distinct u
         out = base - spec.a * lb * th
     return float(out) if np.ndim(u) == 0 else out
-
-
-def gauge_value(spec: GaugeSpec, t: float) -> GaugeValue:
-    if not 0.0 < t < 1.0:
-        raise ValidationError(f"t must lie in (0, 1), got {t!r}")
-    # -log(t) stays finite down to the smallest subnormal; log(1/t) overflows
-    lv = log_gauge_from_u(spec, -math.log(t))
-    if lv < -700.0:
-        return GaugeValue(lv, 0.0, True)
-    return GaugeValue(lv, math.exp(lv), False)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +270,3 @@ def gauge_test(
         seed=seed,
         family=spec.family,
     )
-
-
-def mass_gauge_fraction(
-    model: MeasureModel, spec: GaugeSpec, n: int, N: int, seed: int = 0
-) -> float:
-    return gauge_test(model, spec, [n], N, seed).fractions[0]

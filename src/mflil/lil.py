@@ -69,7 +69,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -77,7 +77,6 @@ from .errors import BudgetError, ValidationError
 from .models import (
     LogBase,
     MeasureModel,
-    Word,
     _env_budget,
     canonical_base,
     chain_states,
@@ -210,22 +209,6 @@ def per_symbol_moments(model: MeasureModel, base: Optional[LogBase] = None) -> t
     mean = float(w @ (-lw))
     var = float(w @ (lw + mean) ** 2)
     return mean, var
-
-
-def s_process(model: MeasureModel, w: Word, base: Union[LogBase, str] = LogBase.NATURAL) -> np.ndarray:
-    """S_1..S_n along the word: S_j = -log(mass of the j-prefix), incrementally."""
-    if isinstance(base, str):
-        base = LogBase.parse(base)
-    syms = np.asarray(w.symbols, dtype=np.intp)
-    if syms.size == 0:
-        return np.zeros(0)
-    if model.core.kind == "chain":
-        inc = -model.core.log_factors(syms) / ln_base(model, base)
-    else:
-        inc = -log_symbol_weights(model, base)[syms]
-    if not np.all(np.isfinite(inc)):
-        raise ValidationError("word enters a null cylinder")
-    return np.cumsum(inc)
 
 
 @dataclass(frozen=True)

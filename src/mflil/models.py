@@ -341,21 +341,6 @@ class MarkovMeasure:
 MeasureModel = Union[BernoulliProduct, MultinomialMeasure, SelfSimilarMeasure, MarkovMeasure]
 
 
-def stationary_distribution(P) -> np.ndarray:
-    """Stationary row vector of a row-stochastic matrix, by power iteration
-    until no entry moves by 1e-14, in at most 10^5 steps."""
-    P = np.asarray(P, dtype=float)
-    k = P.shape[0]
-    v = np.full(k, 1.0 / k)
-    for _ in range(100000):
-        w = v @ P
-        w /= w.sum()
-        if np.max(np.abs(w - v)) < 1e-14:
-            return w
-        v = w
-    raise ValidationError("stationary distribution iteration did not converge")
-
-
 # ---------------------------------------------------------------------------
 # per-symbol tables, read from the family core
 
@@ -426,30 +411,6 @@ def log_cylinder_mass(model: MeasureModel, w: Word) -> float:
     if np.any(np.isneginf(vals)):
         return float("-inf")
     return float(math.fsum(vals.tolist()))
-
-
-def cylinder_mass(model: MeasureModel, w: Word) -> float:
-    """Cylinder mass, exp of the log mass."""
-    lm = log_cylinder_mass(model, w)
-    return 0.0 if lm == float("-inf") else math.exp(lm)
-
-
-def log_cylinder_diameter(model: MeasureModel, w: Word) -> float:
-    """Natural log of the cylinder diameter (side length for cubes)."""
-    _validate_word(model, w)
-    lr = model.core.log_ratios
-    if lr is not None:
-        syms = np.asarray(w.symbols, dtype=np.intp)
-        return float(math.fsum(lr[syms].tolist())) if syms.size else 0.0
-    return -w.level * math.log(model.alphabet.ell)
-
-
-def cylinder_diameter(model: MeasureModel, w: Word) -> float:
-    if model.core.ell is not None:
-        # keep grid side lengths exact instead of exp(log) round-tripping
-        _validate_word(model, w)
-        return float(model.alphabet.ell) ** (-w.level)
-    return math.exp(log_cylinder_diameter(model, w))
 
 
 def chain_log_masses(model: MeasureModel, n: int) -> np.ndarray:
@@ -624,14 +585,6 @@ def sample_symbols(model: MeasureModel, n: int, rng: np.random.Generator) -> np.
     if core.kind == "product":
         return draw_symbols(core.cum_weights, u)
     return chain_states(core.cum_P, u[:, None], core.k)[1:, 0].astype(np.intp)
-
-
-def sample_path(model: MeasureModel, n: int, seed: int, path_index: int = 0) -> Word:
-    """One sampled path of length n as a Word, reproducible from (seed, path_index)."""
-    rng = path_rng(seed, path_index)
-    syms = sample_symbols(model, n, rng)
-    alph = model.alphabet
-    return Word(alph, tuple(int(s) for s in syms))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from typing import Optional
 
 import mpmath as mp
 
-from .errors import ValidationError
 from .gauges import theta_correction
 from .lil import exact_moments, running_max_tail
 from .qb import qb_constant
@@ -319,10 +318,3 @@ def write_oracle_cache(records: list[OracleRecord], path: str) -> None:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def load_oracle_cache(path: str) -> list[OracleRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("version") != _CACHE_VERSION:
-        raise ValidationError(f"unrecognized oracle cache layout in {path}")
-    return [OracleRecord(**entry) for entry in doc["records"]]

@@ -623,10 +623,6 @@ class ChiProfile:
         return 1.0 / self.inverse(1.0 / t)
 
 
-def chi_inverse(model: MeasureModel, y: float, side: int = 1, q_max: float = 1.0) -> float:
-    return ChiProfile(model, side, q_max).inverse(y)
-
-
 @dataclass(frozen=True)
 class NotFlatResult:
     holds: bool

@@ -1,7 +1,7 @@
 """The package's code lines stay at or below a ceiling.
 
-A code line is a line of a top-level module of the package that is not
-blank, not a comment and not part of a docstring (the first string
+A code line is a line of a module of the package, subpackages included,
+that is not blank, not a comment and not part of a docstring (the first string
 statement of a module, class or function). The same behaviour from less
 code is a design aim; this counter is the one its progress is measured by.
 """
@@ -12,7 +12,7 @@ import pathlib
 import mflil
 
 PACKAGE = pathlib.Path(mflil.__file__).parent
-MAX_CODE_LINES = 2563
+MAX_CODE_LINES = 2424
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -37,8 +37,11 @@ def code_lines(source: str) -> int:
 
 
 def package_code_lines() -> dict[str, int]:
-    """Code lines of each top-level module of the package, by file name."""
-    return {p.name: code_lines(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    """Code lines of each module of the package, by path within the package."""
+    return {
+        str(p.relative_to(PACKAGE)): code_lines(p.read_text(encoding="utf-8"))
+        for p in sorted(PACKAGE.rglob("*.py"))
+    }
 
 
 def test_the_counter_skips_docstrings_comments_and_blank_lines():

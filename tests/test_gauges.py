@@ -13,9 +13,7 @@ from mflil import (
     dimension,
     exact_distribution,
     gauge_test,
-    gauge_value,
     lil_sigma,
-    mass_gauge_fraction,
     theta_correction,
 )
 from mflil.gauges import log_gauge_from_u
@@ -83,10 +81,8 @@ def test_theta_cross_base_consistency():
 
 
 def test_theta_value_underflow_guard():
-    th = theta_correction("base-2")
-    t = 2.0 ** -64
-    assert th.theta(t) > 1.0
-    assert math.isfinite(th.log_theta(t))
+    lv = theta_correction("base-2").log_theta_from_u(64 * LN2)  # t = 2^-64
+    assert math.isfinite(lv) and lv > 0.0
 
 
 def test_gauge_spec_validation():
@@ -111,21 +107,17 @@ def test_gauge_spec_validation():
 
 def test_power_gauge_value():
     spec = GaugeSpec(family="power", d=0.5)
-    g = gauge_value(spec, 0.25)
-    assert g.value == pytest.approx(0.5, abs=1e-15)
-    assert not g.underflowed
+    assert math.exp(log_gauge_from_u(spec, math.log(4.0))) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_gauge_underflow_reporting():
     spec = GaugeSpec(family="power", d=1.0)
-    deep = gauge_value(spec, 1e-320)
-    assert deep.value == 0.0 and deep.underflowed
-    assert math.isfinite(deep.log_value)
-    assert deep.log_value == pytest.approx(math.log(1e-320), rel=1e-12)
+    # -log(t) stays finite down to the smallest subnormal t
+    deep = log_gauge_from_u(spec, -math.log(1e-320))
+    assert math.isfinite(deep)
+    assert deep == pytest.approx(math.log(1e-320), rel=1e-12)
     with pytest.raises(ValidationError):
-        gauge_value(spec, 0.0)
-    with pytest.raises(ValidationError):
-        gauge_value(spec, 1.0)
+        log_gauge_from_u(spec, 0.0)  # t = 1
 
 
 def test_hausdorff_packing_ordering():
@@ -195,10 +187,10 @@ def test_markov_gauge_test_thread_invariance():
     assert a == b
 
 
-def test_mass_gauge_fraction_wrapper():
+def test_a_mass_equal_to_its_gauge_is_a_hit():
+    # every level-32 cylinder of the fair coin has mass 2^-32, its diameter to the power 1
     spec = GaugeSpec(family="power", d=1.0)
-    f = mass_gauge_fraction(BernoulliProduct(0.5), spec, 32, N=10, seed=0)
-    assert f == 1.0
+    assert gauge_test(BernoulliProduct(0.5), spec, [32], N=10, seed=0).fractions == (1.0,)
 
 
 def test_selfsimilar_gauge_test():

@@ -1,15 +1,19 @@
-"""Every private module-level name of the package is referenced in the package.
+"""Every module-level name of the package is referenced in the package.
 
 A private function, class or constant that only its own definition mentions
-is dead code left behind by a refactor.
+is dead code left behind by a refactor. A public one is dead too unless
+README.md names it: the package is what the CLI, the oracles and the quick
+tour run, and a name that only its own tests call is surface without a user.
 """
 
 import ast
 import pathlib
+import re
 
 import mflil
 
 PACKAGE = pathlib.Path(mflil.__file__).parent
+README = PACKAGE.parents[1] / "README.md"
 
 
 def defined_names(stmt: ast.stmt) -> set[str]:
@@ -38,20 +42,43 @@ def referenced_names(stmt: ast.stmt) -> set[str]:
     return used
 
 
-def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """module:name for each private module-level name that no statement other
-    than its own definition references, in any of the modules."""
+def dead_names(sources: dict[str, str], keep) -> list[str]:
+    """module:name for each module-level name that `keep` selects and that no
+    statement other than its own definition references, in any of the
+    modules. The imports of the package ``__init__.py`` are re-exports, not uses."""
     defined, used = [], {}
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            own = {n for n in defined_names(stmt) if n.startswith("_") and not n.startswith("__")}
+            own = {n for n in defined_names(stmt) if keep(n)}
             defined += [(module, name) for name in own]
+            if module == "__init__.py" and isinstance(stmt, ast.ImportFrom):
+                continue
             for name in referenced_names(stmt):
                 used.setdefault(name, []).append(own)
     return sorted(
         f"{module}:{name}" for module, name in defined
         if not any(name not in own for own in used.get(name, []))
     )
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    return dead_names(sources, lambda n: n.startswith("_") and not n.startswith("__"))
+
+
+def readme_names(text: str) -> set[str]:
+    """The identifiers inside the code spans and code blocks of a markdown text."""
+    blocks = re.findall(r"```.*?```", text, flags=re.S)
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(blocks + spans)))
+
+
+def dead_public_names(sources: dict[str, str], readme: str) -> list[str]:
+    named = readme_names(readme)
+    return dead_names(sources, lambda n: not n.startswith("_") and n not in named)
+
+
+def package_sources() -> dict[str, str]:
+    return {str(p.relative_to(PACKAGE)): p.read_text(encoding="utf-8") for p in sorted(PACKAGE.rglob("*.py"))}
 
 
 def test_the_scan_sees_a_dead_private_name():
@@ -64,6 +91,21 @@ def test_the_scan_sees_a_dead_private_name():
     assert dead_private_names(sources) == ["a:_DEAD", "a:_recursive"]
 
 
+def test_the_scan_sees_a_dead_public_name():
+    sources = {
+        "a.py": "LIVE = 1\nDEAD = 2\nTOURED = 3\n"
+                "def recursive(n):\n    return recursive(n - 1)\n"
+                "class Used:\n    pass\n",
+        "b.py": "from .a import LIVE\nfrom . import a\n\ndef f():\n    return LIVE, a.Used\n",
+        "__init__.py": "from .a import DEAD, TOURED, recursive\nfrom .b import f\n",
+    }
+    readme = "Run `f(x)`, then:\n\n```python\nprint(TOURED)\n```\n\nDEAD is prose, not code.\n"
+    assert dead_public_names(sources, readme) == ["a.py:DEAD", "a.py:recursive"]
+
+
 def test_no_dead_private_names():
-    sources = {str(p.relative_to(PACKAGE)): p.read_text(encoding="utf-8") for p in sorted(PACKAGE.rglob("*.py"))}
-    assert dead_private_names(sources) == []
+    assert dead_private_names(package_sources()) == []
+
+
+def test_no_dead_public_names():
+    assert dead_public_names(package_sources(), README.read_text(encoding="utf-8")) == []

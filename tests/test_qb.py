@@ -18,7 +18,7 @@ from mflil import (
 )
 from mflil import qb as qb_module
 from mflil.models import chain_log_masses
-from mflil.symbolic import word, word_concat
+from mflil.symbolic import word
 from mflil.zoo import load_zoo_model
 
 
@@ -43,7 +43,7 @@ def test_qb_ratio_bounds_markov(a, b):
     mk = load_zoo_model("markov_chain")
     C = qb_constant(mk).C_hat
     u, v = word(a), word(b)
-    lm_uv = log_cylinder_mass(mk, word_concat(u, v))
+    lm_uv = log_cylinder_mass(mk, word(u.symbols + v.symbols, ell=2))
     lm_u = log_cylinder_mass(mk, u)
     lm_v = log_cylinder_mass(mk, v)
     ratio = math.exp(lm_uv - lm_u - lm_v)

@@ -15,7 +15,6 @@ from mflil import (
     SelfSimilarMeasure,
     ValidationError,
     chi,
-    chi_inverse,
     dimension,
     is_flat,
     log_partition_sum,
@@ -177,7 +176,7 @@ def test_chi_profile_inverse_round_trip():
         y = prof.chi(q)
         assert prof.inverse(y) == pytest.approx(q, abs=1e-9)
     y = prof.chi_at_qmax()
-    assert chi_inverse(QUARTER, y, side=1) == pytest.approx(1.0, abs=1e-9)
+    assert ChiProfile(QUARTER, side=1).inverse(y) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_chi_profile_flat_raises():
