@@ -6,10 +6,11 @@ artifacts into it: CSV tables with 17-significant-digit scientific floats,
 a JSON summary holding the result dataclass's fields (one level deep) plus
 the aggregates the command adds, and a manifest recording the tool version,
 the full option set, the model-file digest, the master seed (null for a
-command that takes no --seed), and the SHA-256 of every output. A run refused
-before its outputs exist writes nothing, not even --out. Re-running the
-same command over the same model reproduces the output files byte for
-byte, for any lil-sim --threads value; only the manifest's timestamp differs.
+command that takes no --seed), the RNG stream identifier and the SHA-256 of
+every output. A run refused before its outputs exist writes nothing, not
+even --out. Re-running the same command over the same model reproduces the
+output files byte for byte, for any lil-sim --threads value; only the
+manifest's timestamp differs.
 
 Exit codes: 0 success; 2 validation (bad flags, malformed model files, domain
 violations); 3 numerical failure (a cross-check disagreed); 4 budget
@@ -33,7 +34,7 @@ import numpy as np
 from . import __version__
 from .errors import BudgetError, MFLilError, NumericalError, ValidationError
 from .gauges import GaugeSpec, gauge_test, lil_sigma, theta_correction
-from .lil import _WALK_BITS, run_ensemble
+from .lil import _WALK_BITS, RNG_STREAM, run_ensemble
 from .models import LogBase, MeasureModel, parse_model_file
 from .qb import dichotomy_classify, qb_constant
 from .spectrum import ChiProfile, dimension, spectrum_table
@@ -124,6 +125,7 @@ def _emit(args, command: str, outputs: dict) -> list[str]:
         "options": {k: v for k, v in vars(args).items() if k not in ("command", "func")},
         "model_digest": _digest(model) if model else None,
         "master_seed": getattr(args, "seed", None),
+        "rng_stream": RNG_STREAM,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": {name: _digest(path) for name, path in zip(outputs, paths)},
     })

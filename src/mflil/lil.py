@@ -34,11 +34,17 @@ of bases, the Theta correction of the gauges.
 
 Ensemble paths each draw from their own stream path_rng(seed, i). Each walk
 builds one such generator and re-keys it (rekey_path_rng) to every other
-path's stream, and to the point where a later block of levels starts. A
-product checkpoint walk draws the symbol counts of every gap between
-checkpoints in one binomial or multinomial call per path, and forms S and t
-from them for a block of paths at once. The two per-level walks only draw
-and sum. A product window walk draws one symbol per level and goes one block
+path's stream, and to the point where a later block of levels starts;
+_draw_uniforms fills a level-major block with every path's uniforms. A
+product checkpoint walk jumps from checkpoint to checkpoint. With two active
+symbols it draws a count per gap piece of at most 2^20 levels by inversion,
+one uniform each: draw_symbols' rule on the piece's Binomial table, built
+once per run, for every path of a block and every piece of one length at
+once. Its pieces grow with depth, and its tables with the distinct piece
+lengths, so both are capped (_COUNT_CAP). With more symbols it draws every
+gap's counts in one multinomial call per path. It forms S and t from the
+counts for a block of paths at once. The two per-level walks only draw and
+sum. A product window walk draws one symbol per level and goes one block
 of _WINDOW_BLOCK levels at a time over a group of paths, every path reusing
 one set of block buffers. Markov paths go in blocks, every path of a block
 drawing its own uniforms; a block holds at most _CHAIN_BLOCK_DRAWS
@@ -50,11 +56,12 @@ levels to one shared pass, _level_walk, which picks the checkpoints and
 keeps the running window extremes by one rule: on grids it computes the
 block's t and ratio denominators once for all its paths. Only the per-level
 product walk (window mode on product models) splits its paths across
-threads, at most one per CPU, each thread walking one contiguous range; the
-other walks run in one thread, where threads did not pay. Either way the
-results are identical for every thread count. One entry point,
-_walk_ensemble, checks the budgets and walks the paths of run_ensemble,
-gauge_test and path_stats.
+threads, at most one per CPU and per path, and at least _THREAD_WORK
+path-levels (paths times the deepest checkpoint) per thread, each thread
+walking one contiguous range; the other walks run in one thread, where
+threads did not pay. Either way the results are identical for every thread
+count. One entry point, _walk_ensemble, checks the budgets and walks the
+paths of run_ensemble, gauge_test and path_stats.
 
 Exact small-n machinery (exact_distribution, running_max_tail) is the oracle
 layer for the Monte Carlo engines. Both read one rational walk, _class_walk,
@@ -80,6 +87,7 @@ from .models import (
     _env_budget,
     canonical_base,
     chain_states,
+    draw_symbols,
     enumeration_budget,
     ln_base,
     log_symbol_weights,
@@ -88,6 +96,10 @@ from .models import (
 )
 from .spectrum import dimension, sigma2_scale_free
 
+# names how seeded outputs draw from the (seed, path) Philox streams, for
+# manifest.json: v2 draws two-symbol checkpoint counts by inverse CDF, one
+# uniform per gap piece, where v1 called numpy's binomial once per path
+RNG_STREAM = "philox4x64-path-v2"
 _DEFAULT_PATH_BUDGET = 2 ** 33
 _MARKOV_STEP_BUDGET = 2 ** 26
 _WALK_BITS = 63  # the walks hold levels and path indexes in 64-bit integers
@@ -227,27 +239,74 @@ class PathStats:
 
 
 _COUNT_BLOCK = 1 << 16  # symbol counts a block of product checkpoint paths holds
+_PIECE = 1 << 20  # the most levels one count draw covers: no table holds much over 41k counts
+# a path's pieces grow with depth, one per _PIECE levels, and the count
+# tables with the distinct piece lengths; together they stay below this cap
+_COUNT_CAP = 1 << 22
+
+
+def _count_tables(gaps, p0, p1):
+    """(pieces, starts, draws): the count draws of a two-symbol checkpoint walk.
+
+    Each gap (an int64 array) is cut into pieces of _PIECE levels and a
+    shorter last one, pieces in all, gap j's first at piece starts[j]. draws
+    holds one (rows, lo, cum) per piece length g: the pieces of that length,
+    and the weights of Binomial(g, p1) for the counts lo, lo + 1, ... within
+    mean +- (40 sd + 40) of g p1, cumulated. Bernstein's inequality leaves
+    below e^-60 of the mass outside on each side, for every g and p1. A
+    weight is relative to the mode's: the sum of the log ratios w(c+1)/w(c)
+    = (g - c) p1 / ((c + 1) p0) between them, so no rounding grows with g in
+    the bulk. Refuses with BudgetError, before either is built, a path's
+    pieces and the tables' entries (at most 80 sd + 83 each) of more than
+    _COUNT_CAP doubles together.
+    """
+    count = -(-gaps // _PIECE)
+    pieces, starts, last = int(count.sum()), np.cumsum(count) - count, gaps - (count - 1) * _PIECE
+    lengths = np.unique(np.append(last, _PIECE)) if pieces > len(gaps) else np.unique(last)
+    if (size := pieces + int((80 * np.sqrt(lengths * p0 * p1) + 83).sum())) > _COUNT_CAP:
+        raise BudgetError(f"a path's gap pieces and the count tables need {size} doubles, over {_COUNT_CAP}")
+    length = np.full(pieces, _PIECE)
+    length[starts + count - 1] = last
+    draws = []
+    for g in lengths.tolist():
+        mean, spread = g * p1, 40 * math.sqrt(g * p0 * p1) + 40
+        lo, hi = max(0, math.floor(mean - spread)), min(g, math.ceil(mean + spread))
+        r = np.log(np.arange(g - lo, g - hi, -1.0) / np.arange(lo + 1.0, hi + 1)) + math.log(p1 / p0)
+        a = np.searchsorted(-r, 0.0)  # r falls with c, so the mode is lo + a
+        log_w = np.concatenate((-np.cumsum(r[:a][::-1])[::-1], [0.0], np.cumsum(r[a:])))
+        draws.append((np.flatnonzero(length == g), lo, np.cumsum(np.exp(log_w))))
+    return pieces, starts, draws
 
 
 def _checkpoint_walk_product(tables, seed, lo, hi):
     """(S, T) of product paths lo..hi-1, one row per path, at the checkpoints.
 
     tables holds the per-run gaps between checkpoints, the renormalised
-    weights of the active symbols and their increments -log_b w and, on
+    weights of the active symbols, their increments -log_b w and, on
     self-similar measures, -ln r (else None, and T is None: grid t is
-    _walk_ensemble's). Path i draws every gap's symbol counts in one binomial
-    (two active symbols) or multinomial call on path_rng(seed, i). S and T sum
-    the increments, per gap as counts @ increments does (vecdot), then over
-    the gaps from 0.0 as a loop does, so they are never -0.0.
+    _walk_ensemble's), and the pieces each path draws: with two active
+    symbols _count_tables' pieces, starts and draws, else one per gap and
+    None, None. There, path i's count of the second symbol in gap piece j is
+    draw_symbols' rule on that piece's table with the j-th double of
+    path_rng(seed, i) (inversion, one uniform per piece), and a gap's count
+    is the sum of its pieces'. The pieces of one length draw in one step
+    over the block, each count overwriting its uniform; their float sums are
+    exact, as _COUNT_CAP keeps every gap below 2^43 levels. Other paths draw
+    every gap's counts in one multinomial call on path_rng(seed, i). S and T
+    sum the increments, per gap as counts @ increments does (vecdot), then
+    over the gaps from 0.0 as a loop does, so they are never -0.0.
     """
-    gaps, p, neg_lw, neg_lr = tables
-    rng = path_rng(seed, lo)  # the walk's one generator, re-keyed for each path
-    rngs = (rekey_path_rng(rng, seed, i) for i in range(lo, hi))
-    if p.size == 2:
-        c1 = np.array([g.binomial(gaps, p[1]) for g in rngs])
+    gaps, p, neg_lw, neg_lr, pieces, starts, draws = tables
+    if draws is not None:
+        U = np.empty((pieces, hi - lo))  # level-major: a piece's uniforms are one row
+        _draw_uniforms(seed, lo, 0, U)
+        for rows, c0, cum in draws:
+            U[rows] = c0 + draw_symbols(cum, U[rows])
+        c1 = np.add.reduceat(U, starts, axis=0).T.astype(np.int64)
         counts = np.stack((gaps - c1, c1), axis=-1)
     else:
-        counts = np.array([g.multinomial(gaps, p) for g in rngs])
+        rng = path_rng(seed, lo)  # the walk's one generator, re-keyed for each path
+        counts = np.array([rekey_path_rng(rng, seed, i).multinomial(gaps, p) for i in range(lo, hi)])
     S = np.cumsum(np.vecdot(counts, neg_lw), axis=1) + 0.0
     return S, None if neg_lr is None else np.cumsum(np.vecdot(counts, neg_lr), axis=1) + 0.0
 
@@ -321,6 +380,10 @@ def _level_walk(produce, checkpoints, conv, window, n_paths, block):
 
 _WINDOW_BLOCK = 1 << 16  # levels a window walk draws per path at once
 _WINDOW_GROUP = 1 << 8  # paths whose window walk shares each block's grid tables
+# the fewest path-levels (paths times the deepest checkpoint) a thread of a
+# window walk takes: on 2 vCPUs two threads beat one in 22 of 23 timings from
+# 2^22 path-levels up, and lost to it on 2 paths of 2^20 levels
+_THREAD_WORK = 1 << 21
 
 
 def _window_walk_product(tables, checkpoints, seed, lo, hi, conv, window):
@@ -363,10 +426,29 @@ def _window_walk_product(tables, checkpoints, seed, lo, hi, conv, window):
     return _level_walk(produce, checkpoints, conv, window, hi - lo, _WINDOW_BLOCK)
 
 
+_DRAW_GROUP = 1 << 12  # uniforms a group of paths draws before they enter the block
+
+
+def _draw_uniforms(seed, lo, base, X):
+    """Fill X, level-major, with doubles base, base + 1, ... of the streams
+    of paths lo, lo + 1, ..., one column per path.
+
+    One generator is built and re-keyed to each path's stream past the base
+    doubles drawn before. A group of paths draws about _DRAW_GROUP uniforms,
+    into one row each, and the group's rows enter X's columns in one copy.
+    """
+    B, rng = X.shape[1], path_rng(seed, lo)
+    group = np.empty((max(1, min(B, _DRAW_GROUP // len(X))), len(X)))
+    for g in range(0, B, len(group)):
+        part = group[:B - g]
+        for b, row in enumerate(part):
+            rekey_path_rng(rng, seed, lo + g + b, base).random(out=row)
+        X[:, g:g + len(part)] = part.T
+
+
 # uniforms one block of chain paths holds at once: memory stays bounded for
 # any N and any depth while each numpy step of the scan covers many paths
 _CHAIN_BLOCK_DRAWS = 1 << 20
-_CHAIN_DRAW_GROUP = 1 << 12  # uniforms a group of chain paths draws before they enter U
 
 
 def _chain_walk(tables, checkpoints, seed, lo, hi, conv, window):
@@ -375,38 +457,26 @@ def _chain_walk(tables, checkpoints, seed, lo, hi, conv, window):
     tables holds the core's cum_P (row k, the start state's, is pi) and the
     increments -ln(p)/lb (+inf at p = 0) of its log_P, flattened so that
     (i, j) sits at i * k + j. Path i draws its uniforms from path_rng(seed,
-    i), in chunks of at most _CHAIN_BLOCK_DRAWS // B levels that continue its
-    stream (the walk's one generator, re-keyed past the levels drawn
-    before), so the block holds at most _CHAIN_BLOCK_DRAWS uniforms at any
-    depth. A group of paths draws about _CHAIN_DRAW_GROUP uniforms into one
-    row each, and the group's rows enter U's columns in one copy.
-    chain_states walks every path of the chunk from its carried state (k at
-    first), by draw_symbols' rule in about 2 sqrt(levels) numpy steps. The
-    increments then overwrite the spent uniforms, about sqrt(levels) levels
-    at a time, and each such slab's cumsum down the levels, from the carried
-    S added to its first level, makes S as adding them in level order does.
-    S starts at -0.0, the additive identity: +0.0 would turn a first
-    increment of -0.0 (a pi entry of 1) into +0.0. All steps are
-    elementwise, so no path depends on its block, and _level_walk takes the
-    chunk from U, so no array spans all n levels.
+    i) by _draw_uniforms, in chunks of at most _CHAIN_BLOCK_DRAWS // B levels that
+    continue its stream, so the block holds at most _CHAIN_BLOCK_DRAWS
+    uniforms at any depth. chain_states walks every path of the chunk from its
+    carried state (k at first), by draw_symbols' rule in about 2 sqrt(levels)
+    numpy steps. The increments then overwrite the spent uniforms, about
+    sqrt(levels) levels at a time, and each such slab's cumsum down the
+    levels, from the carried S added to its first level, makes S as adding
+    them in level order does. S starts at -0.0, the additive identity: +0.0
+    would turn a first increment of -0.0 (a pi entry of 1) into +0.0. All
+    steps are elementwise, so no path depends on its block, and _level_walk
+    takes the chunk from U, so no array spans all n levels.
     """
     cum_P, inc_P = tables
     n, B, k = checkpoints[-1], hi - lo, cum_P.shape[1]
     rows = max(1, _CHAIN_BLOCK_DRAWS // B)
     U = np.empty((min(n, rows), B))  # level-major: a level's uniforms are one row
-    rng = path_rng(seed, lo)  # the walk's one generator, re-keyed for each path
-
-    def draw(base, X):
-        group = np.empty((max(1, min(B, _CHAIN_DRAW_GROUP // len(X))), len(X)))
-        for g in range(0, B, len(group)):
-            part = group[:B - g]
-            for b, row in enumerate(part):
-                rekey_path_rng(rng, seed, lo + g + b, base).random(out=row)
-            X[:, g:g + len(part)] = part.T
 
     def produce(base, c):
         X = U[:c]
-        draw(base, X)
+        _draw_uniforms(seed, lo, base, X)
         Z = chain_states(cum_P, X, state)
         step = math.isqrt(c) + 1
         code = np.empty((step, B), np.intp)
@@ -516,13 +586,16 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
     running ratio extremes over the window levels; otherwise both are None.
     Refuses the run before any path is keyed past the path budget or, for
     chains, the chain-step budget. Product checkpoint paths are the jump
-    engine: blocks of at most _COUNT_BLOCK symbol counts, one count draw per
-    path. The per-level walks go through _level_walk: product window paths
+    engine, in blocks of at most _COUNT_BLOCK symbol counts (or gap pieces):
+    with two active symbols, the count tables are built here once for the
+    run, or the run refused past _COUNT_CAP, and each piece takes one
+    uniform; otherwise one multinomial call per path. The per-level walks go through _level_walk: product window paths
     in groups of at most _WINDOW_GROUP that walk each block of levels
     together, and chain paths in blocks of at most _CHAIN_BLOCK_DRAWS
     uniforms, each chunk of levels walked by one state scan. Only the
-    per-level product walk uses the threads, at most one per CPU, each
-    walking a contiguous range of paths: the chain and checkpoint walks ran
+    per-level product walk uses the threads, at most one per CPU, per path
+    and per _THREAD_WORK path-levels, each walking a contiguous range of
+    paths that differ by at most one in length: the chain and checkpoint walks ran
     slower on more threads, so they run in one.
     """
     N, n_max, m = paths.stop - paths.start, cks[-1], len(cks)
@@ -533,17 +606,13 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     if N * n_max > path_budget():
-        raise BudgetError(
-            f"N*n_max = {N * n_max} exceeds the path budget {path_budget()}; "
-            "raise MFLIL_PATH_BUDGET to allow it"
-        )
+        raise BudgetError(f"N*n_max = {N * n_max} exceeds the path budget {path_budget()}; "
+                          "raise MFLIL_PATH_BUDGET to allow it")
     core = model.core
-    block = max(1, _CHAIN_BLOCK_DRAWS // n_max)
+    block, workers = max(1, _CHAIN_BLOCK_DRAWS // n_max), 1  # the chain and checkpoint walks: one thread
     if core.kind == "chain":
         if N * n_max > _MARKOV_STEP_BUDGET:
-            raise BudgetError(
-                f"stepwise chain simulation capped at N*n_max <= {_MARKOV_STEP_BUDGET}"
-            )
+            raise BudgetError(f"stepwise chain simulation capped at N*n_max <= {_MARKOV_STEP_BUDGET}")
         tables = core.cum_P, -core.log_P.ravel() / conv.ln_base
 
         def walk(lo, hi):
@@ -553,18 +622,18 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
         neg_lr = None if conv.t_per_level is not None else -core.log_ratios
         if window is None:
             active = list(core.active)
-            p = core.weights[active]
-            tables = (
-                np.diff(cks, prepend=0), p / p.sum(), neg_lw[active],
-                None if neg_lr is None else neg_lr[active],
-            )
-            block = max(1, _COUNT_BLOCK // (m * core.k))
+            p, gaps = core.weights[active] / core.weights[active].sum(), np.diff(cks, prepend=0)
+            pieces, starts, draws = _count_tables(gaps, *p) if p.size == 2 else (m, None, None)
+            tables = gaps, p, neg_lw[active], None if neg_lr is None else neg_lr[active], pieces, starts, draws
+            block = max(1, _COUNT_BLOCK // (pieces * core.k))
 
             def walk(lo, hi):
                 return *_checkpoint_walk_product(tables, seed, lo, hi), None, None
         else:
             tables = core.cum_weights, neg_lw, neg_lr
-            block = _WINDOW_GROUP
+            # never more threads than CPUs or paths, each range beyond them only
+            # waiting its turn, nor than one per _THREAD_WORK path-levels
+            block, workers = _WINDOW_GROUP, max(1, min(threads, os.cpu_count() or 1, N, N * n_max // _THREAD_WORK))
 
             def walk(lo, hi):
                 return _window_walk_product(tables, cks, seed, lo, hi, conv, window)
@@ -581,15 +650,12 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
                 if part is not None:
                     out[b_lo - paths.start:b_hi - paths.start] = part
 
-    # never more threads than CPUs: each range beyond them only waits its turn
-    workers = min(threads, os.cpu_count() or 1) if window is not None and core.kind == "product" else 1
     if workers == 1:
         fill(paths.start, paths.stop)
     else:
-        chunk = max(1, (N + workers - 1) // workers)
-        bounds = [(lo, min(lo + chunk, paths.stop)) for lo in range(paths.start, paths.stop, chunk)]
+        cuts = [paths.start + N * i // workers for i in range(workers + 1)]  # ranges differ by <= 1 path
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
+            list(pool.map(lambda b: fill(*b), zip(cuts, cuts[1:])))
     return S, T, SUP, INF
 
 
@@ -623,16 +689,17 @@ def run_ensemble(
 ) -> EnsembleSummary:
     """Simulate N paths at the checkpoints and reduce, bit-stably.
 
-    Each path i draws from its own counter-based stream keyed by (seed, i),
-    so results are identical for every thread count. Chain paths are walked
-    in blocks, every chunk of levels of a block by one state scan in about
-    2 sqrt(levels) numpy steps; each product path makes one count draw for
-    all its checkpoints, or one symbol draw per level with a window. Threads
-    only partition the paths of a windowed product run into contiguous
-    ranges for the walk. Reductions run single-threaded in path order. The
-    Kolmogorov-Smirnov distances of z = centered / sqrt(sigma2_clt T) to
-    N(0, 1) come from one column-wise pass over the (N, checkpoints) z
-    matrix; they are NaN when sigma2_clt is 0.
+    Each path i draws from its own counter-based stream keyed by (seed, i), so
+    results are identical for every thread count. Chain paths are walked in
+    blocks, every chunk of levels of a block by one state scan in about 2
+    sqrt(levels) numpy steps; each product path draws counts between its
+    checkpoints (one uniform per gap piece with two active symbols), or one
+    symbol per level with a window. Threads only partition the paths of a
+    windowed product run into contiguous ranges of at least 2^21 path-levels.
+    Reductions run single-threaded in path order. The Kolmogorov-Smirnov
+    distances of z = centered / sqrt(sigma2_clt T) to N(0, 1) come from one
+    column-wise pass over the (N, checkpoints) z matrix; they are NaN when
+    sigma2_clt is 0.
 
     Passing an explicit window switches the walk to one draw per level so the
     running sup/inf of the ratio cover every level of [n_lo, n_hi]; without a
@@ -661,22 +728,12 @@ def run_ensemble(
     if SUP is None:  # the window is the whole checkpoint grid
         SUP, INF = np.maximum.accumulate(ratio, axis=1), np.minimum.accumulate(ratio, axis=1)
 
-    runsup_median = []
-    ratio_mean, ratio_var, ratio_min, ratio_max = [], [], [], []
-    mean_gap = []
-    for j in range(len(cks)):
-        col = ratio[:, j]
-        mu = math.fsum(col.tolist()) / N
-        ratio_mean.append(mu)
-        ratio_var.append(math.fsum(((col - mu) ** 2).tolist()) / N)
-        ratio_min.append(float(col.min()))
-        ratio_max.append(float(col.max()))
-        s_mean = math.fsum(S[:, j].tolist()) / N
-        t_mean = math.fsum(T[:, j].tolist()) / N
-        mean_gap.append(abs(s_mean / t_mean - conv.d))
-        runsup = SUP[:, j]
-        runsup_median.append(float(np.median(runsup)) if np.isfinite(runsup).all() else float("nan"))
+    def column_means(X) -> tuple[float, ...]:
+        """math.fsum down each column, over N: the sums are exact, so no path order shows."""
+        return tuple(math.fsum(col) / N for col in X.T.tolist())
 
+    ratio_mean = column_means(ratio)
+    runsup_median = [float(np.median(c)) if np.isfinite(c).all() else float("nan") for c in SUP.T]
     return EnsembleSummary(
         convention=conv.name,
         N=N,
@@ -685,12 +742,12 @@ def run_ensemble(
         window=(w_lo, w_hi),
         d=conv.d,
         sigma=conv.sigma,
-        ratio_mean=tuple(ratio_mean),
-        ratio_var=tuple(ratio_var),
-        ratio_min=tuple(ratio_min),
-        ratio_max=tuple(ratio_max),
+        ratio_mean=ratio_mean,
+        ratio_var=column_means((ratio - ratio_mean) ** 2),
+        ratio_min=tuple(ratio.min(axis=0).tolist()),
+        ratio_max=tuple(ratio.max(axis=0).tolist()),
         ks_distance=ks_distance,
-        mean_gap=tuple(mean_gap),
+        mean_gap=tuple(abs(s / t - conv.d) for s, t in zip(column_means(S), column_means(T))),
         runsup_median=tuple(runsup_median),
         path_window_sup=SUP[:, -1],
         path_window_inf=INF[:, -1],

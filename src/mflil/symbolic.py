@@ -41,7 +41,7 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class Word:
-    """A finite string of symbols over an alphabet. Level = number of symbols."""
+    """A finite string of symbols over an alphabet; its level is len(symbols)."""
 
     alphabet: Alphabet
     symbols: tuple[int, ...] = field(default=())
@@ -51,15 +51,6 @@ class Word:
         for s in self.symbols:
             if not 0 <= s < k:
                 raise ValidationError(f"symbol {s} out of range [0, {k})")
-
-    @property
-    def level(self) -> int:
-        return len(self.symbols)
-
-    def prefix(self, n: int) -> "Word":
-        if not 0 <= n <= self.level:
-            raise ValidationError(f"prefix length {n} out of range [0, {self.level}]")
-        return Word(self.alphabet, self.symbols[:n])
 
 
 def word(symbols: Iterable[int], ell: int = 2, dim: int = 1) -> Word:

@@ -246,6 +246,17 @@ def test_manifest_timestamp_only_in_manifest(zoo_dir, tmp_path):
     assert m1["model_digest"] == m2["model_digest"]
 
 
+def test_manifest_names_the_rng_stream(zoo_dir, tmp_path):
+    """Seeded outputs drawn before and after a change of stream differ in the
+    manifest's rng_stream, which every command records."""
+    out = tmp_path / "l"
+    assert run(["lil-sim", "--model", str(zoo_dir / "bernoulli_quarter.json"), "--out", str(out),
+                "--N", "20", "--checkpoints", "16,64", "--seed", "2"]) == 0
+    assert read_json(out / "manifest.json")["rng_stream"] == lil_module.RNG_STREAM == "philox4x64-path-v2"
+    assert run(["spectrum", "--model", str(zoo_dir / "bernoulli_half.json"), "--out", str(tmp_path / "s")]) == 0
+    assert read_json(tmp_path / "s" / "manifest.json")["rng_stream"] == lil_module.RNG_STREAM
+
+
 def test_oracles_subcommand(tmp_path):
     out = tmp_path / "oracles"
     assert run(["oracles", "--out", str(out)]) == 0
@@ -469,14 +480,14 @@ _PINNED_COMMANDS = {
 _PINNED_SHA256 = {
     ("spectrum", "spectrum.csv"): "044786d933ebb653c3053b61a2a74f79a36f195202e357bdb1c6c792f8c3213c",
     ("spectrum", "summary.json"): "28df0a6c657ed4d3f33d169a4390c465466868a1e0eae6df0b27c7a7aadc8216",
-    ("lil_ckpt", "lilsim.csv"): "7f6d7ef146b0470a8ba37d766aa572047f84ae21dab7cad82d6b818cee35c18a",
-    ("lil_ckpt", "summary.json"): "81956e36a8c0ad23e4d1b1db3c98f90bf3419ae37438a0318795b82a54bc553e",
+    ("lil_ckpt", "lilsim.csv"): "ebaeba89f0eefb35908f1b1fe4995b77cf7d430776d123d184878180f51cbad9",
+    ("lil_ckpt", "summary.json"): "ebcd75fb3a29bc3c607a96449a43fc007197c2b08c2ff06d4e486ee18ff697f4",
     ("lil_window", "lilsim.csv"): "f44c178098c30b9378c7df5050791f86b891f9725cba00cab5dbc35b3be1f18e",
     ("lil_window", "summary.json"): "dc5c79f7c1bb5a3a3abaab8f09db695fd920a6ab6e6b8be0a818acd6dc6da4c6",
-    ("gauge_packing", "gauge.csv"): "bfb6d856ac71f67eb9750a8d9dd659b24d597bd1387d9d3a4a757519bd13c304",
-    ("gauge_packing", "summary.json"): "acd00f5d68a1478a30288231b5a0b581c49a7bf25b1e13ace88ed6f55711f5eb",
-    ("gauge_theta", "gauge.csv"): "ad79a4ffc58fd3ae1dd1dcaf42fde9b612c25cc0606a2c06ec511ed96b5c9f68",
-    ("gauge_theta", "summary.json"): "8cb0362e00631bfff51069cd40c2f9116c483f1e6c9f3d90001431901099a697",
+    ("gauge_packing", "gauge.csv"): "c0515d009eb6ca146c834383be647b8d0812b735d9a12a51503af97afdae4245",
+    ("gauge_packing", "summary.json"): "19a45fcd0506f0b30471bf74fdc22ecf7d8e60e186a32ba7d7fe901d818b7e23",
+    ("gauge_theta", "gauge.csv"): "f5548999d5b3d93ada56bcc938b72158e9b09b44e36a375aa4037450421e4952",
+    ("gauge_theta", "summary.json"): "76f4a29e986cb8b492706448d54200ced4a63d488bf025a71726264670c6bd8e",
     ("qb", "qb.json"): "810c597ff6d09a5e66fc3b2437cc1c01dd1546598b421ae82de32fa626b7a7b2",
     ("empirical_quarter", "spectrum.csv"): "31a97258f3a3a0dfefa6a68f7dadee7875b08a8911558e639bd1e84cddaa081d",
     ("empirical_quarter", "summary.json"): "59cc8e145b290329c1e4cdb41c29dcd66ae44a9888b4f34af2c601f563ebd433",

@@ -33,6 +33,7 @@ from mflil import (
     running_max_tail,
     sigma2,
     sigma2_scale_free,
+    word,
 )
 from mflil import lil as lil_module
 from mflil.models import (
@@ -146,14 +147,14 @@ def test_s_process_matches_cylinder_mass():
     w = sample_path(QUARTER, 12, seed=3)
     S = s_process(QUARTER, w, LogBase.NATURAL)
     for n in (1, 5, 12):
-        assert S[n - 1] == pytest.approx(-log_cylinder_mass(QUARTER, w.prefix(n)), abs=1e-12)
+        assert S[n - 1] == pytest.approx(-log_cylinder_mass(QUARTER, word(w.symbols[:n])), abs=1e-12)
 
 
 def test_s_process_on_a_chain_matches_prefix_masses():
     w = sample_path(MARKOV, 40, seed=6)
     S = s_process(MARKOV, w)
     for n in range(1, 41):
-        assert S[n - 1] == pytest.approx(-log_cylinder_mass(MARKOV, w.prefix(n)), rel=1e-12, abs=1e-12)
+        assert S[n - 1] == pytest.approx(-log_cylinder_mass(MARKOV, word(w.symbols[:n])), rel=1e-12, abs=1e-12)
 
 
 def test_s_process_exact_for_uniform():
@@ -850,6 +851,7 @@ def test_threads_split_only_the_product_window_walk(monkeypatch, name, window):
 
     monkeypatch.setattr(lil_module, "ThreadPoolExecutor", Spy)
     monkeypatch.setattr(lil_module.os, "cpu_count", lambda: 8)  # more CPUs than threads
+    monkeypatch.setattr(lil_module, "_THREAD_WORK", 1)  # no floor: the thread count binds
     one = run_ensemble(model, N=6, checkpoints=[16, 64, 512], seed=3, window=window)
     three = run_ensemble(model, N=6, checkpoints=[16, 64, 512], seed=3, window=window, threads=3)
     assert one == three
@@ -880,6 +882,7 @@ def test_window_threads_are_capped_at_the_cpu_count(monkeypatch, cpus):
             return map(fn, items)
 
     monkeypatch.setattr(lil_module, "ThreadPoolExecutor", Inline)
+    monkeypatch.setattr(lil_module, "_THREAD_WORK", 1)  # no floor: the CPU count binds
     kw = dict(N=12, checkpoints=[16, 64, 256], seed=5, window=(16, 256))
     one = run_ensemble(QUARTER, **kw)
     huge = run_ensemble(QUARTER, threads=10 ** 6, **kw)
@@ -888,8 +891,49 @@ def test_window_threads_are_capped_at_the_cpu_count(monkeypatch, cpus):
     assert pools == ([cap] if cap > 1 else [])
 
 
+@pytest.mark.parametrize("N, depth, workers", [
+    (2, 20, 1), (16, 16, 1), (4, 20, 2), (6, 20, 3), (1, 22, 1),
+])
+def test_window_threads_take_at_least_2_pow_21_path_levels_each(monkeypatch, N, depth, workers):
+    """A product window walk gives each thread at least _THREAD_WORK path-
+    levels (paths times the deepest checkpoint), and one path at least: with
+    fewer, two threads ran slower than one. Four CPUs and four threads leave
+    the floor to bind, or the path count (one path at 2^22 levels). The
+    recorder runs every range inline, so no thread is ever started."""
+    monkeypatch.setattr(lil_module.os, "cpu_count", lambda: 4)
+    pools, ranges = [], []
+
+    class Inline:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            ranges.extend(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(lil_module, "ThreadPoolExecutor", Inline)
+    n = 2 ** depth
+    kw = dict(N=N, checkpoints=[16, n], seed=5, window=(16, n))
+    assert run_ensemble(QUARTER, threads=4, **kw) == run_ensemble(QUARTER, **kw)
+    assert lil_module._THREAD_WORK == 2 ** 21
+    assert pools == ([workers] if workers > 1 else [])
+    assert len(ranges) == (workers if workers > 1 else 0)
+    assert all((hi - lo) * n >= 2 ** 21 for lo, hi in ranges)
+    if ranges:  # contiguous ranges that cover the paths
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]] and ranges[-1][1] == N
+
+
 def reference_checkpoint_walk(weights, checkpoints, rng, lw_conv, neg_lr, conv):
-    """The checkpoint walk as a loop over checkpoints, one count draw per gap."""
+    """The checkpoint walk as a loop over checkpoints, one count draw per gap:
+    with two active symbols, one uniform per gap piece through its count
+    table, else one multinomial call."""
     active = np.flatnonzero(weights > 0)
     wa = weights[active]
     wa = wa / wa.sum()
@@ -903,7 +947,9 @@ def reference_checkpoint_walk(weights, checkpoints, rng, lw_conv, neg_lr, conv):
         gap = ck - prev
         if gap:
             if two_sided:
-                c1 = int(rng.binomial(gap, wa[1]))
+                pieces, _, draws = lil_module._count_tables(np.array([gap]), *wa)
+                table = {int(r): (lo, cum) for rows, lo, cum in draws for r in rows}
+                c1 = sum(int(table[j][0] + draw_symbols(table[j][1], rng.random())) for j in range(pieces))
                 counts = np.array([gap - c1, c1])
             else:
                 counts = rng.multinomial(gap, wa)
@@ -954,6 +1000,119 @@ def test_checkpoint_walk_matches_the_per_gap_loop(monkeypatch, name, checkpoints
                 mp.setattr(lil_module, "_COUNT_BLOCK", 2 * len(checkpoints) * core.k)
                 S2, T2, _, _ = lil_module._walk_ensemble(model, conv, checkpoints, seed, range(9))
             assert S2.tobytes() == S.tobytes() and T2.tobytes() == T.tobytes()
+
+
+@pytest.mark.parametrize("p1", [0.25, 0.75, 0.5, 0.3, 1e-6, 1 - 1e-6])
+def test_count_tables_hold_the_exact_binomial_law(p1):
+    """For every gap g <= 64, a count table's CDF, normalised by its total as
+    draw_symbols normalises it, is the exact Binomial(g, p1) CDF (math.comb
+    over Fractions) to 2e-15, and to 1e-12 relative wherever the exact CDF
+    of the table's span is a normal double; the mass it leaves out is below
+    e^-60 on each side. At p1 = 1e-6 and 1 - 1e-6 the span reaches past 40
+    sd alone, which would leave out real mass (1.2e-10 at g = 16)."""
+    p0 = 1 - p1
+    P1 = Fraction(p1) / (Fraction(p0) + Fraction(p1))  # the law the floats define
+    for g in range(1, 65):
+        pieces, starts, [(rows, lo, cum)] = lil_module._count_tables(np.array([g]), p0, p1)
+        hi = lo + len(cum) - 1
+        assert pieces == 1 and starts.tolist() == [0] and rows.tolist() == [0] and 0 <= lo <= hi <= g
+        cdf = list(itertools.accumulate(math.comb(g, c) * P1 ** c * (1 - P1) ** (g - c) for c in range(g + 1)))
+        below = cdf[lo - 1] if lo else Fraction(0)
+        assert below < math.exp(-60) and 1 - cdf[hi] < math.exp(-60)
+        F = cum / cum[-1]
+        for c in range(lo, hi + 1):
+            assert abs(F[c - lo] - cdf[c]) <= 2e-15
+            inside = float((cdf[c] - below) / (cdf[hi] - below))
+            if inside >= 2.3e-308:
+                assert F[c - lo] == pytest.approx(inside, rel=1e-12, abs=0)
+        if g == 16 and min(p0, p1) == 1e-6:
+            assert hi - g * p1 > 40 * math.sqrt(g * p0 * p1) + 1 or g * p1 - lo > 40 * math.sqrt(g * p0 * p1) + 1
+
+
+@pytest.mark.parametrize("p1", [0.25, 0.3])
+def test_count_table_of_2_pow_20_levels_holds_the_bulk(p1):
+    """The 2^20-level table, the largest, holds the Binomial(2^20, p1) CDF to
+    1e-12 relative over mean +- 3 sd. The reference sums the pmf in 40-digit
+    mpmath from 12 sd below the mean, which leaves out less than 1e-30. A
+    math.lgamma pmf is no reference at this size: lgamma(2^20 + 1) is about
+    1.5e7, whose double spacing is 1.9e-9, and such a pmf is off by about 2e-9
+    relative."""
+    import mpmath
+
+    g, p0 = 2 ** 20, 1 - p1
+    _, _, [(_, lo, cum)] = lil_module._count_tables(np.array([g]), p0, p1)
+    assert len(cum) <= 41_100  # mean +- (40 sd + 40) with sd <= 512
+    F = cum / cum[-1]
+    mean, sd = g * p1, math.sqrt(g * p0 * p1)
+    with mpmath.workdps(40):
+        P1 = mpmath.mpf(p1) / (mpmath.mpf(p1) + mpmath.mpf(p0))
+        P0, c = 1 - P1, math.floor(mean - 12 * sd)
+        pmf = mpmath.exp(mpmath.loggamma(g + 1) - mpmath.loggamma(c + 1) - mpmath.loggamma(g - c + 1)
+                         + c * mpmath.log(P1) + (g - c) * mpmath.log(P0))
+        acc, checked = mpmath.mpf(0), 0
+        while c <= mean + 3 * sd:
+            acc += pmf
+            if c >= mean - 3 * sd:
+                assert F[c - lo] == pytest.approx(float(acc), rel=1e-12, abs=0)
+                checked += 1
+            pmf *= (g - c) * P1 / ((c + 1) * P0)
+            c += 1
+    assert checked > 6 * sd - 2
+
+
+def test_long_gaps_are_cut_into_pieces_of_2_pow_20():
+    """A gap over 2^20 levels draws its count as the sum of its pieces', each
+    piece from its own uniform of the path's stream, in order, and pieces of
+    one length share one table; the per-gap mean of 2,000 paths sits within
+    6 exact sd of g p1 on every gap."""
+    g = 3 * 2 ** 20 + 5
+    gaps = np.array([16, g, 2 ** 20, 2 ** 20 + 1])
+    p0, p1 = 0.25, 0.75
+    pieces, starts, draws = lil_module._count_tables(gaps, p0, p1)
+    assert pieces == 8 and starts.tolist() == [0, 1, 5, 6]
+    assert {lo + len(cum) > 100: rows.tolist() for rows, lo, cum in draws}[True] == [1, 2, 3, 5, 6]
+    assert sorted(r for rows, _, _ in draws for r in rows.tolist()) == list(range(8))
+    assert len(draws) == 4  # lengths 1, 5, 16 and 2^20
+    table = {r: (lo, cum) for rows, lo, cum in draws for r in rows.tolist()}
+    N, seed = 2000, 4
+    ones = np.array([0.0, 1.0])  # increments that make S the running count of the second symbol
+    walk = (gaps, np.array([p0, p1]), ones, None, pieces, starts, draws)
+    S, _ = lil_module._checkpoint_walk_product(walk, seed, 0, N)
+    counts = np.diff(S, axis=1, prepend=0.0)
+    for j, gap in enumerate(gaps.tolist()):
+        sd = math.sqrt(gap * p0 * p1 / N)
+        assert abs(counts[:, j].mean() - gap * p1) <= 6 * sd
+    for i in (0, 1, 1999):
+        u = path_rng(seed, i).random(pieces)
+        each = [table[j][0] + int(draw_symbols(table[j][1], x)) for j, x in enumerate(u)]
+        assert counts[i].tolist() == np.add.reduceat(each, starts).tolist()
+
+
+def test_count_draws_past_the_cap_are_refused(monkeypatch):
+    """A path's gap pieces grow with depth, and the count tables with the
+    distinct piece lengths: past _COUNT_CAP doubles together the run is
+    refused with BudgetError before either is listed or built. Under the
+    default path budget, a path to 2^33 holds 8,193 pieces; 2^60 levels
+    would list 2^40 of them."""
+    assert lil_module._COUNT_CAP == 2 ** 22
+    monkeypatch.setenv("MFLIL_PATH_BUDGET", str(2 ** 62))
+    with pytest.raises(BudgetError, match="count tables"):
+        path_stats(QUARTER, [16, 2 ** 60], seed=1)
+    with pytest.raises(BudgetError, match="count tables"):
+        run_ensemble(QUARTER, N=2, checkpoints=[16, 2 ** 44], seed=1)
+    # a table over 2^20 levels at p = 1/4 holds up to 80 sd + 83 = 35,556
+    # entries: 110 distinct lengths fit under the cap, 120 do not
+    p0, p1 = 0.75, 0.25
+    fit = np.array([2 ** 20 - j for j in range(110)])
+    assert len(lil_module._count_tables(fit, p0, p1)[2]) == 110
+    with pytest.raises(BudgetError, match="count tables"):
+        lil_module._count_tables(np.array([2 ** 20 - j for j in range(120)]), p0, p1)
+    levels = np.cumsum([2 ** 20 - j for j in range(120)]).tolist()  # within the default path budget
+    monkeypatch.delenv("MFLIL_PATH_BUDGET")
+    with pytest.raises(BudgetError, match="count tables"):
+        path_stats(QUARTER, levels, seed=1)
+    # a path to 2^33, the default budget's deepest, draws well inside the cap
+    assert lil_module._count_tables(np.array([2 ** 33]), p0, p1)[0] == 2 ** 13
 
 
 def reference_window_levels(model, conv, checkpoints, seed, path_index):

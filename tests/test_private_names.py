@@ -1,14 +1,17 @@
-"""Every module-level name of the package is referenced in the package.
+"""Every module-level name and class method of the package is referenced in the package.
 
 A private function, class or constant that only its own definition mentions
 is dead code left behind by a refactor. A public one is dead too unless
 README.md names it: the package is what the CLI, the oracles and the quick
 tour run, and a name that only its own tests call is surface without a user.
+The methods of the package's classes are held to the same rule, through
+the attributes that name them.
 """
 
 import ast
 import pathlib
 import re
+from collections import Counter
 
 import mflil
 
@@ -61,8 +64,29 @@ def dead_names(sources: dict[str, str], keep) -> list[str]:
     )
 
 
+def dead_methods(sources: dict[str, str], keep) -> list[str]:
+    """module:Class.method for each method of a module-level class that `keep`
+    selects and that no attribute outside its own definition names, in any of
+    the modules. A method is reached through an attribute, so a variable of
+    the same name does not keep it."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+
+    def attributes(node) -> Counter:
+        return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+    named = sum(map(attributes, trees.values()), Counter())
+    return sorted(
+        f"{module}:{cls.name}.{fn.name}"
+        for module, tree in trees.items() for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if keep(fn.name) and named[fn.name] == attributes(fn)[fn.name]
+    )
+
+
 def dead_private_names(sources: dict[str, str]) -> list[str]:
-    return dead_names(sources, lambda n: n.startswith("_") and not n.startswith("__"))
+    def keep(n):
+        return n.startswith("_") and not n.startswith("__")
+    return dead_names(sources, keep) + dead_methods(sources, keep)
 
 
 def readme_names(text: str) -> set[str]:
@@ -74,7 +98,10 @@ def readme_names(text: str) -> set[str]:
 
 def dead_public_names(sources: dict[str, str], readme: str) -> list[str]:
     named = readme_names(readme)
-    return dead_names(sources, lambda n: not n.startswith("_") and n not in named)
+
+    def keep(n):
+        return not n.startswith("_") and n not in named
+    return dead_names(sources, keep) + dead_methods(sources, keep)
 
 
 def package_sources() -> dict[str, str]:
@@ -101,6 +128,21 @@ def test_the_scan_sees_a_dead_public_name():
     }
     readme = "Run `f(x)`, then:\n\n```python\nprint(TOURED)\n```\n\nDEAD is prose, not code.\n"
     assert dead_public_names(sources, readme) == ["a.py:DEAD", "a.py:recursive"]
+
+
+def test_the_scan_sees_a_dead_method():
+    sources = {
+        "a.py": "class Word:\n"
+                "    @property\n    def level(self):\n        return len(self.symbols)\n"
+                "    def prefix(self, n):\n        return self.prefix(n - 1) if n > self.level else self\n"
+                "    def _trim(self):\n        return self._trim()\n"
+                "    def _keep(self):\n        return self\n"
+                "    def __len__(self):\n        return 0\n",
+        "b.py": "from .a import Word\n\ndef f(w, prefix, _trim):\n    return w.level, w._keep(), prefix, _trim\n",
+    }
+    assert dead_public_names(sources, "Call `f`.") == ["a.py:Word.prefix"]
+    assert dead_private_names(sources) == ["a.py:Word._trim"]
+    assert dead_public_names(sources, "Call `f`, or `prefix`.") == []
 
 
 def test_no_dead_private_names():

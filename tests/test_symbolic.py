@@ -25,11 +25,9 @@ def test_alphabet_refuses_2_pow_63_symbols_before_forming_them(ell, dim):
 
 def test_word_validation_and_prefix():
     w = word([0, 1, 1, 0])
-    assert w.level == 4
-    assert w.prefix(2).symbols == (0, 1)
-    assert w.prefix(0).level == 0
+    assert w.symbols == (0, 1, 1, 0) and w.alphabet == Alphabet(2, 1)
+    assert word(w.symbols[:2]) == word([0, 1])  # a prefix is the word of a leading slice
+    assert word(w.symbols[:0]).symbols == ()
     with pytest.raises(ValidationError):
         word([0, 2])  # symbol out of range for ell=2
-    with pytest.raises(ValidationError):
-        w.prefix(5)
 
