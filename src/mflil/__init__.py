@@ -94,9 +94,4 @@ from .qb import (
 )
 from .zoo import ZOO_NAMES, load_zoo_model, zoo_models, zoo_text
 
-try:
-    from importlib.metadata import version as _version
-
-    __version__ = _version("mflil")
-except Exception:  # pragma: no cover
-    __version__ = "0.0.0"
+__version__ = "0.1.0"  # the one source of the version: pyproject.toml reads it

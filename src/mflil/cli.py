@@ -32,7 +32,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .errors import BudgetError, MFLilError, NumericalError, ValidationError
+from .errors import BudgetError, NumericalError, ValidationError
 from .gauges import GaugeSpec, gauge_test, lil_sigma, theta_correction
 from .lil import _WALK_BITS, RNG_STREAM, run_ensemble
 from .models import LogBase, MeasureModel, parse_model_file
@@ -405,9 +405,6 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 4
-    except MFLilError as exc:  # pragma: no cover - catch-all for subclasses
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -90,21 +90,18 @@ class ThetaCorrection:
     u_min: float
     t_max: float
 
-    def _scaled(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u <= self.u_min):
+    def log_theta_from_u(self, u):
+        """Natural log of Theta at t = exp(-u); accepts scalars or arrays."""
+        u_arr = np.asarray(u, dtype=float)
+        if np.any(u_arr <= self.u_min):
             raise ValidationError(
                 f"u = ln(1/t) must exceed {self.u_min!r} for convention "
                 f"{self.convention!r} (t below {self.t_max!r})"
             )
         b, c = self.bases
         lb = math.log(b)
-        w = u / lb
-        return lb * np.sqrt(2.0 * w * _iterated_log(w, math.log(c)))
-
-    def log_theta_from_u(self, u):
-        """Natural log of Theta at t = exp(-u); accepts scalars or arrays."""
-        out = self._scaled(u)
+        w = u_arr / lb
+        out = lb * np.sqrt(2.0 * w * _iterated_log(w, math.log(c)))
         return float(out) if np.ndim(u) == 0 else out
 
 
@@ -196,7 +193,7 @@ def log_gauge_from_u(spec: GaugeSpec, u):
     if spec.family == "power":
         out = base
     elif spec.family in ("lil_hausdorff", "lil_packing"):
-        out = base + spec.exponent() * spec.theta._scaled(u_arr)
+        out = base + spec.exponent() * spec.theta.log_theta_from_u(u_arr)
     elif spec.family == "sqrt":
         out = base + spec.a * np.sqrt(u_arr * math.log(spec.ell))
     else:

@@ -32,10 +32,13 @@ elementwise with np.log. Every consumer reads it through the convention
 the running window extremes of the per-level walks, and, with its own pair
 of bases, the Theta correction of the gauges.
 
-Ensemble paths each draw from their own stream path_rng(seed, i). Each walk
-builds one such generator and re-keys it (rekey_path_rng) to every other
-path's stream, and to the point where a later block of levels starts;
-_draw_uniforms fills a level-major block with every path's uniforms. A
+Ensemble paths each draw from their own stream path_rng(seed, i).
+_draw_uniforms fills a level-major block with every path's uniforms, from
+the point where the block starts in each stream. Where a path draws at most
+_SHORT_STREAM doubles into the block, models.path_uniforms computes every
+path's doubles at once by Philox in numpy, with no per-path cost; longer
+streams, and the window and multinomial walks, build one generator and
+re-key it (rekey_path_rng) to every other path's stream. A
 product checkpoint walk jumps from checkpoint to checkpoint. With two active
 symbols it draws a count per gap piece of at most 2^20 levels by inversion,
 one uniform each: draw_symbols' rule on the piece's Binomial table, built
@@ -92,6 +95,7 @@ from .models import (
     ln_base,
     log_symbol_weights,
     path_rng,
+    path_uniforms,
     rekey_path_rng,
 )
 from .spectrum import dimension, sigma2_scale_free
@@ -426,24 +430,30 @@ def _window_walk_product(tables, checkpoints, seed, lo, hi, conv, window):
     return _level_walk(produce, checkpoints, conv, window, hi - lo, _WINDOW_BLOCK)
 
 
-_DRAW_GROUP = 1 << 12  # uniforms a group of paths draws before they enter the block
+_DRAW_GROUP = 1 << 16  # uniforms one path_uniforms pass computes: its temporaries stay a few MB
+# the most doubles a path draws into a block by path_uniforms: on 2 vCPUs the
+# array form beat re-keying at 32 doubles per path and lost at 64
+_SHORT_STREAM = 32
 
 
 def _draw_uniforms(seed, lo, base, X):
     """Fill X, level-major, with doubles base, base + 1, ... of the streams
     of paths lo, lo + 1, ..., one column per path.
 
-    One generator is built and re-keyed to each path's stream past the base
-    doubles drawn before. A group of paths draws about _DRAW_GROUP uniforms,
-    into one row each, and the group's rows enter X's columns in one copy.
+    Short streams, at most _SHORT_STREAM doubles a path, come from
+    path_uniforms, about _DRAW_GROUP uniforms a pass. Longer ones come from
+    one generator, re-keyed to each path's stream past the base doubles
+    drawn before, one column at a time. Both give the same bytes.
     """
-    B, rng = X.shape[1], path_rng(seed, lo)
-    group = np.empty((max(1, min(B, _DRAW_GROUP // len(X))), len(X)))
-    for g in range(0, B, len(group)):
-        part = group[:B - g]
-        for b, row in enumerate(part):
-            rekey_path_rng(rng, seed, lo + g + b, base).random(out=row)
-        X[:, g:g + len(part)] = part.T
+    L, B = X.shape
+    if L <= _SHORT_STREAM:
+        step = max(1, _DRAW_GROUP // L)
+        for g in range(0, B, step):
+            path_uniforms(seed, lo + g, base, X[:, g:g + step])
+        return
+    rng = path_rng(seed, lo)
+    for b in range(B):
+        X[:, b] = rekey_path_rng(rng, seed, lo + b, base).random(L)
 
 
 # uniforms one block of chain paths holds at once: memory stays bounded for

@@ -38,6 +38,10 @@ both read it. Numbers must be JSON numbers, and unknown fields are refused.
 Sampling uses a counter-based generator (Philox) keyed by
 (run_seed, path_index): every path owns a substream, so ensembles are
 reproducible bit for bit regardless of scheduling or thread count.
+path_rng builds a path's generator and rekey_path_rng moves one generator
+to another path's stream; path_uniforms computes the doubles of many
+paths' streams at once, bit for bit, by Philox-4x64-10 written in numpy
+(Salmon et al., SC 2011), which pays on short per-path streams.
 """
 
 from __future__ import annotations
@@ -100,6 +104,49 @@ def rekey_path_rng(
     if drawn % 4:
         rng.random(drawn % 4)
     return rng
+
+
+# Philox-4x64-10's round multipliers and key increments, as numpy's Philox uses them
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _mulhilo(m: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of m * a, for a uint64 array a; the
+    high word is summed from the products of 32-bit limbs, none over 2^64."""
+    mh, ml, ah, al = m >> 32, m & 0xFFFFFFFF, a >> 32, a & 0xFFFFFFFF
+    lh, hl = al * mh, ah * ml
+    mid = (al * ml >> 32) + (lh & 0xFFFFFFFF) + (hl & 0xFFFFFFFF)
+    return ah * mh + (lh >> 32) + (hl >> 32) + (mid >> 32), a * m
+
+
+def path_uniforms(run_seed: int, lo: int, drawn: int, out: np.ndarray) -> None:
+    """Fill out (levels x paths) with doubles drawn, drawn + 1, ... of
+    path_rng(run_seed, lo + j)'s stream in column j, bit for bit.
+
+    Philox-4x64-10 is a pure function of (counter, key), so one pass of
+    array operations computes every path's block of words: no generator is
+    keyed, and the keys are refused as path_rng refuses them. As in numpy's
+    Philox, word w of a stream is word w % 4 of the block at counter
+    w // 4 + 1, and a double is (word >> 11) * 2^-53. It costs about six
+    times numpy's C loop per double and nothing per path, so it pays on
+    short streams only.
+    """
+    L, B = out.shape
+    seed, first = _path_key(run_seed, lo)
+    _path_key(seed, first + max(B - 1, 0))
+    start, skip = divmod(drawn, 4)
+    blocks = (skip + L + 3) // 4
+    # words 1-3 of every counter are 0; arrays grow to (blocks, B) by broadcasting
+    ctr = [np.arange(start + 1, start + 1 + blocks, dtype=np.uint64)[:, None]] + [np.zeros((1, 1), np.uint64)] * 3
+    key = [np.full((1, 1), seed, np.uint64), np.arange(first, first + B, dtype=np.uint64)]
+    for r in range(10):
+        if r:  # the key is bumped before every round but the first
+            key = [k + w for k, w in zip(key, _PHILOX_W)]
+        (h0, l0), (h1, l1) = _mulhilo(_PHILOX_M[0], ctr[0]), _mulhilo(_PHILOX_M[1], ctr[2])
+        ctr = [h1 ^ ctr[1] ^ key[0], l1, h0 ^ ctr[3] ^ key[1], l0]
+    words = np.stack(np.broadcast_arrays(*ctr), axis=1).reshape(4 * blocks, B)
+    np.multiply(words[skip:skip + L] >> 11, 2.0 ** -53, out=out)
 
 
 def _check_probability_vector(name: str, v, allow_zero: bool) -> np.ndarray:
@@ -251,9 +298,7 @@ class MultinomialMeasure:
             raise ValidationError(
                 f"need {alph.k} weights for ell={self.ell}, dim={self.dim}, got {w.size}"
             )
-        _check_probability_vector("weights", w, allow_zero=True)
-        if np.count_nonzero(w) == 0:
-            raise ValidationError("at least one weight must be positive")
+        _check_probability_vector("weights", w, allow_zero=True)  # its sum check leaves a weight positive
 
     @property
     def alphabet(self) -> Alphabet:
@@ -405,11 +450,8 @@ def log_cylinder_mass(model: MeasureModel, w: Word) -> float:
     """Natural log of the cylinder mass; -inf when the mass is zero."""
     _validate_word(model, w)
     syms = np.asarray(w.symbols, dtype=np.intp)
-    if syms.size == 0:
-        return 0.0
+    # logs at most 0: fsum is -inf as soon as one is, and 0.0 over no factors
     vals = model.core.log_factors(syms)
-    if np.any(np.isneginf(vals)):
-        return float("-inf")
     return float(math.fsum(vals.tolist()))
 
 

@@ -290,10 +290,8 @@ def _main_value(quantity: str, models: dict) -> Optional[float]:
     return None
 
 
-def verify_records(records: Optional[list[OracleRecord]] = None) -> list[OracleCheck]:
+def verify_records(records: list[OracleRecord]) -> list[OracleCheck]:
     """Recompute each oracle through the main paths; informational records pass."""
-    if records is None:
-        records = build_oracles()
     models = zoo_models()
     out = []
     for r in records:

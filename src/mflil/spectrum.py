@@ -608,18 +608,11 @@ class ChiProfile:
         )
 
     def theta(self, t: float) -> float:
-        """theta(t) = 1/chi^{-1}(1/t); needs t >= 1/chi(q_max)."""
-        if self.flat:
-            raise FlatSpectrumError(
-                "chi is identically zero (d = delta); theta is undefined"
-            )
+        """theta(t) = 1/chi^{-1}(1/t); needs t >= 1/chi(q_max). inverse
+        refuses a flat spectrum, and a t below that floor (1/t outside its
+        range)."""
         if t <= 0:
             raise ValidationError(f"t must be positive, got {t!r}")
-        top = self.chi_at_qmax()
-        if 1.0 / t > top:
-            raise ValidationError(
-                f"t={t!r} below the domain floor 1/chi(q_max) = {1.0 / top!r}"
-            )
         return 1.0 / self.inverse(1.0 / t)
 
 

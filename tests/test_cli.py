@@ -133,6 +133,7 @@ def test_chain_step_budget_exit_code(zoo_dir, tmp_path, capsys, monkeypatch):
         raise AssertionError("a path was keyed before the budget check")
 
     monkeypatch.setattr(lil_module, "path_rng", no_walk)
+    monkeypatch.setattr(lil_module, "path_uniforms", no_walk)
     for cmd in (["lil-sim"], ["gauge-test", "--family", "power"]):
         code = run(cmd + ["--model", str(zoo_dir / "markov_chain.json"),
                           "--out", str(tmp_path / cmd[0]),
@@ -255,6 +256,15 @@ def test_manifest_names_the_rng_stream(zoo_dir, tmp_path):
     assert read_json(out / "manifest.json")["rng_stream"] == lil_module.RNG_STREAM == "philox4x64-path-v2"
     assert run(["spectrum", "--model", str(zoo_dir / "bernoulli_half.json"), "--out", str(tmp_path / "s")]) == 0
     assert read_json(tmp_path / "s" / "manifest.json")["rng_stream"] == lil_module.RNG_STREAM
+
+
+def test_version_is_the_package_version(capsys):
+    # one source, __init__.py's __version__, read by pyproject.toml too; no
+    # installed metadata is looked up, so a source checkout says it as well
+    with pytest.raises(SystemExit) as exc:
+        run(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "mflil 0.1.0\n"
 
 
 def test_oracles_subcommand(tmp_path):

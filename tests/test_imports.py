@@ -49,6 +49,17 @@ def test_the_cli_import_leaves_scipy_stats_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_the_cli_import_leaves_importlib_metadata_out():
+    # the version is a literal: looking it up in the installed metadata cost
+    # about 5% of the import, and said 0.0.0 in a source checkout
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import mflil.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('importlib.metadata')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_product_commands_load_neither_scipy_nor_mpmath(tmp_path):
     # scipy's import chain was over half of a CLI start, and mpmath serves only `oracles`:
     # the import and the product commands run without either

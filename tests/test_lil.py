@@ -583,6 +583,7 @@ def test_chain_step_budget_refuses_before_walking(monkeypatch):
         raise AssertionError("a path was keyed before the budget check")
 
     monkeypatch.setattr(lil_module, "path_rng", no_walk)
+    monkeypatch.setattr(lil_module, "path_uniforms", no_walk)
     with pytest.raises(BudgetError):
         run_ensemble(MARKOV, N=20000, checkpoints=[16, 4096], seed=0)
     spec = GaugeSpec(family="power", d=dimension(MARKOV))
@@ -1094,7 +1095,12 @@ def test_count_draws_past_the_cap_are_refused(monkeypatch):
     refused with BudgetError before either is listed or built. Under the
     default path budget, a path to 2^33 holds 8,193 pieces; 2^60 levels
     would list 2^40 of them."""
+    def no_walk(*args):
+        raise AssertionError("a path was keyed before the count cap")
+
     assert lil_module._COUNT_CAP == 2 ** 22
+    monkeypatch.setattr(lil_module, "path_rng", no_walk)
+    monkeypatch.setattr(lil_module, "path_uniforms", no_walk)
     monkeypatch.setenv("MFLIL_PATH_BUDGET", str(2 ** 62))
     with pytest.raises(BudgetError, match="count tables"):
         path_stats(QUARTER, [16, 2 ** 60], seed=1)
@@ -1113,6 +1119,25 @@ def test_count_draws_past_the_cap_are_refused(monkeypatch):
         path_stats(QUARTER, levels, seed=1)
     # a path to 2^33, the default budget's deepest, draws well inside the cap
     assert lil_module._count_tables(np.array([2 ** 33]), p0, p1)[0] == 2 ** 13
+
+
+@pytest.mark.parametrize("group", [1 << 16, 64])
+def test_short_and_long_streams_draw_the_same_bytes(monkeypatch, group):
+    """_draw_uniforms computes streams of at most _SHORT_STREAM doubles a path
+    by path_uniforms, about _DRAW_GROUP uniforms a pass, and longer ones by
+    re-keying one generator: both give path_rng's bytes, here into a column
+    slice of a larger block, with paths past 2^63 and a stream entered mid-block."""
+    assert lil_module._SHORT_STREAM == 32
+    monkeypatch.setattr(lil_module, "_DRAW_GROUP", group)  # 64: two paths a pass
+    lo, drawn, blocks = 2 ** 63 + 1, 6, []
+    for L in (32, 33):
+        X = np.full((L, 12), np.nan)
+        lil_module._draw_uniforms(5, lo, drawn, X[:, 3:10])
+        want = np.array([path_rng(5, lo + j).random(drawn + L)[drawn:] for j in range(7)]).T
+        assert X[:, 3:10].tobytes() == want.tobytes()
+        assert np.isnan(X[:, :3]).all() and np.isnan(X[:, 10:]).all()
+        blocks.append(X)
+    assert blocks[0].tobytes() == blocks[1][:32].tobytes()
 
 
 def reference_window_levels(model, conv, checkpoints, seed, path_index):

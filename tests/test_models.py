@@ -23,7 +23,7 @@ from mflil import (
     support_info,
     symbol_weights,
 )
-from mflil.models import chain_log_masses, check_enumeration_budget, rekey_path_rng
+from mflil.models import chain_log_masses, check_enumeration_budget, path_uniforms, rekey_path_rng
 from mflil.symbolic import word
 from mflil.zoo import load_zoo_model, zoo_models
 from reference_paths import stationary_distribution
@@ -289,6 +289,29 @@ def test_rekeying_refuses_what_path_rng_refuses():
         rekey_path_rng(rng, -1, 0)
     with pytest.raises(ValidationError):
         rekey_path_rng(rng, 0, 2 ** 64)
+
+
+@pytest.mark.filterwarnings("error")  # no uint64 scalar may overflow on the way
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 63, 2 ** 64 - 1])
+def test_path_uniforms_repeat_each_path_rng_stream(seed):
+    # doubles drawn, drawn + 1, ... of path_rng(seed, lo + j) in column j, bit
+    # for bit: past every drawn % 4, and up to the last 64-bit key
+    for B in (1, 5):
+        for lo in (0, 2 ** 63 + 7, 2 ** 64 - B):
+            for drawn in (0, 1, 2, 3, 4, 5, 6, 7, 1001):
+                for L in (1, 3, 32):
+                    out = np.empty((L, B))
+                    path_uniforms(seed, lo, drawn, out)
+                    want = [path_rng(seed, lo + j).random(drawn + L)[drawn:] for j in range(B)]
+                    assert out.tobytes() == np.array(want).T.tobytes(), (B, lo, drawn, L)
+
+
+def test_path_uniforms_refuse_what_path_rng_refuses():
+    out = np.empty((3, 5))
+    for seed, lo in ((-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64 - 4)):  # the last, key lo + 4 = 2^64
+        with pytest.raises(ValidationError):
+            path_uniforms(seed, lo, 0, out)
+    path_uniforms(0, 2 ** 64 - 5, 0, out)
 
 
 def test_enumeration_budget():
