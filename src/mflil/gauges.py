@@ -138,6 +138,9 @@ class GaugeSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValidationError(f"unknown gauge family {self.family!r}")
+        for name in ("d", "sigma", "epsilon", "a"):  # nan and inf pass the range tests below
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.d < 0:
             raise ValidationError(f"d must be >= 0, got {self.d!r}")
         if self.family in ("lil_hausdorff", "lil_packing"):

@@ -49,15 +49,19 @@ gap's counts in one multinomial call per path. It forms S and t from the
 counts for a block of paths at once. The two per-level walks only draw and
 sum. A product window walk draws one symbol per level and goes one block
 of _WINDOW_BLOCK levels at a time over a group of paths, every path reusing
-one set of block buffers. Markov paths go in blocks, every path of a block
-drawing its own uniforms; a block holds at most _CHAIN_BLOCK_DRAWS
-uniforms, drawn in chunks of levels when the paths are long. One state scan
-(models.chain_states) walks every path of a chunk in about 2 sqrt(levels)
-numpy steps, composing the per-level state maps, and a cumsum down the
-levels adds the increments in level order. Both hand each block of walked
-levels to one shared pass, _level_walk, which picks the checkpoints and
-keeps the running window extremes by one rule: on grids it computes the
-block's t and ratio denominators once for all its paths. Only the per-level
+one set of block buffers. Every walk draws its symbols, states and counts
+through models.draw_symbols, which counts a row of up to
+models._COMPARE_ROW = 64 entries by one compare per entry and binary
+searches a longer one; the models module gives the timings that set 64.
+Markov paths go in blocks, every path of a block drawing its own uniforms;
+a block holds at most _CHAIN_BLOCK_DRAWS uniforms, drawn in chunks of
+levels when the paths are long. One state scan (models.chain_states)
+walks every path of a chunk in about 2 sqrt(levels) numpy steps,
+composing the per-level state maps, and a cumsum down the levels adds the
+increments in level order. Both hand each block of walked levels to one
+shared pass, _level_walk, which picks the checkpoints and keeps the
+running window extremes by one rule: on grids it computes the block's t
+and ratio denominators once for all its paths. Only the per-level
 product walk (window mode on product models) splits its paths across
 threads, at most one per CPU and per path, and at least _THREAD_WORK
 path-levels (paths times the deepest checkpoint) per thread, each thread
@@ -398,27 +402,27 @@ def _window_walk_product(tables, checkpoints, seed, lo, hi, conv, window):
     block of at most _WINDOW_BLOCK levels before the next block starts, so
     _level_walk computes the block's grid t and ratio_den(t) once for the
     group. Path i draws block k from path_rng(seed, i) re-keyed past the k
-    blocks before, by draw_symbols' rule as one compare per column of
-    cum[:-1] against u * cum[-1], which never picks a zero-weight symbol and
-    its infinite increment. S and t are the block's cumsum plus the carry,
-    written into one set of buffers that every path and block reuses.
+    blocks before, by draw_symbols into the index buffer: one compare per
+    entry of cum[:-1] against u * cum[-1] on rows of up to
+    models._COMPARE_ROW = 64 symbols, a binary search on longer ones. On 2
+    vCPUs 4 paths of 2^16 levels took 8.2 ms by compares against 15.8 by
+    search at 64 symbols, and 20 ms by search at 256 symbols. Neither form
+    picks a zero-weight symbol and its infinite increment. S and t are the
+    block's cumsum plus the carry, written into one set of buffers that
+    every path and block reuses.
     """
     cum, neg_lw, neg_lr = tables
     size = min(checkpoints[-1], _WINDOW_BLOCK)
-    u, idx, hit = np.empty(size), np.empty(size, np.intp), np.empty(size, bool)
+    u, idx = np.empty(size), np.empty(size, np.intp)
     t = None if neg_lr is None else np.empty(size)
     # increments, buffer and carry per path of S, and of t on self-similar measures
     sums = [(neg_lw, u, np.zeros(hi - lo))] + ([] if t is None else [(neg_lr, t, np.zeros(hi - lo))])
     rng = path_rng(seed, lo)  # the walk's one generator, re-keyed for each path and block
 
     def produce(base, b):
-        ub, ib, hb = u[:b], idx[:b], hit[:b]
+        ub, ib = u[:b], idx[:b]
         for j in range(hi - lo):
-            rekey_path_rng(rng, seed, lo + j, base).random(out=ub)
-            ub *= cum[-1]
-            np.less_equal(cum[0], ub, out=ib)
-            for c in cum[1:-1]:
-                ib += np.less_equal(c, ub, out=hb)
+            draw_symbols(cum, rekey_path_rng(rng, seed, lo + j, base).random(out=ub), out=ib)
             for inc, x, acc in sums:
                 xb = x[:b]
                 np.take(inc, ib, out=xb, mode="clip")

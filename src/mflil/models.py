@@ -28,7 +28,10 @@ the family checks read the core's ell, None for self-similar measures.
 Every sampler draws through one inverse-CDF rule (draw_symbols), every chain
 walk steps its states through one scan of that rule (chain_states), and
 every word enumeration comes from one enumerator per kind (chain_log_masses
-for chains, word_log_sums for products).
+for chains, word_log_sums for products). draw_symbols counts a row of up to
+_COMPARE_ROW = 64 entries by one compare per entry and a longer row by
+binary search; both forms give the same integers, and the comment at
+_COMPARE_ROW gives the timings that set 64.
 
 Model files. A model file is a JSON object whose "family" names one of
 the four classes (each class's `family`); _MODEL_FILES gives each family's
@@ -522,17 +525,47 @@ def homogeneous_measure(model: MeasureModel) -> MultinomialMeasure:
 # sampling
 
 
-def draw_symbols(cum: np.ndarray, u):
+# the longest row draw_symbols counts by compares. On 2 vCPUs, compares
+# against searchsorted at 64 entries: the window walk's 4 x 2^16 draws 8.2
+# against 15.8 ms, a 512 x 75 chain table 41 against 107 ms, and a block of
+# 2,000 draws 111 against 92 us, where search wins from about 48 entries; at
+# 128 entries those are 15 against 21 ms, 211 against 310 ms and 393 against
+# 137 us.
+_COMPARE_ROW = 64
+
+
+def draw_symbols(cum: np.ndarray, u, out=None):
     """The inverse-CDF rule of every sampler: symbol i where
-    cum[i-1] <= u * cum[-1] < cum[i], clamped to len(cum) - 1.
+    cum[i-1] <= u * cum[-1] < cum[i], clamped to len(cum) - 1, written into
+    out (an integer array of u's shape, by default a new intp one) and
+    returned.
 
     cum is a cumulative weight row and u uniform on [0, 1). Scaling u by the
     row total, rather than setting the total to 1, keeps zero-weight symbols
-    out of reach when the weights sum to slightly less than 1. As cum is
-    non-decreasing, the clamped count is that of cum[:-1] entries at most
-    u * cum[-1], the form chain_states takes.
+    out of reach when the weights sum to slightly less than 1; a total of
+    exactly 1, as most weight rows have, leaves u as it is and makes no
+    scaled copy, whose memory traffic cost a 2-symbol window walk about 2%.
+    As cum is non-decreasing, the clamped symbol is the count of cum[:-1]
+    entries at most u * cum[-1], which two forms compute alike. Rows of 2 to
+    _COMPARE_ROW entries add one compare per entry, O(k) a draw, into a
+    count of the smallest unsigned type that holds it (a byte up to 256
+    entries, so the adds stay in cache, even where out is a strided table
+    column), or straight into out for a single compare; other rows take
+    searchsorted's binary search, O(log k) a draw (Devroye 1986, ch.
+    III.2), whose per-key branches cost more than short rows' compares.
     """
-    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)
+    x = u if cum[-1] == 1.0 else np.multiply(u, cum[-1])  # u * 1.0 is u: no scaled copy
+    out = np.empty(np.shape(x), np.intp) if out is None else out
+    if not 1 < cum.size <= _COMPARE_ROW:
+        out[...] = np.searchsorted(cum[:-1], x, side="right")
+    elif cum.size == 2:  # one compare: nothing to add up
+        np.less_equal(cum[0], x, out=out)
+    else:
+        found = np.less_equal(cum[0], x, out=np.empty(np.shape(x), np.min_scalar_type(cum.size)))
+        for c in cum[1:-1]:
+            found += c <= x
+        out[...] = found
+    return out
 
 
 # table entries a numpy step covers in about the time its call costs: a chain
@@ -571,12 +604,14 @@ def _scan_levels(cum_P, U, Z):
     entering in Z[0], by a chunked prefix scan (Hillis and Steele 1986;
     Blelloch 1990).
 
-    F[l, b, e] tabulates level l of walk b from every state e, and the
-    levels are cut into C chunks of c ~ sqrt(L); the last chunk runs past L
-    on unset entries, and the rows of Z it writes there are left to the
-    caller. Then c steps walk every chunk but the last from every state at
-    once, C - 1 steps stitch the chunks' entry states from Z[0], and c steps
-    walk every chunk again from its entry, writing each level's state. Each
+    F[l, b, e] tabulates level l of walk b from every state e, one
+    draw_symbols call per state and slab of levels, so a chain of many
+    states fills it by binary search. The levels are cut into C chunks of
+    c ~ sqrt(L); the last chunk runs past L on unset entries, and the rows
+    of Z it writes there are left to the caller. Then c steps walk every
+    chunk but the last from every state at once, C - 1 steps stitch the
+    chunks' entry states from Z[0], and c steps walk every chunk again from
+    its entry, writing each level's state. Each
     step is one flat take from F. Where a level's table holds
     _STEP_ELEMENTS entries or more, one chunk takes every level: a step then
     costs more in entries than in its call, and stepping every state would
@@ -587,17 +622,10 @@ def _scan_levels(cum_P, U, Z):
     c = L if E * B >= _STEP_ELEMENTS else math.isqrt(L) + 1
     C = -(-L // c)
     F = np.empty((C * c, B, E), Z.dtype)
-    rows = max(1, L * E * Z.itemsize // 64)  # scaled uniforms take an eighth of F's bytes
-    x = np.empty((min(rows, L), B))
+    rows = max(1, L * E * Z.itemsize // 64)  # a slab's scaled uniforms take an eighth of F's bytes
     for a in range(0, L, rows):
-        u = U[a:a + rows]
-        xs = x[:len(u)]
         for e, row in enumerate(cum_P):
-            np.multiply(u, row[-1], out=xs)
-            to = F[a:a + len(u), :, e]
-            np.less_equal(row[0], xs, out=to)
-            for col in row[1:-1]:
-                to += col <= xs
+            draw_symbols(row, U[a:a + rows], out=F[a:min(a + rows, L), :, e])
     flat, span = F.reshape(-1), B * E  # level l's table starts at flat[l * span]
     at = np.arange(C)[:, None] * (c * span) + np.arange(0, span, E)  # chunk j's level 0, walk b
     G = np.empty((C - 1, B, E), Z.dtype)  # every chunk but the last walked from every state

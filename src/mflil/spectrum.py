@@ -37,12 +37,13 @@ error estimate, and a SpectrumTable records only its value.
 One finite-level rule for every kind. tau_empirical(model, q, n) takes q as
 tau_scale_free does and enumerates the level-n words once per call, whatever
 the number of q: chain_log_masses on chains, models.word_log_sums on
-products (the masses, and on self-similar measures the diameters too). On
-grids tau_n(q) = log_ell(sum_w m(w)^q) / n (log_partition_sum), one
-logsumexp over the (q, word) matrix in passes of at most _Q_BLOCK / 4
-entries; chains of more than 2^14 words take scaled powers of M_q instead,
-one q at a time. On self-similar measures tau_n(q) is the root of
-sum_w m(w)^q diam(w)^tau = 1 over the enumerated words, one root per q.
+self-similar measures (the masses and the diameters). On grids
+tau_n(q) = log_ell(sum_w m(w)^q) / n (log_partition_sum): products
+factorise, n times the level-1 sum, and chains take one logsumexp over the
+(q, word) matrix in passes of at most _Q_BLOCK / 4 entries, or scaled
+powers of M_q past 2^14 words, one q at a time. On self-similar measures
+tau_n(q) is the root of sum_w m(w)^q diam(w)^tau = 1 over the enumerated
+words, one root per q.
 
 Base conventions. Reported values can be converted between natural, base-2 and
 base-ell units:
@@ -409,20 +410,16 @@ def _chain_power_sum(core, q: float, n: int) -> float:
     return logscale + math.log(float(v.sum()))
 
 
-def log_partition_sum(model: MeasureModel, q, n: int, method: str = "auto"):
+def log_partition_sum(model: MeasureModel, q, n: int):
     """Natural log of sum over nonzero level-n cylinders of m(I)^q; q is a
     float or a 1-D array, as in tau_scale_free.
 
-    method 'factorized' uses the product structure (grid product families) or
-    scaled transfer-matrix powers (Markov, one q at a time); 'enumerate'
-    walks every word within the enumeration budget. 'auto' enumerates when
-    affordable for Markov and factorizes otherwise. An enumeration is made
-    once per call, whatever the number of q.
+    Products factorise: n times the level-1 sum. Chains enumerate their
+    level-n words within 2^14 words, once per call whatever the number of
+    q, and take scaled transfer-matrix powers past that, one q at a time.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    if method not in ("auto", "factorized", "enumerate"):
-        raise ValidationError(f"unknown partition method {method!r}")
     core = model.core
     if core.ell is None:
         raise ValidationError(
@@ -431,11 +428,8 @@ def log_partition_sum(model: MeasureModel, q, n: int, method: str = "auto"):
 
     def rule(qs):
         if core.kind == "product":
-            lp = _product_logs(core)[0]
-            if method == "enumerate":
-                return _log_sums(qs, word_log_sums(model, lp, n))
-            return n * _log_sums(qs, lp)
-        if method == "enumerate" or (method == "auto" and core.k ** n <= 2 ** 14):
+            return n * _log_sums(qs, _product_logs(core)[0])
+        if core.k ** n <= 2 ** 14:
             logmass = chain_log_masses(model, n)
             return _log_sums(qs, logmass[np.isfinite(logmass)])
         return np.array([_chain_power_sum(core, x, n) for x in qs.tolist()])

@@ -538,6 +538,21 @@ def test_spectrum_refuses_a_non_finite_grid(zoo_dir, tmp_path, capsys, flag, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family,flag,value", [
+    ("lil_hausdorff", "--epsilon", "nan"), ("lil_packing", "--epsilon", "inf"),
+    ("sqrt", "--a", "inf"), ("sqrt", "--a", "nan"), ("sqrt", "--a", "-inf"), ("theta", "--a", "nan"),
+])
+def test_gauge_test_refuses_a_non_finite_parameter(zoo_dir, tmp_path, capsys, family, flag, value):
+    # nan passed epsilon <= 0 and a == 0.0 and wrote fractions of 0.0 or 1.0
+    out = tmp_path / "g"
+    code = run(["gauge-test", "--model", str(zoo_dir / "bernoulli_quarter.json"),
+                "--out", str(out), "--family", family, f"{flag}={value}",
+                "--checkpoints", "16,64", "--N", "10"])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spectrum_grid_rows_sit_under_the_enumeration_budget(zoo_dir, tmp_path, monkeypatch, capsys):
     model = str(zoo_dir / "markov_chain.json")
     monkeypatch.setenv("MFLIL_ENUM_BUDGET", "10")

@@ -452,15 +452,21 @@ def test_chain_window_holds_no_array_over_all_levels(monkeypatch):
     assert peak < 8 * n // 2  # one float per level would take 8 n bytes
 
 
-def _states_by_draw_symbols(cum_P, U, start):
-    """Chain states stepped level by level: each state's walks draw through
-    draw_symbols' searchsorted form on that state's cumulative row."""
+def _inverse_cdf(cum, u):
+    """draw_symbols' rule written out by searchsorted, so that a reference
+    does not call the code under test."""
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)
+
+
+def _states_by_searchsorted(cum_P, U, start):
+    """Chain states stepped level by level: each state's walks draw by the
+    inverse-CDF rule on that state's cumulative row."""
     states = [np.broadcast_to(start, U.shape[1]).astype(np.intp)]
     for u in U:
         nxt = np.empty_like(states[-1])
         for e in np.unique(states[-1]):
             on = states[-1] == e
-            nxt[on] = draw_symbols(cum_P[e], u[on])
+            nxt[on] = _inverse_cdf(cum_P[e], u[on])
         states.append(nxt)
     return np.array(states)
 
@@ -479,7 +485,7 @@ def test_chain_states_match_a_per_level_walk(model, levels):
         for start in (core.k, rng.integers(0, core.k + 1, walks)):
             got = chain_states(core.cum_P, U, start)
             assert got.dtype == np.uint8
-            assert np.array_equal(got, _states_by_draw_symbols(core.cum_P, U, start))
+            assert np.array_equal(got, _states_by_searchsorted(core.cum_P, U, start))
 
 
 def test_chain_states_of_a_chain_past_255_states():
@@ -496,7 +502,7 @@ def test_chain_states_of_a_chain_past_255_states():
         for start in (256, rng.integers(0, 257, walks)):
             got = chain_states(chain.core.cum_P, U, start)
             assert got.dtype == np.uint16
-            assert np.array_equal(got, _states_by_draw_symbols(chain.core.cum_P, U, start))
+            assert np.array_equal(got, _states_by_searchsorted(chain.core.cum_P, U, start))
 
 
 @pytest.mark.parametrize("model", [MARKOV, CHAIN3, CHAIN4], ids=["k2", "k3", "k4"])
@@ -785,7 +791,7 @@ def reference_product_window(model, conv, checkpoints, seed, path_index, window)
     core = model.core
     lw = log_symbol_weights(model, LogBase(conv.name))
     n, block = checkpoints[-1], lil_module._WINDOW_BLOCK
-    syms = draw_symbols(core.cum_weights, path_rng(seed, path_index).random(n))
+    syms = _inverse_cdf(core.cum_weights, path_rng(seed, path_index).random(n))
     s_carry = t_carry = s_blk = t_blk = 0.0
     sup, inf = -math.inf, math.inf
     SUP, INF = [], []
@@ -1147,7 +1153,7 @@ def reference_window_levels(model, conv, checkpoints, seed, path_index):
     core = model.core
     neg_lw = -log_symbol_weights(model, LogBase(conv.name))
     n, block = checkpoints[-1], lil_module._WINDOW_BLOCK
-    syms = draw_symbols(core.cum_weights, path_rng(seed, path_index).random(n))
+    syms = _inverse_cdf(core.cum_weights, path_rng(seed, path_index).random(n))
     S, t = np.empty(n), np.empty(n)
     for base in range(0, n, block):
         part = syms[base:base + block]
@@ -1163,10 +1169,13 @@ def reference_window_levels(model, conv, checkpoints, seed, path_index):
 def _block_walk_cases():
     from mflil import MultinomialMeasure
     B = lil_module._WINDOW_BLOCK
+    w = np.random.default_rng(128).random(128) * (np.arange(128) % 5 > 0)  # every fifth weight 0
+    w /= w.sum()
     models = {
         "bernoulli_half": load_zoo_model("bernoulli_half"),  # every ratio is exactly 0.0
         "three_with_a_zero": MultinomialMeasure(3, 1, (0.35, 0.0, 0.65)),
         "cantor_biased": load_zoo_model("cantor_biased"),
+        "symbols_128": MultinomialMeasure(128, 1, tuple(w.tolist())),  # past the compares
     }
     cks = (16, 600, B - 1, B, B + 1, B + 700)
     windows = {  # levels 1..B make the first block
@@ -1178,7 +1187,7 @@ def _block_walk_cases():
     return models, cks, windows
 
 
-@pytest.mark.parametrize("name", ["bernoulli_half", "three_with_a_zero", "cantor_biased"])
+@pytest.mark.parametrize("name", ["bernoulli_half", "three_with_a_zero", "cantor_biased", "symbols_128"])
 def test_block_window_walk_bytes_match_the_level_references(monkeypatch, name):
     models, cks, windows = _block_walk_cases()
     model = models[name]

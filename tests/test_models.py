@@ -23,7 +23,14 @@ from mflil import (
     support_info,
     symbol_weights,
 )
-from mflil.models import chain_log_masses, check_enumeration_budget, path_uniforms, rekey_path_rng
+from mflil import models
+from mflil.models import (
+    chain_log_masses,
+    check_enumeration_budget,
+    draw_symbols,
+    path_uniforms,
+    rekey_path_rng,
+)
 from mflil.symbolic import word
 from mflil.zoo import load_zoo_model, zoo_models
 from reference_paths import stationary_distribution
@@ -336,6 +343,42 @@ def test_sampling_never_draws_a_null_symbol_at_the_top_uniform():
     chain = MarkovMeasure(3, 1, w, (w, w, w))
     syms = sample_symbols(chain, 4, _TopUniforms())
     assert log_cylinder_mass(chain, word(syms.tolist(), ell=3)) > -math.inf
+
+
+def _cumulative_row(rng, k):
+    """A cumulative weight row of k entries. As k runs, it has no zero
+    weight, a zero first, a zero last, or a run of zeros in the middle (tied
+    entries), and totals 1 - 1e-12, exactly 1 (which draws unscaled) and
+    1 + 1e-12."""
+    w = rng.random(k)
+    if k > 1 and k % 4 == 1:
+        w[0] = 0.0
+    elif k > 1 and k % 4 == 2:
+        w[-1] = 0.0
+    elif k > 2 and k % 4 == 3:
+        w[k // 3:k // 3 + max(1, k // 4)] = 0.0
+    cum = np.cumsum(w)
+    return cum / cum[-1] * (1.0 - 1e-12, 1.0, 1.0 + 1e-12)[k % 3]
+
+
+def test_both_draw_forms_give_the_inverse_cdf_integers(monkeypatch):
+    # the rule written out: the clamped count of entries at most u * total
+    rng = np.random.default_rng(25)
+    for k in range(1, 301):
+        cum = _cumulative_row(rng, k)
+        assert (cum[-1] == 1.0) == (k % 3 == 1)
+        at = cum / cum[-1]  # u exactly at each entry, and an ulp below
+        u = np.concatenate(([0.0, 1.0 - 2.0 ** -53], at, np.nextafter(at, 0.0), rng.random(50)))
+        u = u[u < 1.0]
+        want = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), k - 1)
+        for row in (models._COMPARE_ROW, 1, 10 ** 6):  # the switch, every row searched, none
+            monkeypatch.setattr(models, "_COMPARE_ROW", row)
+            got = draw_symbols(cum, u)
+            assert got.dtype == np.intp and np.array_equal(got, want), (k, row)
+            column = np.zeros((u.size, 3), np.uint16)[:, 1]  # a strided table column
+            assert draw_symbols(cum, u, out=column) is column
+            assert np.array_equal(column, want), (k, row)
+            assert [int(draw_symbols(cum, x)) for x in u[:3].tolist()] == want[:3].tolist()
 
 
 # a chain with a null transition (1 -> 1) and a state (2) outside the support

@@ -28,6 +28,8 @@ from mflil import (
     tau_scale_free,
     tau_to_base,
 )
+from mflil.models import chain_log_masses, word_log_sums
+from mflil.spectrum import _chain_power_sum, _logsumexp
 from mflil.zoo import load_zoo_model, zoo_models
 
 QUARTER = BernoulliProduct(0.25)
@@ -225,27 +227,38 @@ def test_chi_doubling_property(p, q):
     assert c1 <= 6.5 * c2
 
 
+def _enumerated_log_sum(model, q, n):
+    """The level-n partition sum of every word, enumerated: the product
+    route that log_partition_sum factorises, and its chain route within
+    2^14 words."""
+    if model.core.kind == "product":
+        logmass = word_log_sums(model, model.core.log_weights, n)
+    else:
+        logmass = chain_log_masses(model, n)
+    return float(_logsumexp(q * logmass[np.isfinite(logmass)]))
+
+
 def test_log_partition_sum_routes_agree():
     for model in (QUARTER, MultinomialMeasure(3, 1, (0.2, 0.3, 0.5))):
         for q in (-1.0, 0.5, 2.0):
-            fac = log_partition_sum(model, q, 6, method="factorized")
-            enu = log_partition_sum(model, q, 6, method="enumerate")
-            assert fac == pytest.approx(enu, abs=1e-11)
+            fac = log_partition_sum(model, q, 6)
+            assert fac == pytest.approx(_enumerated_log_sum(model, q, 6), abs=1e-11)
     mk = load_zoo_model("markov_chain")
-    a = log_partition_sum(mk, 2.0, 6, method="enumerate")
-    b = log_partition_sum(mk, 2.0, 6)
-    assert a == pytest.approx(b, abs=1e-11)
+    enu = log_partition_sum(mk, 2.0, 6)  # 2^6 words: enumerated
+    assert enu == pytest.approx(_chain_power_sum(mk.core, 2.0, 6), abs=1e-11)
 
 
 def test_chain_scaled_matrix_powers_match_enumeration():
-    # the factorized route is what tau_empirical takes past 2^14 chain words
+    # the power route is what log_partition_sum takes past 2^14 chain words
     mk = load_zoo_model("markov_chain")
     for n in range(1, 13):
         for q in (-1.5, 0.5, 1.0, 2.5):
-            fac = log_partition_sum(mk, q, n, method="factorized")
-            enu = log_partition_sum(mk, q, n, method="enumerate")
+            fac = _chain_power_sum(mk.core, q, n)
+            enu = _enumerated_log_sum(mk, q, n)
             # relative error of the partition sum itself: at q = 1 its log is 0
             assert abs(math.expm1(fac - enu)) <= 1e-12, (n, q)
+            assert log_partition_sum(mk, q, n) == pytest.approx(enu, abs=1e-12)
+    assert log_partition_sum(mk, 0.5, 15) == _chain_power_sum(mk.core, 0.5, 15)
 
 
 @pytest.mark.parametrize("model", [
@@ -466,7 +479,6 @@ def test_array_empirical_tau_is_the_float_call_bit_for_bit(name, monkeypatch):
     from mflil import spectrum as spectrum_module
 
     model = _array_kernel_models()[name]
-    k = model.core.k
     # the unequal self-similar roots took 1.8 s over 3^12 words on a 2-vCPU
     # host, and grow with the word count; the two Cantor models carry the
     # self-similar rule to n = 14 and 15
@@ -474,9 +486,7 @@ def test_array_empirical_tau_is_the_float_call_bit_for_bit(name, monkeypatch):
     for n in ns:
         rules = {"tau_empirical": lambda q: tau_empirical(model, q, n)}
         if model.core.ell is not None:
-            for method in ("auto", "factorized", "enumerate"):
-                if method != "enumerate" or k ** n <= 2 ** 16:
-                    rules[method] = lambda q, m=method: log_partition_sum(model, q, n, m)
+            rules["log_partition_sum"] = lambda q: log_partition_sum(model, q, n)
         for label, rule in rules.items():
             want = [rule(q).hex() for q in ARRAY_QS.tolist()]
             assert [float(t).hex() for t in rule(ARRAY_QS)] == want, (label, n)
@@ -535,8 +545,6 @@ def _logsumexp_rows(rng):
 
 def test_logsumexp_is_scipys_bit_for_bit():
     from scipy.special import logsumexp
-
-    from mflil.spectrum import _logsumexp
 
     rng = np.random.default_rng(20211)
     for a in _logsumexp_rows(rng):
