@@ -52,12 +52,10 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, (np.bool_, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
@@ -83,11 +81,8 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            h.update(block)
-    return h.hexdigest()
+    with open(path, "rb") as fh:  # outputs and model files are small: one read
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _fields(result, *drop) -> dict:

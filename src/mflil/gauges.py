@@ -155,15 +155,13 @@ class GaugeSpec:
         elif self.family == "sqrt":
             if self.a == 0.0:
                 raise ValidationError("the sqrt family needs a != 0")
-            if self.ell < 2:
-                raise ValidationError(f"ell must be >= 2, got {self.ell}")
         elif self.family == "theta":
             if not 0.0 < self.a < 1.0:
                 raise ValidationError("the theta family needs 0 < a < 1")
             if self.chi_profile is None:
                 raise ValidationError("the theta family needs a chi profile")
-            if self.ell < 2:
-                raise ValidationError(f"ell must be >= 2, got {self.ell}")
+        if self.family in ("sqrt", "theta") and self.ell < 2:  # the two families that read ell
+            raise ValidationError(f"ell must be >= 2, got {self.ell}")
 
     def exponent(self) -> float:
         """Signed Theta exponent for the lil families."""
@@ -251,20 +249,16 @@ def gauge_test(
         )
     conv = lil_convention(model, "natural")
     S, T, _, _ = _walk_ensemble(model, conv, cks, seed, range(N))
-    m = len(cks)
 
     # m(I) <= gauge(diam)  <=>  -S_natural <= log gauge  <=>  S_natural >= -log gauge
     hits = S >= -log_gauge_from_u(spec, T)
-    fractions = tuple(float(np.count_nonzero(hits[:, j])) / N for j in range(m))
-    ever = np.zeros(N, dtype=bool)
-    hit_by = []
-    for j in range(m):
-        ever |= hits[:, j]
-        hit_by.append(float(np.count_nonzero(ever)) / N)
+    # each fraction is count / N, one correctly rounded division
+    fractions = tuple((np.count_nonzero(hits, axis=0) / N).tolist())
+    hit_by = tuple((np.count_nonzero(np.logical_or.accumulate(hits, axis=1), axis=0) / N).tolist())
     return GaugeTestResult(
         checkpoints=cks,
         fractions=fractions,
-        hit_by=tuple(hit_by),
+        hit_by=hit_by,
         hit_ever=hit_by[-1],
         N=N,
         seed=seed,

@@ -60,8 +60,14 @@ walks every path of a chunk in about 2 sqrt(levels) numpy steps,
 composing the per-level state maps, and a cumsum down the levels adds the
 increments in level order. Both hand each block of walked levels to one
 shared pass, _level_walk, which picks the checkpoints and keeps the
-running window extremes by one rule: on grids it computes the block's t
-and ratio denominators once for all its paths. Only the per-level
+running window extremes by one rule. Where t is the same on every path it
+computes the block's t and ratio denominators once for all its paths: grid
+t, and self-similar t when every ratio is equal, walked by the cumsum and
+carry that each path's own t would take, so the bytes are those of the
+per-path walk. On 2 vCPUs two cantor_biased window paths to level 2^20
+took 35-44 ms this way against 47.5-52 ms with a t per path, and
+window_long's op_s 0.121 against 0.136 s; unequal ratios keep one t per
+path. Only the per-level
 product walk (window mode on product models) splits its paths across
 threads, at most one per CPU and per path, and at least _THREAD_WORK
 path-levels (paths times the deepest checkpoint) per thread, each thread
@@ -296,7 +302,8 @@ def _checkpoint_walk_product(tables, seed, lo, hi):
     symbols _count_tables' pieces, starts and draws, else one per gap and
     None, None. There, path i's count of the second symbol in gap piece j is
     draw_symbols' rule on that piece's table with the j-th double of
-    path_rng(seed, i) (inversion, one uniform per piece), and a gap's count
+    path_rng(seed, i), scaled by the table's total (inversion, one uniform
+    per piece), and a gap's count
     is the sum of its pieces'. The pieces of one length draw in one step
     over the block, each count overwriting its uniform; their float sums are
     exact, as _COUNT_CAP keeps every gap below 2^43 levels. Other paths draw
@@ -309,7 +316,9 @@ def _checkpoint_walk_product(tables, seed, lo, hi):
         U = np.empty((pieces, hi - lo))  # level-major: a piece's uniforms are one row
         _draw_uniforms(seed, lo, 0, U)
         for rows, c0, cum in draws:
-            U[rows] = c0 + draw_symbols(cum, U[rows])
+            # scaled by the table's total: a run builds its tables anew, and their
+            # thresholds (models.u_thresholds) cost more than these few products
+            U[rows] = c0 + draw_symbols(cum, U[rows] * cum[-1])
         c1 = np.add.reduceat(U, starts, axis=0).T.astype(np.int64)
         counts = np.stack((gaps - c1, c1), axis=-1)
     else:
@@ -319,21 +328,26 @@ def _checkpoint_walk_product(tables, seed, lo, hi):
     return S, None if neg_lr is None else np.cumsum(np.vecdot(counts, neg_lr), axis=1) + 0.0
 
 
-def _level_walk(produce, checkpoints, conv, window, n_paths, block):
+def _level_walk(produce, checkpoints, conv, window, n_paths, block, step=None):
     """(S, T, SUP, INF) of a per-level walk of n_paths paths, block levels at a time.
 
     For each block of levels base+1..base+b, produce(base, b) yields
     (rows, s, t): a slice of the paths and their walked S, one level per row
     and one column per path, or one path's index and its S as a vector; t
-    alike on self-similar measures, else None. This pass owns what follows
-    the draw: it picks S and t at the block's checkpoints. With a window
-    (w_lo, w_hi) it forms the ratios (s - d t) / ratio_den(t) in place in s
-    over the block's window levels (grid t and ratio_den once per block) and
-    reads the running extremes at each checkpoint from fmax/fmin.reduceat
-    over those levels cut after each checkpoint, accumulated and combined
-    with the carry. max and min are exact and no ratio is -0.0, so the order
-    of reduction cannot show, and fmax/fmin skip the nan ratios below t_min
-    as a mask of valid levels would.
+    alike where each path walks its own t (self-similar measures of unequal
+    ratios), else None. This pass owns what follows the draw: it picks S and
+    t at the block's checkpoints. Where t is the same on every path it walks
+    it once per block: grid t, level * t_per_level, and, where step is given
+    (self-similar measures whose ratios all have -ln r = step), the block's
+    cumsum of step plus the carry, as each path's walk would sum it. With a
+    window (w_lo, w_hi) it forms the ratios (s - d t) / ratio_den(t) in place
+    in s over the block's window levels (shared t's d t and ratio_den once
+    per block, a path's own t's once per path and block) and reads the
+    running extremes at each checkpoint from fmax/fmin.reduceat over those
+    levels cut after each checkpoint, accumulated and combined with the
+    carry. max and min are exact and no ratio is -0.0, so the order of
+    reduction cannot show, and fmax/fmin skip the nan ratios below t_min as
+    a mask of valid levels would.
 
     One row per path and one column per checkpoint; T is None on grids, and
     SUP/INF are None without a window and stay -inf/+inf until it opens.
@@ -345,33 +359,39 @@ def _level_walk(produce, checkpoints, conv, window, n_paths, block):
     SUP, INF = (None, None) if window is None else (np.empty_like(S), np.empty_like(S))
     sup, inf = np.full(n_paths, -np.inf), np.full(n_paths, np.inf)
     w_lo, w_hi = (1, 0) if window is None else window  # no window: no level is in it
-    bufs = np.empty((2, 0 if window is None else min(n, block)))  # a block's ratio_den and d t
+    bufs = np.empty((2, 0 if window is None else min(n, block)))  # a block's ratio_den, and its t or d t
+    t_end = 0.0  # with step, t at the level before the block
     for base in range(0, n, block):
         b = min(block, n - base)
         p0, p1 = np.searchsorted(cks, (base + 1, base + b + 1))
         at = cks[p0:p1] - base - 1  # the block's checkpoints, as offsets
         w0, w1 = max(w_lo - base - 1, 0), min(w_hi - base, b)
+        if step is not None:  # only window walks pass it, so the buffer holds the block
+            tb = np.cumsum(np.full(b, step), out=bufs[1, :b])
+            tb += t_end
+            T[:, p0:p1], t_end = tb[at], tb[-1]
         if w0 < w1:  # the block's window levels, cut after each checkpoint
-            den, dt = bufs[:, :w1 - w0]
+            den, dt = bufs[0, :w1 - w0], bufs[1, w0:w1]
             ends = np.clip(at + 1, w0, w1) - w0
             cuts = np.unique(np.append(ends[ends > 0], w1 - w0))
             starts, seg = np.append(0, cuts[:-1]), np.searchsorted(cuts, ends)
             opened = ends > 0  # whether the window has opened by each checkpoint
-            if conv.t_per_level is not None:  # grid t, shared by every path of the block
+            if T is None:  # grid t
                 np.multiply(np.arange(base + w0 + 1.0, base + w1 + 1.0),
                             conv.t_per_level, out=dt)  # unnamed, so the levels are freed at once
+            if T is None or step is not None:  # t shared by every path of the block
                 conv.ratio_den(dt, out=den)
                 dt *= d
         for rows, s, t in produce(base, b):
             S[rows, p0:p1] = s[at].T
-            if T is not None:
+            if t is not None:
                 T[rows, p0:p1] = t[at].T
             if window is None:
                 continue
             if w0 >= w1:  # the window misses the block
                 SUP[rows, p0:p1], INF[rows, p0:p1] = sup[rows, None], inf[rows, None]
                 continue
-            if T is not None:
+            if t is not None:
                 conv.ratio_den(t[w0:w1], out=den)
                 np.multiply(t[w0:w1], d, out=dt)
             col = (slice(None), None)[:s.ndim]  # level-axis tables, lifted over a path axis
@@ -397,24 +417,27 @@ _THREAD_WORK = 1 << 21
 def _window_walk_product(tables, checkpoints, seed, lo, hi, conv, window):
     """Walk product paths lo..hi-1 level by level, one block of levels at a time.
 
-    tables holds the cumulative weights, the increments -log_b w and, on
-    self-similar measures, -ln r (else None). Every path of the group walks a
-    block of at most _WINDOW_BLOCK levels before the next block starts, so
-    _level_walk computes the block's grid t and ratio_den(t) once for the
-    group. Path i draws block k from path_rng(seed, i) re-keyed past the k
-    blocks before, by draw_symbols into the index buffer: one compare per
-    entry of cum[:-1] against u * cum[-1] on rows of up to
-    models._COMPARE_ROW = 64 symbols, a binary search on longer ones. On 2
-    vCPUs 4 paths of 2^16 levels took 8.2 ms by compares against 15.8 by
-    search at 64 symbols, and 20 ms by search at 256 symbols. Neither form
-    picks a zero-weight symbol and its infinite increment. S and t are the
-    block's cumsum plus the carry, written into one set of buffers that
-    every path and block reuses.
+    tables holds the weights' draw thresholds (models.u_thresholds), the
+    increments -log_b w and, on self-similar measures, -ln r (else None).
+    Every path of the group walks a block of at most _WINDOW_BLOCK levels
+    before the next block starts, so _level_walk computes the block's t and
+    ratio_den(t) once for the group wherever t is the same on every path:
+    grid t, and self-similar t when every -ln r is one step, whose cumsum
+    plus carry would be the same on every path. Path i draws block k from
+    path_rng(seed, i) re-keyed past the k blocks before, by draw_symbols
+    into the index buffer: one compare per threshold against u on rows of
+    up to models._COMPARE_ROW = 64 symbols, a binary search on longer ones.
+    On 2 vCPUs 4 paths of 2^16 levels took 8.2 ms by compares against 15.8
+    by search at 64 symbols, and 20 ms by search at 256 symbols. Neither
+    form picks a zero-weight symbol and its infinite increment. S, and on
+    unequal ratios t, are the block's cumsum plus the carry, written into
+    one set of buffers that every path and block reuses.
     """
     cum, neg_lw, neg_lr = tables
     size = min(checkpoints[-1], _WINDOW_BLOCK)
     u, idx = np.empty(size), np.empty(size, np.intp)
-    t = None if neg_lr is None else np.empty(size)
+    step = None if neg_lr is None or neg_lr.min() < neg_lr.max() else neg_lr[0]  # equal ratios: one t
+    t = None if neg_lr is None or step is not None else np.empty(size)
     # increments, buffer and carry per path of S, and of t on self-similar measures
     sums = [(neg_lw, u, np.zeros(hi - lo))] + ([] if t is None else [(neg_lr, t, np.zeros(hi - lo))])
     rng = path_rng(seed, lo)  # the walk's one generator, re-keyed for each path and block
@@ -431,7 +454,7 @@ def _window_walk_product(tables, checkpoints, seed, lo, hi, conv, window):
                 acc[j] = xb[-1]
             yield j, ub, None if t is None else t[:b]
 
-    return _level_walk(produce, checkpoints, conv, window, hi - lo, _WINDOW_BLOCK)
+    return _level_walk(produce, checkpoints, conv, window, hi - lo, _WINDOW_BLOCK, step)
 
 
 _DRAW_GROUP = 1 << 16  # uniforms one path_uniforms pass computes: its temporaries stay a few MB

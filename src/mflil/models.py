@@ -28,10 +28,12 @@ the family checks read the core's ell, None for self-similar measures.
 Every sampler draws through one inverse-CDF rule (draw_symbols), every chain
 walk steps its states through one scan of that rule (chain_states), and
 every word enumeration comes from one enumerator per kind (chain_log_masses
-for chains, word_log_sums for products). draw_symbols counts a row of up to
-_COMPARE_ROW = 64 entries by one compare per entry and a longer row by
-binary search; both forms give the same integers, and the comment at
-_COMPARE_ROW gives the timings that set 64.
+for chains, word_log_sums for products). The cores' cumulative rows are
+held as thresholds in u space (u_thresholds), so their draws compare the
+uniforms as they are, whatever the row's total. draw_symbols counts a
+row of up to _COMPARE_ROW = 64 entries by one compare per entry and a
+longer row by binary search; both forms give the same integers, and the
+comment at _COMPARE_ROW gives the timings that set 64.
 
 Model files. A model file is a JSON object whose "family" names one of
 the four classes (each class's `family`); _MODEL_FILES gives each family's
@@ -199,10 +201,12 @@ class FamilyCore:
     measures the natural log contraction ratios. kind 'chain' carries pi and
     P, and the (k+1) x k tables cum_P and log_P: the cumulative rows, and
     logs taken entry by entry with math.log (-inf at 0), of P's k rows and
-    then of row k, the start state's, which is pi. ell is the grid base, None
-    for self-similar measures. active lists the symbols that positive-mass
-    words use: the positive weights, or the chain states reachable from the
-    support of pi.
+    then of row k, the start state's, which is pi. The cumulative rows,
+    cum_weights and cum_P, are held as draw_symbols' thresholds
+    (u_thresholds), the same bytes where a row sums to exactly 1.0. ell is
+    the grid base, None for self-similar measures. active lists the symbols
+    that positive-mass words use: the positive weights, or the chain states
+    reachable from the support of pi.
     """
 
     kind: str
@@ -227,7 +231,7 @@ class FamilyCore:
         return cls(
             "product", w.size, ell, tuple(np.flatnonzero(pos).tolist()),
             weights=_read_only(w),
-            cum_weights=_read_only(np.cumsum(w)),
+            cum_weights=_read_only(u_thresholds(np.cumsum(w))),
             log_weights=_read_only(lw),
             log_ratios=None if ratios is None else _read_only(np.log(np.asarray(ratios, dtype=float))),
         )
@@ -248,7 +252,7 @@ class FamilyCore:
             "chain", pi.size, ell, tuple(np.flatnonzero(active).tolist()),
             pi=_read_only(pi),
             P=_read_only(P),
-            cum_P=_read_only(np.cumsum(rows, axis=1)),
+            cum_P=_read_only(u_thresholds(np.cumsum(rows, axis=1))),
             log_P=_read_only(np.reshape(logs, rows.shape)),
         )
 
@@ -534,19 +538,42 @@ def homogeneous_measure(model: MeasureModel) -> MultinomialMeasure:
 _COMPARE_ROW = 64
 
 
-def draw_symbols(cum: np.ndarray, u, out=None):
-    """The inverse-CDF rule of every sampler: symbol i where
-    cum[i-1] <= u * cum[-1] < cum[i], clamped to len(cum) - 1, written into
-    out (an integer array of u's shape, by default a new intp one) and
-    returned.
+def u_thresholds(cum) -> np.ndarray:
+    """The rows of cum, a cumulative weight row or a stack of them, as
+    thresholds in u space: entry i becomes the smallest double t with
+    fl(t * total) >= cum[i], total the row's last entry.
 
-    cum is a cumulative weight row and u uniform on [0, 1). Scaling u by the
-    row total, rather than setting the total to 1, keeps zero-weight symbols
-    out of reach when the weights sum to slightly less than 1; a total of
-    exactly 1, as most weight rows have, leaves u as it is and makes no
-    scaled copy, whose memory traffic cost a 2-symbol window walk about 2%.
-    As cum is non-decreasing, the clamped symbol is the count of cum[:-1]
-    entries at most u * cum[-1], which two forms compute alike. Rows of 2 to
+    Rounded multiplication is monotone, so fl(u * total) >= cum[i] exactly
+    when u >= t: draw_symbols on the thresholds and u gives the symbols that
+    it gives on cum and u scaled by the total, with no scaled copy of u. A
+    row whose total is exactly 1.0 keeps its bytes (fl(t * 1.0) = t), and
+    every row ends at 1.0. cum[i] / total is within an ulp or two of t, and
+    each step moves every entry one ulp toward it. The family cores hold
+    their rows this way, built once per model; the checkpoint walk's count
+    tables, built once per run, scale their few uniforms instead (see
+    lil._checkpoint_walk_product).
+    """
+    total = cum[..., -1:]
+    t = cum / total
+    while True:
+        up, down = t * total < cum, np.nextafter(t, -np.inf) * total >= cum
+        if not (up | down).any():
+            return t
+        t = np.nextafter(t, np.where(up, np.inf, np.where(down, -np.inf, t)))
+
+
+def draw_symbols(row: np.ndarray, x, out=None):
+    """The count of row[:-1] entries at most x, for a non-decreasing row,
+    written into out (an integer array of x's shape, by default a new intp
+    one) and returned: the inverse-CDF rule of every sampler.
+
+    With u uniform on [0, 1) and cum a cumulative weight row, the symbol is
+    the count of cum[:-1] entries at most fl(u * cum[-1]), clamped to
+    len(cum) - 1 as the count is. Scaling by the row total, rather than
+    setting the total to 1, keeps zero-weight symbols out of reach when the
+    weights sum to slightly less than 1. A caller passes either
+    u_thresholds(cum) and u itself, as the family cores' tables do, or cum
+    and u * cum[-1]. Two forms compute the count alike. Rows of 2 to
     _COMPARE_ROW entries add one compare per entry, O(k) a draw, into a
     count of the smallest unsigned type that holds it (a byte up to 256
     entries, so the adds stay in cache, even where out is a strided table
@@ -554,15 +581,14 @@ def draw_symbols(cum: np.ndarray, u, out=None):
     searchsorted's binary search, O(log k) a draw (Devroye 1986, ch.
     III.2), whose per-key branches cost more than short rows' compares.
     """
-    x = u if cum[-1] == 1.0 else np.multiply(u, cum[-1])  # u * 1.0 is u: no scaled copy
     out = np.empty(np.shape(x), np.intp) if out is None else out
-    if not 1 < cum.size <= _COMPARE_ROW:
-        out[...] = np.searchsorted(cum[:-1], x, side="right")
-    elif cum.size == 2:  # one compare: nothing to add up
-        np.less_equal(cum[0], x, out=out)
+    if not 1 < row.size <= _COMPARE_ROW:
+        out[...] = np.searchsorted(row[:-1], x, side="right")
+    elif row.size == 2:  # one compare: nothing to add up
+        np.less_equal(row[0], x, out=out)
     else:
-        found = np.less_equal(cum[0], x, out=np.empty(np.shape(x), np.min_scalar_type(cum.size)))
-        for c in cum[1:-1]:
+        found = np.less_equal(row[0], x, out=np.empty(np.shape(x), np.min_scalar_type(row.size)))
+        for c in row[1:-1]:
             found += c <= x
         out[...] = found
     return out
@@ -581,9 +607,9 @@ def chain_states(cum_P: np.ndarray, U: np.ndarray, start) -> np.ndarray:
 
     U holds one uniform on [0, 1) per level (row) and walk (column). From
     state e, level l goes to the count of cum_P[e, :-1] entries at most
-    U[l] * cum_P[e, -1], draw_symbols' rule; row k of cum_P is the start
-    state's. So each level's uniforms map the k + 1 states to states, and
-    maps compose: _scan_levels walks the levels as a chunked prefix scan in
+    U[l], draw_symbols' rule on the core's threshold rows; row k of cum_P
+    is the start state's. So each level's uniforms map the k + 1 states to
+    states, and maps compose: _scan_levels walks the levels as a chunked prefix scan in
     about 2 sqrt(L) numpy steps, not L. It tabulates k + 1 next states per
     uniform, so the levels go to it in blocks whose table holds at most
     _TABLE_BYTES, each block entering where the one before left.
@@ -622,7 +648,7 @@ def _scan_levels(cum_P, U, Z):
     c = L if E * B >= _STEP_ELEMENTS else math.isqrt(L) + 1
     C = -(-L // c)
     F = np.empty((C * c, B, E), Z.dtype)
-    rows = max(1, L * E * Z.itemsize // 64)  # a slab's scaled uniforms take an eighth of F's bytes
+    rows = max(1, L * E * Z.itemsize // 64)  # a slab's draw temporaries take at most an eighth of F's bytes
     for a in range(0, L, rows):
         for e, row in enumerate(cum_P):
             draw_symbols(row, U[a:a + rows], out=F[a:min(a + rows, L), :, e])

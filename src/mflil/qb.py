@@ -221,26 +221,21 @@ def partition_bound_check(
     log_ell_C = math.log(C) / ln_ell
     cells = []
     drifts = []
-    ok = True
     q_arr = np.array(qs, dtype=float)
     taus = (tau_scale_free(model, q_arr) + tau_shift).tolist()
     sums = [(log_partition_sum(model, q_arr, n) / ln_ell).tolist() for n in ns]
     for j, (q, tau_q) in enumerate(zip(qs, taus)):
-        defects = []
         for n, ls_n in zip(ns, sums):
             ls = ls_n[j]
             n_tau = n * tau_q
             defect = ls - n_tau
             bound = abs(q) * log_ell_C + _BOUND_SLACK
-            holds = abs(defect) <= bound
-            ok = ok and holds
-            cells.append(PartitionCell(q, n, ls, n_tau, defect, bound, holds))
-            defects.append(defect)
-        drifts.append((q, defects[-1] - defects[0]))
+            cells.append(PartitionCell(q, n, ls, n_tau, defect, bound, abs(defect) <= bound))
+        drifts.append((q, cells[-1].defect - cells[-len(ns)].defect))  # this q's last level less its first
     worst_margin = min(c.bound - abs(c.defect) for c in cells)
     drift_bad = [f"q={q}: drift {dr:+.4f}" for q, dr in drifts if abs(dr) > drift_tol]
     reason = None
-    if not ok:
+    if not all(c.holds for c in cells):
         reason = "absolute bound violated"
     elif drift_bad:
         reason = "defect drift beyond tolerance (" + "; ".join(drift_bad) + ")"

@@ -128,18 +128,16 @@ def _mp_markov_tau2() -> float:
 
 def _enumeration_moments(weights, log_values, n: int) -> tuple[float, float]:
     """Brute-force E and Var of S_n by walking all words; float probabilities."""
-    mean_acc = []
-    var_acc = []
+    words = []  # (probability, S value) of every word
     for word in itertools.product(range(len(weights)), repeat=n):
         prob = 1.0
         s = 0.0
         for sym in word:
             prob *= weights[sym]
             s += log_values[sym]
-        mean_acc.append(prob * s)
-        var_acc.append((prob, s))
-    mean = math.fsum(mean_acc)
-    var = math.fsum(p * (s - mean) ** 2 for p, s in var_acc)
+        words.append((prob, s))
+    mean = math.fsum(p * s for p, s in words)
+    var = math.fsum(p * (s - mean) ** 2 for p, s in words)
     return mean, var
 
 

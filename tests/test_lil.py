@@ -270,6 +270,61 @@ def test_ensemble_S_n_sits_in_the_dkw_band_of_the_exact_law(name, mode):
     assert dkw_distance(S, exact_distribution(model, n)) <= eps
 
 
+def two_symbol_law(model, n):
+    """The exact law of S_n on a product with two active symbols, in closed
+    form and in floats: count c of the second symbol has probability
+    C(n, c) a0^(n-c) a1^c / den^n, with a0 / den and a1 / den the weights
+    renormalised in Q, taken through math.lgamma so that it holds at any
+    depth, and S value -(counts @ log weights) in the model's own units.
+    (value, probability) pairs in increasing value, as exact_distribution."""
+    core = model.core
+    active = list(core.active)
+    fw = [Fraction(x) for x in core.weights[active].tolist()]
+    lp0, lp1 = (math.log(x / sum(fw)) for x in fw)
+    c = np.arange(n + 1)
+    log_p = [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (n - k) * lp0 + k * lp1
+             for k in c.tolist()]
+    lw = log_symbol_weights(model, canonical_base(model))[active]
+    values = -(np.stack((n - c, c), axis=1).astype(float) @ lw)
+    return sorted(zip(values.tolist(), np.exp(log_p).tolist()))
+
+
+TWO_SYMBOL_MODELS = {
+    "bernoulli_quarter": lambda: QUARTER,
+    "cantor_biased": lambda: load_zoo_model("cantor_biased"),
+    "three_with_a_zero": lambda: MultinomialMeasure(3, 1, (0.35, 0.0, 0.65)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_SYMBOL_MODELS))
+def test_two_symbol_closed_form_is_the_exact_law(name):
+    model = TWO_SYMBOL_MODELS[name]()
+    for n in (1, 2, 3, 17, 64, 255, 256):
+        exact, closed = exact_distribution(model, n), two_symbol_law(model, n)
+        assert len(exact) == len(closed) == n + 1, (name, n)
+        for (v, p), (w, q) in zip(exact, closed):
+            assert w == pytest.approx(v, rel=1e-12, abs=1e-12), (name, n)
+            assert q == pytest.approx(float(p), rel=1e-10, abs=0), (name, n)
+
+
+# S_n past one window block of levels, where no class walk reaches; the
+# level, the depth, the path count and the seed were fixed before the first run
+DEEP_LEVEL = 2 ** 16 + 2 ** 12
+DEEP_PATHS = (400, 44)  # (N, seed)
+
+
+@pytest.mark.parametrize("name", ["bernoulli_quarter", "cantor_biased"])
+def test_deep_window_S_n_sits_in_the_dkw_band_of_the_closed_form(name):
+    model = TWO_SYMBOL_MODELS[name]()
+    assert DEEP_LEVEL > lil_module._WINDOW_BLOCK
+    N, seed = DEEP_PATHS
+    conv = lil_convention(model)
+    cks = (16, DEEP_LEVEL)
+    S = lil_module._walk_ensemble(model, conv, cks, seed, range(N), window=cks)[0][:, -1]
+    eps = math.sqrt(math.log(2.0 / DKW_ALPHA) / (2 * N))
+    assert dkw_distance(S, two_symbol_law(model, DEEP_LEVEL)) <= eps
+
+
 THREE_ZERO = MultinomialMeasure(3, 1, (0.2, 0.0, 0.8))
 THREE = MultinomialMeasure(3, 1, (0.2, 0.3, 0.5))
 TWO_D = MultinomialMeasure(2, 2, (0.1, 0.2, 0.3, 0.4))
@@ -956,7 +1011,8 @@ def reference_checkpoint_walk(weights, checkpoints, rng, lw_conv, neg_lr, conv):
             if two_sided:
                 pieces, _, draws = lil_module._count_tables(np.array([gap]), *wa)
                 table = {int(r): (lo, cum) for rows, lo, cum in draws for r in rows}
-                c1 = sum(int(table[j][0] + draw_symbols(table[j][1], rng.random())) for j in range(pieces))
+                c1 = sum(int(lo + draw_symbols(cum, rng.random() * cum[-1]))  # the walk scales u by the total
+                         for lo, cum in map(table.get, range(pieces)))
                 counts = np.array([gap - c1, c1])
             else:
                 counts = rng.multinomial(gap, wa)
@@ -1012,7 +1068,7 @@ def test_checkpoint_walk_matches_the_per_gap_loop(monkeypatch, name, checkpoints
 @pytest.mark.parametrize("p1", [0.25, 0.75, 0.5, 0.3, 1e-6, 1 - 1e-6])
 def test_count_tables_hold_the_exact_binomial_law(p1):
     """For every gap g <= 64, a count table's CDF, normalised by its total as
-    draw_symbols normalises it, is the exact Binomial(g, p1) CDF (math.comb
+    its draws scale the uniforms by it, is the exact Binomial(g, p1) CDF (math.comb
     over Fractions) to 2e-15, and to 1e-12 relative wherever the exact CDF
     of the table's span is a normal double; the mass it leaves out is below
     e^-60 on each side. At p1 = 1e-6 and 1 - 1e-6 the span reaches past 40
@@ -1091,7 +1147,7 @@ def test_long_gaps_are_cut_into_pieces_of_2_pow_20():
         assert abs(counts[:, j].mean() - gap * p1) <= 6 * sd
     for i in (0, 1, 1999):
         u = path_rng(seed, i).random(pieces)
-        each = [table[j][0] + int(draw_symbols(table[j][1], x)) for j, x in enumerate(u)]
+        each = [table[j][0] + int(draw_symbols(table[j][1], x * table[j][1][-1])) for j, x in enumerate(u)]
         assert counts[i].tolist() == np.add.reduceat(each, starts).tolist()
 
 
@@ -1176,6 +1232,8 @@ def _block_walk_cases():
         "three_with_a_zero": MultinomialMeasure(3, 1, (0.35, 0.0, 0.65)),
         "cantor_biased": load_zoo_model("cantor_biased"),
         "symbols_128": MultinomialMeasure(128, 1, tuple(w.tolist())),  # past the compares
+        # each path sums its own t; cantor_biased's equal ratios share one
+        "unequal_ratios": SelfSimilarMeasure((0.2, 0.3, 0.5), (0.2, 0.3, 0.25)),
     }
     cks = (16, 600, B - 1, B, B + 1, B + 700)
     windows = {  # levels 1..B make the first block
@@ -1187,7 +1245,8 @@ def _block_walk_cases():
     return models, cks, windows
 
 
-@pytest.mark.parametrize("name", ["bernoulli_half", "three_with_a_zero", "cantor_biased", "symbols_128"])
+@pytest.mark.parametrize("name", ["bernoulli_half", "three_with_a_zero", "cantor_biased", "symbols_128",
+                                  "unequal_ratios"])
 def test_block_window_walk_bytes_match_the_level_references(monkeypatch, name):
     models, cks, windows = _block_walk_cases()
     model = models[name]
@@ -1213,6 +1272,27 @@ def test_block_window_walk_bytes_match_the_level_references(monkeypatch, name):
     if name == "bernoulli_half":
         seen = SUP[np.isfinite(SUP)]
         assert seen.size and (seen == 0.0).all() and not np.signbit(seen).any()
+
+
+@pytest.mark.parametrize("name, per_path", [("cantor_biased", False), ("unequal_ratios", True)])
+def test_shared_t_takes_one_ratio_den_per_block(monkeypatch, name, per_path):
+    """Equal ratios give every path one t, so the window walk forms its
+    ratio denominators once per block; unequal ratios, once per path and
+    block. 3 paths, 2 blocks, the window over both."""
+    model = _block_walk_cases()[0][name]
+    conv = lil_convention(model)
+    B = lil_module._WINDOW_BLOCK
+    calls = []
+    ratio_den = lil_module.LilConvention.ratio_den
+
+    def counted(self, t, out=None):
+        calls.append(np.size(t))
+        return ratio_den(self, t, out)
+
+    monkeypatch.setattr(lil_module.LilConvention, "ratio_den", counted)
+    lil_module._walk_ensemble(model, conv, (16, B + 700), 5, range(3), window=(16, B + 700))
+    each = 3 if per_path else 1  # the calls per block, each over the block's window levels
+    assert calls == [B - 15] * each + [700] * each
 
 
 def _window_walk_peak(n):

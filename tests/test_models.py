@@ -30,6 +30,7 @@ from mflil.models import (
     draw_symbols,
     path_uniforms,
     rekey_path_rng,
+    u_thresholds,
 )
 from mflil.symbolic import word
 from mflil.zoo import load_zoo_model, zoo_models
@@ -371,14 +372,45 @@ def test_both_draw_forms_give_the_inverse_cdf_integers(monkeypatch):
         u = np.concatenate(([0.0, 1.0 - 2.0 ** -53], at, np.nextafter(at, 0.0), rng.random(50)))
         u = u[u < 1.0]
         want = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), k - 1)
+        thresholds = u_thresholds(cum)  # the row as every sampler holds it
+        assert (thresholds.tobytes() == cum.tobytes()) == (k % 3 == 1)  # unit totals keep their bytes
         for row in (models._COMPARE_ROW, 1, 10 ** 6):  # the switch, every row searched, none
             monkeypatch.setattr(models, "_COMPARE_ROW", row)
-            got = draw_symbols(cum, u)
+            got = draw_symbols(thresholds, u)
             assert got.dtype == np.intp and np.array_equal(got, want), (k, row)
             column = np.zeros((u.size, 3), np.uint16)[:, 1]  # a strided table column
-            assert draw_symbols(cum, u, out=column) is column
+            assert draw_symbols(thresholds, u, out=column) is column
             assert np.array_equal(column, want), (k, row)
-            assert [int(draw_symbols(cum, x)) for x in u[:3].tolist()] == want[:3].tolist()
+            assert [int(draw_symbols(thresholds, x)) for x in u[:3].tolist()] == want[:3].tolist()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 65])
+def test_u_thresholds_draw_as_the_scaled_uniforms_do(k):
+    """Comparing u with the thresholds gives the count of cum[:-1] entries at
+    most u * total, the scaled rule, on 500 rows of k entries at once (the
+    stacked form the chain tables take): totals 1 - 1e-13, exactly 1, 1 +
+    1e-13 and a count table's 1e3; zero weights first, last and both;
+    uniforms at, just below and just above each threshold and each
+    cum / total. Each threshold is the smallest double t with
+    fl(t * total) >= cum[i]."""
+    rng = np.random.default_rng(26 + k)
+    w = rng.random((500, k))
+    w[0::4, 0] = w[1::4, -1] = 0.0
+    w[2::4, [0, -1]] = 0.0
+    w[w.sum(axis=1) == 0.0] = 1.0  # a row of one entry keeps its weight
+    cum = np.cumsum(w, axis=1)
+    cum *= np.array([1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1e3])[np.arange(500) // 4 % 4, None] / cum[:, -1:]
+    total = cum[:, -1:]
+    thresholds = u_thresholds(cum)
+    assert (thresholds * total >= cum).all() and (np.nextafter(thresholds, -np.inf) * total < cum).all()
+    assert (thresholds[:, -1] == 1.0).all()
+    assert thresholds[total[:, 0] == 1.0].tobytes() == cum[total[:, 0] == 1.0].tobytes()
+    for row, top, t in zip(cum, total[:, 0], thresholds):
+        at = np.concatenate((t, row / top))
+        u = np.concatenate((at, np.nextafter(at, 0.0), np.nextafter(at, 1.0), [0.0, 1.0 - 2.0 ** -53], rng.random(20)))
+        u = u[(u >= 0.0) & (u < 1.0)]
+        want = np.minimum(np.searchsorted(row, u * top, side="right"), k - 1)
+        assert np.array_equal(draw_symbols(t, u), want), (row, top)
 
 
 # a chain with a null transition (1 -> 1) and a state (2) outside the support
