@@ -94,10 +94,9 @@ def _fields(result, *drop) -> dict:
 def _emit(args, command: str, outputs: dict) -> list[str]:
     """Create --out, write each named output into it, then the manifest.
 
-    A (header, rows) tuple is written as CSV, a str verbatim, a callable is
-    handed the path to write, and anything else is written as JSON. The
-    manifest reads the options (less the subcommand and its handler, which
-    no user sets), the model file and the seed from args.
+    A (header, rows) tuple is written as CSV, a str verbatim, and anything
+    else as JSON. The manifest reads the options (less the subcommand and
+    its handler, which no user sets), the model file and the seed from args.
     Returns the output paths in order.
     """
     os.makedirs(args.out, exist_ok=True)
@@ -108,8 +107,6 @@ def _emit(args, command: str, outputs: dict) -> list[str]:
         elif isinstance(content, str):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(content)
-        elif callable(content):
-            content(path)
         else:
             _write_json(path, content)
     model = getattr(args, "model", None)
@@ -276,12 +273,15 @@ def cmd_qb_check(args) -> None:
 
 def cmd_oracles(args) -> None:
     # the one subcommand that needs mpmath, so the others start without it
-    from .report import build_oracles, verify_records, write_oracle_cache
+    from .report import build_oracles, verify_records
 
     records = build_oracles()
     checks = verify_records(records)
     _emit(args, "oracles", {
-        "oracles.json": lambda path: write_oracle_cache(records, path),
+        "oracles.json": {
+            "version": 1,
+            "records": [_fields(r) for r in sorted(records, key=lambda r: r.quantity)],
+        },
         "oracle_checks.json": [_fields(c) for c in checks],
     })
     bad = [c.quantity for c in checks if not c.ok]

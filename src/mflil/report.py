@@ -8,18 +8,17 @@ build_oracles produces the records; verify_records recomputes each quantity
 through the main code path and compares within the record's tolerance, so a
 drifting implementation fails loudly with both values in hand.
 
-The records also serve as a frozen-constant registry: the cache file written
-by the hidden `oracles` CLI subcommand is plain JSON with the same formatting
-conventions as every other artifact.
+The records also serve as a frozen-constant registry: the hidden `oracles`
+CLI subcommand writes them to oracles.json through the writer of every other
+JSON artifact, with the same formatting conventions (non-finite floats as
+their repr strings).
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import asdict, dataclass
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional
 
 import mpmath as mp
@@ -142,29 +141,38 @@ def _enumeration_moments(weights, log_values, n: int) -> tuple[float, float]:
 
 
 def _naive_tail(p: float, n0: int, n1: int, a: float) -> float:
-    """First-passage over the barrier for a two-weight product, dict DP."""
+    """First-passage over the barrier for a two-weight product, dict DP.
+
+    The state is the number of rare symbols so far. Its probability is held
+    exactly, as an integer numerator over den^k at level k, where num / den
+    is p as an exact ratio (p.as_integer_ratio()): the common symbol
+    multiplies it by den - num and the rare one by num. A state absorbed at
+    level k adds its numerator times den^(n1 - k) to the hit numerator over
+    den^n1. Python's int division rounds correctly, as Fraction's float
+    does, so the tail is the exact rational rounded once.
+    """
     d = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
     x1 = -math.log2(p)  # increment when the rare symbol is drawn
     x0 = -math.log2(1 - p)
-    fp = Fraction(p)
-    alive = {0: Fraction(1)}  # number of rare symbols so far -> probability
-    hit = Fraction(0)
+    num, den = p.as_integer_ratio()
+    alive = {0: 1}  # number of rare symbols so far -> numerator over den^k
+    hit = 0
     for k in range(1, n1 + 1):
-        nxt: dict[int, Fraction] = {}
-        for ones, prob in alive.items():
-            nxt[ones] = nxt.get(ones, Fraction(0)) + prob * (1 - fp)
-            nxt[ones + 1] = nxt.get(ones + 1, Fraction(0)) + prob * fp
+        nxt: dict[int, int] = {}
+        for ones, w in alive.items():
+            nxt[ones] = nxt.get(ones, 0) + w * (den - num)
+            nxt[ones + 1] = nxt.get(ones + 1, 0) + w * num
         alive = nxt
         if k >= n0:
             still = {}
-            for ones, prob in alive.items():
+            for ones, w in alive.items():
                 s = ones * x1 + (k - ones) * x0
                 if s - k * d >= a:
-                    hit += prob
+                    hit += w * den ** (n1 - k)
                 else:
-                    still[ones] = prob
+                    still[ones] = w
             alive = still
-    return float(hit)
+    return hit / den ** n1
 
 
 def _mp_theta_exponent_2pow16() -> float:
@@ -300,17 +308,3 @@ def verify_records(records: list[OracleRecord]) -> list[OracleCheck]:
         ok = abs(main - r.value) <= r.tolerance
         out.append(OracleCheck(r.quantity, r.value, float(main), ok, r.tolerance))
     return out
-
-
-_CACHE_VERSION = 1
-
-
-def write_oracle_cache(records: list[OracleRecord], path: str) -> None:
-    doc = {
-        "version": _CACHE_VERSION,
-        "records": [asdict(r) for r in sorted(records, key=lambda r: r.quantity)],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-

@@ -32,7 +32,9 @@ model's FamilyCore:
 Everything else reads the kernel: dimension d = -tau'(1), curvature
 sigma2 = tau''(1), chi(q) = tau(1-q) - q d and its Newton inverse. Both
 kernels give tau''(1) in closed form, so sigma2 is a plain float with no
-error estimate, and a SpectrumTable records only its value.
+error estimate, and a SpectrumTable records only its value. The kernel at
+q = 1, and d once cross-checked, are solved once per core and kept, weakly
+keyed, for as long as the model lives.
 
 One finite-level rule for every kind. tau_empirical(model, q, n) takes q as
 tau_scale_free does and enumerates the level-n words once per call, whatever
@@ -63,6 +65,7 @@ units are defined for them and conversion requests to other bases raise.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -329,12 +332,26 @@ def _chain_kernel(core, q: float) -> tuple[float, float, float]:
 _TAUS = {"product": _product_tau, "chain": _chain_tau}
 _KERNELS = {"product": _product_kernel, "chain": _chain_kernel}
 
+# The q = 1 kernel and the cross-checked d of each core, which d, sigma2, chi
+# and ChiProfile read several times per command. A core is built once per
+# model and read-only; keyed weakly, no entry outlives its model.
+_KERNEL_AT_ONE = weakref.WeakKeyDictionary()
+_DIMENSION = weakref.WeakKeyDictionary()
+
 
 def spectral_kernel(model: MeasureModel, q: float) -> tuple[float, float, float]:
     """(tau(q), tau'(q), tau''(q)) in scale-free units at one q, from the
-    kind's kernel; its tau is the kind's tau rule."""
+    kind's kernel; its tau is the kind's tau rule.
+
+    q = 1 is solved once per core and its tuple kept while the model lives;
+    every other q is solved on each call.
+    """
     core = model.core
-    return _KERNELS[core.kind](core, q)
+    if q != 1.0:
+        return _KERNELS[core.kind](core, q)
+    if core not in _KERNEL_AT_ONE:
+        _KERNEL_AT_ONE[core] = _KERNELS[core.kind](core, 1.0)
+    return _KERNEL_AT_ONE[core]
 
 
 # q per pass of a kind's tau rule. On a 10^6-row grid, one pass raised the
@@ -482,16 +499,21 @@ def dimension(model: MeasureModel) -> float:
     """Measure dimension d = -tau'(1) from the kind's kernel, cross-checked.
 
     The entropy form must agree with the kernel's -tau'(1) within 1e-8;
-    disagreement raises NumericalError carrying both values.
+    disagreement raises NumericalError carrying both values. The check runs
+    once per core: a d that passed is kept while the model lives, and a
+    failing one is checked, and refused, again on every call.
     """
-    d = -spectral_kernel(model, 1.0)[1]
-    entropy = _entropy_dimension(model)
-    if abs(entropy - d) > _DIM_XCHECK_TOL:
-        raise NumericalError(
-            f"dimension cross-check failed: entropy form={entropy!r}, -tau'(1)={d!r}, "
-            f"|diff|={abs(entropy - d):.3e} > {_DIM_XCHECK_TOL}"
-        )
-    return d
+    core = model.core
+    if core not in _DIMENSION:
+        d = -spectral_kernel(model, 1.0)[1]
+        entropy = _entropy_dimension(model)
+        if abs(entropy - d) > _DIM_XCHECK_TOL:
+            raise NumericalError(
+                f"dimension cross-check failed: entropy form={entropy!r}, -tau'(1)={d!r}, "
+                f"|diff|={abs(entropy - d):.3e} > {_DIM_XCHECK_TOL}"
+            )
+        _DIMENSION[core] = d
+    return _DIMENSION[core]
 
 
 def sigma2_scale_free(model: MeasureModel) -> float:

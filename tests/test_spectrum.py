@@ -12,6 +12,7 @@ from mflil import (
     LogBase,
     MarkovMeasure,
     MultinomialMeasure,
+    NumericalError,
     SelfSimilarMeasure,
     ValidationError,
     chi,
@@ -455,7 +456,6 @@ def test_tau_refuses_a_q_matrix():
 def test_spectrum_table_makes_one_eigen_solve_for_the_grid(monkeypatch):
     from mflil import spectrum as spectrum_module
 
-    mk = load_zoo_model("markov_chain")
     calls = []
     perron = spectrum_module.perron_root
 
@@ -467,11 +467,81 @@ def test_spectrum_table_makes_one_eigen_solve_for_the_grid(monkeypatch):
     counts = []
     for q_step in (0.5, 0.01):
         calls.clear()
+        # a fresh model per grid: the q = 1 solves are kept per model
+        mk = load_zoo_model("markov_chain")
         table = spectrum_table(mk, q_min=-2.0, q_max=3.0, q_step=q_step)
         counts.append(len(calls))
         assert calls.count(3) >= 1  # the grid went through one stacked solve
     assert len(table.q) == 501
     assert counts[0] == counts[1] <= 8, counts
+
+
+
+def _memo_models():
+    models = dict(zoo_models())
+    models["chain3"] = MarkovMeasure(
+        # doubly stochastic, so the uniform start law is stationary
+        3, 1, (1 / 3,) * 3, ((0.1, 0.6, 0.3), (0.5, 0.25, 0.25), (0.4, 0.15, 0.45))
+    )
+    return models
+
+
+@pytest.mark.parametrize("name", sorted(_memo_models()))
+def test_kernel_at_one_is_the_kernel_bit_for_bit(name):
+    from mflil import spectrum as spectrum_module
+
+    model = _memo_models()[name]
+    core = model.core
+    want = [x.hex() for x in spectrum_module._KERNELS[core.kind](core, 1.0)]
+    for _ in range(2):  # a solve, then the kept tuple
+        got = spectrum_module.spectral_kernel(model, 1.0)
+        assert isinstance(got, tuple)
+        assert [x.hex() for x in got] == want
+    assert dimension(model) == -float.fromhex(want[1])
+    assert sigma2_scale_free(model) == float.fromhex(want[2])
+
+
+def test_each_model_reads_its_own_q_one_constants():
+    import gc
+
+    from mflil import spectrum as spectrum_module
+
+    pairs = [
+        (BernoulliProduct(0.25), BernoulliProduct(0.3)),
+        (MarkovMeasure(2, 1, (5 / 6, 1 / 6), ((0.9, 0.1), (0.5, 0.5))),
+         MarkovMeasure(2, 1, (2 / 3, 1 / 3), ((0.8, 0.2), (0.4, 0.6)))),
+    ]
+    for a, b in pairs:
+        da, db = dimension(a), dimension(b)
+        assert da != db
+        for model, d in ((a, da), (b, db), (a, da)):
+            core = model.core
+            kernel = spectrum_module._KERNELS[core.kind](core, 1.0)
+            assert dimension(model) == d == -kernel[1]
+            assert sigma2_scale_free(model) == kernel[2]
+    # no entry outlives its model
+    gc.collect()
+    before = len(spectrum_module._KERNEL_AT_ONE), len(spectrum_module._DIMENSION)
+    model = BernoulliProduct(0.2)
+    dimension(model)
+    assert (len(spectrum_module._KERNEL_AT_ONE), len(spectrum_module._DIMENSION)) == (
+        before[0] + 1, before[1] + 1)
+    del model
+    gc.collect()
+    assert (len(spectrum_module._KERNEL_AT_ONE), len(spectrum_module._DIMENSION)) == before
+
+
+@pytest.mark.parametrize("name", ["bernoulli_quarter", "markov_chain"])
+def test_dimension_refuses_a_disagreeing_entropy_form_on_every_call(name, monkeypatch):
+    from mflil import spectrum as spectrum_module
+
+    entropy = spectrum_module._entropy_dimension
+    monkeypatch.setattr(spectrum_module, "_entropy_dimension", lambda m: entropy(m) + 1e-6)
+    model = load_zoo_model(name)
+    spectrum_module.spectral_kernel(model, 1.0)  # the kernel alone is kept
+    for _ in range(2):  # a refused d is not kept
+        with pytest.raises(NumericalError, match="dimension cross-check failed"):
+            dimension(model)
 
 
 @pytest.mark.parametrize("name", sorted(_array_kernel_models()))
