@@ -240,7 +240,8 @@ def gauge_test(
     u = ln(1/diameter). The paths come from the ensemble walk of
     run_ensemble, under the same path and chain-step budgets; each path uses
     its own counter-based stream keyed by (seed, index). The walk is a
-    checkpoint walk, which runs in one thread.
+    checkpoint walk, which runs in one thread. Grid t is the same on every
+    path, so the gauge is evaluated on one row of it.
     """
     cks = _checked_levels(checkpoints)
     if cks[0] < _GAUGE_N_MIN:
@@ -251,7 +252,7 @@ def gauge_test(
     S, T, _, _ = _walk_ensemble(model, conv, cks, seed, range(N))
 
     # m(I) <= gauge(diam)  <=>  -S_natural <= log gauge  <=>  S_natural >= -log gauge
-    hits = S >= -log_gauge_from_u(spec, T)
+    hits = S >= -log_gauge_from_u(spec, T[:1] if conv.t_per_level is not None else T)  # grid t: one row
     # each fraction is count / N, one correctly rounded division
     fractions = tuple((np.count_nonzero(hits, axis=0) / N).tolist())
     hit_by = tuple((np.count_nonzero(np.logical_or.accumulate(hits, axis=1), axis=0) / N).tolist())

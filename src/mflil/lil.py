@@ -74,7 +74,10 @@ path-levels (paths times the deepest checkpoint) per thread, each thread
 walking one contiguous range; the other walks run in one thread, where
 threads did not pay. Either way the results are identical for every thread
 count. One entry point, _walk_ensemble, checks the budgets and walks the
-paths of run_ensemble, gauge_test and path_stats.
+paths of run_ensemble, gauge_test and path_stats. run_ensemble reduces the
+walked (paths, checkpoints) matrices in whole-matrix passes: column_fsums
+gives math.fsum of every column at once by error-free extraction, the
+package's one exact-sum rule, which qb's sampled-word sweep also reads.
 
 Exact small-n machinery (exact_distribution, running_max_tail) is the oracle
 layer for the Monte Carlo engines. Both read one rational walk, _class_walk,
@@ -117,6 +120,7 @@ RNG_STREAM = "philox4x64-path-v2"
 _DEFAULT_PATH_BUDGET = 2 ** 33
 _MARKOV_STEP_BUDGET = 2 ** 26
 _WALK_BITS = 63  # the walks hold levels and path indexes in 64-bit integers
+_EXTRACT_PASSES = 8  # column_fsums' passes before a column falls back to fsum
 
 
 def path_budget() -> int:
@@ -576,7 +580,7 @@ def _validated_checkpoints(model, checkpoints, conv) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class EnsembleSummary:
-    """Fixed-order reductions over N independent paths at common checkpoints.
+    """Exact reductions over N independent paths at common checkpoints.
 
     Ratio columns are the normalized (S - d t)/sqrt(2 t LL t) statistics;
     z-columns feed the CLT diagnostics. runsup_median tracks, per checkpoint,
@@ -696,6 +700,36 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
     return S, T, SUP, INF
 
 
+def column_fsums(X) -> np.ndarray:
+    """math.fsum of each column of the 2-d float array X, bit for bit.
+
+    Error-free extraction (Rump, Ogita and Oishi, Accurate floating-point
+    summation part I, SIAM J. Sci. Comput. 31(1), 2008): for N rows take M
+    with 2^M >= N + 2 and, per column, sigma = 2^k > 2^M max|x|. Then q =
+    (sigma + x) - sigma and x - q are exact, the q are multiples of 2^(k-53)
+    whose column sum is exact in any order, and |x - q| <= 2^(k-53). So each
+    whole-matrix pass strips at least 52 - M bits off the remainders: finite
+    data of normal range takes 2-4 passes. One fsum over a column's few pass
+    sums rounds its exact sum, which is fsum's result. A column that is not
+    finite, all zero, within 2^M of overflow, or not cleared in
+    _EXTRACT_PASSES passes is summed by fsum itself, which keeps fsum's
+    results (its sign of zero) and exceptions.
+    """
+    M = (X.shape[0] + 1).bit_length()
+    R = np.array(X.T, order="C")  # a copy, one contiguous row per column of X
+    mu = np.abs(R).max(axis=1, initial=0.0)
+    own = ~((mu > 0) & (mu < 2.0 ** (1022 - M)))  # nan, inf, all zero or near overflow
+    R[own], parts = 0.0, []
+    while (mu := np.abs(R).max(axis=1, initial=0.0)).any() and len(parts) < _EXTRACT_PASSES:
+        sigma = np.ldexp(1.0, np.frexp(mu)[1] + M)[:, None]
+        Q = (sigma + R) - sigma
+        R -= Q
+        parts.append(Q.sum(axis=1))
+    own |= mu > 0  # not cleared in _EXTRACT_PASSES passes
+    sums = np.array(parts).reshape(len(parts), X.shape[1]).T.tolist()
+    return np.array([math.fsum(X[:, j].tolist() if own[j] else c) for j, c in enumerate(sums)])
+
+
 def _ks_normal(z: np.ndarray) -> np.ndarray:
     """Each column's one-sample Kolmogorov-Smirnov distance to N(0, 1).
 
@@ -733,7 +767,12 @@ def run_ensemble(
     checkpoints (one uniform per gap piece with two active symbols), or one
     symbol per level with a window. Threads only partition the paths of a
     windowed product run into contiguous ranges of at least 2^21 path-levels.
-    Reductions run single-threaded in path order. The Kolmogorov-Smirnov
+    Means and variances over the paths are exact column sums rounded once
+    (column_fsums, math.fsum's result), so neither the path order nor the
+    split into blocks can show in them; grid t, the same on every path, is
+    one row for the ratios, their denominators and the z-scores. The
+    medians of the running sups are one np.median down the paths, NaN where
+    a column is not finite. The Kolmogorov-Smirnov
     distances of z = centered / sqrt(sigma2_clt T) to N(0, 1) come from one
     column-wise pass over the (N, checkpoints) z matrix; they are NaN when
     sigma2_clt is 0.
@@ -756,21 +795,17 @@ def run_ensemble(
     S, T, SUP, INF = _walk_ensemble(
         model, conv, cks, seed, range(N), threads, None if window is None else (w_lo, w_hi)
     )
-    centered = S - conv.d * T
-    ratio = centered / conv.ratio_den(T)
+    Tr = T[:1] if conv.t_per_level is not None else T  # grid t: one row for every path
+    centered = S - conv.d * Tr
+    ratio = centered / conv.ratio_den(Tr)
+    ks_distance = (float("nan"),) * len(cks)  # no CLT variance, no z-scores
     if conv.sigma2_clt > 0:
-        ks_distance = tuple(_ks_normal(centered / np.sqrt(conv.sigma2_clt * T)).tolist())
-    else:
-        ks_distance = (float("nan"),) * len(cks)
+        ks_distance = tuple(_ks_normal(centered / np.sqrt(conv.sigma2_clt * Tr)).tolist())
     if SUP is None:  # the window is the whole checkpoint grid
         SUP, INF = np.maximum.accumulate(ratio, axis=1), np.minimum.accumulate(ratio, axis=1)
-
-    def column_means(X) -> tuple[float, ...]:
-        """math.fsum down each column, over N: the sums are exact, so no path order shows."""
-        return tuple(math.fsum(col) / N for col in X.T.tolist())
-
-    ratio_mean = column_means(ratio)
-    runsup_median = [float(np.median(c)) if np.isfinite(c).all() else float("nan") for c in SUP.T]
+    ratio_mean = column_fsums(ratio) / N
+    with np.errstate(invalid="ignore"):  # inf and -inf in a column, masked to nan
+        runsup_median = np.where(np.isfinite(SUP).all(axis=0), np.median(SUP, axis=0), np.nan)
     return EnsembleSummary(
         convention=conv.name,
         N=N,
@@ -779,13 +814,13 @@ def run_ensemble(
         window=(w_lo, w_hi),
         d=conv.d,
         sigma=conv.sigma,
-        ratio_mean=ratio_mean,
-        ratio_var=column_means((ratio - ratio_mean) ** 2),
+        ratio_mean=tuple(ratio_mean.tolist()),
+        ratio_var=tuple((column_fsums((ratio - ratio_mean) ** 2) / N).tolist()),
         ratio_min=tuple(ratio.min(axis=0).tolist()),
         ratio_max=tuple(ratio.max(axis=0).tolist()),
         ks_distance=ks_distance,
-        mean_gap=tuple(abs(s / t - conv.d) for s, t in zip(column_means(S), column_means(T))),
-        runsup_median=tuple(runsup_median),
+        mean_gap=tuple(np.abs(column_fsums(S) / N / (column_fsums(T) / N) - conv.d).tolist()),
+        runsup_median=tuple(runsup_median.tolist()),
         path_window_sup=SUP[:, -1],
         path_window_inf=INF[:, -1],
     )

@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, NumericalError, ValidationError
+from .lil import column_fsums
 from .models import (
     MarkovMeasure,
     MeasureModel,
@@ -131,38 +132,29 @@ def qb_constant(
             f"k^max_level = {k ** max_level} exceeds the pair budget {_PAIR_BUDGET}"
         )
     L = {lvl: chain_log_masses(model, lvl) for lvl in range(1, max_level + 1)}
-    sup = 1.0
-    pairs = 0
-    for a in range(1, max_level):
-        for b in range(1, max_level - a + 1):
-            # row u, column v: word uv sits at index u * k^b + v
-            with np.errstate(invalid="ignore"):
-                log_ratio = L[a + b].reshape(k ** a, k ** b) - L[a][:, None] - L[b][None, :]
-            # finite exactly when m(u), m(v) and m(uv) are all positive
-            log_ratio = log_ratio[np.isfinite(log_ratio)]
-            if log_ratio.size:
-                sup = max(sup, math.exp(float(np.abs(log_ratio).max())))
-                pairs += log_ratio.size
-    # seeded long-word sweep: sampled words have positive mass by construction
-    core = model.core
-    syms, lengths = _sampled_chain_words(core, random_pairs, random_max_level, path_rng(seed, 0))
-    factors = core.log_factors(syms).tolist()
+    # row u, column v: word uv sits at index u * k^b + v; -inf - -inf where a mass is 0
+    with np.errstate(invalid="ignore"):
+        gaps = [(L[a + b].reshape(k ** a, k ** b) - L[a][:, None] - L[b][None, :]).ravel()
+                for a in range(1, max_level) for b in range(1, max_level - a + 1)]
+    # seeded long-word sweep: sampled words have positive mass by construction;
+    # F holds each word's log factors down a column, 0.0 past its end
+    syms, lengths = _sampled_chain_words(model.core, random_pairs, random_max_level, path_rng(seed, 0))
+    F = np.where(np.arange(random_max_level) < lengths[:, None], model.core.log_factors(syms), 0.0).T
+    fu, fv = F[:, 0::2], F[:, 1::2]
     # uv has the factors of u, the transition from u's last to v's first
-    # symbol, and v's transitions; fsum rounds the exact sum, in any order
-    la, lb = lengths[0::2], lengths[1::2]
-    joins = core.log_P[syms[0::2][np.arange(la.size), la - 1], syms[1::2, 0]].tolist()
-    for fu, fv, na, nb, join in zip(factors[0::2], factors[1::2], la.tolist(), lb.tolist(), joins):
-        fu, fv = fu[:na], fv[:nb]
-        lm_u, lm_v, lm_uv = math.fsum(fu), math.fsum(fv), math.fsum(fu + [join] + fv[1:])
-        if not (math.isfinite(lm_u) and math.isfinite(lm_v) and math.isfinite(lm_uv)):
-            continue
-        sup = max(sup, math.exp(abs(lm_uv - lm_u - lm_v)))
-        pairs += 1
+    # symbol, and v's transitions
+    joins = model.core.log_P[syms[0::2][np.arange(random_pairs), lengths[0::2] - 1], syms[1::2, 0]]
+    gaps.append(column_fsums(np.vstack([fu, joins, fv[1:]])) - column_fsums(fu) - column_fsums(fv))
+    # finite exactly when m(u), m(v) and m(uv) are all positive; exp is
+    # monotone, so the sup is exp of the largest gap
+    gaps = np.abs(np.concatenate(gaps))
+    gaps = gaps[np.isfinite(gaps)]
+    sup = math.exp(float(gaps.max())) if gaps.size else 1.0
     if sup > closed * (1.0 + 1e-12):
         raise NumericalError(
             f"enumerated ratio {sup!r} exceeds the closed-form constant {closed!r}"
         )
-    return QBReport(closed, max_level, pairs)
+    return QBReport(closed, max_level, gaps.size)
 
 
 # ---------------------------------------------------------------------------

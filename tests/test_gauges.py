@@ -322,3 +322,31 @@ def test_chain_gauge_counts_in_exact_binomial_band():
             count = round(fraction * N)
             assert count == fraction * N
             assert lo <= count <= hi, (spec.family, n, count, lo, hi, p_lo, p_hi)
+
+
+@pytest.mark.parametrize("name", ["bernoulli_quarter", "cantor_biased", "markov_chain"])
+def test_gauge_fractions_match_a_gauge_per_path(name):
+    """On grids gauge_test evaluates the gauge on one row of t for every
+    path; the fractions are those of the gauge taken on every path's t."""
+    from mflil import lil
+
+    model = load_zoo_model(name)
+    d, cks, N, seed = dimension(model), (16, 64, 256, 1024), 400, 6
+    specs = [
+        GaugeSpec(family="power", d=d),
+        GaugeSpec(family="lil_hausdorff", d=d, sigma=lil_sigma(model, "natural"), epsilon=0.3,
+                  epsilon_sign=-1, theta=theta_correction("natural")),
+        GaugeSpec(family="lil_packing", d=d, sigma=lil_sigma(model, "natural"), epsilon=0.3,
+                  epsilon_sign=-1, theta=theta_correction("natural")),
+        GaugeSpec(family="sqrt", d=d, a=0.5, ell=2),
+    ]
+    if model.core.ell is not None:
+        specs.append(GaugeSpec(family="theta", d=d, a=0.5, ell=model.core.ell,
+                               chi_profile=ChiProfile(model, side=1, q_max=1.0)))
+    S, T, _, _ = lil._walk_ensemble(model, lil.lil_convention(model, "natural"), cks, seed, range(N))
+    for spec in specs:
+        hits = S >= -log_gauge_from_u(spec, T)
+        res = gauge_test(model, spec, cks, N=N, seed=seed)
+        assert res.fractions == tuple((np.count_nonzero(hits, axis=0) / N).tolist()), spec.family
+        hit_by = np.count_nonzero(np.logical_or.accumulate(hits, axis=1), axis=0) / N
+        assert res.hit_by == tuple(hit_by.tolist()), spec.family

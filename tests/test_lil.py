@@ -1313,3 +1313,119 @@ def test_grid_window_walk_memory_is_a_few_blocks():
     peak = _window_walk_peak(1 << 18)
     assert peak < 8 * block_bytes
     assert _window_walk_peak(1 << 17) >= peak - block_bytes // 64
+
+
+# ---------------------------------------------------------------------------
+# exact column sums and the ensemble reductions
+
+
+def assert_column_fsums_match_fsum(X):
+    """column_fsums(X) is math.fsum of each column: the same bytes (so the
+    same sign of zero), or the exception the first failing column raises."""
+    try:
+        want = np.array([math.fsum(col) for col in X.T.tolist()], dtype=float)
+    except (OverflowError, ValueError) as err:
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            lil_module.column_fsums(X)
+        return
+    got = lil_module.column_fsums(X)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (got, want)
+
+
+def _signed_spread(rng, N, m, lo, hi):
+    """An (N, m) matrix of random signs and mantissas at exponents drawn from [lo, hi]."""
+    signs = rng.choice([-1.0, 1.0], size=(N, m))
+    return np.ldexp(signs * rng.uniform(0.5, 1.0, size=(N, m)), rng.integers(lo, hi + 1, size=(N, m)))
+
+
+_EXPONENT_SPANS = [(-1074, -1000), (-1074, -900), (-30, 30), (-60, 4), (-200, 200), (-1074, 1000), (900, 1000)]
+
+
+@pytest.mark.parametrize("passes", [1, 2, lil_module._EXTRACT_PASSES])
+@pytest.mark.parametrize("N", [1, 2, 3, 62, 2000, 4099])
+def test_column_fsums_match_fsum_on_a_seeded_grid(monkeypatch, passes, N):
+    # few passes send the wide columns to fsum itself, the default clears them
+    monkeypatch.setattr(lil_module, "_EXTRACT_PASSES", passes)
+    rng = np.random.default_rng(N)
+    for lo, hi in _EXPONENT_SPANS:
+        X = _signed_spread(rng, N, 4, lo, hi)
+        assert_column_fsums_match_fsum(X)
+        # pairs that cancel to exactly 0, and the same with one value left over
+        half = X[: (N + 1) // 2]
+        pairs = np.concatenate([half, -half])[rng.permutation(2 * half.shape[0])]
+        assert_column_fsums_match_fsum(pairs)
+        assert_column_fsums_match_fsum(np.concatenate([pairs, X[:1]]))
+    # ties: 1 + 2^-53 rounds to even, one more tiny bit rounds it up
+    tie = np.zeros((N + 2, 2))
+    tie[0], tie[1, :] = 1.0, 2.0 ** -53
+    tie[2, 1] = 2.0 ** -1000
+    assert_column_fsums_match_fsum(tie)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 3000])
+def test_column_fsums_keep_fsums_zeros_specials_and_exceptions(N):
+    big = np.finfo(float).max
+    zeros, ones = np.zeros(N), np.ones(N)
+    columns = [  # each beside a column of ordinary values, on either side
+        zeros,
+        -zeros,
+        np.where(np.arange(N) % 2 == 0, -0.0, 0.0),
+        np.r_[ones, np.inf],
+        np.r_[-np.inf, ones],
+        np.r_[np.nan, ones],
+        np.r_[big / 2, zeros],
+        np.r_[big, -big, big, zeros],  # fsum's partials never overflow here
+        # fsum raises on these
+        np.r_[np.inf, zeros, -np.inf],
+        np.r_[big, big, zeros],
+        np.r_[big, big, -big, zeros],
+        np.r_[np.nan, np.inf, -np.inf, zeros],
+        np.r_[big, big, np.inf, zeros],
+    ]
+    for col in columns:
+        X = np.column_stack([col, np.linspace(-1.0, 3.0, col.size)])
+        assert_column_fsums_match_fsum(X)
+        assert_column_fsums_match_fsum(X[:, ::-1])
+        assert_column_fsums_match_fsum(np.column_stack([X, np.full(col.size, np.nan)]))
+    assert lil_module.column_fsums(np.zeros((4, 0))).shape == (0,)
+
+
+def reference_reductions(S, T, SUP, conv):
+    """run_ensemble's reductions as per-column loops: one math.fsum and one
+    np.median per checkpoint, over the walk's full (N, m) S and T."""
+    N = S.shape[0]
+
+    def column_means(X):
+        return tuple(math.fsum(col) / N for col in X.T.tolist())
+
+    centered = S - conv.d * T
+    ratio = centered / conv.ratio_den(T)
+    if SUP is None:
+        SUP = np.maximum.accumulate(ratio, axis=1)
+    mean = column_means(ratio)
+    ks = lil_module._ks_normal(centered / np.sqrt(conv.sigma2_clt * T)) if conv.sigma2_clt > 0 else None
+    return {
+        "ratio_mean": mean,
+        "ratio_var": column_means((ratio - mean) ** 2),
+        "mean_gap": tuple(abs(s / t - conv.d) for s, t in zip(column_means(S), column_means(T))),
+        "runsup_median": tuple(float(np.median(c)) if np.isfinite(c).all() else float("nan") for c in SUP.T),
+        "ratio_min": tuple(ratio.min(axis=0).tolist()),
+        "ratio_max": tuple(ratio.max(axis=0).tolist()),
+        "ks_distance": tuple(ks.tolist()) if ks is not None else (float("nan"),) * S.shape[1],
+    }
+
+
+@pytest.mark.parametrize("name", ["bernoulli_quarter", "cantor_biased", "markov_chain"])
+@pytest.mark.parametrize("seed", [2, 9])
+@pytest.mark.parametrize("window", [None, (40, 1024)])
+def test_ensemble_reductions_match_the_per_column_reference(name, seed, window):
+    model = load_zoo_model(name)
+    conv = lil_convention(model)
+    cks, N = (16, 40, 256, 1024), (120 if name == "markov_chain" else 700)
+    S, T, SUP, _ = lil_module._walk_ensemble(model, conv, cks, seed, range(N), window=window)
+    got = run_ensemble(model, N, cks, seed=seed, window=window)
+    for field, want in reference_reductions(S, T, SUP, conv).items():
+        # bytes, not ==, so that NaN, -0.0 and +0.0 are held too
+        assert np.array(getattr(got, field)).tobytes() == np.array(want).tobytes(), field
+    if window is not None:
+        assert np.isnan(got.runsup_median[0]) and np.isfinite(got.runsup_median[-1])
