@@ -80,6 +80,7 @@ from .gauges import (
     GaugeSpec,
     GaugeTestResult,
     ThetaCorrection,
+    gauge_spec,
     gauge_test,
     lil_sigma,
     theta_correction,

@@ -12,6 +12,10 @@ even --out. Re-running the same command over the same model reproduces the
 output files byte for byte, for any lil-sim --threads value; only the
 manifest's timestamp differs.
 
+gauge-test hands all of its gauge options to gauges.gauge_spec; the gauge
+module's table of families decides which of them a family reads, and
+--family takes its choices from that table.
+
 Exit codes: 0 success; 2 validation (bad flags, malformed model files, domain
 violations); 3 numerical failure (a cross-check disagreed); 4 budget
 exceeded. Budgets can be widened via MFLIL_ENUM_BUDGET and MFLIL_PATH_BUDGET.
@@ -33,11 +37,11 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetError, NumericalError, ValidationError
-from .gauges import GaugeSpec, gauge_test, lil_sigma, theta_correction
+from .gauges import _FAMILIES as _GAUGE_FAMILIES, gauge_spec, gauge_test
 from .lil import _WALK_BITS, RNG_STREAM, run_ensemble
 from .models import LogBase, MeasureModel, parse_model_file
 from .qb import dichotomy_classify, qb_constant
-from .spectrum import ChiProfile, dimension, spectrum_table
+from .spectrum import spectrum_table
 from .zoo import ZOO_NAMES, zoo_text
 
 
@@ -217,42 +221,10 @@ def cmd_lil_sim(args) -> None:
     })
 
 
-def _build_gauge_spec(model: MeasureModel, args) -> GaugeSpec:
-    d = dimension(model)
-    if args.family == "power":
-        return GaugeSpec(family="power", d=d)
-    ell = model.core.ell  # None on self-similar measures
-    conv = args.theta_convention
-    if conv == "auto":
-        conv = (LogBase.NATURAL if ell is None else LogBase.BASE_2 if ell == 2 else LogBase.BASE_ELL).value
-    if args.family in ("lil_hausdorff", "lil_packing"):
-        return GaugeSpec(
-            family=args.family,
-            d=d,
-            sigma=lil_sigma(model, conv),
-            epsilon=args.epsilon,
-            epsilon_sign=args.epsilon_sign,
-            theta=theta_correction(conv, ell),
-        )
-    if ell is None:
-        raise ValidationError(
-            f"the {args.family} gauge family needs a grid scale; "
-            "self-similar models support the lil families and power only"
-        )
-    if args.family == "sqrt":
-        return GaugeSpec(family="sqrt", d=d, a=args.a, ell=ell)
-    return GaugeSpec(
-        family="theta",
-        d=d,
-        a=args.a,
-        ell=ell,
-        chi_profile=ChiProfile(model, side=1, q_max=args.q_max),
-    )
-
-
 def cmd_gauge_test(args) -> None:
     model = _model(args)
-    spec = _build_gauge_spec(model, args)
+    spec = gauge_spec(model, args.family, epsilon=args.epsilon, epsilon_sign=args.epsilon_sign,
+                      a=args.a, q_max=args.q_max, theta_convention=args.theta_convention)
     checkpoints = _parse_checkpoints(args.checkpoints)
     result = gauge_test(model, spec, checkpoints, N=args.N, seed=args.seed)
     _emit(args, "gauge-test", {
@@ -351,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gauge-test", help="mass-vs-gauge fractions over sampled paths")
     _add_common(sp, seed=True)
-    sp.add_argument("--family", required=True,
-                    choices=["power", "lil_hausdorff", "lil_packing", "sqrt", "theta"])
+    sp.add_argument("--family", required=True, choices=list(_GAUGE_FAMILIES))
     sp.add_argument("--epsilon", type=float, default=0.3)
     sp.add_argument("--epsilon-sign", type=int, default=1, choices=[1, -1])
     sp.add_argument("--a", type=float, default=0.5)

@@ -24,7 +24,11 @@ sqrt(sigma2_natural / (ln b / ln c)) from the same pair, so sqrt(sigma2_natural
 / ln 2) for 'base-2' and sqrt(sigma2_natural) for the two all-one-base
 conventions, where sigma2_natural = tau''(1); see lil_sigma.
 
-Gauge families:
+Gauge families, one row each of the table _FAMILIES, which names the
+GaugeSpec fields a family reads besides d and gives its natural-log
+correction to t^d at u = ln(1/t). GaugeSpec checks, describes and evaluates
+a gauge from its row, and gauge_spec builds one from a model and the
+gauge-test options, taking only what the row reads:
 
   power          t^d                         (zero correction)
   lil_hausdorff  t^d Theta(t)^(+(sigma +/- eps))
@@ -38,14 +42,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .lil import _checked_levels, _iterated_log, _walk_ensemble, lil_convention
 from .models import LogBase, MeasureModel
-from .spectrum import ChiProfile, sigma2_scale_free
+from .spectrum import ChiProfile, dimension, sigma2_scale_free
 
 _GAUGE_N_MIN = 16
 # (b, c) of Theta = b^sqrt(2 w LL_c(w)); base-ell reads the grid base, (ell, ell)
@@ -61,12 +65,6 @@ def _theta_bases(convention: str, ell: Optional[int]) -> tuple[float, float]:
     if base is LogBase.BASE_ELL and ell is None:
         raise ValidationError("base-ell Theta needs a grid base ell; self-similar measures have none")
     return _THETA_BASES.get(base, (ell, ell))
-
-
-def _once_per_value(f, a: np.ndarray) -> np.ndarray:
-    """f(x) for every entry x of the array a, calling f once per distinct value."""
-    values, inverse = np.unique(a, return_inverse=True)
-    return np.array([f(float(v)) for v in values])[inverse].reshape(a.shape)
 
 
 def lil_sigma(model: MeasureModel, convention: str) -> float:
@@ -113,13 +111,46 @@ def theta_correction(convention: str, ell: Optional[int] = 2) -> ThetaCorrection
     return ThetaCorrection(convention, (b, c), u_min, math.exp(-u_min))
 
 
-_FAMILIES = ("power", "lil_hausdorff", "lil_packing", "sqrt", "theta")
+class _Table(dict):
+    """The gauge families by name; looking up an unknown name refuses it."""
+
+    def __missing__(self, name):
+        raise ValidationError(f"unknown gauge family {name!r}")
+
+
+class _Family(NamedTuple):
+    """One gauge family's row of the table."""
+
+    reads: tuple[str, ...]  # the GaugeSpec fields it reads besides d
+    correction: Callable  # (spec, u) -> the natural-log correction to t^d at u = ln(1/t)
+
+
+def _theta_family_correction(spec: GaugeSpec, u: np.ndarray) -> np.ndarray:
+    """-a ln(ell) theta(log_ell(1/t)), with one chi inversion per distinct u."""
+    lb = math.log(spec.ell)
+    values, inverse = np.unique(u / lb, return_inverse=True)
+    th = np.array([spec.chi_profile.theta(float(v)) for v in values])[inverse].reshape(u.shape)
+    return -(spec.a * lb * th)
+
+
+_LIL = _Family(("sigma", "epsilon", "epsilon_sign", "theta"),
+               lambda spec, u: spec.exponent() * spec.theta.log_theta_from_u(u))
+_FAMILIES = _Table({
+    "power": _Family((), lambda spec, u: -0.0),  # adding -0.0 changes no double, not even -0.0
+    "lil_hausdorff": _LIL,
+    "lil_packing": _LIL,
+    "sqrt": _Family(("a", "ell"), lambda spec, u: spec.a * np.sqrt(u * math.log(spec.ell))),
+    "theta": _Family(("a", "ell", "chi_profile"), _theta_family_correction),
+})
 
 
 @dataclass(frozen=True)
 class GaugeSpec:
     """A gauge t^d * correction, with every unit pinned down.
 
+    The family's row of _FAMILIES names the fields it reads besides d; only
+    those are range-checked, described and evaluated (every number is held
+    finite), and an unknown family is refused by the row's lookup.
     epsilon_sign picks between sigma+epsilon and sigma-epsilon inside the
     exponent; the hausdorff family applies the exponent positively, the
     packing family negatively.
@@ -136,53 +167,76 @@ class GaugeSpec:
     chi_profile: Optional[ChiProfile] = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValidationError(f"unknown gauge family {self.family!r}")
+        reads = _FAMILIES[self.family].reads
         for name in ("d", "sigma", "epsilon", "a"):  # nan and inf pass the range tests below
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.d < 0:
             raise ValidationError(f"d must be >= 0, got {self.d!r}")
-        if self.family in ("lil_hausdorff", "lil_packing"):
-            if self.epsilon <= 0:
-                raise ValidationError("epsilon must be positive for the lil families")
-            if self.epsilon_sign not in (1, -1):
-                raise ValidationError("epsilon_sign must be +1 or -1")
-            if self.theta is None:
-                raise ValidationError("lil gauge families need a ThetaCorrection")
-            if self.sigma < 0:
-                raise ValidationError("sigma must be >= 0")
-        elif self.family == "sqrt":
-            if self.a == 0.0:
-                raise ValidationError("the sqrt family needs a != 0")
-        elif self.family == "theta":
-            if not 0.0 < self.a < 1.0:
-                raise ValidationError("the theta family needs 0 < a < 1")
-            if self.chi_profile is None:
-                raise ValidationError("the theta family needs a chi profile")
-        if self.family in ("sqrt", "theta") and self.ell < 2:  # the two families that read ell
+        if "epsilon" in reads and self.epsilon <= 0:
+            raise ValidationError("epsilon must be positive for the lil families")
+        if "epsilon_sign" in reads and self.epsilon_sign not in (1, -1):
+            raise ValidationError("epsilon_sign must be +1 or -1")
+        if "theta" in reads and self.theta is None:
+            raise ValidationError("lil gauge families need a ThetaCorrection")
+        if "sigma" in reads and self.sigma < 0:
+            raise ValidationError("sigma must be >= 0")
+        if self.family == "sqrt" and self.a == 0.0:
+            raise ValidationError("the sqrt family needs a != 0")
+        if self.family == "theta" and not 0.0 < self.a < 1.0:
+            raise ValidationError("the theta family needs 0 < a < 1")
+        if "chi_profile" in reads and self.chi_profile is None:
+            raise ValidationError("the theta family needs a chi profile")
+        if "ell" in reads and self.ell < 2:
             raise ValidationError(f"ell must be >= 2, got {self.ell}")
 
     def exponent(self) -> float:
         """Signed Theta exponent for the lil families."""
-        if self.family not in ("lil_hausdorff", "lil_packing"):
+        if "theta" not in _FAMILIES[self.family].reads:
             raise ValidationError(f"family {self.family!r} has no Theta exponent")
         mag = self.sigma + self.epsilon_sign * self.epsilon
         return mag if self.family == "lil_hausdorff" else -mag
 
     def describe(self) -> dict:
+        """The family, d and the numbers the family reads; a Theta as its
+        signed exponent and convention, a chi profile not at all."""
+        reads = _FAMILIES[self.family].reads
         doc = {"family": self.family, "d": self.d}
-        if self.family in ("lil_hausdorff", "lil_packing"):
-            doc.update(
-                sigma=self.sigma,
-                epsilon=self.epsilon,
-                epsilon_sign=self.epsilon_sign,
-                exponent=self.exponent(),
-                theta_convention=self.theta.convention,
-            )
-        elif self.family in ("sqrt", "theta"):
-            doc.update(a=self.a, ell=self.ell)
+        doc.update((name, getattr(self, name)) for name in reads if name not in ("theta", "chi_profile"))
+        if "theta" in reads:
+            doc.update(exponent=self.exponent(), theta_convention=self.theta.convention)
         return doc
+
+
+def gauge_spec(
+    model: MeasureModel, family: str, *, epsilon: float, epsilon_sign: int, a: float,
+    q_max: float, theta_convention: str,
+) -> GaugeSpec:
+    """The gauge of a family for a model, from gauge-test's options.
+
+    d is the model's dimension; of the options and of what the model gives
+    (sigma, Theta, the grid base ell, the chi profile on (0, q_max]) the
+    spec takes only the fields its family reads. The Theta convention
+    'auto' is natural on self-similar models, base-2 on binary grids and
+    base-ell on other grids. A family that reads ell refuses a self-similar
+    model, which has no grid scale.
+    """
+    reads = _FAMILIES[family].reads
+    d, ell = dimension(model), model.core.ell  # ell is None on self-similar measures
+    if "ell" in reads and ell is None:
+        raise ValidationError(
+            f"the {family} gauge family needs a grid scale; "
+            "self-similar models support the lil families and power only"
+        )
+    fields = {"epsilon": epsilon, "epsilon_sign": epsilon_sign, "a": a, "ell": ell}
+    if "theta" in reads:
+        conv = theta_convention
+        if conv == "auto":
+            conv = (LogBase.NATURAL if ell is None else LogBase.BASE_2 if ell == 2 else LogBase.BASE_ELL).value
+        fields.update(sigma=lil_sigma(model, conv), theta=theta_correction(conv, ell))
+    if "chi_profile" in reads:
+        fields["chi_profile"] = ChiProfile(model, side=1, q_max=q_max)
+    return GaugeSpec(family, d, **{name: fields[name] for name in reads})
 
 
 def log_gauge_from_u(spec: GaugeSpec, u):
@@ -190,18 +244,7 @@ def log_gauge_from_u(spec: GaugeSpec, u):
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr <= 0):
         raise ValidationError("u = ln(1/t) must be positive")
-    base = -spec.d * u_arr
-    if spec.family == "power":
-        out = base
-    elif spec.family in ("lil_hausdorff", "lil_packing"):
-        out = base + spec.exponent() * spec.theta.log_theta_from_u(u_arr)
-    elif spec.family == "sqrt":
-        out = base + spec.a * np.sqrt(u_arr * math.log(spec.ell))
-    else:
-        lb = math.log(spec.ell)
-        targs = u_arr / lb
-        th = _once_per_value(spec.chi_profile.theta, targs)  # one chi inversion per distinct u
-        out = base - spec.a * lb * th
+    out = -spec.d * u_arr + _FAMILIES[spec.family].correction(spec, u_arr)
     return float(out) if np.ndim(u) == 0 else out
 
 

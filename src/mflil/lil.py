@@ -770,7 +770,9 @@ def run_ensemble(
     Means and variances over the paths are exact column sums rounded once
     (column_fsums, math.fsum's result), so neither the path order nor the
     split into blocks can show in them; grid t, the same on every path, is
-    one row for the ratios, their denominators and the z-scores. The
+    one row for the ratios, their denominators, the z-scores and the mean t,
+    whose sum over the N paths is then the row's t times N / 1, fl(N t), the
+    value fsum gives (N < 2^53, so N / 1 is exact). The
     medians of the running sups are one np.median down the paths, NaN where
     a column is not finite. The Kolmogorov-Smirnov
     distances of z = centered / sqrt(sigma2_clt T) to N(0, 1) come from one
@@ -819,7 +821,7 @@ def run_ensemble(
         ratio_min=tuple(ratio.min(axis=0).tolist()),
         ratio_max=tuple(ratio.max(axis=0).tolist()),
         ks_distance=ks_distance,
-        mean_gap=tuple(np.abs(column_fsums(S) / N / (column_fsums(T) / N) - conv.d).tolist()),
+        mean_gap=tuple(np.abs(column_fsums(S) / N / (column_fsums(Tr) * (N / len(Tr)) / N) - conv.d).tolist()),
         runsup_median=tuple(runsup_median.tolist()),
         path_window_sup=SUP[:, -1],
         path_window_inf=INF[:, -1],

@@ -12,11 +12,13 @@ from mflil import (
     ValidationError,
     dimension,
     exact_distribution,
+    gauge_spec,
     gauge_test,
     lil_sigma,
     theta_correction,
 )
-from mflil.gauges import log_gauge_from_u
+from mflil.cli import build_parser
+from mflil.gauges import _FAMILIES, log_gauge_from_u
 from mflil.zoo import load_zoo_model
 
 QUARTER = BernoulliProduct(0.25)
@@ -350,3 +352,143 @@ def test_gauge_fractions_match_a_gauge_per_path(name):
         assert res.fractions == tuple((np.count_nonzero(hits, axis=0) / N).tolist()), spec.family
         hit_by = np.count_nonzero(np.logical_or.accumulate(hits, axis=1), axis=0) / N
         assert res.hit_by == tuple(hit_by.tolist()), spec.family
+
+
+def reference_gauge_spec(model, args) -> GaugeSpec:
+    """The CLI's gauge builder before the family table, verbatim: the
+    reference gauge_spec is held to."""
+    d = dimension(model)
+    if args.family == "power":
+        return GaugeSpec(family="power", d=d)
+    ell = model.core.ell  # None on self-similar measures
+    conv = args.theta_convention
+    if conv == "auto":
+        conv = (LogBase.NATURAL if ell is None else LogBase.BASE_2 if ell == 2 else LogBase.BASE_ELL).value
+    if args.family in ("lil_hausdorff", "lil_packing"):
+        return GaugeSpec(
+            family=args.family,
+            d=d,
+            sigma=lil_sigma(model, conv),
+            epsilon=args.epsilon,
+            epsilon_sign=args.epsilon_sign,
+            theta=theta_correction(conv, ell),
+        )
+    if ell is None:
+        raise ValidationError(
+            f"the {args.family} gauge family needs a grid scale; "
+            "self-similar models support the lil families and power only"
+        )
+    if args.family == "sqrt":
+        return GaugeSpec(family="sqrt", d=d, a=args.a, ell=ell)
+    return GaugeSpec(
+        family="theta",
+        d=d,
+        a=args.a,
+        ell=ell,
+        chi_profile=ChiProfile(model, side=1, q_max=args.q_max),
+    )
+
+
+def reference_exponent(spec: GaugeSpec) -> float:
+    """GaugeSpec.exponent before the family table, verbatim."""
+    if spec.family not in ("lil_hausdorff", "lil_packing"):
+        raise ValidationError(f"family {spec.family!r} has no Theta exponent")
+    mag = spec.sigma + spec.epsilon_sign * spec.epsilon
+    return mag if spec.family == "lil_hausdorff" else -mag
+
+
+def reference_describe(spec: GaugeSpec) -> dict:
+    """GaugeSpec.describe before the family table, verbatim but for the
+    exponent, which is reference_exponent's."""
+    doc = {"family": spec.family, "d": spec.d}
+    if spec.family in ("lil_hausdorff", "lil_packing"):
+        doc.update(
+            sigma=spec.sigma,
+            epsilon=spec.epsilon,
+            epsilon_sign=spec.epsilon_sign,
+            exponent=reference_exponent(spec),
+            theta_convention=spec.theta.convention,
+        )
+    elif spec.family in ("sqrt", "theta"):
+        doc.update(a=spec.a, ell=spec.ell)
+    return doc
+
+
+def reference_log_gauge(spec: GaugeSpec, u):
+    """log_gauge_from_u before the family table, verbatim but for the
+    exponent, which is reference_exponent's, and the chi inversions, which
+    were a helper's."""
+    u_arr = np.asarray(u, dtype=float)
+    if np.any(u_arr <= 0):
+        raise ValidationError("u = ln(1/t) must be positive")
+    base = -spec.d * u_arr
+    if spec.family == "power":
+        out = base
+    elif spec.family in ("lil_hausdorff", "lil_packing"):
+        out = base + reference_exponent(spec) * spec.theta.log_theta_from_u(u_arr)
+    elif spec.family == "sqrt":
+        out = base + spec.a * np.sqrt(u_arr * math.log(spec.ell))
+    else:
+        lb = math.log(spec.ell)
+        values, inverse = np.unique(u_arr / lb, return_inverse=True)
+        th = np.array([spec.chi_profile.theta(float(v)) for v in values])[inverse].reshape(u_arr.shape)
+        out = base - spec.a * lb * th
+    return float(out) if np.ndim(u) == 0 else out
+
+
+def outcome(f, *args):
+    """('ok', f(*args)), or ('refused', type, message) for a ValidationError."""
+    try:
+        return ("ok", f(*args))
+    except ValidationError as exc:
+        return ("refused", type(exc), str(exc))
+
+
+def hexed(x):
+    """x with every float spelled by float.hex, through dicts, sequences and arrays."""
+    if isinstance(x, dict):
+        return {k: hexed(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list, np.ndarray)):
+        return [hexed(v) for v in (x.tolist() if isinstance(x, np.ndarray) else x)]
+    return x.hex() if isinstance(x, float) else x
+
+
+# the gauge-test defaults, two sets off them (a negative a refused by the theta
+# family), and one that the lil, sqrt and theta families all refuse
+GAUGE_OPTION_SETS = {
+    "defaults": [],
+    "moved": ["--epsilon", "0.1", "--epsilon-sign", "-1", "--a", "0.7", "--q-max", "0.6"],
+    "negative_a": ["--epsilon", "2.5", "--a", "-0.7", "--q-max", "0.25"],
+    "refused": ["--epsilon", "0", "--a", "0"],
+}
+# u = ln(1/t) at levels 16 to 2^16 of a binary grid, and two off-grid values
+GAUGE_U = np.concatenate([np.array([16, 50, 203, 1024, 2 ** 16]) * LN2, [37.25, 1234.5]])
+
+
+@pytest.mark.parametrize("options", list(GAUGE_OPTION_SETS))
+@pytest.mark.parametrize("name", ["bernoulli_half", "bernoulli_quarter", "cantor_natural",
+                                  "cantor_biased", "markov_chain"])
+def test_gauge_spec_is_the_cli_builder_it_replaced(name, options):
+    """gauge_spec gives the old CLI builder's GaugeSpec, or its refusal, for
+    every family and Theta convention; describe() and log_gauge_from_u on a
+    fixed u grid (an array and a scalar) give the old ones' floats bit for bit."""
+    model = load_zoo_model(name)
+    for family in _FAMILIES:
+        for convention in ["auto", *(b.value for b in LogBase)]:
+            args = build_parser().parse_args([
+                "gauge-test", "--out", "unused", "--checkpoints", "16", "--N", "1",
+                "--family", family, "--theta-convention", convention, *GAUGE_OPTION_SETS[options],
+            ])
+            case = (family, convention)
+            ref = outcome(reference_gauge_spec, model, args)
+            got = outcome(lambda: gauge_spec(
+                model, args.family, epsilon=args.epsilon, epsilon_sign=args.epsilon_sign,
+                a=args.a, q_max=args.q_max, theta_convention=args.theta_convention))
+            assert got == ref, case
+            if ref[0] == "refused":
+                continue
+            spec = got[1]
+            assert hexed(spec.describe()) == hexed(reference_describe(ref[1])), case
+            for u in (GAUGE_U, float(GAUGE_U[2])):
+                assert (hexed(outcome(log_gauge_from_u, spec, u))
+                        == hexed(outcome(reference_log_gauge, ref[1], u))), case
