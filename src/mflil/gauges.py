@@ -295,7 +295,7 @@ def gauge_test(
     S, T, _, _ = _walk_ensemble(model, conv, cks, seed, range(N))
 
     # m(I) <= gauge(diam)  <=>  -S_natural <= log gauge  <=>  S_natural >= -log gauge
-    hits = S >= -log_gauge_from_u(spec, T[:1] if conv.t_per_level is not None else T)  # grid t: one row
+    hits = S >= -log_gauge_from_u(spec, T)
     # each fraction is count / N, one correctly rounded division
     fractions = tuple((np.count_nonzero(hits, axis=0) / N).tolist())
     hit_by = tuple((np.count_nonzero(np.logical_or.accumulate(hits, axis=1), axis=0) / N).tolist())

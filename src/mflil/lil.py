@@ -60,14 +60,20 @@ walks every path of a chunk in about 2 sqrt(levels) numpy steps,
 composing the per-level state maps, and a cumsum down the levels adds the
 increments in level order. Both hand each block of walked levels to one
 shared pass, _level_walk, which picks the checkpoints and keeps the
-running window extremes by one rule. Where t is the same on every path it
-computes the block's t and ratio denominators once for all its paths: grid
-t, and self-similar t when every ratio is equal, walked by the cumsum and
-carry that each path's own t would take, so the bytes are those of the
-per-path walk. On 2 vCPUs two cantor_biased window paths to level 2^20
-took 35-44 ms this way against 47.5-52 ms with a t per path, and
-window_long's op_s 0.121 against 0.136 s; unequal ratios keep one t per
-path. Only the per-level
+running window extremes by one rule, record bounds. It cuts each block's
+window levels into sub-blocks of _SUB_BLOCK levels, also cut at
+checkpoints, and bounds every sub-block's ratios from the max and min of
+s - d t and ratio_den at its two ends. It forms the exact ratios only on
+the sub-blocks whose bounds reach a path's running sup or inf, a few per
+cent of them on a deep window, so the bytes are those of dividing every
+level. Where t is the same on every path it walks the block's t once for
+all its paths, and forms a sub-block's ratio denominators at most once:
+grid t, and self-similar t when every ratio is equal, walked by the
+cumsum and carry that each path's own t would take; unequal ratios keep
+one t per path. On 2 vCPUs two cantor_biased window paths to level 2^20
+took 35-44 ms with t shared against 47.5-52 ms with a t per path, and
+window_long's op_s 0.121 against 0.136 s; the record bounds then took two
+bernoulli_quarter paths from 38.1 to 32.2 ms. Only the per-level
 product walk (window mode on product models) splits its paths across
 threads, at most one per CPU and per path, and at least _THREAD_WORK
 path-levels (paths times the deepest checkpoint) per thread, each thread
@@ -337,21 +343,58 @@ def _level_walk(produce, checkpoints, conv, window, n_paths, block, step=None):
 
     For each block of levels base+1..base+b, produce(base, b) yields
     (rows, s, t): a slice of the paths and their walked S, one level per row
-    and one column per path, or one path's index and its S as a vector; t
-    alike where each path walks its own t (self-similar measures of unequal
-    ratios), else None. This pass owns what follows the draw: it picks S and
-    t at the block's checkpoints. Where t is the same on every path it walks
-    it once per block: grid t, level * t_per_level, and, where step is given
+    and one column per path, and t alike (one column: only product walks of
+    unequal ratios give each path its own t), else None. This pass owns what
+    follows the draw and may overwrite s and t. It picks S and t at the
+    block's checkpoints. Where t is the same on every path it walks it once
+    per block: grid t, level * t_per_level, and, where step is given
     (self-similar measures whose ratios all have -ln r = step), the block's
-    cumsum of step plus the carry, as each path's walk would sum it. With a
-    window (w_lo, w_hi) it forms the ratios (s - d t) / ratio_den(t) in place
-    in s over the block's window levels (shared t's d t and ratio_den once
-    per block, a path's own t's once per path and block) and reads the
-    running extremes at each checkpoint from fmax/fmin.reduceat over those
-    levels cut after each checkpoint, accumulated and combined with the
-    carry. max and min are exact and no ratio is -0.0, so the order of
-    reduction cannot show, and fmax/fmin skip the nan ratios below t_min as
-    a mask of valid levels would.
+    cumsum of step plus the carry, as each path's walk would sum it.
+
+    With a window (w_lo, w_hi) it keeps each path's running ratio extremes
+    by record bounds. The block's window levels are cut into sub-blocks
+    after levels base + k _SUB_BLOCK and after each checkpoint. For each
+    path it centres a = s - d t in place and takes every sub-block's max and
+    min of a by reduceat. With den_lo and den_hi, ratio_den(t) at the
+    sub-block's first and last levels widened by the relative margin
+    _DEN_MARGIN, these bound the sub-block's ratios. Rounded division is
+    monotone in each operand, so no ratio exceeds max(a_max / den_lo, a_max
+    / den_hi), and the ratio at a_max's level is at least the min of the
+    two; the min is bounded alike. A sub-block is skipped when its bounds
+    reach neither the running sup nor the running inf it starts from, taken
+    as the extremes carried into the block raised by what every earlier
+    sub-block certainly reaches (one fmax.accumulate, the inf negated). Only
+    the other sub-blocks get their exact ratios (s - d t) / ratio_den(t),
+    and so does every one whose end denominators are nan (t below t_min, or
+    LL t <= 0). Their fmax/fmin, accumulated from the carry, give the
+    running extremes at each checkpoint. A sub-block's ratio_den is formed
+    once, into t's buffer: once for the whole group where t is shared, once
+    for the path where it is its own. A chain block is bounded column by
+    column and evaluated for all its paths where any path needs it.
+
+    A skipped sub-block cannot move fmax/fmin, so every byte is the one the
+    exact ratios of every level give: max and min are exact and no ratio is
+    -0.0, so ties cannot show, and fmax/fmin skip the nan ratios below t_min
+    as a mask of valid levels would. The bounds hold because ratio_den(t)
+    rounded stays within the margin 2^-30 of a value that grows with t. Its
+    logs err by an ulp or two, so ln(log_b t) is within about 2^-52 of its
+    value. Where ln(log_b t) >= 2^-22 that is at most 2^-30 of it, and
+    the margin covers it. Where ln(log_b t) is smaller, t lies within a
+    hair of b; one level then raises ln(log_b t) by about 1 / (t ln t),
+    which dwarfs the 2^-52 for any b below 2^40, so the rounded ratio_den
+    grows level by level there.
+
+    Sub-blocks of 2^11 levels and the margin 2^-30 were set on 2 vCPUs,
+    run_ensemble in-process, medians of 31 alternating runs. Two
+    bernoulli_quarter paths to 2^20 took 32.2 ms against 38.1 ms when every
+    level was divided, and two cantor_biased paths 35.3 against 40.9 ms.
+    There the walk formed exact ratios on 2.0-3.4% of the path sub-blocks
+    (1.4-4.0% on cantor_biased, six seeds each). Sub-blocks of 2^10 and 2^9
+    levels took 0.3-1.1 ms longer on each of these runs, and 2^12 and 2^13
+    within 0.4 ms of 2^11. Where records are dense the bounds cost more
+    than they save: 16 bernoulli_quarter paths to 2^16 formed exact ratios
+    on 23-33% of their sub-blocks and ratio_den on 53-97% of the levels,
+    and took 16.6 against 15.6 ms.
 
     One row per path and one column per checkpoint; T is None on grids, and
     SUP/INF are None without a window and stay -inf/+inf until it opens.
@@ -360,10 +403,10 @@ def _level_walk(produce, checkpoints, conv, window, n_paths, block, step=None):
     n, d = int(cks[-1]), conv.d
     S = np.empty((n_paths, cks.size))
     T = np.empty_like(S) if conv.t_per_level is None else None  # grid t is _walk_ensemble's
-    SUP, INF = (None, None) if window is None else (np.empty_like(S), np.empty_like(S))
-    sup, inf = np.full(n_paths, -np.inf), np.full(n_paths, np.inf)
+    # the running sup and -inf of every path at each checkpoint, and after the last block
+    EXT, run = np.empty((2, n_paths, cks.size)), np.full((2, n_paths), -np.inf)
     w_lo, w_hi = (1, 0) if window is None else window  # no window: no level is in it
-    bufs = np.empty((2, 0 if window is None else min(n, block)))  # a block's ratio_den, and its t or d t
+    bufs = np.empty((2, 0 if window is None else min(n, block)))  # a block's shared t, and its d t
     t_end = 0.0  # with step, t at the level before the block
     for base in range(0, n, block):
         b = min(block, n - base)
@@ -371,45 +414,51 @@ def _level_walk(produce, checkpoints, conv, window, n_paths, block, step=None):
         at = cks[p0:p1] - base - 1  # the block's checkpoints, as offsets
         w0, w1 = max(w_lo - base - 1, 0), min(w_hi - base, b)
         if step is not None:  # only window walks pass it, so the buffer holds the block
-            tb = np.cumsum(np.full(b, step), out=bufs[1, :b])
-            tb += t_end
+            tb = np.add(np.cumsum(np.full(b, step), out=bufs[0, :b]), t_end, out=bufs[0, :b])
             T[:, p0:p1], t_end = tb[at], tb[-1]
-        if w0 < w1:  # the block's window levels, cut after each checkpoint
-            den, dt = bufs[0, :w1 - w0], bufs[1, w0:w1]
-            ends = np.clip(at + 1, w0, w1) - w0
-            cuts = np.unique(np.append(ends[ends > 0], w1 - w0))
-            starts, seg = np.append(0, cuts[:-1]), np.searchsorted(cuts, ends)
-            opened = ends > 0  # whether the window has opened by each checkpoint
+        edges = None  # the sub-blocks' widened end denominators, once per block where t is shared
+        if w0 < w1:  # the window levels, in sub-blocks cut after levels base + k _SUB_BLOCK and checkpoints
+            tw, dt = bufs[0, w0:w1], bufs[1, w0:w1]
+            ends = np.clip(at + 1, w0, w1) - w0  # each checkpoint's count of window levels
+            cuts = np.unique(np.r_[ends, np.clip(np.arange(0, b, _SUB_BLOCK), w0, w1) - w0, w1 - w0])[1:]
+            # each checkpoint reads the extremes after sub-block seg - 1, or the carry at seg 0
+            starts, seg = np.append(0, cuts[:-1]), np.searchsorted(np.append(0, cuts), ends)
             if T is None:  # grid t
-                np.multiply(np.arange(base + w0 + 1.0, base + w1 + 1.0),
-                            conv.t_per_level, out=dt)  # unnamed, so the levels are freed at once
-            if T is None or step is not None:  # t shared by every path of the block
-                conv.ratio_den(dt, out=den)
-                dt *= d
+                np.multiply(np.arange(base + w0 + 1.0, base + w1 + 1.0), conv.t_per_level, out=tw)
         for rows, s, t in produce(base, b):
             S[rows, p0:p1] = s[at].T
             if t is not None:
                 T[rows, p0:p1] = t[at].T
-            if window is None:
+            if w0 >= w1:  # no window, or it misses the block
+                EXT[:, rows, p0:p1] = run[:, rows, None]
                 continue
-            if w0 >= w1:  # the window misses the block
-                SUP[rows, p0:p1], INF[rows, p0:p1] = sup[rows, None], inf[rows, None]
-                continue
-            if t is not None:
-                conv.ratio_den(t[w0:w1], out=den)
-                np.multiply(t[w0:w1], d, out=dt)
-            col = (slice(None), None)[:s.ndim]  # level-axis tables, lifted over a path axis
-            r = s[w0:w1]
-            r -= dt[col]
-            r /= den[col]
-            top = np.fmax.accumulate(np.fmax.reduceat(r, starts), axis=0)
-            bottom = np.fmin.accumulate(np.fmin.reduceat(r, starts), axis=0)
-            SUP[rows, p0:p1] = np.where(opened[col], np.fmax(top[seg], sup[rows]), sup[rows]).T
-            INF[rows, p0:p1] = np.where(opened[col], np.fmin(bottom[seg], inf[rows]), inf[rows]).T
-            sup[rows], inf[rows] = np.fmax(top[-1], sup[rows]), np.fmin(bottom[-1], inf[rows])
-    return S, T, SUP, INF
+            if t is not None or edges is None:  # a path's own t, or the block's first path
+                tw = tw if t is None else t[w0:w1, 0]
+                edges = conv.ratio_den(tw[np.stack((starts, cuts - 1))])[..., None] * _WIDEN  # den_lo, den_hi
+                formed = np.zeros(starts.size, bool)  # the sub-blocks whose ratio_den replaced t in tw
+                np.multiply(tw, d, out=dt)
+            a = np.subtract(s[w0:w1], dt[:, None], out=s[w0:w1])
+            q = np.array((np.fmax.reduceat(a, starts), -np.fmin.reduceat(a, starts)))[:, None] / edges
+            carry = run[:, rows][:, None]
+            # no ratio of a sub-block passes q.max(1) (for its max, and for -its min),
+            # and one reaches q.min(1), so the running extremes it starts from are at least least
+            least = np.fmax.accumulate(np.concatenate((carry, q.min(1)), axis=1), axis=1)[:, :-1]
+            hot = ~(q.max(1) <= least).all((0, 2))  # nan bounds: hot
+            ext = np.full_like(least, np.nan)  # each sub-block's exact max and -min, where hot
+            for j in np.flatnonzero(hot).tolist():
+                lv = slice(starts[j], cuts[j])
+                if not formed[j]:
+                    tw[lv], formed[j] = conv.ratio_den(tw[lv]), True
+                r = np.divide(a[lv], tw[lv, None], out=a[lv])
+                ext[:, j] = np.fmax.reduce(r, axis=0), -np.fmin.reduce(r, axis=0)
+            ext = np.fmax.accumulate(np.concatenate((carry, ext), axis=1), axis=1)  # after each sub-block
+            EXT[:, rows, p0:p1], run[:, rows] = ext[:, seg].swapaxes(1, 2), ext[:, -1]
+    return S, T, *((None, None) if window is None else (EXT[0], -EXT[1]))
 
 
+_SUB_BLOCK = 1 << 11  # window levels one pair of ratio bounds covers
+_DEN_MARGIN = 2.0 ** -30  # relative widening of a sub-block's end denominators
+_WIDEN = np.array([[[1 - _DEN_MARGIN]], [[1 + _DEN_MARGIN]]])  # to den_lo and den_hi
 _WINDOW_BLOCK = 1 << 16  # levels a window walk draws per path at once
 _WINDOW_GROUP = 1 << 8  # paths whose window walk shares each block's grid tables
 # the fewest path-levels (paths times the deepest checkpoint) a thread of a
@@ -424,10 +473,12 @@ def _window_walk_product(tables, checkpoints, seed, lo, hi, conv, window):
     tables holds the weights' draw thresholds (models.u_thresholds), the
     increments -log_b w and, on self-similar measures, -ln r (else None).
     Every path of the group walks a block of at most _WINDOW_BLOCK levels
-    before the next block starts, so _level_walk computes the block's t and
-    ratio_den(t) once for the group wherever t is the same on every path:
-    grid t, and self-similar t when every -ln r is one step, whose cumsum
-    plus carry would be the same on every path. Path i draws block k from
+    before the next block starts, so _level_walk computes the block's t
+    once for the group, and each sub-block's ratio_den(t) at most once,
+    wherever t is the same on every path: grid t, and self-similar t when
+    every -ln r is one step, whose cumsum plus carry would be the same on
+    every path. Each path yields its S, and on unequal ratios its t, as one
+    column. Path i draws block k from
     path_rng(seed, i) re-keyed past the k blocks before, by draw_symbols
     into the index buffer: one compare per threshold against u on rows of
     up to models._COMPARE_ROW = 64 symbols, a binary search on longer ones.
@@ -456,7 +507,7 @@ def _window_walk_product(tables, checkpoints, seed, lo, hi, conv, window):
                 np.cumsum(xb, out=xb)
                 xb += acc[j]
                 acc[j] = xb[-1]
-            yield j, ub, None if t is None else t[:b]
+            yield slice(j, j + 1), ub[:, None], None if t is None else t[:b, None]
 
     return _level_walk(produce, checkpoints, conv, window, hi - lo, _WINDOW_BLOCK, step)
 
@@ -622,7 +673,8 @@ class EnsembleSummary:
 def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
     """(S, T, SUP, INF) for the paths (a range of indexes) of one run.
 
-    One row per path and one column per checkpoint, S and T in conv's units.
+    One row per path and one column per checkpoint, S and T in conv's units;
+    on grids T is one row, the t of every path, which broadcasts.
     With a window (w_lo, w_hi) every level is walked and SUP/INF hold the
     running ratio extremes over the window levels; otherwise both are None.
     Refuses the run before any path is keyed past the path budget or, for
@@ -679,9 +731,8 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
             def walk(lo, hi):
                 return _window_walk_product(tables, cks, seed, lo, hi, conv, window)
 
-    S, T = np.empty((N, m)), np.empty((N, m))
-    if conv.t_per_level is not None:  # grid t, the same on every path
-        T[:] = np.asarray(cks, dtype=float) * conv.t_per_level
+    S = np.empty((N, m))  # and T, on grids one row of t for every path
+    T = np.empty((N, m)) if conv.t_per_level is None else np.asarray(cks, dtype=float)[None] * conv.t_per_level
     SUP, INF = (None, None) if window is None else (np.empty_like(S), np.empty_like(S))
 
     def fill(lo: int, hi: int) -> None:
@@ -797,12 +848,11 @@ def run_ensemble(
     S, T, SUP, INF = _walk_ensemble(
         model, conv, cks, seed, range(N), threads, None if window is None else (w_lo, w_hi)
     )
-    Tr = T[:1] if conv.t_per_level is not None else T  # grid t: one row for every path
-    centered = S - conv.d * Tr
-    ratio = centered / conv.ratio_den(Tr)
+    centered = S - conv.d * T
+    ratio = centered / conv.ratio_den(T)
     ks_distance = (float("nan"),) * len(cks)  # no CLT variance, no z-scores
     if conv.sigma2_clt > 0:
-        ks_distance = tuple(_ks_normal(centered / np.sqrt(conv.sigma2_clt * Tr)).tolist())
+        ks_distance = tuple(_ks_normal(centered / np.sqrt(conv.sigma2_clt * T)).tolist())
     if SUP is None:  # the window is the whole checkpoint grid
         SUP, INF = np.maximum.accumulate(ratio, axis=1), np.minimum.accumulate(ratio, axis=1)
     ratio_mean = column_fsums(ratio) / N
@@ -821,7 +871,7 @@ def run_ensemble(
         ratio_min=tuple(ratio.min(axis=0).tolist()),
         ratio_max=tuple(ratio.max(axis=0).tolist()),
         ks_distance=ks_distance,
-        mean_gap=tuple(np.abs(column_fsums(S) / N / (column_fsums(Tr) * (N / len(Tr)) / N) - conv.d).tolist()),
+        mean_gap=tuple(np.abs(column_fsums(S) / N / (column_fsums(T) * (N / len(T)) / N) - conv.d).tolist()),
         runsup_median=tuple(runsup_median.tolist()),
         path_window_sup=SUP[:, -1],
         path_window_inf=INF[:, -1],

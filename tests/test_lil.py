@@ -860,7 +860,10 @@ def reference_product_window(model, conv, checkpoints, seed, path_index, window)
         else:
             t = level * conv.t_per_level
         if window[0] <= level <= window[1]:
-            r = lil_ratio(s, t, conv.d, conv)
+            try:
+                r = lil_ratio(s, t, conv.d, conv)
+            except ValidationError:
+                r = math.nan  # t below t_min or LL(t) <= 0: no ratio, and nan never wins below
             sup, inf = max(sup, r), min(inf, r)
         if level in checkpoints:
             SUP.append(sup)
@@ -1050,6 +1053,7 @@ def test_checkpoint_walk_matches_the_per_gap_loop(monkeypatch, name, checkpoints
         neg_lr = None if conv.t_per_level is not None else -core.log_ratios
         for seed in (1, 7):
             S, T, _, _ = lil_module._walk_ensemble(model, conv, checkpoints, seed, range(9))
+            T = np.broadcast_to(T, S.shape)  # grid t is one row for every path
             for i in (0, 1, 4, 8):
                 S_ref, t_ref = reference_checkpoint_walk(
                     core.weights, checkpoints, path_rng(seed, i), lw, neg_lr, conv
@@ -1062,7 +1066,7 @@ def test_checkpoint_walk_matches_the_per_gap_loop(monkeypatch, name, checkpoints
             with monkeypatch.context() as mp:  # blocks of two paths
                 mp.setattr(lil_module, "_COUNT_BLOCK", 2 * len(checkpoints) * core.k)
                 S2, T2, _, _ = lil_module._walk_ensemble(model, conv, checkpoints, seed, range(9))
-            assert S2.tobytes() == S.tobytes() and T2.tobytes() == T.tobytes()
+            assert S2.tobytes() == S.tobytes() and np.broadcast_to(T2, S.shape).tobytes() == T.tobytes()
 
 
 @pytest.mark.parametrize("p1", [0.25, 0.75, 0.5, 0.3, 1e-6, 1 - 1e-6])
@@ -1241,6 +1245,9 @@ def _block_walk_cases():
         "ends_at_the_boundary": (B - 500, B),  # and misses the second block
         "starts_after_the_boundary": (B + 1, B + 500),  # and misses the first block
         "starts_on_the_last_level": (B, B + 400),
+        # record-dense: the running extremes start from nothing at shallow levels
+        "opens_mid_sub_block": (300, 2500),  # checkpoint 600 inside a sub-block
+        "starts_below_t_min": (1, 700),  # and below LL(t) > 0 on 128 symbols
     }
     return models, cks, windows
 
@@ -1255,13 +1262,16 @@ def test_block_window_walk_bytes_match_the_level_references(monkeypatch, name):
     refs = {i: reference_window_levels(model, conv, cks, seed, i) for i in paths}
     for label, window in windows.items():
         extremes = {i: reference_product_window(model, conv, cks, seed, i, window) for i in paths}
-        for group in (1, 2, lil_module._WINDOW_GROUP):
+        # short sub-blocks: many more of them for the window walk to bound and skip
+        for group, sub_block in ((1, 64), (2, lil_module._SUB_BLOCK), (lil_module._WINDOW_GROUP, 64)):
             for threads in (1, 2, 3):
                 with monkeypatch.context() as mp:
                     mp.setattr(lil_module, "_WINDOW_GROUP", group)
+                    mp.setattr(lil_module, "_SUB_BLOCK", sub_block)
                     S, T, SUP, INF = lil_module._walk_ensemble(
                         model, conv, cks, seed, paths, threads, window
                     )
+                T = np.broadcast_to(T, S.shape)  # grid t is one row for every path
                 for row, i in enumerate(paths):
                     case = (label, group, threads, i)
                     # bytes, not ==, so that -0.0 and +0.0 differ
@@ -1274,25 +1284,77 @@ def test_block_window_walk_bytes_match_the_level_references(monkeypatch, name):
         assert seen.size and (seen == 0.0).all() and not np.signbit(seen).any()
 
 
-@pytest.mark.parametrize("name, per_path", [("cantor_biased", False), ("unequal_ratios", True)])
-def test_shared_t_takes_one_ratio_den_per_block(monkeypatch, name, per_path):
-    """Equal ratios give every path one t, so the window walk forms its
-    ratio denominators once per block; unequal ratios, once per path and
-    block. 3 paths, 2 blocks, the window over both."""
-    model = _block_walk_cases()[0][name]
-    conv = lil_convention(model)
-    B = lil_module._WINDOW_BLOCK
-    calls = []
-    ratio_den = lil_module.LilConvention.ratio_den
+def _ratio_den_levels(monkeypatch):
+    """A list that gathers the count of levels each ratio_den call is given."""
+    sizes, ratio_den = [], lil_module.LilConvention.ratio_den
 
     def counted(self, t, out=None):
-        calls.append(np.size(t))
+        sizes.append(np.size(t))
         return ratio_den(self, t, out)
 
     monkeypatch.setattr(lil_module.LilConvention, "ratio_den", counted)
-    lil_module._walk_ensemble(model, conv, (16, B + 700), 5, range(3), window=(16, B + 700))
-    each = 3 if per_path else 1  # the calls per block, each over the block's window levels
-    assert calls == [B - 15] * each + [700] * each
+    return sizes
+
+
+@pytest.mark.parametrize("name, per_path", [("cantor_biased", False), ("unequal_ratios", True)])
+def test_shared_t_takes_one_ratio_den_per_block(monkeypatch, name, per_path):
+    """Equal ratios give every path one t, so the window walk forms each
+    level's ratio denominator at most once per group of paths, however many
+    paths the group holds; unequal ratios, once per path. With nan end
+    denominators no sub-block is skipped and every level's is formed: as
+    much work for 1 path as for 3 where t is shared, three times as much
+    where it is not, and the same bytes as the pruned walk. 2 blocks, the
+    window over both."""
+    model = _block_walk_cases()[0][name]
+    conv = lil_convention(model)
+    B = lil_module._WINDOW_BLOCK
+    cks, levels = (16, B + 700), B + 700 - 15
+    sizes = _ratio_den_levels(monkeypatch)
+
+    def work(N):
+        sizes.clear()
+        out = lil_module._walk_ensemble(model, conv, cks, 5, range(N), window=(16, B + 700))
+        return sum(sizes), out
+
+    pruned, want = work(3)
+    monkeypatch.setattr(lil_module, "_WIDEN", np.full((2, 1, 1), np.nan))  # every sub-block is evaluated
+    one, _ = work(1)
+    three, got = work(3)
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    assert levels < one < levels * 1.01  # every level, and each sub-block's two ends
+    assert three == (3 * one if per_path else one)
+    assert pruned < three
+
+
+def test_window_walk_forms_ratio_den_on_few_levels(monkeypatch):
+    """Two bernoulli_quarter paths with the window over levels 16..2^18: the
+    walk forms ratio_den on under an eighth of the window levels, where
+    dividing every level forms it on all of them. Summed over five seeds."""
+    conv = lil_convention(QUARTER)
+    n = 1 << 18
+    sizes = _ratio_den_levels(monkeypatch)
+    for seed in range(1, 6):
+        lil_module._walk_ensemble(QUARTER, conv, tuple(2 ** k for k in range(4, 19)), seed, range(2), window=(16, n))
+    assert 0 < sum(sizes) < 5 * (n - 15) / 8
+
+
+@pytest.mark.parametrize("sub_block", [lil_module._SUB_BLOCK, 64])
+def test_chain_window_sub_blocks_match_the_reference_walk(monkeypatch, sub_block):
+    """The chain window walk bounds and skips sub-blocks by the product
+    walk's rule: from a window that opens below t_min, over chunks of 1,000
+    levels whose sub-blocks and checkpoints cut each other, its running
+    extremes are the per-level reference's."""
+    conv = lil_convention(MARKOV)
+    cks, window, N, seed = (16, 100, 777, 2048 + 5, 3000), (1, 2900), 12, 4
+    monkeypatch.setattr(lil_module, "_SUB_BLOCK", sub_block)
+    monkeypatch.setattr(lil_module, "_CHAIN_BLOCK_DRAWS", 1000 * N)
+    S, _, SUP, INF = lil_module._walk_ensemble(MARKOV, conv, cks, seed, range(N), window=window)
+    for i in range(N):
+        ref_S, sup, inf = reference_chain_walk(MARKOV, cks, seed, i, conv, window)
+        assert S[i].tobytes() == ref_S.tobytes()
+        assert SUP[i, -1].tobytes() == np.float64(sup).tobytes()
+        assert INF[i, -1].tobytes() == np.float64(inf).tobytes()
 
 
 def _window_walk_peak(n):
@@ -1423,6 +1485,7 @@ def test_ensemble_reductions_match_the_per_column_reference(name, seed, window):
     conv = lil_convention(model)
     cks, N = (16, 40, 256, 1024), (120 if name == "markov_chain" else 700)
     S, T, SUP, _ = lil_module._walk_ensemble(model, conv, cks, seed, range(N), window=window)
+    T = np.broadcast_to(T, S.shape)  # grid t is one row for every path
     got = run_ensemble(model, N, cks, seed=seed, window=window)
     for field, want in reference_reductions(S, T, SUP, conv).items():
         # bytes, not ==, so that NaN, -0.0 and +0.0 are held too
