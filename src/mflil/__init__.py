@@ -2,17 +2,17 @@
 
 The package groups five kinds of tooling around a shared model layer:
 
-* ``models`` / ``symbolic``: coded measures on digit grids and self-similar
-  attractors, with exact log cylinder masses (``log_cylinder_mass``) and
-  seeded symbol sampling (``sample_symbols``).
+* ``models``: coded measures on digit grids and self-similar attractors,
+  their symbol alphabets and per-symbol tables, and the seeded per-path
+  Philox streams (``path_rng``) that every walk draws from.
 * ``spectrum``: scale-free pressure exponents tau(q), their derived local
   dimension and variance constants, and flatness diagnostics.
 * ``lil``: normalized log-mass fluctuation ensembles, exact finite-level
   distributions, and first-passage tail probabilities.
 * ``gauges``: iterated-logarithm corrected gauge functions and Monte Carlo
   mass-versus-gauge comparisons.
-* ``qb``: concatenation-constant estimation, partition bound checks, and
-  the absolute-continuity dichotomy verdict.
+* ``qb``: concatenation-constant estimation and the absolute-continuity
+  dichotomy verdict.
 
 ``cli`` exposes all of it as the ``mflil`` command; ``report`` holds the
 independently derived reference values used to pin the test suite.
@@ -25,8 +25,8 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .symbolic import Alphabet, Word, word
 from .models import (
+    Alphabet,
     BernoulliProduct,
     MarkovMeasure,
     MeasureModel,
@@ -34,13 +34,11 @@ from .models import (
     SelfSimilarMeasure,
     SupportInfo,
     homogeneous_measure,
-    log_cylinder_mass,
     log_symbol_weights,
     model_from_dict,
     model_to_dict,
     parse_model_file,
     path_rng,
-    sample_symbols,
     support_info,
     symbol_weights,
 )
@@ -66,12 +64,9 @@ from .spectrum import (
 from .lil import (
     EnsembleSummary,
     LilConvention,
-    PathStats,
     exact_distribution,
     exact_moments,
     lil_convention,
-    lil_ratio,
-    path_stats,
     per_symbol_moments,
     run_ensemble,
     running_max_tail,
@@ -87,10 +82,8 @@ from .gauges import (
 )
 from .qb import (
     DichotomyResult,
-    PartitionBoundReport,
     QBReport,
     dichotomy_classify,
-    partition_bound_check,
     qb_constant,
 )
 from .zoo import ZOO_NAMES, load_zoo_model, zoo_models, zoo_text

@@ -28,9 +28,9 @@ the convention object so they cannot be mixed up.
 
 One rule computes the iterated logarithm: _iterated_log, log_b log_b t taken
 elementwise with np.log. Every consumer reads it through the convention
-(loglog, and ratio_den = sqrt(2 t LL t)): lil_ratio, the checkpoint ratios,
-the running window extremes of the per-level walks, and, with its own pair
-of bases, the Theta correction of the gauges.
+(loglog, and ratio_den = sqrt(2 t LL t)): the checkpoint ratios, the
+running window extremes of the per-level walks, and, with its own pair of
+bases, the Theta correction of the gauges.
 
 Ensemble paths each draw from their own stream path_rng(seed, i).
 _draw_uniforms fills a level-major block with every path's uniforms, from
@@ -80,7 +80,7 @@ path-levels (paths times the deepest checkpoint) per thread, each thread
 walking one contiguous range; the other walks run in one thread, where
 threads did not pay. Either way the results are identical for every thread
 count. One entry point, _walk_ensemble, checks the budgets and walks the
-paths of run_ensemble, gauge_test and path_stats. run_ensemble reduces the
+paths of run_ensemble and gauge_test. run_ensemble reduces the
 walked (paths, checkpoints) matrices in whole-matrix passes: column_fsums
 gives math.fsum of every column at once by error-free extraction, the
 package's one exact-sum rule, which qb's sampled-word sweep also reads.
@@ -221,12 +221,6 @@ def lil_convention(model: MeasureModel, name: str = "auto") -> LilConvention:
     )
 
 
-def lil_ratio(S: float, t: float, d: float, convention: LilConvention) -> float:
-    """(S - d t) / sqrt(2 t LL(t)), with LL in the convention's base."""
-    convention.check_time(t)
-    return (S - d * t) / convention.ratio_den(t)
-
-
 # ---------------------------------------------------------------------------
 # per-symbol increments and path processes
 
@@ -245,21 +239,6 @@ def per_symbol_moments(model: MeasureModel, base: Optional[LogBase] = None) -> t
     mean = float(w @ (-lw))
     var = float(w @ (lw + mean) ** 2)
     return mean, var
-
-
-@dataclass(frozen=True)
-class PathStats:
-    """Checkpoint values of one sampled path, in one convention's units."""
-
-    seed: int
-    path_index: int
-    convention: str
-    checkpoints: tuple[int, ...]
-    S: tuple[float, ...]
-    t: tuple[float, ...]  # convention units: n * t_per_level on grids, ln(1/R_n) self-similar
-
-    def ratios(self, conv: LilConvention) -> tuple[float, ...]:
-        return tuple(lil_ratio(s, t, conv.d, conv) for s, t in zip(self.S, self.t))
 
 
 _COUNT_BLOCK = 1 << 16  # symbol counts a block of product checkpoint paths holds
@@ -588,19 +567,6 @@ def _chain_walk(tables, checkpoints, seed, lo, hi, conv, window):
     return _level_walk(produce, checkpoints, conv, window, B, rows)
 
 
-def path_stats(
-    model: MeasureModel,
-    checkpoints: Sequence[int],
-    convention: str = "auto",
-    seed: int = 0,
-    path_index: int = 0,
-) -> PathStats:
-    conv = lil_convention(model, convention)
-    cks = _validated_checkpoints(model, checkpoints, conv)
-    S, T, _, _ = _walk_ensemble(model, conv, cks, seed, range(path_index, path_index + 1))
-    return PathStats(seed, path_index, conv.name, tuple(cks), tuple(map(float, S[0])), tuple(map(float, T[0])))
-
-
 def _checked_levels(checkpoints: Sequence[int]) -> tuple[int, ...]:
     """The checkpoints as ints, refused unless positive, below 2^_WALK_BITS
     and strictly increasing."""
@@ -671,7 +637,9 @@ class EnsembleSummary:
 
 
 def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
-    """(S, T, SUP, INF) for the paths (a range of indexes) of one run.
+    """(S, T, SUP, INF) for the paths (a range of indexes) of one run:
+    run_ensemble's paths, gauge_test's, or one path (a range of one index)
+    for the tests' single-path reference.
 
     One row per path and one column per checkpoint, S and T in conv's units;
     on grids T is one row, the t of every path, which broadcasts.
@@ -682,10 +650,11 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
     engine, in blocks of at most _COUNT_BLOCK symbol counts (or gap pieces):
     with two active symbols, the count tables are built here once for the
     run, or the run refused past _COUNT_CAP, and each piece takes one
-    uniform; otherwise one multinomial call per path. The per-level walks go through _level_walk: product window paths
-    in groups of at most _WINDOW_GROUP that walk each block of levels
-    together, and chain paths in blocks of at most _CHAIN_BLOCK_DRAWS
-    uniforms, each chunk of levels walked by one state scan. Only the
+    uniform; otherwise one multinomial call per path. The per-level walks
+    go through _level_walk: product window paths in groups of at most
+    _WINDOW_GROUP that walk each block of levels together, and chain paths
+    in blocks of at most _CHAIN_BLOCK_DRAWS uniforms, each chunk of levels
+    walked by one state scan. Only the
     per-level product walk uses the threads, at most one per CPU, per path
     and per _THREAD_WORK path-levels, each walking a contiguous range of
     paths that differ by at most one in length: the chain and checkpoint walks ran

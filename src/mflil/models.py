@@ -13,6 +13,11 @@ Four families:
   * MarkovMeasure(ell, dim, pi, P): shift-invariant Markov measure on symbol
     strings; pi must be stationary for P (checked) unless explicitly waived.
 
+Alphabet(ell, dim) is the symbol set of the ell-adic subcubes of
+[0,1)^D, k = ell**D symbols, one symbol per level with the coordinate
+digits packed row-major (symbol = sum_j digit_j * ell**j); a self-similar
+measure's branch count stands in for ell.
+
 All mass computation is done in the log domain: the mass of a cylinder is
 exp of the sum of per-symbol log factors, never the log of a float product.
 
@@ -62,7 +67,6 @@ from typing import Callable, ClassVar, NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .symbolic import Alphabet, Word
 
 _WEIGHT_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
@@ -266,6 +270,29 @@ class FamilyCore:
 
 
 @dataclass(frozen=True)
+class Alphabet:
+    """Symbols 0..k-1 indexing the ell-adic subcubes of [0,1)^D, k = ell**D < 2^63."""
+
+    ell: int
+    dim: int = 1
+
+    def __post_init__(self):
+        if not isinstance(self.ell, int) or self.ell < 2:
+            raise ValidationError(f"ell must be an integer >= 2, got {self.ell!r}")
+        if not isinstance(self.dim, int) or self.dim < 1:
+            raise ValidationError(f"dim must be an integer >= 1, got {self.dim!r}")
+        # ell**dim >= 2**(dim * (bit_length - 1)): refuse before forming the power
+        if self.dim * (self.ell.bit_length() - 1) >= 63 or self.ell ** self.dim >= 2 ** 63:
+            raise ValidationError(
+                f"ell**dim symbols must number below 2^63, got ell={self.ell}, dim={self.dim}"
+            )
+
+    @property
+    def k(self) -> int:
+        return self.ell ** self.dim
+
+
+@dataclass(frozen=True)
 class BernoulliProduct:
     """Binary product measure; digit 1 has weight p, digit 0 has weight 1-p."""
 
@@ -438,28 +465,6 @@ def log_symbol_weights(model: MeasureModel, base: LogBase = LogBase.NATURAL) -> 
         return out
     lw = model.core.log_weights
     return lw if base is LogBase.NATURAL else lw / lb
-
-
-def _validate_word(model: MeasureModel, w: Word) -> None:
-    if model.core.ell is None:
-        if any(s >= model.core.k for s in w.symbols):
-            raise ValidationError(
-                f"word uses symbols outside the {model.core.k} IFS branches"
-            )
-        return
-    if w.alphabet != model.alphabet:
-        raise ValidationError(
-            f"word alphabet {w.alphabet} does not match model alphabet {model.alphabet}"
-        )
-
-
-def log_cylinder_mass(model: MeasureModel, w: Word) -> float:
-    """Natural log of the cylinder mass; -inf when the mass is zero."""
-    _validate_word(model, w)
-    syms = np.asarray(w.symbols, dtype=np.intp)
-    # logs at most 0: fsum is -inf as soon as one is, and 0.0 over no factors
-    vals = model.core.log_factors(syms)
-    return float(math.fsum(vals.tolist()))
 
 
 def chain_log_masses(model: MeasureModel, n: int) -> np.ndarray:
@@ -670,17 +675,6 @@ def _scan_levels(cum_P, U, Z):
         np.add(at, state, out=idx)
         state = walks[:, i]
         flat[i * span:].take(idx, out=state, mode="clip")
-
-
-def sample_symbols(model: MeasureModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n symbols of one path as an integer array, consuming `rng`."""
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
-    core = model.core
-    u = rng.random(n)
-    if core.kind == "product":
-        return draw_symbols(core.cum_weights, u)
-    return chain_states(core.cum_P, u[:, None], core.k)[1:, 0].astype(np.intp)
 
 
 # ---------------------------------------------------------------------------

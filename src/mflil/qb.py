@@ -1,4 +1,4 @@
-"""Quasi-Bernoulli constants, partition-sum bounds, and the dichotomy verdict.
+"""Quasi-Bernoulli constants and the dichotomy verdict.
 
 A measure on words is quasi-Bernoulli with constant C when
 m(I)m(J)/C <= m(IJ) <= C m(I)m(J) over positive-mass word pairs. Product
@@ -8,16 +8,14 @@ the first of J, so the sharp constant has a closed form scanned over the
 transition matrix. qb_constant reports that closed form as C_hat, after
 checking the enumerated and sampled word-pair ratios against it.
 
-The constant feeds a two-sided partition-sum bound,
+The constant bounds the partition sums on both sides,
 
     C^-|q| ell^(n tau(q)) <= sum over positive level-n cylinders of m(I)^q
                           <= C^|q| ell^(n tau(q)),
 
-whose defect log_ell(sum) - n tau(q) must stay inside +/- |q| log_ell C
-uniformly in n. Because that absolute corridor is wide at desk-scale n, the
-checker also tests that the defect is stationary across the level range: a
-wrong tau tilts the defect linearly in n and is caught by the drift test long
-before it leaves the corridor.
+uniformly in n. The tests check that bound, and that its defect
+log_ell(sum) - n tau(q) is stationary across levels, against tau_scale_free
+and log_partition_sum (tests/reference_paths.py); qb-check does not run it.
 
 dichotomy_classify sorts a model into the two possible regimes (dimension
 equal to the support dimension, with the measure comparable to the
@@ -31,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,11 +47,9 @@ from .spectrum import (
     chi,
     dimension,
     is_flat,
-    log_partition_sum,
     not_flat_check,
     sigma2_scale_free,
     support_dimension,
-    tau_scale_free,
 )
 
 _PAIR_BUDGET = 2 ** 20
@@ -155,91 +150,6 @@ def qb_constant(
             f"enumerated ratio {sup!r} exceeds the closed-form constant {closed!r}"
         )
     return QBReport(closed, max_level, gaps.size)
-
-
-# ---------------------------------------------------------------------------
-# partition-sum bounds
-
-
-@dataclass(frozen=True)
-class PartitionCell:
-    q: float
-    n: int
-    log_sum: float  # log_ell of the partition sum
-    n_tau: float
-    defect: float  # log_sum - n_tau, bounded by +/- |q| log_ell C
-    bound: float
-    holds: bool
-
-
-@dataclass(frozen=True)
-class PartitionBoundReport:
-    C: float
-    cells: tuple[PartitionCell, ...]
-    worst_margin: float  # min over cells of bound - |defect|
-    drifts: tuple[tuple[float, float], ...]  # (q, defect change across levels)
-    drift_tol: float
-    rejected: bool
-    reason: Optional[str]
-
-
-_BOUND_SLACK = 1e-9
-
-
-def partition_bound_check(
-    model: MeasureModel,
-    q_list: Sequence[float],
-    n_list: Sequence[int],
-    drift_tol: float = 0.02,
-    tau_shift: float = 0.0,
-) -> PartitionBoundReport:
-    """Check the two-sided partition-sum bound and the defect's stationarity.
-
-    tau_shift perturbs the exponent (diagnostics: a shifted tau must be
-    rejected). The defect drift for each q is defect(n_max) - defect(n_min);
-    a correct tau leaves the defect level-stationary while an exponent error
-    eps tilts it by eps per level.
-    """
-    if model.core.ell is None:
-        raise ValidationError("partition bounds need a common grid level")
-    ns = sorted(set(int(n) for n in n_list))
-    if not ns or ns[0] < 1:
-        raise ValidationError("n_list must contain positive levels")
-    qs = list(q_list)
-    if not qs:
-        raise ValidationError("q_list must be non-empty")
-    C = qb_constant(model).C_hat
-    ln_ell = math.log(model.alphabet.ell)
-    log_ell_C = math.log(C) / ln_ell
-    cells = []
-    drifts = []
-    q_arr = np.array(qs, dtype=float)
-    taus = (tau_scale_free(model, q_arr) + tau_shift).tolist()
-    sums = [(log_partition_sum(model, q_arr, n) / ln_ell).tolist() for n in ns]
-    for j, (q, tau_q) in enumerate(zip(qs, taus)):
-        for n, ls_n in zip(ns, sums):
-            ls = ls_n[j]
-            n_tau = n * tau_q
-            defect = ls - n_tau
-            bound = abs(q) * log_ell_C + _BOUND_SLACK
-            cells.append(PartitionCell(q, n, ls, n_tau, defect, bound, abs(defect) <= bound))
-        drifts.append((q, cells[-1].defect - cells[-len(ns)].defect))  # this q's last level less its first
-    worst_margin = min(c.bound - abs(c.defect) for c in cells)
-    drift_bad = [f"q={q}: drift {dr:+.4f}" for q, dr in drifts if abs(dr) > drift_tol]
-    reason = None
-    if not all(c.holds for c in cells):
-        reason = "absolute bound violated"
-    elif drift_bad:
-        reason = "defect drift beyond tolerance (" + "; ".join(drift_bad) + ")"
-    return PartitionBoundReport(
-        C=C,
-        cells=tuple(cells),
-        worst_margin=worst_margin,
-        drifts=tuple(drifts),
-        drift_tol=drift_tol,
-        rejected=reason is not None,
-        reason=reason,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,10 @@ bit-valued mass increment, while sigma2_natural is the variance per unit of
 natural log scale (which is also the self-similar closed form). Dimension is
 scale-free and carries no base.
 
-Self-similar measures have no grid base (core.ell is None); only natural
-units are defined for them and conversion requests to other bases raise.
+models.ln_base is the one rule for which units a model admits, here as in
+the LIL conventions: self-similar measures have no grid base (core.ell is
+None) and carry natural units only, base-2 units need a binary grid, and
+tau_to_base and sigma2_to_base refuse any other request.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ from .models import (
     canonical_base,
     chain_log_masses,
     enumeration_budget,
+    ln_base,
     support_info,
     word_log_sums,
 )
@@ -87,34 +90,19 @@ _DIM_XCHECK_TOL = 1e-8
 _FLAT_TOL = 1e-12
 
 
-def _grid_ell(model: MeasureModel, base: LogBase) -> Optional[int]:
-    """The grid base ell; None for self-similar measures, which refuse any
-    base but natural."""
-    ell = model.core.ell
-    if ell is None and base is not LogBase.NATURAL:
-        raise ValidationError(
-            "self-similar spectra are natural-scale; base-ell/base-2 units are undefined"
-        )
-    return ell
-
-
 def tau_to_base(model: MeasureModel, tau_star: float, base: LogBase) -> float:
-    """Convert a scale-free tau value to the requested units."""
-    ell = _grid_ell(model, base)
-    if ell is None or base is LogBase.BASE_ELL:
+    """Convert a scale-free tau value to the requested units, which
+    models.ln_base admits or refuses for the model."""
+    lb = ln_base(model, base)
+    if model.core.ell is None or base is LogBase.BASE_ELL:
         return tau_star
-    ln_ell = math.log(ell)
-    if base is LogBase.NATURAL:
-        return tau_star * ln_ell
-    return tau_star * ln_ell / math.log(2.0)
+    return tau_star * math.log(model.core.ell) / lb
 
 
 def sigma2_to_base(model: MeasureModel, sigma2_natural: float, base: LogBase) -> float:
-    """Convert the natural curvature constant to the requested units."""
-    ell = _grid_ell(model, base)
-    if ell is None or base is LogBase.NATURAL:
-        return sigma2_natural
-    return sigma2_natural / math.log(ell if base is LogBase.BASE_ELL else 2.0)
+    """Convert the natural curvature constant to the requested units, which
+    models.ln_base admits or refuses for the model."""
+    return sigma2_natural / ln_base(model, base)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:

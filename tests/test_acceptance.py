@@ -19,7 +19,6 @@ from mflil import (
     dimension,
     exact_moments,
     lil_convention,
-    partition_bound_check,
     run_ensemble,
     running_max_tail,
     sigma2,
@@ -33,6 +32,7 @@ from mflil import (
 from mflil.cli import main as cli_main
 from mflil.spectrum import LogBase
 from mflil.zoo import load_zoo_model, zoo_models
+from reference_paths import partition_bound_check
 
 QUARTER = load_zoo_model("bernoulli_quarter")
 LN2 = math.log(2.0)

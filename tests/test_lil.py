@@ -25,15 +25,11 @@ from mflil import (
     exact_moments,
     gauge_test,
     lil_convention,
-    lil_ratio,
-    log_cylinder_mass,
-    path_stats,
     per_symbol_moments,
     run_ensemble,
     running_max_tail,
     sigma2,
     sigma2_scale_free,
-    word,
 )
 from mflil import lil as lil_module
 from mflil.models import (
@@ -42,10 +38,16 @@ from mflil.models import (
     draw_symbols,
     log_symbol_weights,
     path_rng,
-    sample_symbols,
 )
 from mflil.zoo import ZOO_NAMES, load_zoo_model
-from reference_paths import s_process, sample_path, stationary_distribution
+from reference_paths import (
+    lil_ratio,
+    log_cylinder_mass,
+    path_stats,
+    s_process,
+    sample_symbols,
+    stationary_distribution,
+)
 
 QUARTER = BernoulliProduct(0.25)
 MARKOV = load_zoo_model("markov_chain")
@@ -144,22 +146,22 @@ def test_per_symbol_moments():
 
 
 def test_s_process_matches_cylinder_mass():
-    w = sample_path(QUARTER, 12, seed=3)
+    w = sample_symbols(QUARTER, 12, path_rng(3))
     S = s_process(QUARTER, w, LogBase.NATURAL)
     for n in (1, 5, 12):
-        assert S[n - 1] == pytest.approx(-log_cylinder_mass(QUARTER, word(w.symbols[:n])), abs=1e-12)
+        assert S[n - 1] == pytest.approx(-log_cylinder_mass(QUARTER, w[:n]), abs=1e-12)
 
 
 def test_s_process_on_a_chain_matches_prefix_masses():
-    w = sample_path(MARKOV, 40, seed=6)
+    w = sample_symbols(MARKOV, 40, path_rng(6))
     S = s_process(MARKOV, w)
     for n in range(1, 41):
-        assert S[n - 1] == pytest.approx(-log_cylinder_mass(MARKOV, word(w.symbols[:n])), rel=1e-12, abs=1e-12)
+        assert S[n - 1] == pytest.approx(-log_cylinder_mass(MARKOV, w[:n]), rel=1e-12, abs=1e-12)
 
 
 def test_s_process_exact_for_uniform():
     half = BernoulliProduct(0.5)
-    w = sample_path(half, 20, seed=1)
+    w = sample_symbols(half, 20, path_rng(1))
     S = s_process(half, w, LogBase.BASE_2)
     assert np.array_equal(S, np.arange(1.0, 21.0))
 
@@ -171,10 +173,10 @@ def test_path_stats_deterministic():
     assert a == b
     assert a != c
     lw_max = -math.log2(0.25)
-    for s, n in zip(a.S, a.checkpoints):
+    for s, n in zip(a.S, [16, 64, 256]):
         assert 0.0 <= s <= n * lw_max + 1e-12
-    ratios = a.ratios(lil_convention(QUARTER))
-    assert all(math.isfinite(r) for r in ratios)
+    conv = lil_convention(QUARTER)
+    assert all(math.isfinite(lil_ratio(s, t, conv.d, conv)) for s, t in zip(a.S, a.t))
 
 
 def test_path_stats_selfsimilar_time():
@@ -615,7 +617,7 @@ def test_chain_walk_keeps_the_sign_of_a_zero_sum():
     # the reference s_process's cumsum
     frozen = MarkovMeasure(2, 1, (1.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
     ps = path_stats(frozen, [16, 64], convention="natural", seed=2)
-    ref = s_process(frozen, sample_path(frozen, 64, seed=2))[[15, 63]]
+    ref = s_process(frozen, sample_symbols(frozen, 64, path_rng(2)))[[15, 63]]
     assert np.signbit(ref).all()
     assert np.array_equal(np.signbit(ps.S), np.signbit(ref))
 
@@ -896,7 +898,8 @@ def test_checkpoint_extremes_are_the_checkpoint_ratio_extremes(name):
     cks = [16, 40, 300, 1000]
     s = run_ensemble(model, N=12, checkpoints=cks, seed=4)
     for i in range(12):
-        r = path_stats(model, cks, seed=4, path_index=i).ratios(conv)
+        ps = path_stats(model, cks, seed=4, path_index=i)
+        r = [lil_ratio(s, t, conv.d, conv) for s, t in zip(ps.S, ps.t)]
         assert s.path_window_sup[i] == max(r)
         assert s.path_window_inf[i] == min(r)
 

@@ -1,7 +1,7 @@
 import pytest
 
 from mflil import ValidationError
-from mflil.symbolic import Alphabet, word
+from mflil.models import Alphabet
 
 
 def test_alphabet_basics():
@@ -21,13 +21,4 @@ def test_alphabet_refuses_2_pow_63_symbols_before_forming_them(ell, dim):
         Alphabet(ell, dim)
     assert Alphabet(2, 62).k == 2 ** 62
     assert Alphabet(3, 39).k == 3 ** 39
-
-
-def test_word_validation_and_prefix():
-    w = word([0, 1, 1, 0])
-    assert w.symbols == (0, 1, 1, 0) and w.alphabet == Alphabet(2, 1)
-    assert word(w.symbols[:2]) == word([0, 1])  # a prefix is the word of a leading slice
-    assert word(w.symbols[:0]).symbols == ()
-    with pytest.raises(ValidationError):
-        word([0, 2])  # symbol out of range for ell=2
 

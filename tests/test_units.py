@@ -5,6 +5,8 @@ the CLI's --base, --convention and --theta-convention) accepts each LogBase
 value where the model admits it, and refuses any other name.
 """
 
+import json
+
 import pytest
 
 from mflil import (
@@ -13,6 +15,11 @@ from mflil import (
     ValidationError,
     lil_convention,
     lil_sigma,
+    model_to_dict,
+    sigma2,
+    spectrum_table,
+    tau,
+    tau_empirical,
     theta_correction,
 )
 from mflil.cli import main
@@ -53,6 +60,21 @@ def test_the_library_accepts_each_log_base_where_the_model_admits_it(base):
                 lil_sigma(model, base.value)
             with pytest.raises(ValidationError, match="base-ell"):
                 theta_correction(base.value, ell)
+
+
+def test_spectra_refuse_base_2_off_a_binary_grid(tmp_path, capsys):
+    # models.ln_base is the spectra's unit rule, as it is the conventions'
+    ternary = MultinomialMeasure(3, 1, (0.2, 0.3, 0.5))
+    for call in (lambda: tau(ternary, 2.0, LogBase.BASE_2), lambda: sigma2(ternary, LogBase.BASE_2),
+                 lambda: tau_empirical(ternary, 2.0, 4, LogBase.BASE_2),
+                 lambda: spectrum_table(ternary, base=LogBase.BASE_2)):
+        with pytest.raises(ValidationError, match="binary grid"):
+            call()
+    path, out = tmp_path / "ternary.json", tmp_path / "o"
+    path.write_text(json.dumps(model_to_dict(ternary)))
+    assert main(["spectrum", "--model", str(path), "--out", str(out), "--base", "base-2"]) == 2
+    assert "binary grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag, extra", [
