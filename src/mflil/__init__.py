@@ -32,14 +32,12 @@ from .models import (
     MeasureModel,
     MultinomialMeasure,
     SelfSimilarMeasure,
-    SupportInfo,
     homogeneous_measure,
     log_symbol_weights,
     model_from_dict,
     model_to_dict,
     parse_model_file,
     path_rng,
-    support_info,
     symbol_weights,
 )
 from .spectrum import (

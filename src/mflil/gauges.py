@@ -103,9 +103,9 @@ class ThetaCorrection:
         return float(out) if np.ndim(u) == 0 else out
 
 
-def theta_correction(convention: str, ell: Optional[int] = 2) -> ThetaCorrection:
-    """Theta in a convention; base-ell needs the grid base ell, the other two
-    never read it."""
+def theta_correction(convention: str, ell: Optional[int] = None) -> ThetaCorrection:
+    """Theta in a convention; base-ell needs the grid base ell and refuses
+    None, the other two never read it."""
     b, c = _theta_bases(convention, ell)
     u_min = c * math.log(b)
     return ThetaCorrection(convention, (b, c), u_min, math.exp(-u_min))
@@ -235,7 +235,7 @@ def gauge_spec(
             conv = (LogBase.NATURAL if ell is None else LogBase.BASE_2 if ell == 2 else LogBase.BASE_ELL).value
         fields.update(sigma=lil_sigma(model, conv), theta=theta_correction(conv, ell))
     if "chi_profile" in reads:
-        fields["chi_profile"] = ChiProfile(model, side=1, q_max=q_max)
+        fields["chi_profile"] = ChiProfile(model, q_max=q_max)
     return GaugeSpec(family, d, **{name: fields[name] for name in reads})
 
 

@@ -501,32 +501,13 @@ def word_log_sums(model: MeasureModel, values: np.ndarray, n: int) -> np.ndarray
 # support
 
 
-@dataclass(frozen=True)
-class SupportInfo:
-    """Active symbols G, their count g, and delta = log_ell g."""
-
-    active: tuple[int, ...]
-    g: int
-    delta: float
-    full: bool
-
-
-def support_info(model: MeasureModel) -> SupportInfo:
-    core = model.core
-    g = len(core.active)
-    # no grid base for self-similar measures; their dimension is handled elsewhere
-    delta = float("nan") if core.ell is None else math.log(g) / math.log(core.ell)
-    return SupportInfo(active=core.active, g=g, delta=delta, full=(g == core.k))
-
-
 def homogeneous_measure(model: MeasureModel) -> MultinomialMeasure:
-    """Uniform weights 1/g on the active symbols of a grid family."""
-    if model.core.ell is None:
+    """Uniform weights 1/g on the g active symbols of a grid family."""
+    core = model.core
+    if core.ell is None:
         raise ValidationError("homogeneous measure is defined for grid families only")
-    info = support_info(model)
-    k = model.alphabet.k
-    w = np.zeros(k)
-    w[list(info.active)] = 1.0 / info.g
+    w = np.zeros(core.k)
+    w[list(core.active)] = 1.0 / len(core.active)
     return MultinomialMeasure(model.alphabet.ell, model.alphabet.dim, tuple(w.tolist()))
 
 

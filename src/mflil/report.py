@@ -4,9 +4,14 @@ Every numerical constant that a test asserts against has an independent
 origin recorded here: a deliberately naive recomputation (extended-precision
 formula, brute-force enumeration, closed-form eigenvalue, Gaussian tail
 budget) that shares no code with the optimized paths in spectrum/lil/qb.
-build_oracles produces the records; verify_records recomputes each quantity
-through the main code path and compares within the record's tolerance, so a
-drifting implementation fails loudly with both values in hand.
+One table, _ORACLES, holds a row per record: its quantity, method,
+tolerance and note, its naive oracle and its main-path check, which reads
+the zoo models by name. build_oracles evaluates the oracle column and loads
+no model; verify_records loads the zoo once, recomputes each record through
+its row's main path and compares within the record's tolerance, so a
+drifting implementation fails loudly with both values in hand. It refuses a
+quantity that no row names. One record, the Gaussian KS budget, has no main
+path and passes as informational.
 
 The records also serve as a frozen-constant registry: the hidden `oracles`
 CLI subcommand writes them to oracles.json through the writer of every other
@@ -19,10 +24,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import mpmath as mp
 
+from .errors import ValidationError
 from .gauges import theta_correction
 from .lil import exact_moments, running_max_tail
 from .qb import qb_constant
@@ -181,130 +187,129 @@ def _mp_theta_exponent_2pow16() -> float:
         return float(mp.sqrt(2 * v * mp.log(mp.log(v))))
 
 
-def build_oracles() -> list[OracleRecord]:
-    """Recompute every anchored constant by its naive route."""
-    rec = []
-
-    def add(q, m, v, tol, note):
-        rec.append(OracleRecord(q, m, float(v), tol, note))
-
-    add("bernoulli_half.dimension", "closed-form", 1.0, 1e-14, "uniform binary weights")
-    add("bernoulli_half.sigma2_natural", "closed-form", 0.0, 1e-14, "equal weights, zero curvature")
-    add("bernoulli_quarter.dimension", "high-precision",
-        _mp_bernoulli_dimension("0.25"), 1e-12, "two-point entropy over log 2 at 50 digits")
-    add("bernoulli_quarter.sigma2_natural", "high-precision",
-        _mp_bernoulli_sigma2_natural("0.25"), 1e-12, "two-point log-weight variance over log 2")
-    add("bernoulli_quarter.sigma2_base2", "high-precision",
-        _mp_bernoulli_sigma2_natural("0.25") / math.log(2.0), 1e-12, "natural curvature divided by log 2")
-    add("bernoulli_quarter.tau_at_2", "closed-form",
-        math.log2(0.25 ** 2 + 0.75 ** 2), 1e-12, "log2 of the power sum")
+def _mp_bernoulli_chi_half(p: str) -> float:
+    """tau(1/2) minus half the dimension, both in bits, at 50 digits."""
     with mp.workdps(50):
-        chi_half = float(
-            mp.log(mp.sqrt(mp.mpf("0.25")) + mp.sqrt(mp.mpf("0.75")), 2)
-            - mp.mpf("0.5") * _mp_bernoulli_dimension("0.25")
-        )
-    add("bernoulli_quarter.chi_at_half", "high-precision", chi_half, 1e-12,
-        "tau(1/2) minus half the dimension at 50 digits")
-    add("cantor_natural.dimension", "high-precision",
-        float(mp.log(2) / mp.log(3)), 1e-12, "log 2 over log 3")
-    add("cantor_natural.delta", "high-precision",
-        float(mp.log(2) / mp.log(3)), 1e-12, "similarity dimension of the middle-third set")
-    add("cantor_natural.sigma2_natural", "closed-form", 0.0, 1e-12,
-        "weights equal the contraction powers, zero curvature")
-    add("cantor_biased.dimension", "high-precision",
-        _mp_selfsimilar_dimension(("0.25", "0.75"), ("1/3", "1/3")), 1e-12,
-        "entropy over mean log contraction at 50 digits")
-    add("cantor_biased.sigma2_natural", "high-precision",
-        _mp_selfsimilar_sigma2_natural(("0.25", "0.75"), ("1/3", "1/3")), 1e-12,
-        "centered second moment over mean log contraction")
-    add("cantor_biased.tau_at_2", "high-precision",
-        float(mp.log(mp.mpf("0.625")) / mp.log(3)), 1e-12,
-        "equal-ratio power sum: log(5/8)/log 3")
-    add("markov_chain.dimension", "high-precision",
-        _mp_markov_dimension(), 1e-12, "entropy rate over log 2 at 50 digits")
-    add("markov_chain.sigma2_natural", "high-precision",
-        _mp_markov_sigma2_natural(), 1e-12,
-        "second difference of the closed 2x2 eigenvalue exponent, h=1e-12 at 60 digits")
-    add("markov_chain.tau_at_2", "high-precision",
-        _mp_markov_tau2(), 1e-12, "closed 2x2 eigenvalue of the squared entries")
-    add("markov_chain.qb_constant", "closed-form", 3.0, 1e-12,
-        "max over transition/stationary ratios and reciprocals")
+        pp = _mpf(p)
+        return float(mp.log(mp.sqrt(pp) + mp.sqrt(1 - pp), 2) - mp.mpf("0.5") * _mp_bernoulli_dimension(p))
 
-    mean8, var8 = _enumeration_moments(
-        (0.75, 0.25), (-math.log2(0.75), -math.log2(0.25)), 8
-    )
-    add("bernoulli_quarter.mean_s8", "enumeration", mean8, 1e-12, "all 2^8 words, base-2 values")
-    add("bernoulli_quarter.var_s8", "enumeration", var8, 1e-12, "all 2^8 words, base-2 values")
-    mean8c, var8c = _enumeration_moments(
-        (0.25, 0.75), (-math.log(0.25), -math.log(0.75)), 8
-    )
-    add("cantor_biased.mean_s8", "enumeration", mean8c, 1e-12, "all 2^8 words, natural values")
-    add("cantor_biased.var_s8", "enumeration", var8c, 1e-12, "all 2^8 words, natural values")
 
-    for a in (2, 4, 6):
-        add(f"bernoulli_quarter.tail_16_32_a{a}", "enumeration",
-            _naive_tail(0.25, 16, 32, float(a)), 1e-13,
-            "first-passage dictionary dynamic program, rational weights")
-
-    add("theta_base2.exponent_at_2pow16", "high-precision",
-        _mp_theta_exponent_2pow16(), 1e-9,
-        "sqrt(2 v ln ln v) at v = 65536, 50 digits")
-
-    # Gaussian budget for the ensemble normality distance at N=1e5, n=1e4:
-    # Kolmogorov 99.9% quantile over sqrt(N) plus half the largest lattice atom.
+def _ks_budget() -> float:
+    """Gaussian budget for the ensemble normality distance at N=1e5, n=1e4:
+    Kolmogorov 99.9% quantile over sqrt(N) plus half the largest lattice atom."""
     sig_b2 = math.sqrt(_mp_bernoulli_sigma2_natural("0.25") / math.log(2.0))
     lattice = math.log2(3.0) / (sig_b2 * math.sqrt(1e4))
-    ks_budget = 1.949 / math.sqrt(1e5) + 0.5 * lattice / math.sqrt(2.0 * math.pi)
-    add("gaussian.ks_budget_N1e5_n1e4", "gaussian-approx", ks_budget, 0.02,
-        "distribution-free quantile plus lattice-atom allowance; the tolerance "
-        "field carries the acceptance threshold it must stay under")
-
-    return rec
+    return 1.949 / math.sqrt(1e5) + 0.5 * lattice / math.sqrt(2.0 * math.pi)
 
 
-# main-path recomputations keyed by quantity
+class _Row(NamedTuple):
+    """One oracle: its record's fields, its naive route and its main-path check."""
+
+    quantity: str
+    method: str  # 'closed-form' | 'enumeration' | 'gaussian-approx' | 'high-precision'
+    tolerance: float
+    note: str
+    oracle: Callable[[], float]  # calls no main-path code
+    main: Optional[Callable[[dict], float]]  # reads the zoo models by name; None: informational
 
 
-def _main_value(quantity: str, models: dict) -> Optional[float]:
-    name, _, what = quantity.partition(".")
-    if name in models:
-        model = models[name]
-        if what == "dimension":
-            return dimension(model)
-        if what == "sigma2_natural":
-            return sigma2_scale_free(model)
-        if what == "sigma2_base2":
-            return sigma2(model, LogBase.BASE_2)
-        if what == "tau_at_2":
-            return tau(model, 2.0)
-        if what == "chi_at_half":
-            return chi(model, 0.5)
-        if what == "delta":
-            return tau_scale_free(model, 0.0)
-        if what == "qb_constant":
-            return qb_constant(model).C_hat
-        if what in ("mean_s8", "var_s8"):
-            mean, var = exact_moments(model, 8)
-            return mean if what == "mean_s8" else var
-        if what.startswith("tail_"):
-            bits = what.split("_")  # tail_<n0>_<n1>_a<a>
-            n0, n1, a = int(bits[1]), int(bits[2]), float(bits[3][1:])
-            return float(running_max_tail(model, n0, n1, a))
-    if quantity == "theta_base2.exponent_at_2pow16":
-        tc = theta_correction("base-2")
-        return tc.log_theta_from_u(65536.0 * math.log(2.0)) / math.log(2.0)
-    return None
+_QUARTER_S8 = ((0.75, 0.25), (-math.log2(0.75), -math.log2(0.25)), 8)  # base-2 values
+_BIASED_S8 = ((0.25, 0.75), (-math.log(0.25), -math.log(0.75)), 8)  # natural values
+
+# the oracle table, in the order of oracle_checks.json
+_ORACLES = {row.quantity: row for row in (
+    _Row("bernoulli_half.dimension", "closed-form", 1e-14, "uniform binary weights",
+         lambda: 1.0, lambda z: dimension(z["bernoulli_half"])),
+    _Row("bernoulli_half.sigma2_natural", "closed-form", 1e-14, "equal weights, zero curvature",
+         lambda: 0.0, lambda z: sigma2_scale_free(z["bernoulli_half"])),
+    _Row("bernoulli_quarter.dimension", "high-precision", 1e-12, "two-point entropy over log 2 at 50 digits",
+         lambda: _mp_bernoulli_dimension("0.25"), lambda z: dimension(z["bernoulli_quarter"])),
+    _Row("bernoulli_quarter.sigma2_natural", "high-precision", 1e-12,
+         "two-point log-weight variance over log 2",
+         lambda: _mp_bernoulli_sigma2_natural("0.25"), lambda z: sigma2_scale_free(z["bernoulli_quarter"])),
+    _Row("bernoulli_quarter.sigma2_base2", "high-precision", 1e-12, "natural curvature divided by log 2",
+         lambda: _mp_bernoulli_sigma2_natural("0.25") / math.log(2.0),
+         lambda z: sigma2(z["bernoulli_quarter"], LogBase.BASE_2)),
+    _Row("bernoulli_quarter.tau_at_2", "closed-form", 1e-12, "log2 of the power sum",
+         lambda: math.log2(0.25 ** 2 + 0.75 ** 2), lambda z: tau(z["bernoulli_quarter"], 2.0)),
+    _Row("bernoulli_quarter.chi_at_half", "high-precision", 1e-12,
+         "tau(1/2) minus half the dimension at 50 digits",
+         lambda: _mp_bernoulli_chi_half("0.25"), lambda z: chi(z["bernoulli_quarter"], 0.5)),
+    _Row("cantor_natural.dimension", "high-precision", 1e-12, "log 2 over log 3",
+         lambda: float(mp.log(2) / mp.log(3)), lambda z: dimension(z["cantor_natural"])),
+    _Row("cantor_natural.delta", "high-precision", 1e-12, "similarity dimension of the middle-third set",
+         lambda: float(mp.log(2) / mp.log(3)), lambda z: tau_scale_free(z["cantor_natural"], 0.0)),
+    _Row("cantor_natural.sigma2_natural", "closed-form", 1e-12,
+         "weights equal the contraction powers, zero curvature",
+         lambda: 0.0, lambda z: sigma2_scale_free(z["cantor_natural"])),
+    _Row("cantor_biased.dimension", "high-precision", 1e-12, "entropy over mean log contraction at 50 digits",
+         lambda: _mp_selfsimilar_dimension(("0.25", "0.75"), ("1/3", "1/3")),
+         lambda z: dimension(z["cantor_biased"])),
+    _Row("cantor_biased.sigma2_natural", "high-precision", 1e-12,
+         "centered second moment over mean log contraction",
+         lambda: _mp_selfsimilar_sigma2_natural(("0.25", "0.75"), ("1/3", "1/3")),
+         lambda z: sigma2_scale_free(z["cantor_biased"])),
+    _Row("cantor_biased.tau_at_2", "high-precision", 1e-12, "equal-ratio power sum: log(5/8)/log 3",
+         lambda: float(mp.log(mp.mpf("0.625")) / mp.log(3)), lambda z: tau(z["cantor_biased"], 2.0)),
+    _Row("markov_chain.dimension", "high-precision", 1e-12, "entropy rate over log 2 at 50 digits",
+         _mp_markov_dimension, lambda z: dimension(z["markov_chain"])),
+    _Row("markov_chain.sigma2_natural", "high-precision", 1e-12,
+         "second difference of the closed 2x2 eigenvalue exponent, h=1e-12 at 60 digits",
+         _mp_markov_sigma2_natural, lambda z: sigma2_scale_free(z["markov_chain"])),
+    _Row("markov_chain.tau_at_2", "high-precision", 1e-12, "closed 2x2 eigenvalue of the squared entries",
+         _mp_markov_tau2, lambda z: tau(z["markov_chain"], 2.0)),
+    _Row("markov_chain.qb_constant", "closed-form", 1e-12,
+         "max over transition/stationary ratios and reciprocals",
+         lambda: 3.0, lambda z: qb_constant(z["markov_chain"]).C_hat),
+    _Row("bernoulli_quarter.mean_s8", "enumeration", 1e-12, "all 2^8 words, base-2 values",
+         lambda: _enumeration_moments(*_QUARTER_S8)[0],
+         lambda z: exact_moments(z["bernoulli_quarter"], 8)[0]),
+    _Row("bernoulli_quarter.var_s8", "enumeration", 1e-12, "all 2^8 words, base-2 values",
+         lambda: _enumeration_moments(*_QUARTER_S8)[1],
+         lambda z: exact_moments(z["bernoulli_quarter"], 8)[1]),
+    _Row("cantor_biased.mean_s8", "enumeration", 1e-12, "all 2^8 words, natural values",
+         lambda: _enumeration_moments(*_BIASED_S8)[0], lambda z: exact_moments(z["cantor_biased"], 8)[0]),
+    _Row("cantor_biased.var_s8", "enumeration", 1e-12, "all 2^8 words, natural values",
+         lambda: _enumeration_moments(*_BIASED_S8)[1], lambda z: exact_moments(z["cantor_biased"], 8)[1]),
+    *(_Row(f"bernoulli_quarter.tail_16_32_a{a}", "enumeration", 1e-13,
+           "first-passage dictionary dynamic program, rational weights",
+           lambda a=a: _naive_tail(0.25, 16, 32, float(a)),
+           lambda z, a=a: float(running_max_tail(z["bernoulli_quarter"], 16, 32, float(a))))
+      for a in (2, 4, 6)),
+    _Row("theta_base2.exponent_at_2pow16", "high-precision", 1e-9,
+         "sqrt(2 v ln ln v) at v = 65536, 50 digits",
+         _mp_theta_exponent_2pow16,
+         lambda z: theta_correction("base-2").log_theta_from_u(65536.0 * math.log(2.0)) / math.log(2.0)),
+    # the one informational record: no main path computes a budget
+    _Row("gaussian.ks_budget_N1e5_n1e4", "gaussian-approx", 0.02,
+         "distribution-free quantile plus lattice-atom allowance; the tolerance "
+         "field carries the acceptance threshold it must stay under",
+         _ks_budget, None),
+)}
+
+
+def build_oracles() -> list[OracleRecord]:
+    """Every anchored constant by its naive route; loads no model."""
+    return [OracleRecord(row.quantity, row.method, float(row.oracle()), row.tolerance, row.note)
+            for row in _ORACLES.values()]
 
 
 def verify_records(records: list[OracleRecord]) -> list[OracleCheck]:
-    """Recompute each oracle through the main paths; informational records pass."""
+    """Recompute each record through its row's main path.
+
+    A quantity that no row names is refused. The record whose row has no
+    main path passes as informational, with main_value None.
+    """
     models = zoo_models()
     out = []
     for r in records:
-        main = _main_value(r.quantity, models)
+        if r.quantity not in _ORACLES:
+            raise ValidationError(f"no oracle row names {r.quantity!r}")
+        main = _ORACLES[r.quantity].main
         if main is None:
             out.append(OracleCheck(r.quantity, r.value, None, True, r.tolerance))
             continue
-        ok = abs(main - r.value) <= r.tolerance
-        out.append(OracleCheck(r.quantity, r.value, float(main), ok, r.tolerance))
+        value = main(models)
+        ok = abs(value - r.value) <= r.tolerance
+        out.append(OracleCheck(r.quantity, r.value, float(value), ok, r.tolerance))
     return out

@@ -81,7 +81,6 @@ from .models import (
     chain_log_masses,
     enumeration_budget,
     ln_base,
-    support_info,
     word_log_sums,
 )
 
@@ -534,9 +533,10 @@ def chi(model: MeasureModel, q):
 def support_dimension(model: MeasureModel) -> float:
     """delta = log_ell of the active symbol count on grids; on self-similar
     sets tau(0), the similarity dimension of the support (sum r_i^delta = 1)."""
-    if model.core.ell is None:
+    core = model.core
+    if core.ell is None:
         return tau_scale_free(model, 0.0)
-    return support_info(model).delta
+    return math.log(len(core.active)) / math.log(core.ell)
 
 
 def is_flat(model: MeasureModel) -> bool:
@@ -546,23 +546,19 @@ def is_flat(model: MeasureModel) -> bool:
 
 @dataclass(frozen=True)
 class ChiProfile:
-    """chi restricted to one sign branch, with inversion and theta on top.
+    """chi on (0, q_max], with inversion and theta on top.
 
-    side +1 works with chi(q) on (0, q_max]; side -1 with chi(-q), which is
-    again positive and increasing under the not-flat condition. The profile
-    reads d = -tau'(1) and sigma2 = tau''(1) once, when it is built.
+    The profile reads d = -tau'(1) and sigma2 = tau''(1) once, when it is
+    built.
     """
 
     model: MeasureModel
-    side: int = 1
     q_max: float = 1.0
     flat: bool = field(default=False, init=False)
     d: float = field(default=math.nan, init=False)
     sigma2: float = field(default=math.nan, init=False)
 
     def __post_init__(self):
-        if self.side not in (1, -1):
-            raise ValidationError("side must be +1 or -1")
         if not 0.0 < self.q_max <= 1.0:
             raise ValidationError("q_max must lie in (0, 1]")
         _, t1, t2 = spectral_kernel(self.model, 1.0)
@@ -571,9 +567,9 @@ class ChiProfile:
         object.__setattr__(self, "flat", is_flat(self.model))
 
     def _chi_and_slope(self, q: float) -> tuple[float, float]:
-        # chi(side q) and its derivative in q: side (-tau'(1 - side q) - d)
-        t, t1, _ = spectral_kernel(self.model, 1.0 - self.side * q)
-        return t - self.side * q * self.d, self.side * (-t1 - self.d)
+        # chi(q) and its derivative in q: -tau'(1 - q) - d
+        t, t1, _ = spectral_kernel(self.model, 1.0 - q)
+        return t - q * self.d, -t1 - self.d
 
     def chi(self, q: float) -> float:
         if not 0.0 < q <= self.q_max:
@@ -584,12 +580,12 @@ class ChiProfile:
         return self.chi(self.q_max)
 
     def inverse(self, y: float) -> float:
-        """q in (0, q_max] with chi(side*q) = y, by safeguarded Newton.
+        """q in (0, q_max] with chi(q) = y, by safeguarded Newton.
 
-        chi is increasing and convex on the branch. Newton starts from the
+        chi is increasing and convex on (0, q_max]. Newton starts from the
         quadratic germ chi(q) ~ sigma2 q^2 / 2 and falls back to bisection
         whenever a step leaves the bracket [lo, hi] around the root. It stops
-        once |chi(side*q) - y| <= 1e-12 max(1, |y|).
+        once |chi(q) - y| <= 1e-12 max(1, |y|).
         """
         if self.flat:
             raise FlatSpectrumError(

@@ -144,7 +144,7 @@ def test_sqrt_and_theta_families_evaluate():
     u = 40.0
     val = log_gauge_from_u(s, u)
     assert math.isfinite(val)
-    prof = ChiProfile(QUARTER, side=1, q_max=1.0)
+    prof = ChiProfile(QUARTER, q_max=1.0)
     t_spec = GaugeSpec(family="theta", d=d, a=0.5, ell=2, chi_profile=prof)
     u_big = math.log(1.0 / (1.0 / prof.chi_at_qmax() / 4))  # within theta domain
     u_ok = max(u_big, math.log(4.0 / prof.chi_at_qmax()))
@@ -218,7 +218,7 @@ def test_theta_gauge_inverts_chi_once_per_checkpoint(monkeypatch):
 
     monkeypatch.setattr(ChiProfile, "theta", counting)
     spec = GaugeSpec(family="theta", d=dimension(QUARTER), a=0.5, ell=2,
-                     chi_profile=ChiProfile(QUARTER, side=1, q_max=1.0))
+                     chi_profile=ChiProfile(QUARTER, q_max=1.0))
     res = gauge_test(QUARTER, spec, [16, 50, 203], N=60, seed=1)
     assert len(calls) == 3
     assert sorted(calls) == [n * math.log(2.0) / math.log(2) for n in (16, 50, 203)]
@@ -344,7 +344,7 @@ def test_gauge_fractions_match_a_gauge_per_path(name):
     ]
     if model.core.ell is not None:
         specs.append(GaugeSpec(family="theta", d=d, a=0.5, ell=model.core.ell,
-                               chi_profile=ChiProfile(model, side=1, q_max=1.0)))
+                               chi_profile=ChiProfile(model, q_max=1.0)))
     S, T, _, _ = lil._walk_ensemble(model, lil.lil_convention(model, "natural"), cks, seed, range(N))
     for spec in specs:
         hits = S >= -log_gauge_from_u(spec, T)
@@ -385,7 +385,7 @@ def reference_gauge_spec(model, args) -> GaugeSpec:
         d=d,
         a=args.a,
         ell=ell,
-        chi_profile=ChiProfile(model, side=1, q_max=args.q_max),
+        chi_profile=ChiProfile(model, q_max=args.q_max),
     )
 
 

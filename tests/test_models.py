@@ -18,7 +18,6 @@ from mflil import (
     model_to_dict,
     parse_model_file,
     path_rng,
-    support_info,
     symbol_weights,
 )
 from mflil import models
@@ -30,6 +29,7 @@ from mflil.models import (
     rekey_path_rng,
     u_thresholds,
 )
+from mflil.spectrum import support_dimension
 from mflil.zoo import load_zoo_model, zoo_models
 from reference_paths import log_cylinder_mass, sample_symbols, stationary_distribution
 
@@ -104,12 +104,12 @@ def test_mass_additivity_at_root():
 
 
 def test_support_info():
-    full = support_info(BernoulliProduct(0.25))
-    assert full.full and full.delta == pytest.approx(1.0)
-    gappy = support_info(MultinomialMeasure(3, 1, (0.5, 0.0, 0.5)))
-    assert not gappy.full
-    assert gappy.delta == pytest.approx(math.log(2) / math.log(3), abs=1e-14)
-    assert tuple(gappy.active) == (0, 2)
+    full = BernoulliProduct(0.25)
+    assert full.core.active == (0, 1)
+    assert support_dimension(full) == pytest.approx(1.0)
+    gappy = MultinomialMeasure(3, 1, (0.5, 0.0, 0.5))
+    assert gappy.core.active == (0, 2)
+    assert support_dimension(gappy) == pytest.approx(math.log(2) / math.log(3), abs=1e-14)
 
 
 def test_homogeneous_measure():

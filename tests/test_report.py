@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from mflil import ValidationError
 from mflil.cli import main
 from mflil.report import OracleRecord, _naive_tail, build_oracles, verify_records
 
@@ -65,6 +67,15 @@ def test_every_record_checks_out():
         f"{c.quantity}: oracle={c.oracle_value!r} main={c.main_value!r}" for c in bad
     )
     assert not bad, detail
+
+
+def test_verify_records_refuses_a_quantity_no_row_names():
+    real = next(r for r in RECORDS if r.quantity == "bernoulli_quarter.dimension")
+    misspelt = dataclasses.replace(real, quantity="bernoulli_quarter.dimenson")
+    with pytest.raises(ValidationError, match="dimenson"):
+        verify_records([misspelt])
+    informational = [c.quantity for c in verify_records(RECORDS) if c.main_value is None]
+    assert informational == ["gaussian.ks_budget_N1e5_n1e4"]
 
 
 def test_record_inventory():

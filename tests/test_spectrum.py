@@ -174,16 +174,16 @@ def test_chi_values():
 
 
 def test_chi_profile_inverse_round_trip():
-    prof = ChiProfile(QUARTER, side=1, q_max=1.0)
+    prof = ChiProfile(QUARTER, q_max=1.0)
     for q in (0.03, 0.2, 0.7, 1.0):
         y = prof.chi(q)
         assert prof.inverse(y) == pytest.approx(q, abs=1e-9)
     y = prof.chi_at_qmax()
-    assert ChiProfile(QUARTER, side=1).inverse(y) == pytest.approx(1.0, abs=1e-9)
+    assert ChiProfile(QUARTER).inverse(y) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_chi_profile_flat_raises():
-    prof = ChiProfile(BernoulliProduct(0.5), side=1)
+    prof = ChiProfile(BernoulliProduct(0.5))
     assert prof.flat
     with pytest.raises(FlatSpectrumError):
         prof.inverse(0.01)
@@ -196,7 +196,7 @@ def test_chi_profile_flat_is_read_from_the_model():
 
 
 def test_theta_domain():
-    prof = ChiProfile(QUARTER, side=1, q_max=1.0)
+    prof = ChiProfile(QUARTER, q_max=1.0)
     t_lo = 1.0 / prof.chi_at_qmax()
     assert prof.theta(t_lo * 2) > 0
     with pytest.raises(ValidationError):
@@ -378,7 +378,7 @@ def test_chi_profile_theta_makes_few_tau_evaluations(monkeypatch):
     from mflil import spectrum as spectrum_module
 
     mk = load_zoo_model("markov_chain")
-    prof = ChiProfile(mk, side=1, q_max=1.0)
+    prof = ChiProfile(mk, q_max=1.0)
     calls = []
     perron = spectrum_module.perron_root
 

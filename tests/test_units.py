@@ -62,6 +62,15 @@ def test_the_library_accepts_each_log_base_where_the_model_admits_it(base):
                 theta_correction(base.value, ell)
 
 
+def test_a_base_ell_theta_without_ell_is_refused():
+    # no silent binary default: base-ell Theta reads the model's grid base
+    with pytest.raises(ValidationError, match="base-ell"):
+        theta_correction(LogBase.BASE_ELL.value)
+    assert theta_correction(LogBase.BASE_ELL.value, 3).bases == (3, 3)
+    for base in (LogBase.NATURAL, LogBase.BASE_2):
+        assert theta_correction(base.value) == theta_correction(base.value, 5)
+
+
 def test_spectra_refuse_base_2_off_a_binary_grid(tmp_path, capsys):
     # models.ln_base is the spectra's unit rule, as it is the conventions'
     ternary = MultinomialMeasure(3, 1, (0.2, 0.3, 0.5))
