@@ -3,7 +3,7 @@
 The package groups five kinds of tooling around a shared model layer:
 
 * ``models``: coded measures on digit grids and self-similar attractors,
-  their symbol alphabets and per-symbol tables, and the seeded per-path
+  their per-symbol tables and those on their supports, and the seeded per-path
   Philox streams (``path_rng``) that every walk draws from.
 * ``spectrum``: scale-free pressure exponents tau(q), their derived local
   dimension and variance constants, and flatness diagnostics.
@@ -32,13 +32,11 @@ from .models import (
     MeasureModel,
     MultinomialMeasure,
     SelfSimilarMeasure,
-    homogeneous_measure,
     log_symbol_weights,
     model_from_dict,
     model_to_dict,
     parse_model_file,
     path_rng,
-    symbol_weights,
 )
 from .spectrum import (
     ChiProfile,

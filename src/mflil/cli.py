@@ -16,9 +16,9 @@ gauge-test hands all of its gauge options to gauges.gauge_spec; the gauge
 module's table of families decides which of them a family reads, and
 --family takes its choices from that table.
 
-Exit codes: 0 success; 2 validation (bad flags, malformed model files, domain
-violations); 3 numerical failure (a cross-check disagreed); 4 budget
-exceeded. Budgets can be widened via MFLIL_ENUM_BUDGET and MFLIL_PATH_BUDGET.
+Exit codes: 0 success; 2 validation (bad flags, malformed or unreadable
+model files, domain violations, an --out that cannot be written); 3
+numerical failure (a cross-check disagreed); 4 budget exceeded. Budgets can be widened via MFLIL_ENUM_BUDGET and MFLIL_PATH_BUDGET.
 """
 
 from __future__ import annotations
@@ -289,10 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "fluctuation ensembles, corrected gauges, and "
                     "quasi-Bernoulli diagnostics.",
         epilog="Budgets: MFLIL_ENUM_BUDGET caps cylinder enumerations, spectrum "
-               "q-grid rows and the running-max tail's classes (default 2^24); "
-               "the exact laws of S_n "
-               "have a fixed cap of 2^20 classes; MFLIL_PATH_BUDGET caps N*n_max "
-               "in ensembles (default 2^33).",
+               "q-grid rows, the chain matrix-power steps of --empirical-n past "
+               "2^14 words, and the running-max tail's classes (default 2^24); the "
+               "exact laws of S_n have a fixed cap of 2^20 classes; MFLIL_PATH_BUDGET "
+               "caps N*n_max in ensembles (default 2^33).",
     )
     ap.add_argument("--version", action="version", version=f"mflil {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

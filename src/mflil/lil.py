@@ -107,6 +107,7 @@ from .models import (
     LogBase,
     MeasureModel,
     _env_budget,
+    _log_weights,
     canonical_base,
     chain_states,
     draw_symbols,
@@ -230,12 +231,10 @@ def per_symbol_moments(model: MeasureModel, base: Optional[LogBase] = None) -> t
 
     Defined for the independent-increment families; the Markov chain's
     increments are correlated and have no single per-symbol variance, and
-    log_symbol_weights refuses chains.
+    their support's log weights are refused.
     """
-    lw = log_symbol_weights(model, base or canonical_base(model))
-    w = model.core.weights
-    keep = w > 0
-    w, lw = w[keep], lw[keep]
+    lw = _log_weights(model, base or canonical_base(model), model.core.support)
+    w = model.core.support.weights
     mean = float(w @ (-lw))
     var = float(w @ (lw + mean) ** 2)
     return mean, var
@@ -680,19 +679,19 @@ def _walk_ensemble(model, conv, cks, seed, paths, threads=1, window=None):
         def walk(lo, hi):
             return _chain_walk(tables, cks, seed, lo, hi, conv, window)
     else:
-        neg_lw = -log_symbol_weights(model, conv.base)
-        neg_lr = None if conv.t_per_level is not None else -core.log_ratios
-        if window is None:
-            active = list(core.active)
-            p, gaps = core.weights[active] / core.weights[active].sum(), np.diff(cks, prepend=0)
+        grid = conv.t_per_level is not None
+        if window is None:  # the checkpoint walk reads the support's tables
+            sup = core.support
+            p, gaps = sup.weights / sup.weights.sum(), np.diff(cks, prepend=0)
             pieces, starts, draws = _count_tables(gaps, *p) if p.size == 2 else (m, None, None)
-            tables = gaps, p, neg_lw[active], None if neg_lr is None else neg_lr[active], pieces, starts, draws
+            neg_lw, neg_lr = -_log_weights(model, conv.base, sup), None if grid else -sup.log_ratios
+            tables = gaps, p, neg_lw, neg_lr, pieces, starts, draws
             block = max(1, _COUNT_BLOCK // (pieces * core.k))
 
             def walk(lo, hi):
                 return *_checkpoint_walk_product(tables, seed, lo, hi), None, None
         else:
-            tables = core.cum_weights, neg_lw, neg_lr
+            tables = core.cum_weights, -log_symbol_weights(model, conv.base), None if grid else -core.log_ratios
             # never more threads than CPUs or paths, each range beyond them only
             # waiting its turn, nor than one per _THREAD_WORK path-levels
             block, workers = _WINDOW_GROUP, max(1, min(threads, os.cpu_count() or 1, N, N * n_max // _THREAD_WORK))
@@ -871,9 +870,8 @@ def _class_tables(model, base: LogBase):
     """
     core = model.core
     if core.kind == "product":
-        active = list(core.active)
-        moves = [(0, f, w) for f, w in enumerate(_exact_weights(core.weights[active].tolist()))]
-        return [moves], 0, log_symbol_weights(model, base)[active]
+        moves = [(0, f, w) for f, w in enumerate(_exact_weights(core.support.weights.tolist()))]
+        return [moves], 0, _log_weights(model, base, core.support)
     pi, P = core.pi.tolist(), core.P.tolist()
     factors = list(dict.fromkeys(x for row in [pi, *P] for x in row if x > 0))
     moves = [

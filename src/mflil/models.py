@@ -15,8 +15,8 @@ Four families:
 
 Alphabet(ell, dim) is the symbol set of the ell-adic subcubes of
 [0,1)^D, k = ell**D symbols, one symbol per level with the coordinate
-digits packed row-major (symbol = sum_j digit_j * ell**j); a self-similar
-measure's branch count stands in for ell.
+digits packed row-major (symbol = sum_j digit_j * ell**j); the grid
+families validate ell and dim through it.
 
 All mass computation is done in the log domain: the mass of a cylinder is
 exp of the sum of per-symbol log factors, never the log of a float product.
@@ -27,9 +27,13 @@ multinomial and self-similar: weights, their natural logs, self-similar log
 ratios) or 'chain' (Markov: pi, P, and the cumulative rows and logs, taken
 entry by entry with math.log, of P with pi appended as row k). A chain word
 starts in the start state k, so its first symbol is a transition out of
-row k like any other. Masses, samplers, spectra, ensembles and the
-quasi-Bernoulli checks read these tables instead of re-deriving them, and
-the family checks read the core's ell, None for self-similar measures.
+row k like any other. The core's support holds the same tables on the
+active symbols alone (the symbols of positive-mass words), built with the
+core: a product's weights, their logs and its log ratios (-ln ell each on
+grids), or a chain's pi, P and ln P (0 where P is 0). Masses, samplers,
+spectra, ensembles and the quasi-Bernoulli checks read these tables instead
+of re-deriving them, and the family checks read the core's ell, None for
+self-similar measures.
 Every sampler draws through one inverse-CDF rule (draw_symbols), every chain
 walk steps its states through one scan of that rule (chain_states), and
 every word enumeration comes from one enumerator per kind (chain_log_masses
@@ -196,6 +200,20 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
+class Support(NamedTuple):
+    """A core's tables on its active symbols, in the order of core.active,
+    read-only. A product's weights, their natural logs and natural log
+    contraction ratios (-ln ell each on grids); a chain's pi and P, and ln P
+    with 0 where P is 0. The other kind's fields are None."""
+
+    weights: Optional[np.ndarray] = None
+    log_weights: Optional[np.ndarray] = None
+    log_ratios: Optional[np.ndarray] = None
+    pi: Optional[np.ndarray] = None
+    P: Optional[np.ndarray] = None
+    log_P: Optional[np.ndarray] = None
+
+
 @dataclass(frozen=True, eq=False)
 class FamilyCore:
     """The per-symbol tables of one model, built once and read-only.
@@ -210,13 +228,14 @@ class FamilyCore:
     (u_thresholds), the same bytes where a row sums to exactly 1.0. ell is
     the grid base, None for self-similar measures. active lists the symbols
     that positive-mass words use: the positive weights, or the chain states
-    reachable from the support of pi.
+    reachable from the support of pi; support holds the tables on them.
     """
 
     kind: str
     k: int
     ell: Optional[int]
     active: tuple[int, ...]
+    support: Support
     weights: Optional[np.ndarray] = None
     cum_weights: Optional[np.ndarray] = None
     log_weights: Optional[np.ndarray] = None
@@ -232,12 +251,17 @@ class FamilyCore:
         pos = w > 0
         lw = np.full(w.shape, -np.inf)
         lw[pos] = np.log(w[pos])
+        lr = None if ratios is None else np.log(np.asarray(ratios, dtype=float))
+        support = Support(
+            weights=_read_only(w[pos]), log_weights=_read_only(lw[pos]),
+            log_ratios=_read_only(np.full(pos.sum(), -math.log(ell)) if lr is None else lr[pos]),
+        )
         return cls(
-            "product", w.size, ell, tuple(np.flatnonzero(pos).tolist()),
+            "product", w.size, ell, tuple(np.flatnonzero(pos).tolist()), support,
             weights=_read_only(w),
             cum_weights=_read_only(u_thresholds(np.cumsum(w))),
             log_weights=_read_only(lw),
-            log_ratios=None if ratios is None else _read_only(np.log(np.asarray(ratios, dtype=float))),
+            log_ratios=None if lr is None else _read_only(lr),
         )
 
     @classmethod
@@ -251,13 +275,16 @@ class FamilyCore:
             active = grown
 
         rows = np.vstack((P, pi))  # row k, the start state, is pi
-        logs = [math.log(x) if x > 0 else -math.inf for x in rows.ravel().tolist()]
+        logs = np.reshape([math.log(x) if x > 0 else -math.inf for x in rows.ravel().tolist()], rows.shape)
+        on = np.ix_(active, active)
+        support = Support(pi=_read_only(pi[active]), P=_read_only(P[on]),
+                          log_P=_read_only(np.where(P[on] > 0, logs[on], 0.0)))
         return cls(
-            "chain", pi.size, ell, tuple(np.flatnonzero(active).tolist()),
+            "chain", pi.size, ell, tuple(np.flatnonzero(active).tolist()), support,
             pi=_read_only(pi),
             P=_read_only(P),
             cum_P=_read_only(u_thresholds(np.cumsum(rows, axis=1))),
-            log_P=_read_only(np.reshape(logs, rows.shape)),
+            log_P=_read_only(logs),
         )
 
     def log_factors(self, syms: np.ndarray) -> np.ndarray:
@@ -304,10 +331,6 @@ class BernoulliProduct:
             raise ValidationError(f"p must lie in (0, 1), got {self.p!r}")
 
     @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(2, 1)
-
-    @property
     def weights(self) -> np.ndarray:
         return np.array([1.0 - self.p, self.p])
 
@@ -334,10 +357,6 @@ class MultinomialMeasure:
             )
         _check_probability_vector("weights", w, allow_zero=True)  # its sum check leaves a weight positive
 
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(self.ell, self.dim)
-
     @cached_property
     def core(self) -> FamilyCore:
         return FamilyCore.product(self.ell, self.weights)
@@ -359,11 +378,6 @@ class SelfSimilarMeasure:
         _check_probability_vector("probs", p, allow_zero=False)
         if np.any(r <= 0) or np.any(r >= 1) or np.any(~np.isfinite(r)):
             raise ValidationError("ratios must lie strictly inside (0, 1)")
-
-    @property
-    def alphabet(self) -> Alphabet:
-        # symbolic coding alphabet; branch count stands in for ell
-        return Alphabet(max(2, len(self.probs)), 1)
 
     @cached_property
     def core(self) -> FamilyCore:
@@ -408,10 +422,6 @@ class MarkovMeasure:
                     "pass stationary_required=False to waive"
                 )
 
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(self.ell, self.dim)
-
     @cached_property
     def core(self) -> FamilyCore:
         return FamilyCore.chain(self.ell, self.pi, self.P)
@@ -443,28 +453,26 @@ def ln_base(model: MeasureModel, base: LogBase) -> float:
     return math.log(2.0 if base is LogBase.BASE_2 else ell)
 
 
-def symbol_weights(model: MeasureModel) -> np.ndarray:
-    """Per-symbol weights for product families (error for Markov)."""
-    w = model.core.weights
+def log_symbol_weights(model: MeasureModel, base: LogBase = LogBase.NATURAL) -> np.ndarray:
+    """Per-symbol log weights of a product family in the requested base,
+    -inf at zero weights; chains are refused."""
+    return _log_weights(model, base, model.core)
+
+
+def _log_weights(model: MeasureModel, base: LogBase, table) -> np.ndarray:
+    """The log weights of table, the model's core or its support, in base
+    units, -inf at zero weights. Natural logs are the table's; base-2 uses
+    np.log2 so bits stay exact."""
+    w = table.weights
     if w is None:
         raise ValidationError("Markov measures have no per-symbol weight vector")
-    return w
-
-
-def log_symbol_weights(model: MeasureModel, base: LogBase = LogBase.NATURAL) -> np.ndarray:
-    """Per-symbol log weights in the requested base, -inf at zero weights.
-
-    Natural logs are the core's; base-2 uses np.log2 so bits stay exact.
-    """
-    w = symbol_weights(model)
     lb = ln_base(model, base)
     if base is LogBase.BASE_2:
         out = np.full(w.shape, -np.inf)
         pos = w > 0
         out[pos] = np.log2(w[pos])
         return out
-    lw = model.core.log_weights
-    return lw if base is LogBase.NATURAL else lw / lb
+    return table.log_weights if base is LogBase.NATURAL else table.log_weights / lb
 
 
 def chain_log_masses(model: MeasureModel, n: int) -> np.ndarray:
@@ -495,20 +503,6 @@ def word_log_sums(model: MeasureModel, values: np.ndarray, n: int) -> np.ndarray
     for _ in range(n):
         acc = (acc[:, None] + values[None, :]).ravel()
     return acc
-
-
-# ---------------------------------------------------------------------------
-# support
-
-
-def homogeneous_measure(model: MeasureModel) -> MultinomialMeasure:
-    """Uniform weights 1/g on the g active symbols of a grid family."""
-    core = model.core
-    if core.ell is None:
-        raise ValidationError("homogeneous measure is defined for grid families only")
-    w = np.zeros(core.k)
-    w[list(core.active)] = 1.0 / len(core.active)
-    return MultinomialMeasure(model.alphabet.ell, model.alphabet.dim, tuple(w.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +742,7 @@ def parse_model_file(path: str) -> MeasureModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read model file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -791,9 +785,11 @@ def check_enumeration_budget(model: MeasureModel, n: int) -> None:
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     k = model.core.k
+    check_budget(k ** n, f"enumeration of {k}^{n} words")
+
+
+def check_budget(count, what: str) -> None:
+    """Refuse `what`, a count of words, rows or steps, past the enumeration budget."""
     budget = enumeration_budget()
-    if k ** n > budget:
-        raise BudgetError(
-            f"enumeration of {k}^{n} words exceeds the budget {budget} "
-            "(set MFLIL_ENUM_BUDGET to raise it)"
-        )
+    if count > budget:
+        raise BudgetError(f"{what} exceeds the budget {budget} (set MFLIL_ENUM_BUDGET to raise it)")

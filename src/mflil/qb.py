@@ -5,8 +5,9 @@ m(I)m(J)/C <= m(IJ) <= C m(I)m(J) over positive-mass word pairs. Product
 measures have C = 1 exactly; for a chain started in pi the concatenation
 ratio is m(IJ)/(m(I)m(J)) = P(i, j)/pi(j) with i the last symbol of I and j
 the first of J, so the sharp constant has a closed form scanned over the
-transition matrix. qb_constant reports that closed form as C_hat, after
-checking the enumerated and sampled word-pair ratios against it.
+transition matrix, the core's support (P and pi on the active states).
+qb_constant reports that closed form as C_hat, after checking the
+enumerated and sampled word-pair ratios against it.
 
 The constant bounds the partition sums on both sides,
 
@@ -22,7 +23,9 @@ equal to the support dimension, with the measure comparable to the
 homogeneous one; or strictly smaller dimension with curvature evidence, where
 the measure is singular for the d-dimensional Hausdorff measure yet
 absolutely continuous for the packing counterpart) and returns typed evidence
-rather than a bare label.
+rather than a bare label. On grids the homogeneous measure is not built: it
+gives each of the g active symbols the weight 1/g, and the comparison reads
+ln(1/g) against the core's support tables, or a chain's level-6 masses.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ from .models import (
     MeasureModel,
     chain_log_masses,
     chain_states,
-    homogeneous_measure,
-    log_symbol_weights,
     path_rng,
 )
 from .spectrum import (
@@ -66,10 +67,10 @@ class QBReport:
 
 
 def _markov_closed_C(model: MarkovMeasure) -> float:
-    core = model.core
-    # a positive-mass word ends in an active state: P(i, j)/pi(j) over those i
-    P = core.P[list(core.active)]
-    pi = np.broadcast_to(core.pi, P.shape)
+    # a positive-mass word ends in an active state: P(i, j)/pi(j) over those i;
+    # P(i, j) > 0 from an active i, like pi(j) > 0, only for an active j
+    P = model.core.support.P
+    pi = np.broadcast_to(model.core.support.pi, P.shape)
     pos = (P > 0) & (pi > 0)
     if not pos.any():
         raise ValidationError(
@@ -168,9 +169,9 @@ class DichotomyResult:
 def _homogeneous_ratio_bounds(model: MeasureModel) -> tuple[float, float]:
     """Range of m(I)/m0(I) over positive-mass cylinders of level 6.
 
-    m0 is the homogeneous measure on the same support. For product families
-    the per-level range is the per-symbol range to the level-th power; chains
-    are enumerated directly.
+    m0 is the homogeneous measure on the same support, weight 1/g on each of
+    its g symbols. For product families the per-level range is the
+    per-symbol range to the level-th power; chains are enumerated directly.
     """
     levels = 6
     if model.core.ell is None:
@@ -180,15 +181,14 @@ def _homogeneous_ratio_bounds(model: MeasureModel) -> tuple[float, float]:
         r = np.asarray(model.ratios, dtype=float)
         f = p / r ** delta
         return float(f.min()) ** levels, float(f.max()) ** levels
-    m0 = homogeneous_measure(model)
-    lw0 = log_symbol_weights(m0)
+    # m0's log weight ln(1/g) on each of the g active symbols, as np.log gives it
+    g = len(model.core.active)
+    lw0 = np.log(np.full(g, 1.0 / g))
     if model.core.kind == "chain":
         lm = chain_log_masses(model, levels)
-        ratio = lm[np.isfinite(lm)] - levels * lw0[np.isfinite(lw0)][0]
+        ratio = lm[np.isfinite(lm)] - levels * lw0[0]
         return math.exp(float(ratio.min())), math.exp(float(ratio.max()))
-    lw = log_symbol_weights(model)
-    keep = np.isfinite(lw)
-    diff = lw[keep] - lw0[keep]
+    diff = model.core.support.log_weights - lw0
     return math.exp(levels * float(diff.min())), math.exp(levels * float(diff.max()))
 
 

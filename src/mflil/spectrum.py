@@ -10,7 +10,7 @@ One tau rule per family kind. tau_scale_free(model, q), and with it tau and
 chi, takes a float or a 1-D array of q and evaluates an array in one pass.
 spectral_kernel(model, q) takes one float and returns tau(q), tau'(q) and
 tau''(q) in scale-free units, its tau from the same rule. Both read the
-model's FamilyCore:
+support of the model's FamilyCore, its tables on the active symbols:
 
   * kind 'product' (Bernoulli, multinomial, self-similar): tau is the root of
     sum_i p_i^q r_i^tau = 1 over the active symbols, with r_i = 1/ell on
@@ -21,7 +21,9 @@ model's FamilyCore:
     w_i = p_i^q r_i^tau gives tau' = -E_w ln p / E_w ln r and
     tau'' = Var_w(ln p + tau' ln r) / (-E_w ln r).
   * kind 'chain' (Markov): tau = log_ell rho(q), with rho the Perron root of
-    the entrywise power M_q = (P_ij^q) on the active core. An array of q is
+    the entrywise power M_q = (P_ij^q) of the support's P, which must be
+    irreducible (checked on every call: the exact laws and enumerations
+    accept reducible chains). An array of q is
     one eigen-solve over the stack of its M_q (perron_root). With the right
     and left Perron vectors u, v,
     rho' = v M' u / v u and rho'' = (v M'' u + 2 v M' (rho I - M_q)^# M' u) / v u,
@@ -43,7 +45,9 @@ self-similar measures (the masses and the diameters). On grids
 tau_n(q) = log_ell(sum_w m(w)^q) / n (log_partition_sum): products
 factorise, n times the level-1 sum, and chains take one logsumexp over the
 (q, word) matrix in passes of at most _Q_BLOCK / 4 entries, or scaled
-powers of M_q past 2^14 words, one q at a time. On self-similar measures
+powers of M_q past 2^14 words, one q at a time; their q rows times n - 1
+matrix steps are refused past the enumeration budget before the first
+step. On self-similar measures
 tau_n(q) is the root of sum_w m(w)^q diam(w)^tau = 1 over the enumerated
 words, one root per q.
 
@@ -73,13 +77,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, FlatSpectrumError, NumericalError, ValidationError
+from .errors import FlatSpectrumError, NumericalError, ValidationError
 from .models import (
     LogBase,
     MeasureModel,
     canonical_base,
     chain_log_masses,
-    enumeration_budget,
+    check_budget,
     ln_base,
     word_log_sums,
 )
@@ -182,19 +186,10 @@ def tau_implicit_selfsimilar(lp: np.ndarray, lr: np.ndarray, q: float) -> float:
     )
 
 
-def _product_logs(core) -> tuple[np.ndarray, np.ndarray]:
-    """ln p_i and ln r_i over the active symbols; r_i = 1/ell on grids."""
-    act = list(core.active)
-    lp = core.log_weights[act]
-    if core.log_ratios is None:
-        return lp, np.full(lp.size, -math.log(core.ell))
-    return lp, core.log_ratios[act]
-
-
 def _product_tau(core, qs: np.ndarray) -> np.ndarray:
     """tau over a 1-D array of q: the closed form in one pass on equal
     ratios, else the implicit root one q at a time."""
-    lp, lr = _product_logs(core)
+    lp, lr = core.support.log_weights, core.support.log_ratios
     if np.all(lr == lr[0]):
         return _logsumexp(qs[:, None] * lp) / -lr[0]
     return np.array([tau_implicit_selfsimilar(lp, lr, q) for q in qs.tolist()])
@@ -202,7 +197,7 @@ def _product_tau(core, qs: np.ndarray) -> np.ndarray:
 
 def _product_kernel(core, q: float) -> tuple[float, float, float]:
     t = float(_product_tau(core, np.array([q]))[0])
-    lp, lr = _product_logs(core)
+    lp, lr = core.support.log_weights, core.support.log_ratios
     z = q * lp + t * lr
     w = np.exp(z - z.max())
     w /= w.sum()
@@ -267,11 +262,10 @@ def perron_root(M: np.ndarray):
 
 
 def _active_chain(core) -> tuple[np.ndarray, np.ndarray]:
-    """P and its entrywise natural log (0 where P is 0) on the active core."""
-    act = list(core.active)
-    P = core.P[np.ix_(act, act)]
-    _check_irreducible(P, act)
-    return P, np.where(P > 0, core.log_P[np.ix_(act, act)], 0.0)
+    """The support's P and ln P (0 where P is 0), refused unless P is
+    irreducible on the active states."""
+    _check_irreducible(core.support.P, core.active)
+    return core.support.P, core.support.log_P
 
 
 def _chain_powers(P: np.ndarray, qs: Sequence[float]) -> np.ndarray:
@@ -399,10 +393,9 @@ def _log_sums(qs: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 def _chain_power_sum(core, q: float, n: int) -> float:
     """Natural log of the level-n partition sum from scaled powers of M_q in
-    the log domain, over the active states."""
-    act = list(core.active)
-    v = _chain_powers(core.pi[act], [q])[0]
-    Mq = _chain_powers(core.P[np.ix_(act, act)], [q])[0]
+    the log domain, over the support's pi and P."""
+    v = _chain_powers(core.support.pi, [q])[0]
+    Mq = _chain_powers(core.support.P, [q])[0]
     logscale = 0.0
     for _ in range(n - 1):
         v = v @ Mq
@@ -420,7 +413,9 @@ def log_partition_sum(model: MeasureModel, q, n: int):
 
     Products factorise: n times the level-1 sum. Chains enumerate their
     level-n words within 2^14 words, once per call whatever the number of
-    q, and take scaled transfer-matrix powers past that, one q at a time.
+    q, and take scaled transfer-matrix powers past that, one q at a time,
+    refused with BudgetError past the enumeration budget of q rows times
+    n - 1 matrix steps.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -432,10 +427,11 @@ def log_partition_sum(model: MeasureModel, q, n: int):
 
     def rule(qs):
         if core.kind == "product":
-            return n * _log_sums(qs, _product_logs(core)[0])
+            return n * _log_sums(qs, core.support.log_weights)
         if core.k ** n <= 2 ** 14:
             logmass = chain_log_masses(model, n)
             return _log_sums(qs, logmass[np.isfinite(logmass)])
+        check_budget(qs.size * (n - 1), f"a run of {qs.size} x {n - 1} chain matrix steps")
         return np.array([_chain_power_sum(core, x, n) for x in qs.tolist()])
 
     return _over_q(q, rule)
@@ -456,8 +452,8 @@ def tau_empirical(model: MeasureModel, q, n: int, base: Optional[LogBase] = None
     def rule(qs):
         if core.ell is not None:
             return log_partition_sum(model, qs, n) / (n * math.log(core.ell))
-        lp, lr = _product_logs(core)
-        lm, ld = word_log_sums(model, lp, n), word_log_sums(model, lr, n)
+        lm = word_log_sums(model, core.support.log_weights, n)
+        ld = word_log_sums(model, core.support.log_ratios, n)
         return np.array([tau_implicit_selfsimilar(lm, ld, x) for x in qs.tolist()])
 
     return tau_to_base(model, _over_q(q, rule), base)
@@ -468,13 +464,12 @@ def tau_empirical(model: MeasureModel, q, n: int, base: Optional[LogBase] = None
 
 
 def _entropy_dimension(model: MeasureModel) -> float:
-    """Entropy over mean log contraction: -sum p ln p / -sum p ln r for
-    products, and for chains the entropy rate under the stationary law of the
-    active core (the left Perron vector of P) over ln ell."""
+    """Entropy over mean log contraction: -sum p ln p / -sum p ln r over the
+    support for products, and for chains the entropy rate under the
+    stationary law of the support's P (its left Perron vector) over ln ell."""
     core = model.core
     if core.kind == "product":
-        lp, lr = _product_logs(core)
-        p = core.weights[list(core.active)]
+        p, lp, lr = core.support.weights, core.support.log_weights, core.support.log_ratios
         return float((p @ lp) / (p @ lr))
     P, lP = _active_chain(core)
     pi = perron_root(P)[2]
@@ -700,12 +695,7 @@ def spectrum_table(
     if last - steps > 1e-9 * steps:  # rounded up past q_max by more than float error
         last -= 1
     count = last + 1
-    budget = enumeration_budget()
-    if count > budget:
-        raise BudgetError(
-            f"a q grid of {count:.6g} rows exceeds the budget {budget} "
-            "(set MFLIL_ENUM_BUDGET to raise it)"
-        )
+    check_budget(count, f"a q grid of {count:.6g} rows")
     if q_step >= 1e-9:
         # snap accumulated float error so decimal grids hit 0 and 1 exactly
         qs = tuple(float(round(q_min + i * q_step, 12)) for i in range(count))

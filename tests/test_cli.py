@@ -418,10 +418,8 @@ def test_integral_ell_and_d_still_load(tmp_path):
     for name, doc in docs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
-        model = parse_model_file(str(path))
-        assert (model.alphabet.ell, model.alphabet.dim) == (
-            doc.get("ell", 2), doc.get("D", 1)
-        )
+        core, ell = parse_model_file(str(path)).core, doc.get("ell", 2)
+        assert (core.ell, core.k) == (ell, ell ** doc.get("D", 1))
         assert run(["spectrum", "--model", str(path), "--out", str(tmp_path / name)]) == 0
 
 
@@ -461,6 +459,36 @@ def test_refused_runs_leave_no_out_directory(zoo_dir, tmp_path, monkeypatch, cap
                 "--out", str(out), "--family", "theta", "--N", "10",
                 "--checkpoints", "64,1024"]) == 2
     assert "grid scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_an_out_that_cannot_be_a_directory_exits_2(zoo_dir, tmp_path, capsys, under):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    out = taken / "sub" if under else taken
+    assert run(["spectrum", "--model", str(zoo_dir / "bernoulli_half.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(taken) in err
+    assert taken.read_text() == "keep me\n"
+
+
+def test_a_model_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "o"
+    assert run(["spectrum", "--model", str(path), "--out", str(out)]) == 2
+    assert "cannot read model file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_chain_matrix_power_steps_are_budgeted(zoo_dir, tmp_path, monkeypatch, capsys):
+    # 101 rows pass the row check at 1000; 101 x 15 matrix steps do not
+    monkeypatch.setenv("MFLIL_ENUM_BUDGET", "1000")
+    out = tmp_path / "o"
+    assert run(["spectrum", "--model", str(zoo_dir / "markov_chain.json"), "--out", str(out),
+                "--empirical-n", "16"]) == 4
+    assert "101 x 15 chain matrix steps exceeds the budget 1000" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -13,12 +13,10 @@ from mflil import (
     MultinomialMeasure,
     SelfSimilarMeasure,
     ValidationError,
-    homogeneous_measure,
     model_from_dict,
     model_to_dict,
     parse_model_file,
     path_rng,
-    symbol_weights,
 )
 from mflil import models
 from mflil.models import (
@@ -51,7 +49,7 @@ def test_multinomial_validation():
     with pytest.raises(ValidationError):
         MultinomialMeasure(2, 1, (0.0, 0.0))
     m = MultinomialMeasure(2, 1, (0.0, 1.0))  # zero weights allowed
-    assert m.alphabet.k == 2
+    assert m.core.k == 2
 
 
 def test_selfsimilar_validation():
@@ -70,7 +68,7 @@ def test_markov_validation():
         MarkovMeasure(2, 1, (0.5, 0.5), ((0.9, 0.1), (0.5, 0.5)))  # pi not stationary
     # same pi waived explicitly
     m = MarkovMeasure(2, 1, (0.5, 0.5), ((0.9, 0.1), (0.5, 0.5)), stationary_required=False)
-    assert m.alphabet.ell == 2
+    assert m.core.ell == 2
 
 
 def test_stationary_distribution():
@@ -110,13 +108,6 @@ def test_support_info():
     gappy = MultinomialMeasure(3, 1, (0.5, 0.0, 0.5))
     assert gappy.core.active == (0, 2)
     assert support_dimension(gappy) == pytest.approx(math.log(2) / math.log(3), abs=1e-14)
-
-
-def test_homogeneous_measure():
-    h = homogeneous_measure(MultinomialMeasure(3, 1, (0.5, 0.0, 0.5)))
-    assert np.allclose(symbol_weights(h), [0.5, 0.0, 0.5])
-    h2 = homogeneous_measure(BernoulliProduct(0.25))
-    assert np.allclose(symbol_weights(h2), [0.5, 0.5])
 
 
 CHAIN_4 = ((0.5, 0.25, 0.25, 0.0), (0.1, 0.6, 0.1, 0.2), (0.0, 0.3, 0.3, 0.4), (0.25, 0.25, 0.25, 0.25))
@@ -329,7 +320,7 @@ def test_sampling_never_draws_a_null_symbol_at_the_top_uniform():
     w = (0.5, 0.5 - 1e-13, 0.0)
     product = MultinomialMeasure(3, 1, w)
     syms = sample_symbols(product, 4, _TopUniforms())
-    assert np.all(symbol_weights(product)[syms] > 0)
+    assert np.all(product.core.weights[syms] > 0)
     chain = MarkovMeasure(3, 1, w, (w, w, w))
     syms = sample_symbols(chain, 4, _TopUniforms())
     assert log_cylinder_mass(chain, syms) > -math.inf
@@ -412,7 +403,7 @@ GAPPY_CHAIN = MarkovMeasure(
 
 @pytest.mark.parametrize("model", [load_zoo_model("markov_chain"), GAPPY_CHAIN])
 def test_chain_enumerator_matches_log_cylinder_mass(model):
-    k = model.alphabet.k
+    k = model.core.k
     for n in range(1, 7):
         table = chain_log_masses(model, n)
         assert table.shape == (k ** n,)
@@ -421,3 +412,29 @@ def test_chain_enumerator_matches_log_cylinder_mass(model):
         assert np.all(np.isfinite(table) | np.isneginf(table))
         live = np.isfinite(ref)
         assert np.allclose(table[live], ref[live], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("model", [
+    MultinomialMeasure(3, 1, (0.5, 0.0, 0.5)),
+    load_zoo_model("bernoulli_quarter"),
+    load_zoo_model("cantor_biased"),
+    GAPPY_CHAIN,
+])
+def test_support_holds_the_core_tables_on_the_active_symbols(model):
+    core = model.core
+    act = list(core.active)
+    sup = core.support
+    if core.kind == "product":
+        lr = np.full(len(act), -math.log(core.ell)) if core.log_ratios is None else core.log_ratios[act]
+        want = {"weights": core.weights[act], "log_weights": core.log_weights[act], "log_ratios": lr}
+    else:
+        on = np.ix_(act, act)
+        want = {"pi": core.pi[act], "P": core.P[on], "log_P": np.where(core.P[on] > 0, core.log_P[on], 0.0)}
+    for name, table in sup._asdict().items():
+        if name not in want:
+            assert table is None, name
+            continue
+        assert np.array_equal(table, want[name]), name
+        assert table.tobytes() == want[name].tobytes(), name
+        assert not table.flags.writeable, name
+    assert core.support is sup  # built once, with the core

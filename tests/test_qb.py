@@ -108,6 +108,8 @@ def test_dichotomy_multinomial_with_gaps():
     # uniform on its support set: d = delta = log_3 2
     assert res.case == "equivalent_to_Hdelta"
     assert res.d == pytest.approx(math.log(2) / math.log(3), abs=1e-10)
+    # uniform on the two active symbols: m equals the homogeneous measure there
+    assert res.evidence["homogeneous_ratio_range"] == (1.0, 1.0)
 
 
 def test_markov_enumeration_matches_closed_form_at_every_level():
